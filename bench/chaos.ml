@@ -1,7 +1,7 @@
 (* Chaos soak harness for the crash-safe serving layer (docs/robustness.md).
 
-   Topology: this process spawns a real `pmw_cli serve` daemon (journal +
-   checkpoints + --resume), puts the Flaky fault proxy in front of its
+   Topology: this process spawns a real one-shard `pmw_cli serve` daemon
+   (journal-only crash recovery), puts the Flaky fault proxy in front of its
    socket, and drives N analyst threads through the proxy with
    rid-stamped requests and the Client retry loop. A killer loop SIGKILLs
    the server at random points and restarts it, measuring recovery time.
@@ -15,7 +15,9 @@
      (b) every deliberately re-asked request_id produced a byte-identical
          answer to the recorded one (client side), and no rid appears in
          the journal twice with different bytes (server side);
-     (c) the final incarnation's telemetry trace passes Trace.validate.
+     (c) the final incarnation's fleet and shard traces pass
+         Trace.validate, and its graceful drain left the drain checkpoint
+         beside the journal.
 
    Exit status 0 when every invariant holds, 1 otherwise. With --json, a
    "chaos" section (recovery-time and dedup-hit metrics included) is merged
@@ -67,9 +69,9 @@ let is_rejected (rsp : Protocol.response) =
    verdicts are expected while a shard is down; their coverage must equal
    the surviving-weight fraction (near-equal block partition: within 1e-3
    of (shards - missing)/shards), and missing_shards must be non-empty.
-   Byte-identity dedup re-asks stay off in fleet mode — the router stamps a
-   fresh seq and recomposes the fleet envelope on every call, so the
-   single-broker byte contract intentionally does not hold; the per-shard
+   Byte-identity dedup re-asks stay off in multi-shard mode — the router
+   stamps a fresh seq and recomposes the fleet envelope on every call, so
+   the one-shard byte contract intentionally does not hold; the per-shard
    journals still enforce no-rid-rewrite server-side. *)
 let analyst ?fleet ~running ~proxy_path ~panel ~seed ~dup_prob i =
   let stats = new_stats () in
@@ -139,7 +141,7 @@ let analyst ?fleet ~running ~proxy_path ~panel ~seed ~dup_prob i =
                     coverage expected
                 end
             | Protocol.Partial _, None ->
-                (* a single broker can never produce a fleet verdict *)
+                (* a one-shard server can never produce a partial verdict *)
                 stats.a_partials <- stats.a_partials + 1;
                 stats.a_coverage_bad <- stats.a_coverage_bad + 1
             | _ -> ());
@@ -172,7 +174,7 @@ let analyst ?fleet ~running ~proxy_path ~panel ~seed ~dup_prob i =
 
 type server = { mutable pid : int; mutable incarnation : int }
 
-let spawn_server ?(checkpointing = true) ?(extra = []) ~bin ~dir ~socket ~journal ~eps ~n ~k srv =
+let spawn_server ?(extra = []) ~bin ~dir ~socket ~journal ~eps ~n ~k srv =
   srv.incarnation <- srv.incarnation + 1;
   let log =
     Unix.openfile
@@ -184,9 +186,6 @@ let spawn_server ?(checkpointing = true) ?(extra = []) ~bin ~dir ~socket ~journa
   let args =
     Array.of_list
       ([ bin; "serve"; "--socket"; socket; "--journal"; journal ]
-      @ (if checkpointing then
-           [ "--checkpoint-dir"; Filename.concat dir "ckpt"; "--resume"; "--checkpoint-every"; "8" ]
-         else [])
       @ [
           "--dedup-cap"; "200000";
           "-n"; string_of_int n;
@@ -352,7 +351,7 @@ let validate_journal ~path ~eps_total ~max_reported_eps ~max_reported_delta =
    a time through the control plane and times the supervisor's recovery
    (ctl:health polling). Validated afterwards: every partial answer named
    the dead shards with the right coverage, each shard's journal passes the
-   single-broker invariants independently, the fleet-reported spend is the
+   one-shard invariants independently, the fleet-reported spend is the
    parallel-composition max over the shard journals (never their sum — that
    would be cross-shard double-counting), and every recovery beat the one-
    second target. *)
@@ -363,7 +362,7 @@ let fleet_soak ~bin ~dir ~seed ~eps ~n ~k ~shards ~analysts ~cycles ~kill_min ~k
   let srv = { pid = -1; incarnation = 0 } in
   let t_start = Unix.gettimeofday () in
   let trace =
-    spawn_server ~checkpointing:false
+    spawn_server
       ~extra:
         [
           "--shards"; string_of_int shards; "--shard-by"; "block"; "--chaos-ctl";
@@ -623,15 +622,11 @@ let percentile sorted p =
 let epoch_soak ~dir ~cycles ~json () =
   let module Universe = Pmw_data.Universe in
   let module Dataset = Pmw_data.Dataset in
-  let module Histogram = Pmw_data.Histogram in
   let module Synth = Pmw_data.Synth in
   let module Losses = Pmw_convex.Losses in
   let module Domain_ = Pmw_convex.Domain in
   let module Cm_query = Pmw_core.Cm_query in
   let module Config = Pmw_core.Config in
-  let module Session = Pmw_session.Session in
-  let module Checkpoint = Pmw_session.Checkpoint in
-  let module Pool = Pmw_parallel.Pool in
   let module Rng = Pmw_rng.Rng in
   let module Shard = Pmw_server.Shard in
   let module Epoch = Pmw_server.Epoch in
@@ -659,38 +654,24 @@ let epoch_soak ~dir ~cycles ~json () =
   in
   let resolve name = List.assoc_opt name panel in
   let base_rows = Dataset.rows dataset in
-  (* Twin constructors: everything (label, seeds, config) identical across
-     the two shards — byte-identity of the survivors depends on it. The
-     session is a pure function of (epoch, absorbed, prior). *)
-  let dataset_at ~epoch ~absorbed =
-    Dataset.create ~epoch universe (Array.append base_rows absorbed)
-  in
-  let mk_session ~epoch ~absorbed ~prior tel =
-    let pool = Pool.create ~domains:1 () in
-    Session.create ~pool ~telemetry:tel ~label:"epoch-twin" ~config
-      ~dataset:(dataset_at ~epoch ~absorbed)
-      ?prior:(Option.map (Histogram.of_weights universe) prior)
-      ~rng:(Rng.create ~seed:(1009 + (31 * epoch)) ())
-      ()
-  in
+  (* Twin constructors: everything (seeds, config) identical across the
+     two shards — byte-identity of the survivors depends on it. A
+     generation is a pure function of (epoch, absorbed). *)
   let jpath id = Filename.concat dir (Printf.sprintf "epoch%d.wal" id) in
   let mk id =
     Shard.create ~id ~weight:1.0 ~journal_path:(jpath id)
       ~epoch:
         {
-          Shard.se_snapshot = jpath id ^ ".epoch";
-          se_every = 0 (* transitions on request only: the script is the clock *);
+          Shard.se_every = 0 (* transitions on request only: the script is the clock *);
           se_row_bound = usize;
-          se_make = mk_session;
-          se_resume =
-            (fun ~absorbed ckpt tel ->
-              let pool = Pool.create ~domains:1 () in
-              Session.resume ~pool ~telemetry:tel ~label:"epoch-twin" ~config
-                ~dataset:(dataset_at ~epoch:ckpt.Checkpoint.epoch ~absorbed)
-                ~rng:(Rng.create ~seed:0 ())
-                ckpt);
         }
-      ~make_session:(fun tel -> mk_session ~epoch:0 ~absorbed:[||] ~prior:None tel)
+      ~session:(fun ~pool ~epoch ~absorbed ->
+        {
+          Shard.g_config = config;
+          g_dataset = Dataset.create ~epoch universe (Array.append base_rows absorbed);
+          g_oracles = Pmw_session.Session.default_oracles ~pool ();
+          g_rng = Rng.create ~seed:(1009 + (31 * epoch)) ();
+        })
       ~resolve ()
   in
   let chaos = mk 0 and refsh = mk 1 in
@@ -1124,17 +1105,26 @@ let () =
   let journal_ok, journal_records, (cum_eps, cum_delta) =
     validate_journal ~path:journal ~eps_total:!eps ~max_reported_eps ~max_reported_delta
   in
+  (* the final incarnation's fleet trace and its one shard's trace *)
   let trace_ok =
-    match Trace.load ~path:!trace with
-    | Error why ->
-        Printf.eprintf "INVARIANT VIOLATED: final trace unreadable: %s\n%!" why;
-        false
-    | Ok events -> (
-        match Trace.validate events with
-        | Ok () -> true
+    List.for_all
+      (fun path ->
+        match Trace.load ~path with
         | Error why ->
-            Printf.eprintf "INVARIANT VIOLATED: final trace invalid: %s\n%!" why;
-            false)
+            Printf.eprintf "INVARIANT VIOLATED: final trace %s unreadable: %s\n%!" path why;
+            false
+        | Ok events -> (
+            match Trace.validate events with
+            | Ok () -> true
+            | Error why ->
+                Printf.eprintf "INVARIANT VIOLATED: final trace %s invalid: %s\n%!" path why;
+                false))
+      [ !trace; !trace ^ ".shard0.inc1" ]
+  in
+  let drain_ok =
+    check
+      (Sys.file_exists (Pmw_server.Epoch.drain_path journal))
+      "the graceful drain left no checkpoint beside the journal"
   in
   let recov = Array.of_list !recoveries in
   Array.sort compare recov;
@@ -1149,7 +1139,7 @@ let () =
     && check (dedup_checks > 0) "no dedup retries were exercised (%d checks)" dedup_checks
     && check (not !failed_restart) "at least one restart never came back"
     && check (completed > 0) "no requests completed"
-    && journal_ok && trace_ok
+    && journal_ok && trace_ok && drain_ok
   in
   Printf.printf
     "chaos soak: %d kill/restart cycles, %d analysts, %.1fs wall\n\

@@ -164,56 +164,15 @@ let drive ~label ~max_batch ~analysts ~queries ~requests ~duration_s ~make_call 
 (* levels for a d=2 regression grid with 5 label levels: levels^2 * 5 ~ 2^bits *)
 let levels_for_bits bits = max 2 (int_of_float (sqrt (ldexp 1. bits /. 5.)))
 
-let run_inproc ?journal_path ~label ~bits ~n ~eps ~t_max ~analysts ~requests ~max_batch () =
-  let w = Common.Workload.regression ~d:2 ~levels:(levels_for_bits bits) () in
-  let universe = w.Common.Workload.universe in
-  let dataset = w.Common.Workload.sample ~n (Rng.create ~seed:2 ()) in
-  let k = (analysts * requests) + 16 in
-  let config =
-    Pmw_core.Config.practical ~universe
-      ~privacy:(Pmw_dp.Params.create ~eps ~delta:1e-6)
-      ~alpha:0.1 ~beta:0.05 ~scale:w.Common.Workload.scale ~k ~t_max ~solver_iters:200 ()
-  in
-  let session = Session.create ~config ~dataset ~rng:(Rng.create ~seed:3 ()) () in
-  let registry = Hashtbl.create 16 in
-  List.iter (fun q -> Hashtbl.replace registry q.Pmw_core.Cm_query.name q) w.Common.Workload.queries;
-  let journal =
-    Option.map
-      (fun path ->
-        (try Sys.remove path with Sys_error _ -> ());
-        match Pmw_server.Journal.open_journal ~path with
-        | Ok (j, _) -> j
-        | Error why -> failwith why)
-      journal_path
-  in
-  let broker =
-    Broker.create
-      ~config:
-        { Broker.max_batch; quota = 0; retry_after_s = 0.05; dedup_cap = 4096; checkpoint_every = 0 }
-      ?journal ~session ~resolve:(Hashtbl.find_opt registry) ()
-  in
-  let queries =
-    Array.of_list (List.map (fun q -> q.Pmw_core.Cm_query.name) w.Common.Workload.queries)
-  in
-  let coordinator, result =
-    drive ~label ~max_batch ~analysts ~queries ~requests:(Some requests) ~duration_s:None
-      ~make_call:(fun _ -> fun req -> Some (Broker.submit broker req))
-      ~finish:(fun () -> Broker.shutdown broker)
-  in
-  Broker.run broker;
-  Thread.join coordinator;
-  Option.iter Pmw_server.Journal.close journal;
-  (result (), Pmw_data.Universe.size universe)
-
-(* --- in-process fleet serving --- *)
-
-(* The same workload behind a sharded fleet: N disjoint block shards, each
-   with its own session and serializer domain, composed by the router.
-   Analyst i scopes its queries to shard (i mod shards) — the steady-state
-   routing pattern where each shard serves its own record block without
-   fan-out barriers — so throughput measures per-shard serialization, not
-   the composition path (the router tests own that). *)
-let run_fleet ~label ~bits ~n ~eps ~t_max ~analysts ~requests ~max_batch ~shards () =
+(* The workload behind an N-shard fleet: disjoint block shards, each with
+   its own session and serializer domain, composed by the router (one
+   shard is the plain broker legs). Analyst i scopes its queries to shard
+   (i mod shards) — the steady-state routing pattern where each shard
+   serves its own record block without fan-out barriers — so throughput
+   measures per-shard serialization, not the composition path (the router
+   tests own that). *)
+let run_fleet ?journal_path ~label ~bits ~n ~eps ~t_max ~analysts ~requests ~max_batch ~shards ()
+    =
   let module Shard = Pmw_server.Shard in
   let module Router = Pmw_server.Router in
   let w = Common.Workload.regression ~d:2 ~levels:(levels_for_bits bits) () in
@@ -234,21 +193,17 @@ let run_fleet ~label ~bits ~n ~eps ~t_max ~analysts ~requests ~max_batch ~shards
          (fun i block ->
            Shard.create ~id:i
              ~weight:(float_of_int (Pmw_data.Dataset.size block) /. float_of_int n)
-             ~config:
+             ?journal_path:
+               (Option.map (fun p -> Shard.journal_file p ~shards ~epochs:false i) journal_path)
+             ~config:{ Broker.max_batch; quota = 0; retry_after_s = 0.05; dedup_cap = 4096 }
+             ~domains:(Shard.pool_domains ~shards)
+             ~session:(fun ~pool ~epoch:_ ~absorbed:_ ->
                {
-                 Broker.max_batch;
-                 quota = 0;
-                 retry_after_s = 0.05;
-                 dedup_cap = 4096;
-                 checkpoint_every = 0;
-               }
-             ~make_session:(fun tel ->
-               let pool = Pmw_parallel.Pool.create ~domains:1 () in
-               Session.create ~pool ~telemetry:tel
-                 ~label:(Printf.sprintf "shard%d" i)
-                 ~config ~dataset:block
-                 ~rng:(Rng.create ~seed:(3 + i) ())
-                 ())
+                 Shard.g_config = config;
+                 g_dataset = block;
+                 g_oracles = Session.default_oracles ~pool ();
+                 g_rng = Rng.create ~seed:(3 + i) ();
+               })
              ~resolve:(Hashtbl.find_opt registry) ())
          blocks)
   in
@@ -270,7 +225,7 @@ let run_fleet ~label ~bits ~n ~eps ~t_max ~analysts ~requests ~max_batch ~shards
       ~finish:(fun () -> Array.iter Shard.stop fleet)
   in
   Thread.join coordinator;
-  result ()
+  (result (), Pmw_data.Universe.size universe)
 
 (* --- socket client mode --- *)
 
@@ -427,36 +382,32 @@ let () =
       let r = run_socket ~path ~queries:!panel ~analysts:!analysts ~requests ~duration_s:!duration () in
       print_result r
   | None ->
-      let run ~label ~max_batch =
-        run_inproc ~label ~bits:!bits ~n:!n ~eps:!eps ~t_max:!t_max ~analysts:!analysts
-          ~requests:!requests ~max_batch ()
+      let run ?journal_path ?(shards = 1) ~label ~max_batch () =
+        run_fleet ?journal_path ~label ~bits:!bits ~n:!n ~eps:!eps ~t_max:!t_max
+          ~analysts:!analysts ~requests:!requests ~max_batch ~shards ()
       in
       if not !compare_flag then begin
-        let r, _ = run ~label:"batched" ~max_batch:!max_batch in
+        let r, _ = run ~label:"batched" ~max_batch:!max_batch () in
         print_result r
       end
       else begin
-        let batched, universe_size = run ~label:"batched" ~max_batch:!max_batch in
+        let batched, universe_size = run ~label:"batched" ~max_batch:!max_batch () in
         print_result batched;
-        let sequential, _ = run ~label:"batch-1" ~max_batch:1 in
+        let sequential, _ = run ~label:"batch-1" ~max_batch:1 () in
         print_result sequential;
         (* same workload again with the write-ahead journal fsyncing every
            batch: the durability tax the chaos layer's acceptance bound
            (within 20% of no-journal) holds against *)
         let journal_path = Filename.temp_file "pmw-load" ".journal" in
-        let journaled, _ =
-          run_inproc ~journal_path ~label:"journaled" ~bits:!bits ~n:!n ~eps:!eps ~t_max:!t_max
-            ~analysts:!analysts ~requests:!requests ~max_batch:!max_batch ()
-        in
-        (try Sys.remove journal_path with Sys_error _ -> ());
+        let journaled, _ = run ~journal_path ~label:"journaled" ~max_batch:!max_batch () in
+        List.iter
+          (fun p -> try Sys.remove p with Sys_error _ -> ())
+          [ journal_path; Pmw_server.Epoch.drain_path journal_path ];
         print_result journaled;
         (* the same workload again behind a --shards fleet: shard-scoped
            analysts measure what sharding costs (or buys, with real cores)
            relative to the single batched broker *)
-        let fleet =
-          run_fleet ~label:"fleet" ~bits:!bits ~n:!n ~eps:!eps ~t_max:!t_max ~analysts:!analysts
-            ~requests:!requests ~max_batch:!max_batch ~shards:!shards ()
-        in
+        let fleet, _ = run ~shards:!shards ~label:"fleet" ~max_batch:!max_batch () in
         print_result fleet;
         let speedup =
           if throughput sequential > 0. then throughput batched /. throughput sequential else 0.
@@ -469,7 +420,7 @@ let () =
         in
         Printf.printf
           "batching speedup: %.2fx; journaled throughput: %.1f%% of no-journal; %d-shard fleet \
-           throughput: %.1f%% of single broker\n\
+           throughput: %.1f%% of one shard\n\
            %!"
           speedup (100. *. journal_ratio) !shards (100. *. fleet_ratio);
         if !json then

@@ -532,12 +532,10 @@ let session_cmd =
 let serve_cmd =
   let doc =
     "Serve a synthetic workload to concurrent analysts over a Unix domain socket \
-     (line-delimited JSON; see docs/serving.md). Drains gracefully on SIGTERM/SIGINT, \
-     writing a final checkpoint."
+     (line-delimited JSON; see docs/serving.md) from a supervised fleet of shards (one by \
+     default). Drains gracefully on SIGTERM/SIGINT; with --journal, each drained shard leaves \
+     a checkpoint beside its journal that the next start on the same files resumes."
   in
-  let module Session = Pmw_session.Session in
-  let module Checkpoint = Pmw_session.Checkpoint in
-  let module Faulty = Pmw_erm.Faulty_oracle in
   let module Broker = Pmw_server.Broker in
   let module Net = Pmw_server.Net in
   let module Journal = Pmw_server.Journal in
@@ -570,44 +568,23 @@ let serve_cmd =
     Arg.(value & opt float 1.0 & info [ "retry-after" ] ~docv:"SECONDS"
            ~doc:"Backpressure hint attached to budget rejections")
   in
-  let dir_arg =
-    Arg.(value & opt (some string) None & info [ "checkpoint-dir" ] ~docv:"DIR"
-           ~doc:"Write DIR/session.ckpt on graceful drain (and every --checkpoint-every requests)")
-  in
-  let resume_flag =
-    Arg.(value & flag
-         & info [ "resume" ]
-             ~doc:"Resume from DIR/session.ckpt when it exists (requires --checkpoint-dir); a \
-                   missing checkpoint starts fresh, so crash-restart loops can pass --resume \
-                   unconditionally")
-  in
   let journal_arg =
     Arg.(value & opt (some string) None & info [ "journal" ] ~docv:"PATH"
-           ~doc:"Write-ahead journal: fsync every released answer and budget debit to PATH \
-                 before replying, and replay it on startup (quarantining post-checkpoint spend, \
-                 seeding retry dedup)")
-  in
-  let ckpt_every_arg =
-    Arg.(value & opt int 0 & info [ "checkpoint-every" ]
-           ~doc:"Also checkpoint every N processed requests (0 = final only)")
+           ~doc:"Write-ahead journal: fsync every released answer and budget debit before \
+                 replying, and replay it on startup (quarantining unaccounted spend, seeding \
+                 retry dedup). A single shard without epochs journals to PATH itself; otherwise \
+                 shard I journals to PATH.shardI. A graceful drain leaves the shard's final \
+                 state in JOURNAL.drain, resumed by the next start on the same files.")
   in
   let dedup_cap_arg =
     Arg.(value & opt int 4096 & info [ "dedup-cap" ]
            ~doc:"Recorded answers kept for request_id retry dedup (0 disables)")
   in
-  let fault_arg =
-    Arg.(value & opt (some string) None & info [ "fault" ] ~docv:"SPEC"
-           ~doc:"Inject oracle faults: nan|inf|divergent|timeout|misreport:FACTOR")
-  in
-  let fault_every_arg =
-    Arg.(value & opt int 3 & info [ "fault-every" ] ~doc:"Inject on every Nth oracle call")
-  in
-  let fault_seed_arg = Arg.(value & opt int 5 & info [ "fault-seed" ] ~doc:"Fault-injection seed") in
   let shards_arg =
     Arg.(value & opt int 1 & info [ "shards" ] ~docv:"N"
            ~doc:"Shard the record space into N disjoint blocks, each with its own session, \
                  journal, budget and serializer domain, behind a routing tier with supervised \
-                 failover (1 = single broker, the default)")
+                 failover")
   in
   let shard_by_arg =
     let by = Arg.enum [ ("block", Pmw_server.Shard.Block); ("hash", Pmw_server.Shard.Hash) ] in
@@ -631,7 +608,7 @@ let serve_cmd =
          & info [ "metrics" ]
              ~doc:"Enable the live metrics plane: latency histograms, rolling rates, gauges and \
                    per-ledger privacy burn, shared across the whole fleet. Scrape it with \
-                   ctl:metrics / ctl:metrics:prom (fleet mode with --chaos-ctl) or watch it with \
+                   ctl:metrics / ctl:metrics:prom (with --chaos-ctl) or watch it with \
                    'pmw_cli top'. Off by default — disabled handles cost one branch per event.")
   in
   let epoch_every_arg =
@@ -649,34 +626,19 @@ let serve_cmd =
              ~doc:"Supervisor-driven time windows: ask every running shard to roll its epoch \
                    this often (0 disables). Requires --journal.")
   in
-  let run workload n k alpha eps delta t_max d seed socket max_batch quota retry_after dir resume
-      journal_path ckpt_every dedup_cap fault_spec fault_every fault_seed shards shard_by chaos_ctl
-      fleet_deadline enable_metrics epoch_every epoch_secs trace =
+  let run workload n k alpha eps delta t_max d seed socket max_batch quota retry_after
+      journal_path dedup_cap shards shard_by chaos_ctl fleet_deadline enable_metrics epoch_every
+      epoch_secs trace =
     let ( let* ) r f = match r with Error m -> `Error (false, m) | Ok v -> f v in
-    let* fault =
-      match fault_spec with
-      | None -> Ok None
-      | Some s -> Result.map Option.some (Faulty.fault_of_string s)
-    in
     let epochs = epoch_every > 0 || epoch_secs > 0. in
     if n <= 0 || k <= 0 then `Error (false, "n and k must be positive")
     else if max_batch < 1 then `Error (false, "max-batch must be >= 1")
     else if dedup_cap < 0 then `Error (false, "dedup-cap must be >= 0")
-    else if resume && dir = None then `Error (false, "--resume requires --checkpoint-dir")
     else if shards < 1 then `Error (false, "--shards must be >= 1")
     else if epoch_every < 0 || epoch_secs < 0. then
       `Error (false, "--epoch-every/--epoch-secs must be >= 0")
     else if epochs && journal_path = None then
       `Error (false, "epochs need a write-ahead journal: add --journal PATH")
-    else if (shards > 1 || epochs) && (dir <> None || resume) then
-      `Error
-        ( false,
-          "--checkpoint-dir/--resume are single-broker options; fleet/epoch durability is \
-           per-shard journals (--journal) and epoch snapshots" )
-    else if (shards > 1 || epochs) && fault_spec <> None then
-      `Error
-        ( false,
-          "--fault is a single-broker option; fault the fleet with --chaos-ctl and ctl:kill:I" )
     else begin
       (* Block the shutdown signals before any thread exists so every thread
          inherits the mask and only the watcher consumes them. *)
@@ -694,280 +656,139 @@ let serve_cmd =
       in
       let telemetry = make_telemetry trace in
       let metrics = if enable_metrics then Metrics.create () else Metrics.disabled () in
-      let faulty =
-        Option.map
-          (fun f ->
-            Faulty.create ~seed:fault_seed ~telemetry
-              ~plan:(Faulty.Every { period = fault_every; fault = f })
-              (Pmw_erm.Oracles.noisy_gd ()))
-          fault
-      in
-      let oracles =
-        match faulty with
-        | Some fo -> [ Faulty.oracle fo; Pmw_erm.Oracles.output_perturbation ]
-        | None -> [ Pmw_erm.Oracles.noisy_gd (); Pmw_erm.Oracles.output_perturbation ]
-      in
-      let spend_claim =
-        match faulty with
-        | Some fo -> fun () -> Faulty.claimed_spend fo
-        | None -> fun () -> None
-      in
       let registry = Hashtbl.create 16 in
       List.iter
         (fun q -> Hashtbl.replace registry q.Pmw_core.Cm_query.name q)
         w.Common.Workload.queries;
-      if shards > 1 || epochs then begin
-        (* Fleet mode (also used for a single epoch-rolling shard — the
-           shard lifecycle owns Epoch.recover): disjoint record blocks, each
-           with its own session, journal and serializer domain, behind a
-           supervised routing tier. Parallel composition gives every shard
-           the full (eps, delta) pot. *)
-        let* blocks =
-          try Ok (Shard.partition dataset ~by:shard_by ~shards)
-          with Invalid_argument m -> Error m
-        in
-        let n_total = float_of_int (Pmw_data.Dataset.size dataset) in
-        let universe = w.Common.Workload.universe in
-        let mk_shard i block =
-          let label = Printf.sprintf "shard%d" i in
-          let base_rows = Pmw_data.Dataset.rows block in
-          (* The generation-e dataset of this shard is a pure function of
-             (epoch, absorbed): boot block + every row absorbed so far. The
-             RNG seed is derived from the epoch, so a transition re-run
-             after a crash reconstructs the identical session — the
-             byte-identity the recovery contract rests on. *)
-          let dataset_at ~epoch ~absorbed =
-            Pmw_data.Dataset.create ~epoch universe (Array.append base_rows absorbed)
-          in
-          let oracles pool =
-            [ Pmw_erm.Oracles.noisy_gd ~pool (); Pmw_erm.Oracles.output_perturbation ]
-          in
-          let rng_at epoch =
-            Pmw_rng.Rng.create ~seed:(seed + 7919 + (1000 * (i + 1)) + (104729 * epoch)) ()
-          in
-          let epoch_cfg =
-            match (epochs, journal_path) with
-            | false, _ | _, None -> None
-            | true, Some jp ->
-                Some
-                  {
-                    Shard.se_snapshot = Printf.sprintf "%s.shard%d.epoch" jp i;
-                    se_every = epoch_every;
-                    se_row_bound = Pmw_data.Universe.size universe;
-                    se_make =
-                      (fun ~epoch ~absorbed ~prior tel ->
-                        let pool = Pmw_parallel.Pool.create ~domains:1 () in
-                        Session.create ~pool ~telemetry:tel ~label ~config
-                          ~dataset:(dataset_at ~epoch ~absorbed)
-                          ~oracles:(oracles pool)
-                          ?prior:(Option.map (Pmw_data.Histogram.of_weights universe) prior)
-                          ~rng:(rng_at epoch) ());
-                    se_resume =
-                      (fun ~absorbed ckpt tel ->
-                        let pool = Pmw_parallel.Pool.create ~domains:1 () in
-                        let epoch = ckpt.Checkpoint.epoch in
-                        Session.resume ~pool ~telemetry:tel ~label ~config
-                          ~dataset:(dataset_at ~epoch ~absorbed)
-                          ~oracles:(oracles pool) ~rng:(rng_at epoch) ckpt);
-                  }
-          in
-          Shard.create ~id:i
-            ~weight:(float_of_int (Pmw_data.Dataset.size block) /. n_total)
-            ?journal_path:(Option.map (fun p -> Printf.sprintf "%s.shard%d" p i) journal_path)
-            ?epoch:epoch_cfg
-            ~config:
-              {
-                Broker.max_batch;
-                quota;
-                retry_after_s = retry_after;
-                dedup_cap;
-                checkpoint_every = 0;
-              }
-            ~telemetry:(fun ~incarnation ->
-              match trace with
-              | None -> Telemetry.null ()
-              | Some path ->
-                  Telemetry.create
-                    ~sink:
-                      (Telemetry.Sink.jsonl_file
-                         (Printf.sprintf "%s.shard%d.inc%d" path i incarnation))
-                    ~tag:(Printf.sprintf "shard%d" i) ())
-            ~make_session:(fun tel ->
-              (* Runs on the shard's domain at every (re)start: pool, oracles
-                 and rng are incarnation-private, so recovery state can only
-                 come from the shard's own journal. The pool is inline
-                 (domains = 1) — the fleet's parallelism axis is the shard
-                 domains, and an inline pool neither violates creator
-                 affinity nor leaks worker domains across restarts. *)
-              let pool = Pmw_parallel.Pool.create ~domains:1 () in
-              Session.create ~pool ~telemetry:tel
-                ~label:(Printf.sprintf "shard%d" i)
-                ~config ~dataset:block
-                ~oracles:
-                  [ Pmw_erm.Oracles.noisy_gd ~pool (); Pmw_erm.Oracles.output_perturbation ]
-                ~rng:(Pmw_rng.Rng.create ~seed:(seed + 7919 + (1000 * (i + 1))) ())
-                ())
-            ~resolve:(Hashtbl.find_opt registry)
-            ~metrics ()
-        in
-        let fleet = Array.of_list (List.mapi mk_shard blocks) in
-        let* () =
-          let failed =
-            Array.to_list fleet
-            |> List.filter_map (fun s ->
-                   match Shard.start s with
-                   | Ok () -> None
-                   | Error m -> Some (Printf.sprintf "shard %d: %s" (Shard.id s) m))
-          in
-          if failed = [] then Ok () else Error (String.concat "; " failed)
-        in
-        let router =
-          Router.create
-            ~config:
-              {
-                Router.rt_deadline_s = fleet_deadline;
-                rt_retry_after_s = retry_after;
-                rt_allow_ctl = chaos_ctl;
-                rt_ingest_route =
-                  (if epochs then Some (Shard.route ~by:shard_by ~shards) else None);
-              }
-            ~metrics ~shards:fleet ()
-        in
-        (* Parallel composition: every shard holds the full (eps, delta)
-           pot, and so does the composed fleet view. *)
-        Metrics.set_ledger_budget (Metrics.ledger metrics "fleet") ~eps ~delta;
-        let supervisor =
-          Supervisor.start
-            ~config:{ Supervisor.default_config with su_epoch_every_s = epoch_secs }
-            ~telemetry
-            ~extra_counters:(fun () -> Router.counters router)
-            ~extra_marks:(fun () -> Router.trace_marks router)
-            ~metrics ~shards:fleet ()
-        in
-        let listener = Net.listen ~metrics ~handler:(Router.submit router) ~path:socket () in
-        Printf.printf "serving %s (|X|=%d, n=%d, k=%d) on %s; %d %s shards%s%s; queries: %s\n%!"
-          (Pmw_data.Universe.name w.Common.Workload.universe)
-          (Pmw_data.Universe.size w.Common.Workload.universe)
-          n k socket shards (Shard.by_to_string shard_by)
-          (if chaos_ctl then ", ctl enabled" else "")
-          (if not epochs then ""
-           else
-             Printf.sprintf ", epochs (every %d answers%s)" epoch_every
-               (if epoch_secs > 0. then Printf.sprintf " / %.3gs" epoch_secs else ""))
-          (String.concat " "
-             (List.map (fun q -> q.Pmw_core.Cm_query.name) w.Common.Workload.queries));
-        (* Shard serializers run on their own domains; this thread only
-           waits for the shutdown signal. *)
-        let (_ : int) = Thread.wait_signal [ Sys.sigterm; Sys.sigint ] in
-        Printf.eprintf "draining fleet...\n%!";
-        Net.stop listener;
-        Supervisor.stop supervisor;
-        Array.iter Shard.stop fleet;
-        Printf.printf "fleet composed %d requests across %d shards\n" (Router.processed router)
-          shards;
-        List.iter (fun (name, v) -> Printf.printf "  %-16s %d\n" name v) (Router.counters router);
-        Printf.printf "  %d restarts; quarantined: [%s]\n" (Supervisor.restarts supervisor)
-          (String.concat ", " (List.map string_of_int (Supervisor.quarantined supervisor)));
-        Array.iter
-          (fun s ->
-            let sp = Shard.spent s in
-            Printf.printf "  shard %d (%s, weight %.3f): spent eps %.4f delta %.2e\n" (Shard.id s)
-              (Shard.state_to_string (Shard.state s))
-              (Shard.weight s) sp.Pmw_dp.Params.eps sp.Pmw_dp.Params.delta)
-          fleet;
-        let spent = Router.fleet_spent router in
-        Printf.printf
-          "fleet privacy spent by parallel composition (eps %.4f of %.4f, delta %.2e of %.2e)\n"
-          spent.Pmw_dp.Params.eps eps spent.Pmw_dp.Params.delta delta;
-        close_telemetry telemetry;
-        `Ok ()
-      end
-      else begin
-      let rng = Pmw_rng.Rng.create ~seed:(seed + 7919) () in
-      Option.iter (fun d -> if not (Sys.file_exists d) then Sys.mkdir d 0o755) dir;
-      let checkpoint = Option.map (fun dir -> Filename.concat dir "session.ckpt") dir in
-      (* Resume tolerates a missing checkpoint (first boot of a crash-restart
-         loop): same seed + fresh state recomputes the identical transcript,
-         and the journal still quarantines anything already spent. *)
-      let* session =
-        match (resume, checkpoint) with
-        | true, Some path when Sys.file_exists path ->
-            Result.bind (Checkpoint.read ~path) (fun ckpt ->
-                Option.iter
-                  (fun fo ->
-                    Faulty.set_calls fo
-                      (Checkpoint.attempts_for ckpt (Faulty.oracle fo).Pmw_erm.Oracle.name))
-                  faulty;
-                Session.resume ~telemetry ~config ~dataset ~oracles ~spend_claim ~rng ckpt)
-        | _ -> Ok (Session.create ~telemetry ~config ~dataset ~oracles ~spend_claim ~rng ())
+      (* Disjoint record blocks, each with its own session, journal and
+         serializer domain, behind a supervised routing tier. Parallel
+         composition gives every shard the full (eps, delta) pot. *)
+      let* blocks =
+        try Ok (Shard.partition dataset ~by:shard_by ~shards)
+        with Invalid_argument m -> Error m
       in
-      let* journal, recovery =
-        match journal_path with
-        | None -> Ok (None, Journal.empty_recovery)
-        | Some p -> Result.map (fun (j, r) -> (Some j, r)) (Journal.open_journal ~path:p)
-      in
-      let broker =
-        Broker.create
-          ~config:
+      let n_total = float_of_int (Pmw_data.Dataset.size dataset) in
+      let universe = w.Common.Workload.universe in
+      let mk_shard i block =
+        Shard.create ~id:i
+          ~weight:(float_of_int (Pmw_data.Dataset.size block) /. n_total)
+          ?journal_path:(Option.map (fun p -> Shard.journal_file p ~shards ~epochs i) journal_path)
+          ?epoch:
+            (if epochs then
+               Some { Shard.se_every = epoch_every; se_row_bound = Pmw_data.Universe.size universe }
+             else None)
+          ~config:{ Broker.max_batch; quota; retry_after_s = retry_after; dedup_cap }
+          ~domains:(Shard.pool_domains ~shards)
+          ~telemetry:(fun ~incarnation ->
+            match trace with
+            | None -> Telemetry.null ()
+            | Some path ->
+                Telemetry.create
+                  ~sink:
+                    (Telemetry.Sink.jsonl_file
+                       (Printf.sprintf "%s.shard%d.inc%d" path i incarnation))
+                  ~tag:(Printf.sprintf "shard%d" i) ())
+          ~session:(fun ~pool ~epoch ~absorbed ->
+            (* Generation e of this shard is a pure function of (epoch,
+               absorbed): boot block + every row absorbed so far, with an
+               RNG seed derived from the epoch — so a transition re-run
+               after a crash reconstructs the identical session, the
+               byte-identity the recovery contract rests on. Until rows
+               are absorbed the boot block serves as is, without a copy. *)
             {
-              Broker.max_batch;
-              quota;
-              retry_after_s = retry_after;
-              dedup_cap;
-              checkpoint_every = ckpt_every;
-            }
-          ?journal ~recovery ~session
+              Shard.g_config = config;
+              g_dataset =
+                (if absorbed = [||] then Pmw_data.Dataset.with_epoch block epoch
+                 else
+                   Pmw_data.Dataset.create ~epoch universe
+                     (Array.append (Pmw_data.Dataset.rows block) absorbed));
+              g_oracles = Pmw_session.Session.default_oracles ~pool ();
+              g_rng =
+                Pmw_rng.Rng.create ~seed:(seed + 7919 + (1000 * (i + 1)) + (104729 * epoch)) ();
+            })
           ~resolve:(Hashtbl.find_opt registry)
           ~metrics ()
       in
-      let listener = Net.listen ~metrics ~handler:(Broker.submit broker) ~path:socket () in
-      let (_ : Thread.t) =
-        Thread.create
-          (fun () ->
-            let (_ : int) = Thread.wait_signal [ Sys.sigterm; Sys.sigint ] in
-            Printf.eprintf "draining...\n%!";
-            Broker.shutdown broker)
-          ()
+      let fleet = Array.of_list (List.mapi mk_shard blocks) in
+      let* () =
+        let failed =
+          Array.to_list fleet
+          |> List.filter_map (fun s ->
+                 match Shard.start s with
+                 | Ok () -> None
+                 | Error m -> Some (Printf.sprintf "shard %d: %s" (Shard.id s) m))
+        in
+        if failed = [] then Ok () else Error (String.concat "; " failed)
       in
-      Printf.printf "serving %s (|X|=%d, n=%d, k=%d) on %s; queries: %s\n%!"
+      let router =
+        Router.create
+          ~config:
+            {
+              Router.rt_deadline_s = fleet_deadline;
+              rt_retry_after_s = retry_after;
+              rt_allow_ctl = chaos_ctl;
+              rt_ingest_route =
+                (if epochs then Some (Shard.route ~by:shard_by ~shards) else None);
+            }
+          ~metrics ~shards:fleet ()
+      in
+      (* Parallel composition: every shard holds the full (eps, delta)
+         pot, and so does the composed fleet view. *)
+      Metrics.set_ledger_budget (Metrics.ledger metrics "fleet") ~eps ~delta;
+      let supervisor =
+        Supervisor.start
+          ~config:{ Supervisor.default_config with su_epoch_every_s = epoch_secs }
+          ~telemetry
+          ~extra_counters:(fun () -> Router.counters router)
+          ~extra_marks:(fun () -> Router.trace_marks router)
+          ~metrics ~shards:fleet ()
+      in
+      let listener = Net.listen ~metrics ~handler:(Router.submit router) ~path:socket () in
+      Printf.printf "serving %s (|X|=%d, n=%d, k=%d) on %s; %d %s shard%s%s%s; queries: %s\n%!"
         (Pmw_data.Universe.name w.Common.Workload.universe)
         (Pmw_data.Universe.size w.Common.Workload.universe)
-        n k socket
-        (String.concat " " (List.map (fun q -> q.Pmw_core.Cm_query.name) w.Common.Workload.queries));
-      (* The serializer loop runs here, on the thread that owns the pool;
-         it returns once the SIGTERM watcher starts the drain and the queue
-         empties. *)
-      Broker.run ?checkpoint broker;
+        n k socket shards (Shard.by_to_string shard_by)
+        (if shards = 1 then "" else "s")
+        (if chaos_ctl then ", ctl enabled" else "")
+        (if not epochs then ""
+         else
+           Printf.sprintf ", epochs (every %d answers%s)" epoch_every
+             (if epoch_secs > 0. then Printf.sprintf " / %.3gs" epoch_secs else ""))
+        (String.concat " "
+           (List.map (fun q -> q.Pmw_core.Cm_query.name) w.Common.Workload.queries));
+      (* Shard serializers run on their own domains; this thread only
+         waits for the shutdown signal. *)
+      let (_ : int) = Thread.wait_signal [ Sys.sigterm; Sys.sigint ] in
+      Printf.eprintf "draining fleet...\n%!";
       Net.stop listener;
-      Option.iter Journal.close journal;
-      Printf.printf "processed %d requests from %d analysts (%d dedup hits)\n"
-        (Broker.processed broker)
-        (List.length (Broker.analysts broker))
-        (Broker.dedup_hits broker);
-      List.iter
-        (fun a ->
-          Printf.printf
-            "  %-16s submitted %d: %d answered, %d degraded, %d refused, %d rejected, %d deduped\n"
-            a.Broker.an_id a.Broker.an_submitted a.Broker.an_answered a.Broker.an_degraded
-            a.Broker.an_refused a.Broker.an_rejected a.Broker.an_deduped)
-        (Broker.analysts broker);
-      let b = Session.budget session in
-      let spent = Pmw_core.Budget.spent b and total = Pmw_core.Budget.total b in
-      Printf.printf "privacy spent (eps %.4f of %.4f, delta %.2e of %.2e)\n" spent.Pmw_dp.Params.eps
-        total.Pmw_dp.Params.eps spent.Pmw_dp.Params.delta total.Pmw_dp.Params.delta;
-      Session.finish session;
+      Supervisor.stop supervisor;
+      Array.iter Shard.stop fleet;
+      Printf.printf "fleet composed %d requests across %d shards\n" (Router.processed router)
+        shards;
+      List.iter (fun (name, v) -> Printf.printf "  %-16s %d\n" name v) (Router.counters router);
+      Printf.printf "  %d restarts; quarantined: [%s]\n" (Supervisor.restarts supervisor)
+        (String.concat ", " (List.map string_of_int (Supervisor.quarantined supervisor)));
+      Array.iter
+        (fun s ->
+          let sp = Shard.spent s in
+          Printf.printf "  shard %d (%s, weight %.3f): spent eps %.4f delta %.2e\n" (Shard.id s)
+            (Shard.state_to_string (Shard.state s))
+            (Shard.weight s) sp.Pmw_dp.Params.eps sp.Pmw_dp.Params.delta)
+        fleet;
+      let spent = Router.fleet_spent router in
+      Printf.printf
+        "fleet privacy spent by parallel composition (eps %.4f of %.4f, delta %.2e of %.2e)\n"
+        spent.Pmw_dp.Params.eps eps spent.Pmw_dp.Params.delta delta;
       close_telemetry telemetry;
       `Ok ()
-      end
     end
   in
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(
       ret
         (const run $ workload_arg $ n_arg $ k_arg $ alpha_arg $ eps_arg $ delta_arg $ t_arg $ d_arg
-       $ seed_arg $ socket_arg $ max_batch_arg $ quota_arg $ retry_arg $ dir_arg $ resume_flag
-       $ journal_arg $ ckpt_every_arg $ dedup_cap_arg $ fault_arg $ fault_every_arg
-       $ fault_seed_arg $ shards_arg $ shard_by_arg $ chaos_ctl_flag $ fleet_deadline_arg
+       $ seed_arg $ socket_arg $ max_batch_arg $ quota_arg $ retry_arg $ journal_arg
+       $ dedup_cap_arg $ shards_arg $ shard_by_arg $ chaos_ctl_flag $ fleet_deadline_arg
        $ metrics_flag $ epoch_every_arg $ epoch_secs_arg $ trace_arg))
 
 (* --- stats --- *)
@@ -1168,7 +989,7 @@ let stats_cmd =
       & info [ "journal" ] ~docv:"PATH"
           ~doc:
             "Cross-check the fleet spend against the write-ahead journals: replay PATH.shardI \
-             (or PATH itself for a single broker) and compare the reported spend with the \
+             (or PATH itself for a single shard without epochs) and compare the reported spend with the \
              coordinate-wise max of the journal cums.")
   in
   let run file check fleet journal =
@@ -1254,7 +1075,7 @@ let top_cmd =
   let doc =
     "Watch a serving fleet's live metrics: scrape ctl:metrics:prom over the Unix socket and \
      render latency quantiles, rates, gauges and privacy burn (requires the server to run with \
-     --metrics and, in fleet mode, --chaos-ctl)"
+     --metrics and --chaos-ctl)"
   in
   let module Net = Pmw_server.Net in
   let module Protocol = Pmw_server.Protocol in

@@ -52,7 +52,7 @@ let shutdown t =
     t.workers <- [||]
   end
 
-let env_size () =
+let default_domains () =
   match Sys.getenv_opt "PMW_DOMAINS" with
   | None -> 1
   | Some s -> (
@@ -61,7 +61,7 @@ let env_size () =
       | Some _ | None -> 1)
 
 let create ?domains () =
-  let size = match domains with Some k -> k | None -> env_size () in
+  let size = match domains with Some k -> k | None -> default_domains () in
   if size < 1 then invalid_arg "Pool.create: domains must be >= 1";
   let pool =
     {

@@ -19,9 +19,11 @@
     Thread-safety contract: the chunk closures handed to {!parallel_for} and
     {!parallel_reduce} run on worker domains. They must be pure with respect
     to shared state except for writes to disjoint index ranges (allocation
-    is fine; the multicore GC handles it). All pool entry points must be
-    called from the domain that created the pool, and never from inside a
-    running chunk. *)
+    is fine; the multicore GC handles it). Pool entry points must be
+    called from one domain at a time — the creator, or a domain the pool
+    is handed to after the previous caller's last call has returned (a
+    serving shard hands its pool from one incarnation to the next) — and
+    never from inside a running chunk. *)
 
 type t
 
@@ -31,6 +33,10 @@ val create : ?domains:int -> unit -> t
     inline — the sequential reference. [domains = k > 1] spawns [k - 1]
     worker domains; the calling domain participates as the [k]-th.
     @raise Invalid_argument if [domains < 1]. *)
+
+val default_domains : unit -> int
+(** The pool size {!create} defaults to: the [PMW_DOMAINS] environment
+    variable (capped at 64), else 1. *)
 
 val size : t -> int
 (** Number of participating domains (including the caller). *)

@@ -16,11 +16,9 @@ type config = {
   quota : int;
   retry_after_s : float;
   dedup_cap : int;
-  checkpoint_every : int;
 }
 
-let default_config =
-  { max_batch = 16; quota = 0; retry_after_s = 1.; dedup_cap = 4096; checkpoint_every = 0 }
+let default_config = { max_batch = 16; quota = 0; retry_after_s = 1.; dedup_cap = 4096 }
 
 (* Epoch (dataset-generation) support. When configured, the serializer
    rolls the shard to a new generation — absorbing ingested rows,
@@ -128,7 +126,6 @@ type t = {
   mutable seq : int;
   (* Journal cumulative already recorded; serializer-only. *)
   mutable last_cum : float * float;
-  mutable last_checkpoint_seq : int;
   (* Submit-side tallies. Telemetry emission is single-threaded by
      contract, and submit runs on client threads — so these land in atomics
      (plus a lock-guarded hit log for the dedup marks) and the serializer
@@ -244,7 +241,6 @@ let create ?(config = default_config) ?journal ?(recovery = Journal.empty_recove
       stopped = false;
       seq = max 0 (recovery.Journal.rv_max_seq + 1);
       last_cum = (0., 0.);
-      last_checkpoint_seq = max 0 (recovery.Journal.rv_max_seq + 1);
       rejected_budget = Atomic.make 0;
       rejected_quota = Atomic.make 0;
       rejected_draining = Atomic.make 0;
@@ -702,7 +698,7 @@ let process_batch t items =
           (match reply.Protocol.rsp_status with
           | Protocol.Answered -> st.st_answered <- st.st_answered + 1
           (* Partial is a fleet-level verdict (the router composes it); a
-             single broker never produces one, but tally it as degraded if a
+             broker never produces one, but tally it as degraded if a
              recorded line ever replays through here. *)
           | Protocol.Degraded _ | Protocol.Partial _ -> st.st_degraded <- st.st_degraded + 1
           | Protocol.Refused _ | Protocol.Failed _ -> st.st_refused <- st.st_refused + 1
@@ -736,17 +732,6 @@ let process_batch t items =
   | None -> ());
   Metrics.set_gauge t.m_compaction_age (Unix.gettimeofday () -. t.last_compaction_at);
   mirror_counters t
-
-let write_checkpoint t ~path ~why =
-  Session.save t.session ~path;
-  Option.iter
-    (fun j ->
-      Journal.append j (Journal.Mark "checkpoint");
-      Journal.sync j)
-    t.journal;
-  Telemetry.mark t.telemetry "server.checkpoint"
-    ~fields:[ ("path", Telemetry.Str path); ("seq", Telemetry.Int t.seq) ];
-  Log.info (fun m -> m "%s checkpoint written to %s (seq %d)" why path t.seq)
 
 (* The current dedup table in FIFO order — what the epoch snapshot carries
    across a compaction. [dedup_order] tracks the table exactly (push on
@@ -821,7 +806,6 @@ let do_transition t ~why =
               sn_absorbed = absorbed;
               sn_prior = Some prior;
               sn_dedup = dedup_entries t;
-              sn_ckpt = None;
             };
           (* 3. Roll forward — every step below is redone idempotently by
              recovery if we die partway. *)
@@ -943,14 +927,7 @@ let run ?checkpoint t =
     | `Transition -> do_transition t ~why:"requested"
     | `Batch items ->
         process_batch t items;
-        if periodic_epoch_due t then do_transition t ~why:"periodic";
-        (match checkpoint with
-        | Some path
-          when t.cfg.checkpoint_every > 0
-               && t.seq - t.last_checkpoint_seq >= t.cfg.checkpoint_every ->
-            t.last_checkpoint_seq <- t.seq;
-            write_checkpoint t ~path ~why:"periodic"
-        | _ -> ())
+        if periodic_epoch_due t then do_transition t ~why:"periodic"
   done;
   mirror_counters t;
   if t.aborted then begin
@@ -963,17 +940,21 @@ let run ?checkpoint t =
   end
   else begin
     (* Drain boundary goes to the journal before the final checkpoint: a
-       replayer seeing the mark knows every journaled answer was released. *)
+       replayer seeing the mark knows every journaled answer was released,
+       and the mark staying the journal's last record is what lets
+       recovery trust the checkpoint (Epoch.recover). *)
     Option.iter
       (fun j ->
         Journal.append j (Journal.Mark "drain");
         Journal.sync j)
       t.journal;
-    (match checkpoint with
-    | None -> ()
-    | Some path ->
-        t.last_checkpoint_seq <- t.seq;
-        write_checkpoint t ~path ~why:"final");
+    Option.iter
+      (fun path ->
+        Session.save t.session ~path;
+        Telemetry.mark t.telemetry "server.checkpoint"
+          ~fields:[ ("path", Telemetry.Str path); ("seq", Telemetry.Int t.seq) ];
+        Log.info (fun m -> m "drain checkpoint written to %s (seq %d)" path t.seq))
+      checkpoint;
     Telemetry.mark t.telemetry "server.drained"
       ~fields:[ ("processed", Telemetry.Int t.seq) ];
     Log.info (fun m -> m "drained after %d queries" t.seq)

@@ -55,14 +55,10 @@ type config = {
   quota : int;  (** per-analyst lifetime query cap; [0] means unlimited *)
   retry_after_s : float;  (** backpressure hint on budget rejections *)
   dedup_cap : int;  (** recorded answers kept for retry dedup; [0] disables *)
-  checkpoint_every : int;
-      (** write a checkpoint every this-many processed requests during
-          {!run} (needs its [checkpoint] path); [0] means final-only *)
 }
 
 val default_config : config
-(** [{ max_batch = 16; quota = 0; retry_after_s = 1.; dedup_cap = 4096;
-      checkpoint_every = 0 }] *)
+(** [{ max_batch = 16; quota = 0; retry_after_s = 1.; dedup_cap = 4096 }] *)
 
 (** A per-analyst service record (immutable snapshot). *)
 type analyst = {
@@ -172,8 +168,8 @@ val run : ?checkpoint:string -> t -> unit
     attached: the drain window cannot lose queued work), then a journal
     ["drain"] mark and a final checkpoint are written to [checkpoint] (if
     given) via {!Pmw_session.Session.save}, and a ["server.drained"] mark
-    closes the trace. With [checkpoint_every > 0], intermediate checkpoints
-    are also written to the same path as the run progresses. *)
+    closes the trace. {!Shard} passes its journal's {!Epoch.drain_path}, so
+    a restart resumes the learned state. *)
 
 val shutdown : t -> unit
 (** Begin graceful drain: new submissions are rejected with

@@ -83,23 +83,7 @@ let set_fault_hook f = Atomic.set fault_hook (Some f)
 let clear_fault_hook () = Atomic.set fault_hook None
 let probe step = match Atomic.get fault_hook with None -> () | Some f -> f step
 
-(* --- durable write helpers (same pattern as Checkpoint.write) --- *)
-
-let fnv1a64 s =
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c -> h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001b3L)
-    s;
-  !h
-
-let write_all fd s ~from ~len =
-  let b = Bytes.unsafe_of_string s in
-  let written = ref 0 in
-  while !written < len do
-    match Unix.write fd b (from + !written) (len - !written) with
-    | k -> written := !written + k
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-  done
+(* --- durable writes (same pattern as Checkpoint.write) --- *)
 
 (* Write [content] to [path] via tmp + fsync + rename + dirsync, with the
    probe points threaded through. [mid] names the probe fired after the
@@ -114,9 +98,9 @@ let commit_file ~tmp ~path ~write_step ~mid_step ~fsync_step ~rename_step ~dirsy
     (fun () ->
       let n = String.length content in
       let half = n / 2 in
-      write_all fd content ~from:0 ~len:half;
+      Checkpoint.write_all fd content ~from:0 ~len:half;
       probe mid_step;
-      write_all fd content ~from:half ~len:(n - half);
+      Checkpoint.write_all fd content ~from:half ~len:(n - half);
       probe fsync_step;
       Unix.fsync fd);
   probe rename_step;
@@ -137,7 +121,6 @@ type snapshot = {
   sn_absorbed : int array;
   sn_prior : float array option;
   sn_dedup : ((string * string) * string) list;
-  sn_ckpt : string option;
 }
 
 let f = Printf.sprintf "%h"
@@ -171,16 +154,14 @@ let snapshot_body sn =
         (Journal.record_to_string
            (Journal.Answer { ja_seq = 0; ja_analyst = analyst; ja_rid = Some rid; ja_line = resp })))
     sn.sn_dedup;
-  (match sn.sn_ckpt with
-  | None -> line "ckpt 0"
-  | Some c ->
-      line "ckpt %d" (String.length c);
-      Buffer.add_string b c);
+  (* an always-empty block, kept so existing snapshots and their checksums
+     still parse byte for byte *)
+  line "ckpt 0";
   Buffer.contents b
 
 let snapshot_to_string sn =
   let body = snapshot_body sn in
-  Printf.sprintf "%s %d\nchecksum %Lx\n%s" magic version (fnv1a64 body) body
+  Printf.sprintf "%s %d\nchecksum %Lx\n%s" magic version (Checkpoint.fnv1a64 body) body
 
 let ( let* ) = Result.bind
 
@@ -226,7 +207,7 @@ let snapshot_of_string s =
   in
   let body = String.sub s !pos (len - !pos) in
   let* () =
-    if Int64.equal expected (fnv1a64 body) then Ok ()
+    if Int64.equal expected (Checkpoint.fnv1a64 body) then Ok ()
     else Error "epoch snapshot: checksum mismatch — corrupt or torn file"
   in
   let* epoch_line = read_line "epoch" in
@@ -287,12 +268,8 @@ let snapshot_of_string s =
   in
   let* ckpt_line = read_line "ckpt" in
   let* nckpt, _ = int_after "ckpt" "ckpt " ckpt_line in
-  let* sn_ckpt =
-    if nckpt = 0 then Ok None
-    else if !pos + nckpt > len then Error "epoch snapshot: truncated checkpoint block"
-    else Ok (Some (String.sub s !pos nckpt))
-  in
-  Ok { sn_epoch; sn_seq; sn_base_eps; sn_base_delta; sn_absorbed; sn_prior; sn_dedup; sn_ckpt }
+  if nckpt <> 0 then Error "epoch snapshot: unexpected checkpoint block"
+  else Ok { sn_epoch; sn_seq; sn_base_eps; sn_base_delta; sn_absorbed; sn_prior; sn_dedup }
 
 let write_snapshot ~path sn =
   commit_file ~tmp:(path ^ ".tmp") ~path ~write_step:Snap_write ~mid_step:Snap_write_mid
@@ -313,6 +290,8 @@ let read_snapshot ~path =
     | s -> Result.map Option.some (snapshot_of_string s)
 
 let seal_path snapshot_path = snapshot_path ^ ".seal"
+let snapshot_path journal_path = journal_path ^ ".epoch"
+let drain_path journal_path = journal_path ^ ".drain"
 
 (* --- journal compaction ---
 
@@ -343,10 +322,24 @@ type boot = {
   bt_prior : float array option;
   bt_dedup : ((string * string) * string) list;
   bt_seal : Checkpoint.t option;
+  bt_drained : Checkpoint.t option;
   bt_rolled_forward : bool;
 }
 
 let remove_if_exists p = try Sys.remove p with Sys_error _ -> ()
+
+(* A checkpoint file recovery may resume, provided it belongs to the
+   generation being recovered; anything else (a previous generation's, or
+   unreadable) is rot — deleted, never resumed, and recovery degrades to
+   the journal-only path. *)
+let read_for_epoch path ~epoch =
+  if not (Sys.file_exists path) then None
+  else
+    match Checkpoint.read ~path with
+    | Ok ck when ck.Checkpoint.epoch = epoch -> Some ck
+    | Ok _ | Error _ ->
+        remove_if_exists path;
+        None
 
 (* Resolve which generation survives a crash. Let e_S be the snapshot's
    epoch (0 when no snapshot exists) and e_J the journal's (its Epoch
@@ -355,7 +348,11 @@ let remove_if_exists p = try Sys.remove p with Sys_error _ -> ()
    - e_J = e_S: in-epoch. If a seal checkpoint for e_S exists, the crash
      hit a transition before the snapshot commit — the session resumes
      from the seal (exact state at the transition point) and the broker
-     re-runs the transition. Otherwise a normal mid-epoch recovery.
+     re-runs the transition. Otherwise, if the journal ends with the
+     "drain" mark and a drain checkpoint for e_S sits beside it, the last
+     incarnation drained gracefully and that checkpoint is its exact
+     final state: resume it, no transition. Otherwise a normal mid-epoch
+     recovery from the journal alone.
    - e_J < e_S: the snapshot committed but compaction (or anything after)
      didn't finish — roll forward by redoing the compaction. The old
      journal's records are all covered by the snapshot (its dedup seed and
@@ -363,12 +360,17 @@ let remove_if_exists p = try Sys.remove p with Sys_error _ -> ()
    - e_J > e_S: impossible for any crash of this protocol (the journal only
      learns an epoch AFTER the snapshot commits); a hard error.
 
-   Stale tmp files from a mid-write crash are removed first — they were
-   never renamed in, so they are dead bytes. *)
+   A drain checkpoint that is not resumed is deleted: once the journal has
+   moved past its drain mark, the checkpoint's noise state is stale and
+   resuming it would replay noise already spent. Stale tmp files from a
+   mid-write crash are removed first — they were never renamed in, so
+   they are dead bytes. *)
 let recover ~snapshot_path ~journal_path =
+  let drain = drain_path journal_path in
   remove_if_exists (snapshot_path ^ ".tmp");
   remove_if_exists (journal_path ^ ".compact");
   remove_if_exists (seal_path snapshot_path ^ ".tmp");
+  remove_if_exists (drain ^ ".tmp");
   let* sn = read_snapshot ~path:snapshot_path in
   let e_s, base, absorbed, prior, dedup, seq =
     match sn with
@@ -383,6 +385,20 @@ let recover ~snapshot_path ~journal_path =
   in
   let* journal, recovery = Journal.open_journal ~path:journal_path in
   let e_j = recovery.Journal.rv_epoch in
+  let boot journal recovery ~seal ~drained ~rolled_forward =
+    {
+      bt_journal = journal;
+      bt_recovery = recovery;
+      bt_epoch = e_s;
+      bt_base = base;
+      bt_absorbed = absorbed;
+      bt_prior = prior;
+      bt_dedup = dedup;
+      bt_seal = seal;
+      bt_drained = drained;
+      bt_rolled_forward = rolled_forward;
+    }
+  in
   if e_j > e_s then begin
     Journal.close journal;
     Error
@@ -396,49 +412,28 @@ let recover ~snapshot_path ~journal_path =
     Journal.close journal;
     compact ~journal_path ~epoch:e_s ~base ~seq;
     remove_if_exists (seal_path snapshot_path);
+    remove_if_exists drain;
     let* journal, recovery = Journal.open_journal ~path:journal_path in
     Log.info (fun m ->
         m "rolled %s forward to epoch %d (snapshot had committed; compaction redone)"
           journal_path e_s);
-    Ok
-      {
-        bt_journal = journal;
-        bt_recovery = recovery;
-        bt_epoch = e_s;
-        bt_base = base;
-        bt_absorbed = absorbed;
-        bt_prior = prior;
-        bt_dedup = dedup;
-        bt_seal = None;
-        bt_rolled_forward = true;
-      }
+    Ok (boot journal recovery ~seal:None ~drained:None ~rolled_forward:true)
   end
   else begin
     (* in-epoch; a surviving seal checkpoint means a transition out of e_s
        was in flight and had NOT committed — resume its exact state *)
-    let seal =
-      let sp = seal_path snapshot_path in
-      if not (Sys.file_exists sp) then None
-      else
-        match Checkpoint.read ~path:sp with
-        | Ok ck when ck.Checkpoint.epoch = e_s -> Some ck
-        | Ok _ | Error _ ->
-            (* stale (previous generation) or unreadable: the write is
-               atomic, so this is rot — discard rather than resume wrong
-               state; recovery degrades to the journal-only path *)
-            remove_if_exists sp;
-            None
+    let seal = read_for_epoch (seal_path snapshot_path) ~epoch:e_s in
+    let drained_last =
+      match List.rev recovery.Journal.rv_records with
+      | Journal.Mark "drain" :: _ -> true
+      | _ -> false
     in
-    Ok
-      {
-        bt_journal = journal;
-        bt_recovery = recovery;
-        bt_epoch = e_s;
-        bt_base = base;
-        bt_absorbed = absorbed;
-        bt_prior = prior;
-        bt_dedup = dedup;
-        bt_seal = seal;
-        bt_rolled_forward = false;
-      }
+    let drained =
+      if seal = None && drained_last then read_for_epoch drain ~epoch:e_s
+      else begin
+        remove_if_exists drain;
+        None
+      end
+    in
+    Ok (boot journal recovery ~seal ~drained ~rolled_forward:false)
   end

@@ -77,18 +77,29 @@ type snapshot = {
   sn_dedup : ((string * string) * string) list;
       (** [((analyst, rid), response-line)] dedup seed carried across the
           compaction so retried rids still replay recorded bytes *)
-  sn_ckpt : string option;  (** serialized checkpoint of the {e new} session *)
 }
 
 val seal_path : string -> string
 (** [seal_path snapshot_path] — where the pre-transition seal checkpoint
     lives ([snapshot_path ^ ".seal"]). *)
 
+val snapshot_path : string -> string
+(** [snapshot_path journal_path] — where a shard keeps the epoch snapshot
+    of the journal at [journal_path] ([journal_path ^ ".epoch"]). *)
+
+val drain_path : string -> string
+(** [drain_path journal_path] — where a graceful drain leaves the shard's
+    final session checkpoint, beside its journal
+    ([journal_path ^ ".drain"]). *)
+
 val snapshot_to_string : snapshot -> string
 (** Line-based, checksummed (fnv1a64 over the body) — a torn or corrupt
-    snapshot is detected, never silently half-read. *)
+    snapshot is detected, never silently half-read. The body ends with an
+    always-empty ["ckpt 0"] block, kept so snapshots written before the
+    block was retired still parse. *)
 
 val snapshot_of_string : string -> (snapshot, string) result
+(** Rejects torn or edited bytes, and a non-empty ["ckpt"] block. *)
 
 val write_snapshot : path:string -> snapshot -> unit
 (** Durable commit: tmp, fsync, rename, dirsync — with {!probe} points
@@ -117,6 +128,11 @@ type boot = {
   bt_seal : Pmw_session.Checkpoint.t option;
       (** a transition out of [bt_epoch] was in flight and had {e not}
           committed; resume this exact state and re-run it *)
+  bt_drained : Pmw_session.Checkpoint.t option;
+      (** the journal ends with the ["drain"] mark and the drain checkpoint
+          ({!drain_path}) for [bt_epoch] survives: the last incarnation
+          stopped gracefully, and this is its exact final state — resume
+          it, no transition. Never set together with [bt_seal]. *)
   bt_rolled_forward : bool;  (** recovery redid an interrupted compaction *)
 }
 
@@ -124,10 +140,15 @@ val recover : snapshot_path:string -> journal_path:string -> (boot, string) resu
 (** The recovery decision table (see docs/robustness.md). With [e_S] the
     snapshot's epoch (0 if none) and [e_J] the journal's:
 
-    - [e_J = e_S] — in-epoch; resume from the seal if one survives.
+    - [e_J = e_S] — in-epoch; resume from the seal if one survives, else
+      from the drain checkpoint if the journal's last record is the
+      ["drain"] mark.
     - [e_J < e_S] — the snapshot committed but compaction didn't finish:
       roll forward (redo the compaction, drop the superseded journal).
     - [e_J > e_S] — impossible for this protocol; hard error.
 
-    Stale [.tmp]/[.compact] files are removed first. Never returns a
-    hybrid: every field of [boot] describes one generation. *)
+    Stale [.tmp]/[.compact] files are removed first, and so is a drain
+    checkpoint that is not resumed (the journal moved past its drain mark,
+    or it belongs to another generation); the caller removes a resumed
+    one once its new incarnation is journaled. Never returns a hybrid:
+    every field of [boot] describes one generation. *)

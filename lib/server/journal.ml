@@ -50,14 +50,6 @@ let empty_recovery =
     rv_ingest = [];
   }
 
-(* Same FNV-1a 64 the checkpoint format uses. *)
-let fnv1a64 s =
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c -> h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001b3L)
-    s;
-  !h
-
 (* --- record <-> JSON payload --- *)
 
 let payload_of_record r =
@@ -165,7 +157,7 @@ let record_of_payload j =
 
 let record_to_string r =
   let payload = Protocol.json_to_string (payload_of_record r) in
-  Printf.sprintf "%Lx %s" (fnv1a64 payload) payload
+  Printf.sprintf "%Lx %s" (Pmw_session.Checkpoint.fnv1a64 payload) payload
 
 let record_of_line line =
   match String.index_opt line ' ' with
@@ -176,7 +168,7 @@ let record_of_line line =
       match Int64.of_string_opt ("0x" ^ crc) with
       | None -> Error "journal: bad checksum field"
       | Some expected ->
-          if not (Int64.equal expected (fnv1a64 payload)) then
+          if not (Int64.equal expected (Pmw_session.Checkpoint.fnv1a64 payload)) then
             Error "journal: checksum mismatch"
           else Result.bind (Protocol.json_of_string payload) record_of_payload)
 
@@ -276,17 +268,6 @@ type t = {
   mutable jt_records : int;
 }
 
-(* EINTR means nothing was written (the process installs signal
-   handlers), so retrying keeps the single-write(2)-per-record framing. *)
-let write_all fd s =
-  let b = Bytes.unsafe_of_string s in
-  let n = Bytes.length b in
-  let written = ref 0 in
-  while !written < n do
-    match Unix.write fd b !written (n - !written) with
-    | k -> written := !written + k
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-  done
 
 let open_journal ~path =
   match
@@ -329,7 +310,7 @@ let open_journal ~path =
 let append t r =
   if t.jt_closed then invalid_arg "Journal.append: journal is closed";
   let line = record_to_string r ^ "\n" in
-  write_all t.jt_fd line;
+  Pmw_session.Checkpoint.write_all t.jt_fd line ~from:0 ~len:(String.length line);
   t.jt_bytes <- t.jt_bytes + String.length line;
   t.jt_records <- t.jt_records + 1
 

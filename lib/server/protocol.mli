@@ -75,7 +75,7 @@ type request = {
       (** idempotency key: retries reusing the rid get the recorded answer *)
   req_shards : int list option;
       (** scope the query to these shard ids (fleet serving); [None] means
-          every covering shard — the single-broker server ignores the field *)
+          every covering shard *)
   req_trace : string option;
       (** distributed-tracing id: the router stamps one when the client did
           not, and propagates it to every covering shard, whose

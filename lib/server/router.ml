@@ -463,16 +463,23 @@ let compose t req ~ids results =
      composers cannot move it backwards. *)
   Metrics.ledger_cum t.m_fleet_ledger ~eps:spent.Params.eps ~delta:spent.Params.delta
     ~debits:(seq + 1);
-  {
-    (base_response req ~seq status) with
-    Protocol.rsp_theta = theta;
-    rsp_source = Some "fleet";
-    rsp_batch = Some (List.length contributing);
-    rsp_queue_wait_s = queue_wait;
-    rsp_spent_eps = Some spent.Params.eps;
-    rsp_spent_delta = Some spent.Params.delta;
-    rsp_epoch;
-  }
+  match (t.shards, contributing) with
+  | [| _ |], [ (_, rsp, _) ] ->
+      (* A fleet of one composes nothing: its shard's reply (journal seq,
+         answer source, spend stamp) is the fleet's, byte for byte — which
+         keeps a retried rid's recorded bytes intact end to end. *)
+      rsp
+  | _ ->
+      {
+        (base_response req ~seq status) with
+        Protocol.rsp_theta = theta;
+        rsp_source = Some "fleet";
+        rsp_batch = Some (List.length contributing);
+        rsp_queue_wait_s = queue_wait;
+        rsp_spent_eps = Some spent.Params.eps;
+        rsp_spent_delta = Some spent.Params.delta;
+        rsp_epoch;
+      }
 
 (* One "fleet.request" trace mark per routed request — the root span of the
    request's causal tree. Shard-side "server.request" spans carry the same

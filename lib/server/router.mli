@@ -20,6 +20,11 @@
       [Partial {missing_shards; coverage; …}] with a retry-after hint,
     - nobody contributed → [Refused].
 
+    A fleet of one shard composes nothing: when its shard contributes, the
+    shard's reply is returned as is (its journal [seq], answer source and
+    spend stamp), so a one-shard server answers exactly as its shard does
+    and a retried [rid] gets the recorded bytes back.
+
     {b Accounting}: the response's [spent_eps]/[spent_delta] carry the
     fleet-level account — the coordinate-wise {e max} over every shard's
     last-observed ledger cumulative ({!Pmw_core.Budget.spent_parallel}'s

@@ -5,6 +5,8 @@ module Cm_query = Pmw_core.Cm_query
 module Dataset = Pmw_data.Dataset
 module Telemetry = Pmw_telemetry.Telemetry
 module Metrics = Pmw_telemetry.Metrics
+module Histogram = Pmw_data.Histogram
+module Pool = Pmw_parallel.Pool
 
 let log_src = Logs.Src.create "pmw.shard" ~doc:"PMW serving-fleet shard lifecycle"
 
@@ -91,25 +93,17 @@ let state_to_string = function
   | Quarantined -> "quarantined"
   | Stopped -> "stopped"
 
-(* Epoch (dataset-generation) config, shard flavour: like
-   Broker.epoch_config but session constructors take the incarnation's
-   telemetry (each incarnation owns its own stream), plus the seal-resume
-   hook recovery needs. *)
-type epoch = {
-  se_snapshot : string;
-  se_every : int;
-  se_row_bound : int;
-  se_make : epoch:int -> absorbed:int array -> prior:float array option -> Telemetry.t -> Session.t;
-      (* deterministic constructor for a generation's session (see
-         Broker.epoch_config.ep_make) *)
-  se_resume :
-    absorbed:int array ->
-    Pmw_session.Checkpoint.t ->
-    Telemetry.t ->
-    (Session.t, string) result;
-      (* resume the exact pre-transition state from a seal checkpoint; the
-         dataset must be rebuilt at the checkpoint's epoch with [absorbed]
-         rows before Session.resume *)
+(* Epoch (dataset-generation) config, shard flavour: the snapshot lives
+   beside the journal (Epoch.snapshot_path), and generations are built by
+   the shard's one session constructor. *)
+type epoch = { se_every : int; se_row_bound : int }
+
+(* Everything generation [epoch] of a shard's session is built from. *)
+type generation = {
+  g_config : Pmw_core.Config.t;
+  g_dataset : Dataset.t;
+  g_oracles : Pmw_erm.Oracle.t list;
+  g_rng : Pmw_rng.Rng.t;
 }
 
 type t = {
@@ -118,7 +112,8 @@ type t = {
   sh_journal_path : string option;
   sh_epoch : epoch option;
   sh_cfg : Broker.config;
-  sh_make_session : Telemetry.t -> Session.t;
+  sh_session : pool:Pool.t -> epoch:int -> absorbed:int array -> generation;
+  sh_domains : int;
   sh_resolve : string -> Cm_query.t option;
   sh_telemetry : incarnation:int -> Telemetry.t;
   sh_metrics : Metrics.t;
@@ -127,6 +122,11 @@ type t = {
   mutable st : state;
   mutable broker : Broker.t option;
   mutable domain : unit Domain.t option;
+  (* The shard's kernel pool: created by the first start, shared by every
+     incarnation and epoch after it, shut down by [stop]. Incarnations
+     never overlap (start joins the previous one first), so the pool only
+     ever has one caller. *)
+  mutable pool : Pool.t option;
   mutable inc : int;
   mutable boot_error : string option;
   (* Monotone last-observed ledger cumulative — survives the incarnation
@@ -135,22 +135,29 @@ type t = {
   mutable last_spent : Params.t;
 }
 
-let create ~id ~weight ?journal_path ?epoch ?(config = Broker.default_config)
+let pool_domains ~shards = max 1 ((Pool.default_domains () - 1) / shards)
+
+let journal_file path ~shards ~epochs i =
+  if shards = 1 && not epochs then path else Printf.sprintf "%s.shard%d" path i
+
+let create ~id ~weight ?journal_path ?epoch ?(config = Broker.default_config) ?(domains = 1)
     ?(telemetry = fun ~incarnation:_ -> Telemetry.null ())
-    ?(metrics = Metrics.disabled ()) ~make_session ~resolve () =
+    ?(metrics = Metrics.disabled ()) ~session ~resolve () =
   (match (epoch, journal_path) with
   | Some _, None ->
       (* the epoch protocol's commit/compaction story is built around the
          journal; a snapshot with no journal cannot recover ingest or spend *)
       invalid_arg "Shard.create: epoch mode requires a journal_path"
   | _ -> ());
+  if domains < 1 then invalid_arg "Shard.create: domains must be >= 1";
   {
     sh_id = id;
     sh_weight = weight;
     sh_journal_path = journal_path;
     sh_epoch = epoch;
     sh_cfg = config;
-    sh_make_session = make_session;
+    sh_session = session;
+    sh_domains = domains;
     sh_resolve = resolve;
     sh_telemetry = telemetry;
     sh_metrics = metrics;
@@ -159,6 +166,7 @@ let create ~id ~weight ?journal_path ?epoch ?(config = Broker.default_config)
     st = Stopped;
     broker = None;
     domain = None;
+    pool = None;
     inc = 0;
     boot_error = None;
     last_spent = Params.create ~eps:0. ~delta:0.;
@@ -173,12 +181,34 @@ let pmax a b =
     ~eps:(Float.max a.Params.eps b.Params.eps)
     ~delta:(Float.max a.Params.delta b.Params.delta)
 
-(* The whole life of one incarnation, run on the shard's own domain: open
-   the shard's journal, build a fresh session (pool included) from scratch,
+(* The one way a shard session comes to be: generation [epoch] from the
+   caller's constructor, fresh (re-anchored on [prior]) or resumed from a
+   seal or drain checkpoint of that generation. *)
+let build_session t ~pool ~telemetry ~epoch ~absorbed ~prior ~resume =
+  let g = t.sh_session ~pool ~epoch ~absorbed in
+  let label = Printf.sprintf "shard%d" t.sh_id in
+  match resume with
+  | None ->
+      Session.create ~pool ~telemetry ~label ~config:g.g_config ~dataset:g.g_dataset
+        ~oracles:g.g_oracles
+        ?prior:(Option.map (Histogram.of_weights (Dataset.universe g.g_dataset)) prior)
+        ~rng:g.g_rng ()
+  | Some ck -> (
+      match
+        Session.resume ~pool ~telemetry ~label ~config:g.g_config ~dataset:g.g_dataset
+          ~oracles:g.g_oracles ~rng:g.g_rng ck
+      with
+      | Ok s -> s
+      | Error why -> failwith ("resume: " ^ why))
+
+(* The whole life of one incarnation, run on the shard's own domain:
+   recover the shard's files (a journal with no snapshot is epoch 0),
+   build the session from scratch or from the checkpoint recovery chose,
    serve until drained or aborted, then close up. Crash recovery is
    journal-only by construction — nothing from the previous incarnation's
-   memory survives into this closure except the journal file. *)
-let life t ~inc =
+   memory survives into this closure except the files (and the pool,
+   which holds no mechanism state). *)
+let life t ~inc ~pool =
   let telemetry = t.sh_telemetry ~incarnation:inc in
   let fail_boot why =
     Log.warn (fun m -> m "shard %d incarnation %d failed to boot: %s" t.sh_id inc why);
@@ -189,131 +219,121 @@ let life t ~inc =
           Condition.broadcast t.cond
         end)
   in
-  let opened =
-    match (t.sh_epoch, t.sh_journal_path) with
-    | Some se, Some path -> (
-        (* Epoch-aware recovery: resolve snapshot vs journal to one whole
-           generation (rolling an interrupted compaction forward if needed)
-           before anything else touches the files. *)
-        match Epoch.recover ~snapshot_path:se.se_snapshot ~journal_path:path with
-        | Ok boot -> Ok (`Epoch (se, boot))
-        | Error why -> Error ("epoch recovery: " ^ why))
-    | _, None -> Ok (`Plain (None, Journal.empty_recovery))
-    | None, Some path -> (
-        match Journal.open_journal ~path with
-        | Ok (j, recovery) -> Ok (`Plain (Some j, recovery))
-        | Error why -> Error ("journal: " ^ why))
+  let recovered =
+    match t.sh_journal_path with
+    | None -> Ok None
+    | Some path -> (
+        (* resolve snapshot vs journal to one whole generation (rolling an
+           interrupted compaction forward if needed) before anything else
+           touches the files *)
+        match Epoch.recover ~snapshot_path:(Epoch.snapshot_path path) ~journal_path:path with
+        | Ok boot -> Ok (Some boot)
+        | Error why -> Error ("recovery: " ^ why))
   in
-  match opened with
+  match recovered with
   | Error why -> fail_boot why
-  | Ok prep -> (
-      let journal, recovery =
-        match prep with
-        | `Plain (j, r) -> (j, r)
-        | `Epoch (_, boot) -> (Some boot.Epoch.bt_journal, boot.Epoch.bt_recovery)
+  | Ok boot -> (
+      let journal = Option.map (fun b -> b.Epoch.bt_journal) boot in
+      let recovery =
+        Option.fold ~none:Journal.empty_recovery ~some:(fun b -> b.Epoch.bt_recovery) boot
       in
-      let make_session () =
-        match prep with
-        | `Plain _ -> t.sh_make_session telemetry
-        | `Epoch (se, boot) -> (
-            match boot.Epoch.bt_seal with
-            | Some ck -> (
-                (* a transition was in flight and had not committed: resume
-                   its exact pre-transition state; the broker re-runs the
-                   transition before serving (eb_resume_transition below) *)
-                match se.se_resume ~absorbed:boot.Epoch.bt_absorbed ck telemetry with
-                | Ok s -> s
-                | Error why -> failwith ("seal resume: " ^ why))
-            | None ->
-                se.se_make ~epoch:boot.Epoch.bt_epoch ~absorbed:boot.Epoch.bt_absorbed
-                  ~prior:boot.Epoch.bt_prior telemetry)
+      let epoch_boot =
+        match boot with
+        | None -> Broker.empty_epoch_boot
+        | Some b ->
+            {
+              Broker.eb_epoch = b.Epoch.bt_epoch;
+              eb_base = b.Epoch.bt_base;
+              eb_absorbed = b.Epoch.bt_absorbed;
+              eb_dedup = b.Epoch.bt_dedup;
+              eb_ingest = b.Epoch.bt_recovery.Journal.rv_ingest;
+              (* a transition was in flight and had not committed: the
+                 broker re-runs it from the resumed seal before serving *)
+              eb_resume_transition = b.Epoch.bt_seal <> None;
+            }
       in
+      let resume =
+        Option.bind boot (fun b ->
+            match b.Epoch.bt_seal with Some ck -> Some ck | None -> b.Epoch.bt_drained)
+      in
+      let prior = Option.bind boot (fun b -> b.Epoch.bt_prior) in
       match
-        try Ok (make_session ()) with
-        | Invalid_argument why | Failure why -> Error ("session: " ^ why)
+        try
+          let session =
+            build_session t ~pool ~telemetry ~epoch:epoch_boot.Broker.eb_epoch
+              ~absorbed:epoch_boot.Broker.eb_absorbed ~prior ~resume
+          in
+          Ok
+            (Broker.create ~config:t.sh_cfg ?journal ~recovery ~metrics:t.sh_metrics
+               ~metrics_label:(Printf.sprintf "shard%d" t.sh_id)
+               ?epoch:
+                 (Option.map
+                    (fun se ->
+                      {
+                        Broker.ep_snapshot = Epoch.snapshot_path (Option.get t.sh_journal_path);
+                        ep_every = se.se_every;
+                        ep_row_bound = se.se_row_bound;
+                        ep_make =
+                          (fun ~epoch ~absorbed ~prior ->
+                            build_session t ~pool ~telemetry ~epoch ~absorbed ~prior
+                              ~resume:None);
+                      })
+                    t.sh_epoch)
+               ~epoch_boot ~session ~resolve:t.sh_resolve ())
+        with Invalid_argument why | Failure why -> Error why
       with
       | Error why ->
           Option.iter Journal.close journal;
           fail_boot why
-      | Ok session -> (
-          match
-            try
-              Ok
-                (match prep with
-                | `Plain _ ->
-                    Broker.create ~config:t.sh_cfg ?journal ~recovery ~metrics:t.sh_metrics
-                      ~metrics_label:(Printf.sprintf "shard%d" t.sh_id) ~session
-                      ~resolve:t.sh_resolve ()
-                | `Epoch (se, boot) ->
-                    Broker.create ~config:t.sh_cfg ?journal ~recovery ~metrics:t.sh_metrics
-                      ~metrics_label:(Printf.sprintf "shard%d" t.sh_id)
-                      ~epoch:
-                        {
-                          Broker.ep_snapshot = se.se_snapshot;
-                          ep_every = se.se_every;
-                          ep_row_bound = se.se_row_bound;
-                          ep_make =
-                            (fun ~epoch ~absorbed ~prior ->
-                              se.se_make ~epoch ~absorbed ~prior telemetry);
-                        }
-                      ~epoch_boot:
-                        {
-                          Broker.eb_epoch = boot.Epoch.bt_epoch;
-                          eb_base = boot.Epoch.bt_base;
-                          eb_absorbed = boot.Epoch.bt_absorbed;
-                          eb_dedup = boot.Epoch.bt_dedup;
-                          eb_ingest = boot.Epoch.bt_recovery.Journal.rv_ingest;
-                          eb_resume_transition = boot.Epoch.bt_seal <> None;
-                        }
-                      ~session ~resolve:t.sh_resolve ())
-            with Invalid_argument why | Failure why -> Error ("broker: " ^ why)
-          with
-          | Error why ->
-              Option.iter Journal.close journal;
-              fail_boot why
-          | Ok broker ->
-              Telemetry.mark telemetry "shard.start"
-                ~fields:
-                  [
-                    ("shard", Telemetry.Int t.sh_id);
-                    ("incarnation", Telemetry.Int inc);
-                    ("replayed", Telemetry.Int (List.length recovery.Journal.rv_records));
-                    ("epoch", Telemetry.Int (Broker.epoch broker));
-                  ];
-              locked t (fun () ->
-                  if t.inc = inc then begin
-                    t.broker <- Some broker;
-                    t.st <- Running;
-                    t.last_spent <- pmax t.last_spent (Broker.lifetime_spent broker);
-                    Condition.broadcast t.cond
-                  end);
-              (* A session fault on the serializer (a raising solver, a
-                 poisoned query, an injected epoch-transition fault) is a
-                 shard crash, not a fleet crash: convert it to the abort
-                 path so waiters fail fast and the disk is left
-                 crash-shaped. *)
-              (try Broker.run broker
-               with exn ->
-                 Log.err (fun m ->
-                     m "shard %d serializer died: %s" t.sh_id (Printexc.to_string exn));
-                 Broker.abort ~reason:("shard serializer died: " ^ Printexc.to_string exn)
-                   broker);
-              let aborted = Broker.aborted broker in
-              if not aborted then Session.finish (Broker.session broker);
-              (* The broker owns the journal now: epoch compactions swap
-                 handles, so the one opened above may be long dead — close
-                 through the broker, never the original. *)
-              Broker.close_journal broker;
-              Telemetry.close telemetry;
-              locked t (fun () ->
-                  if t.inc = inc then begin
-                    t.last_spent <- pmax t.last_spent (Broker.lifetime_spent broker);
-                    t.broker <- None;
-                    (match t.st with
-                    | Quarantined -> ()
-                    | _ -> t.st <- (if aborted then Crashed else Stopped));
-                    Condition.broadcast t.cond
-                  end)))
+      | Ok broker ->
+          (* The new incarnation's start mark is durable, so the drain
+             checkpoint (resumed or not) is spent: the journal no longer
+             ends with its drain mark. *)
+          Option.iter
+            (fun p -> try Sys.remove (Epoch.drain_path p) with Sys_error _ -> ())
+            t.sh_journal_path;
+          Telemetry.mark telemetry "shard.start"
+            ~fields:
+              [
+                ("shard", Telemetry.Int t.sh_id);
+                ("incarnation", Telemetry.Int inc);
+                ("replayed", Telemetry.Int (List.length recovery.Journal.rv_records));
+                ("epoch", Telemetry.Int (Broker.epoch broker));
+                ("resumed", Telemetry.Bool (resume <> None));
+              ];
+          locked t (fun () ->
+              if t.inc = inc then begin
+                t.broker <- Some broker;
+                t.st <- Running;
+                t.last_spent <- pmax t.last_spent (Broker.lifetime_spent broker);
+                Condition.broadcast t.cond
+              end);
+          (* A session fault on the serializer (a raising solver, a
+             poisoned query, an injected epoch-transition fault) is a
+             shard crash, not a fleet crash: convert it to the abort
+             path so waiters fail fast and the disk is left
+             crash-shaped. *)
+          (try Broker.run ?checkpoint:(Option.map Epoch.drain_path t.sh_journal_path) broker
+           with exn ->
+             Log.err (fun m ->
+                 m "shard %d serializer died: %s" t.sh_id (Printexc.to_string exn));
+             Broker.abort ~reason:("shard serializer died: " ^ Printexc.to_string exn) broker);
+          let aborted = Broker.aborted broker in
+          if not aborted then Session.finish (Broker.session broker);
+          (* The broker owns the journal now: epoch compactions swap
+             handles, so the one opened above may be long dead — close
+             through the broker, never the original. *)
+          Broker.close_journal broker;
+          Telemetry.close telemetry;
+          locked t (fun () ->
+              if t.inc = inc then begin
+                t.last_spent <- pmax t.last_spent (Broker.lifetime_spent broker);
+                t.broker <- None;
+                (match t.st with
+                | Quarantined -> ()
+                | _ -> t.st <- (if aborted then Crashed else Stopped));
+                Condition.broadcast t.cond
+              end))
 
 let start t =
   let prev =
@@ -335,11 +355,23 @@ let start t =
   | Error why -> Error why
   | Ok prev ->
       (* Join the previous incarnation before spawning the next: bounds the
-         domain count at one per shard, and guarantees the journal fd is
-         closed before the new life reopens the file. *)
+         domain count at one per shard, guarantees the journal fd is
+         closed before the new life reopens the file, and hands the pool
+         over only once its last caller is gone. *)
       Option.iter Domain.join prev;
-      let inc = locked t (fun () -> t.inc) in
-      let d = Domain.spawn (fun () -> life t ~inc) in
+      let inc, pool =
+        locked t (fun () ->
+            let pool =
+              match t.pool with
+              | Some p -> p
+              | None ->
+                  let p = Pool.create ~domains:t.sh_domains () in
+                  t.pool <- Some p;
+                  p
+            in
+            (t.inc, pool))
+      in
+      let d = Domain.spawn (fun () -> life t ~inc ~pool) in
       locked t (fun () ->
           t.domain <- Some d;
           while t.st = Starting do
@@ -405,7 +437,14 @@ let stop t =
         d)
   in
   Option.iter Domain.join d;
-  locked t (fun () -> match t.st with Quarantined -> () | _ -> t.st <- Stopped)
+  let pool =
+    locked t (fun () ->
+        let p = t.pool in
+        t.pool <- None;
+        (match t.st with Quarantined -> () | _ -> t.st <- Stopped);
+        p)
+  in
+  Option.iter Pool.shutdown pool
 
 let quarantine t = locked t (fun () -> t.st <- Quarantined)
 

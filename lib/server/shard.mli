@@ -11,10 +11,11 @@
     typed partial answer instead of failing the query.
 
     {b Isolation model}: each shard runs its serializer ({!Broker.run}) on
-    its own domain, spawned by {!start}. The session, its pool and its
-    telemetry instance are all created {e inside} that domain (satisfying
-    the pool's created-by-caller affinity contract), so nothing but the
-    broker's thread-safe [submit] face is shared across shards. {!kill}
+    its own domain, spawned by {!start}. The session and its telemetry
+    instance are created {e inside} that domain; the shard's kernel pool
+    outlives incarnations but is only ever driven by the one serializer
+    domain alive at a time, so nothing but the broker's thread-safe
+    [submit] face is shared across shards. {!kill}
     simulates [kill -9] of the shard process: the broker aborts (queued
     requests fail fast, no graceful journal tail is written) and the shard's
     journal is left exactly as a real crash would leave it. {!start} on a
@@ -62,34 +63,38 @@ val state_to_string : state -> string
 
 type t
 
-(** Epoch (dataset-generation) lifecycle config, shard flavour: like
-    {!Broker.epoch_config} but the session constructors take the
-    incarnation's telemetry instance, plus the seal-resume hook recovery
-    needs. With this configured, every (re)boot goes through
-    {!Epoch.recover} — snapshot vs journal resolved to one whole
-    generation, interrupted compactions rolled forward, in-flight
-    uncommitted transitions resumed from their seal and re-run. *)
+(** Epoch (dataset-generation) lifecycle config. With this configured the
+    shard rolls generations — absorbing ingest, re-anchoring the
+    hypothesis, refreshing the pot, compacting the journal — every
+    [se_every] answers or on {!request_epoch}; without it the shard never
+    rolls and refuses ingest. Either way a journaled shard boots through
+    {!Epoch.recover}, with the snapshot at {!Epoch.snapshot_path} of its
+    journal (a journal with no snapshot is epoch 0). *)
 type epoch = {
-  se_snapshot : string;  (** epoch snapshot path (commit record) *)
   se_every : int;  (** answers per epoch before an automatic roll; 0 = on request only *)
   se_row_bound : int;  (** exclusive bound for ingest row indices (universe size) *)
-  se_make :
-    epoch:int ->
-    absorbed:int array ->
-    prior:float array option ->
-    Pmw_telemetry.Telemetry.t ->
-    Pmw_session.Session.t;
-      (** deterministic generation constructor — must be a pure function
-          of [(epoch, absorbed, prior)] (derive RNG seeds from [epoch]) *)
-  se_resume :
-    absorbed:int array ->
-    Pmw_session.Checkpoint.t ->
-    Pmw_telemetry.Telemetry.t ->
-    (Pmw_session.Session.t, string) result;
-      (** resume the exact pre-transition state from a seal checkpoint:
-          rebuild the dataset at the checkpoint's epoch (seed + [absorbed]
-          rows) and [Session.resume] against it *)
 }
+
+(** Everything generation [epoch] of a shard's session is built from. *)
+type generation = {
+  g_config : Pmw_core.Config.t;
+  g_dataset : Pmw_data.Dataset.t;  (** stamped with the generation's epoch *)
+  g_oracles : Pmw_erm.Oracle.t list;  (** the fallback chain *)
+  g_rng : Pmw_rng.Rng.t;
+}
+
+val pool_domains : shards:int -> int
+(** Kernel-pool size for each shard of a [shards]-shard process:
+    [max 1 ((PMW_DOMAINS - 1) / shards)] — the main domain plus every
+    shard's serializer and pool domains never exceed [PMW_DOMAINS] once it
+    leaves room for them, and a pool of 1 runs inline. *)
+
+val journal_file : string -> shards:int -> epochs:bool -> int -> string
+(** [journal_file j ~shards ~epochs i] — shard [i]'s journal for the fleet
+    journal path [j]: [j] itself for a lone shard that never rolls epochs
+    (the layout a single-broker server wrote, so an upgraded server replays
+    the same ledger instead of opening a fresh one), [j.shardI]
+    otherwise. *)
 
 val create :
   id:int ->
@@ -97,28 +102,40 @@ val create :
   ?journal_path:string ->
   ?epoch:epoch ->
   ?config:Broker.config ->
+  ?domains:int ->
   ?telemetry:(incarnation:int -> Pmw_telemetry.Telemetry.t) ->
   ?metrics:Pmw_telemetry.Metrics.t ->
-  make_session:(Pmw_telemetry.Telemetry.t -> Pmw_session.Session.t) ->
+  session:(pool:Pmw_parallel.Pool.t -> epoch:int -> absorbed:int array -> generation) ->
   resolve:(string -> Pmw_core.Cm_query.t option) ->
   unit ->
   t
 (** A shard handle in state [Stopped]; call {!start} to boot it.
-    [make_session] builds the shard's session (and, inside it, the shard's
-    pool) — it runs {e on the shard's domain} at every (re)start, so each
-    incarnation gets fresh state and recovery is forced through the journal,
-    never through leaked in-memory state. [telemetry] builds the
-    per-incarnation telemetry instance handed to [make_session] (default:
+
+    [session] is the shard's one session constructor: generation [epoch]
+    of the shard's dataset (its boot block plus the [absorbed] ingest
+    rows), with the oracles and RNG that generation answers with. It must
+    be a pure function of [(epoch, absorbed)] — derive RNG seeds from
+    [epoch], never from the wall clock — because recovery rebuilds
+    generations from it. The shard turns a generation into a session
+    itself, labelled ["shard<id>"]: fresh (re-anchored on the previous
+    generation's hypothesis after a roll), or resumed from the seal or
+    drain checkpoint {!Epoch.recover} chose. It runs {e on the shard's
+    domain} at every (re)start, so each incarnation gets fresh state and
+    crash recovery goes through the journal, never through leaked memory.
+
+    [domains] (default 1; see {!pool_domains}) sizes the shard's kernel
+    pool, handed to [session]. The pool is created by the first {!start},
+    shared by every later incarnation and epoch, and shut down by {!stop}.
+
+    [telemetry] builds the per-incarnation telemetry instance (default:
     fresh null instances); give incarnations distinct sinks or tags to keep
     their traces apart. [metrics] (default disabled) is the fleet-shared
     live metrics registry, handed to every incarnation's broker with the
     ledger label ["shard<id>"] — metrics handles are concurrent, so one
     registry serves the whole fleet across domains. [weight] is the shard's
-    share of the fleet's records (the router's coverage unit). [epoch]
-    enables the generation lifecycle; [make_session] is then only used
-    when epochs are {e not} configured (epoch boots construct sessions
-    through [se_make]/[se_resume]).
-    @raise Invalid_argument if [epoch] is given without [journal_path]. *)
+    share of the fleet's records (the router's coverage unit).
+    @raise Invalid_argument if [epoch] is given without [journal_path], or
+    [domains < 1]. *)
 
 val start : t -> (unit, string) result
 (** Boot (or reboot after a crash): spawns the shard domain, joins any
@@ -126,6 +143,9 @@ val start : t -> (unit, string) result
     [Running] or its boot failed. Restart recovery is journal-driven: the
     new incarnation replays the shard's own journal, quarantines
     unaccounted spend into its fresh ledger and re-seeds its dedup table.
+    After a graceful {!stop} the drain checkpoint is resumed instead of a
+    fresh session, so the next answers continue the drained run exactly;
+    it is deleted once the new incarnation has journaled its start.
     [Error] if the shard is already running, quarantined, or the boot
     failed (journal unreadable mid-file, session construction raised). *)
 
@@ -143,10 +163,12 @@ val kill : t -> bool
 
 val stop : t -> unit
 (** Graceful drain: broker shutdown, serializer joined, journal closed with
-    its ["drain"] mark, state [Stopped]. Safe in any state (a crashed
-    shard's leftover domain is joined and its state preserved as
-    restartable history only if quarantined — otherwise it ends
-    [Stopped]). *)
+    its ["drain"] mark followed by the drain checkpoint at
+    {!Epoch.drain_path} of the journal (so the next {!start} on the same
+    files resumes the learned hypothesis), kernel pool shut down, state
+    [Stopped]. Safe in any state (a crashed shard's leftover domain is
+    joined and its state preserved as restartable history only if
+    quarantined — otherwise it ends [Stopped]). *)
 
 val quarantine : t -> unit
 (** Take the shard out of rotation (the supervisor's flapping verdict):

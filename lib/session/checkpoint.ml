@@ -359,6 +359,17 @@ let fsync_dir dir =
           (* some filesystems refuse fsync on a directory fd — best effort *)
           try Unix.fsync fd with Unix.Unix_error _ -> ())
 
+(* EINTR means nothing was written (the process installs signal
+   handlers), so retrying is safe and keeps a single-write record framed. *)
+let write_all fd s ~from ~len =
+  let b = Bytes.unsafe_of_string s in
+  let written = ref 0 in
+  while !written < len do
+    match Unix.write fd b (from + !written) (len - !written) with
+    | k -> written := !written + k
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+  done
+
 let write ~path t =
   let tmp = path ^ ".tmp" in
   let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
@@ -366,14 +377,7 @@ let write ~path t =
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
     (fun () ->
       let s = to_string t in
-      let b = Bytes.unsafe_of_string s in
-      let n = Bytes.length b in
-      let written = ref 0 in
-      while !written < n do
-        match Unix.write fd b !written (n - !written) with
-        | k -> written := !written + k
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-      done;
+      write_all fd s ~from:0 ~len:(String.length s);
       Unix.fsync fd);
   Sys.rename tmp path;
   fsync_dir (Filename.dirname path)

@@ -70,6 +70,15 @@ val write : path:string -> t -> unit
     either the previous checkpoint or the new one, with the bytes of
     whichever name survives guaranteed on disk. *)
 
+val fnv1a64 : string -> int64
+(** FNV-1a 64 — the checksum of every durable format in the repo
+    (checkpoints, journal records, epoch snapshots). *)
+
+val write_all : Unix.file_descr -> string -> from:int -> len:int -> unit
+(** Write [len] bytes of the string starting at [from], looping over short
+    writes and retrying [EINTR] (nothing was written), so a record still
+    goes down as one contiguous run of bytes. *)
+
 val fsync_dir : string -> unit
 (** Best-effort fsync of a directory fd — the second half of the atomic
     rename commit (making the new name itself durable). Exposed for other

@@ -24,6 +24,10 @@
 
 type t
 
+val default_oracles : ?pool:Pmw_parallel.Pool.t -> unit -> Pmw_erm.Oracle.t list
+(** The default fallback chain: noisy gradient descent (on [pool]), then
+    output perturbation. *)
+
 val create :
   ?pool:Pmw_parallel.Pool.t ->
   ?telemetry:Pmw_telemetry.Telemetry.t ->

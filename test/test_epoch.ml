@@ -60,7 +60,6 @@ let snapshot ~epoch ~base:(be, bd) =
     sn_absorbed = [| 3; 7; 7 |];
     sn_prior = Some [| 0.25; 0.5; 0.25 |];
     sn_dedup = [ (("an", "r0"), "respr0") ];
-    sn_ckpt = None;
   }
 
 let recover_ok ~what ~snapshot_path ~journal_path =
@@ -90,9 +89,7 @@ let gen_snapshot =
         (let* analyst = ident and* rid = ident and* line = ident in
          return ((analyst, rid), line))
     in
-    let* sn_ckpt = option ident in
-    return
-      { Epoch.sn_epoch; sn_seq; sn_base_eps; sn_base_delta; sn_absorbed; sn_prior; sn_dedup; sn_ckpt })
+    return { Epoch.sn_epoch; sn_seq; sn_base_eps; sn_base_delta; sn_absorbed; sn_prior; sn_dedup })
 
 let qcheck_snapshot_roundtrip =
   QCheck.Test.make ~name:"snapshots survive the wire format" ~count:300
@@ -152,6 +149,23 @@ let test_snapshot_file_roundtrip () =
   | Ok None -> Alcotest.fail "written snapshot reads as None"
   | Error e -> Alcotest.failf "written snapshot unreadable: %s" e);
   Alcotest.(check bool) "no tmp left behind" false (Sys.file_exists (path ^ ".tmp"))
+
+(* The retired checkpoint block is always written empty; a snapshot that
+   carries one (correctly checksummed) is refused, not half-read. *)
+let test_snapshot_rejects_ckpt_block () =
+  let s = Epoch.snapshot_to_string (snapshot ~epoch:1 ~base:(0.2, 2e-8)) in
+  let body_at = String.index_from s (String.index s '\n' + 1) '\n' + 1 in
+  let body = String.sub s body_at (String.length s - body_at) in
+  let tail = "ckpt 0\n" in
+  let cut = String.length body - String.length tail in
+  Alcotest.(check string) "body ends with the empty block" tail (String.sub body cut (String.length tail));
+  let body' = String.sub body 0 cut ^ "ckpt 3\nabc" in
+  let forged =
+    Printf.sprintf "pmw-epoch-snapshot 1\nchecksum %Lx\n%s" (Checkpoint.fnv1a64 body') body'
+  in
+  match Epoch.snapshot_of_string forged with
+  | Ok _ -> Alcotest.fail "a non-empty checkpoint block must be rejected"
+  | Error _ -> ()
 
 (* --- compaction --- *)
 
@@ -306,6 +320,43 @@ let test_recover_seal_epoch_mismatch () =
   Alcotest.(check bool) "stale seal deleted" false (Sys.file_exists (Epoch.seal_path sp));
   close_boot boot
 
+(* A graceful drain leaves the journal ending with its "drain" mark and
+   the session's final state beside it: recovery resumes that state — as
+   the drain checkpoint, never as a seal (no transition re-runs). *)
+let test_recover_drain_resume () =
+  let dir = tmp_dir () in
+  let sp = Filename.concat dir "s.epoch" and jp = Filename.concat dir "j.wal" in
+  Epoch.write_snapshot ~path:sp (snapshot ~epoch:2 ~base:(1.0, 1e-7));
+  write_file jp
+    (journal_string (live_journal ~epoch:2 ~base:(1.0, 1e-7) @ [ Journal.Mark "drain" ]));
+  Checkpoint.write ~path:(Epoch.drain_path jp) (mk_checkpoint ~epoch:2);
+  let boot = recover_ok ~what:"drain-resume" ~snapshot_path:sp ~journal_path:jp in
+  (match boot.Epoch.bt_drained with
+  | Some ck -> Alcotest.(check int) "drain checkpoint epoch" 2 ck.Checkpoint.epoch
+  | None -> Alcotest.fail "a drained journal's checkpoint must be resumed");
+  Alcotest.(check bool) "not read as a seal" true (boot.Epoch.bt_seal = None);
+  Alcotest.(check int) "same epoch" 2 boot.Epoch.bt_epoch;
+  Alcotest.(check bool) "left for the shard to remove once resumed" true
+    (Sys.file_exists (Epoch.drain_path jp));
+  close_boot boot
+
+(* Traffic after the drain mark (a restart that served, then a kill) makes
+   the drain checkpoint stale: resuming it would replay spent noise. *)
+let test_recover_drain_stale () =
+  let dir = tmp_dir () in
+  let sp = Filename.concat dir "s.epoch" and jp = Filename.concat dir "j.wal" in
+  write_file jp
+    (journal_string
+       (live_journal ~epoch:0 ~base:(0., 0.)
+       @ [ Journal.Mark "drain"; Journal.Mark "start"; debit 0.3 3e-8; answer 12 "r3" ]));
+  Checkpoint.write ~path:(Epoch.drain_path jp) (mk_checkpoint ~epoch:0);
+  let boot = recover_ok ~what:"drain-stale" ~snapshot_path:sp ~journal_path:jp in
+  Alcotest.(check bool) "stale drain checkpoint ignored" true (boot.Epoch.bt_drained = None);
+  Alcotest.(check bool) "no seal either" true (boot.Epoch.bt_seal = None);
+  Alcotest.(check bool) "stale drain checkpoint deleted" false
+    (Sys.file_exists (Epoch.drain_path jp));
+  close_boot boot
+
 (* --- interrupted-compaction fuzz ---
 
    The swap from old journal to compacted journal can die at any of its
@@ -431,6 +482,8 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_snapshot_corrupt;
           Alcotest.test_case "file roundtrip + missing is None" `Quick
             test_snapshot_file_roundtrip;
+          Alcotest.test_case "non-empty checkpoint block is rejected" `Quick
+            test_snapshot_rejects_ckpt_block;
         ] );
       ( "compaction",
         [
@@ -450,6 +503,10 @@ let () =
           Alcotest.test_case "epoch-matching seal is resumed" `Quick test_recover_seal_resume;
           Alcotest.test_case "mismatched seal is discarded and deleted" `Quick
             test_recover_seal_epoch_mismatch;
+          Alcotest.test_case "drained journal resumes the drain checkpoint" `Quick
+            test_recover_drain_resume;
+          Alcotest.test_case "drain checkpoint after later traffic is ignored" `Quick
+            test_recover_drain_stale;
         ] );
       ( "interrupted compaction",
         [

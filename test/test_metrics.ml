@@ -228,13 +228,13 @@ let mk_fleet ?metrics ~dir ~shards () =
            ~weight:(float_of_int (Dataset.size block) /. float_of_int (Dataset.size dataset))
            ~journal_path:(Filename.concat dir (Printf.sprintf "j.shard%d" i))
            ?metrics
-           ~make_session:(fun tel ->
-             let pool = Pool.create ~domains:1 () in
-             Session.create ~pool ~telemetry:tel
-               ~label:(Printf.sprintf "shard%d" i)
-               ~config:(config ()) ~dataset:block
-               ~rng:(Rng.create ~seed:(100 + i) ())
-               ())
+           ~session:(fun ~pool ~epoch:_ ~absorbed:_ ->
+             {
+               Shard.g_config = config ();
+               g_dataset = block;
+               g_oracles = Session.default_oracles ~pool ();
+               g_rng = Rng.create ~seed:(100 + i) ();
+             })
            ~resolve ())
        blocks)
 

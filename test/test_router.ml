@@ -53,13 +53,13 @@ let mk_fleet ?(shards = 3) () =
        (fun i block ->
          Shard.create ~id:i
            ~weight:(float_of_int (Dataset.size block) /. float_of_int (Dataset.size dataset))
-           ~make_session:(fun tel ->
-             let pool = Pool.create ~domains:1 () in
-             Session.create ~pool ~telemetry:tel
-               ~label:(Printf.sprintf "shard%d" i)
-               ~config:(config ()) ~dataset:block
-               ~rng:(Rng.create ~seed:(100 + i) ())
-               ())
+           ~session:(fun ~pool ~epoch:_ ~absorbed:_ ->
+             {
+               Shard.g_config = config ();
+               g_dataset = block;
+               g_oracles = Session.default_oracles ~pool ();
+               g_rng = Rng.create ~seed:(100 + i) ();
+             })
            ~resolve ())
        blocks)
 
@@ -108,6 +108,24 @@ let test_full_cover_answers () =
       match rsp.Protocol.rsp_spent_eps with
       | Some e -> Alcotest.(check bool) "fleet spend within one pot" true (e <= 1.)
       | None -> Alcotest.fail "fleet answers carry the composed spend")
+
+(* A fleet of one composes nothing: the router returns its shard's reply
+   as is, so a retried rid gets the recorded bytes back through it. *)
+let test_one_shard_fleet_passes_replies_through () =
+  with_fleet ~shards:1 (fun fleet router ->
+      let rsp = Router.submit router (req ~rid:"p-1" ~id:1 ~query:"sq" ()) in
+      Alcotest.(check bool) "answered by the shard itself" true
+        (rsp.Protocol.rsp_source <> Some "fleet" && rsp.Protocol.rsp_source <> None);
+      let direct =
+        match Shard.submit fleet.(0) (req ~rid:"p-1" ~id:1 ~query:"sq" ()) with
+        | Some r -> r
+        | None -> Alcotest.fail "the shard refused the retried rid"
+      in
+      let retried = Router.submit router (req ~rid:"p-1" ~id:1 ~query:"sq" ()) in
+      Alcotest.(check string) "the shard's recorded bytes"
+        (Protocol.encode_response direct) (Protocol.encode_response rsp);
+      Alcotest.(check string) "a retry through the router gets them back"
+        (Protocol.encode_response rsp) (Protocol.encode_response retried))
 
 let test_partial_when_a_shard_is_down () =
   with_fleet (fun fleet router ->
@@ -355,6 +373,8 @@ let () =
       ( "compose",
         [
           Alcotest.test_case "full cover answers" `Quick test_full_cover_answers;
+          Alcotest.test_case "one-shard fleet passes replies through" `Quick
+            test_one_shard_fleet_passes_replies_through;
           Alcotest.test_case "partial when a shard is down" `Quick
             test_partial_when_a_shard_is_down;
           Alcotest.test_case "refused when all down" `Quick test_refused_when_all_down;

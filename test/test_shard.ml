@@ -1,9 +1,12 @@
 (* Tests for the serving fleet's shard layer (lib/server/shard.ml):
    partition laws (disjoint, jointly exhaustive — the precondition for
    parallel composition), the shard lifecycle (start, kill, journal-driven
-   restart, quarantine, drain), per-shard journal independence (corrupting
-   one shard's journal cannot perturb another's recovery), and the
-   qcheck property that the fleet-level account [Budget.spent_parallel]
+   restart, quarantine, drain), drain continuity (a drained shard restarted
+   on the same files answers bit-identically to one that never stopped,
+   and a stale drain checkpoint is never resumed), upgrade safety of the
+   one-shard journal layout, injected oracle faults served through the
+   fallback chain, per-shard journal independence (corrupting one shard's
+   journal cannot perturb another's recovery), and the qcheck property that the fleet-level account [Budget.spent_parallel]
    is exactly the coordinate-wise max over per-shard ledgers. *)
 
 module Universe = Pmw_data.Universe
@@ -21,6 +24,10 @@ module Protocol = Pmw_server.Protocol
 module Broker = Pmw_server.Broker
 module Shard = Pmw_server.Shard
 module Journal = Pmw_server.Journal
+module Epoch = Pmw_server.Epoch
+module Telemetry = Pmw_telemetry.Telemetry
+module Faulty = Pmw_erm.Faulty_oracle
+module Oracles = Pmw_erm.Oracles
 module Rng = Pmw_rng.Rng
 
 (* --- fixture: the small regression setup the server tests use --- *)
@@ -41,22 +48,32 @@ let panel =
   [
     ("sq", Cm_query.make ~name:"sq" ~loss:(Losses.squared ()) ~domain ());
     ("huber", Cm_query.make ~name:"huber" ~loss:(Losses.huber ~delta:0.5 ()) ~domain ());
+    ("abs", Cm_query.make ~name:"abs" ~loss:(Losses.absolute ()) ~domain ());
+    ("q25", Cm_query.make ~name:"q25" ~loss:(Losses.quantile ~tau:0.25 ()) ~domain ());
+    ("q75", Cm_query.make ~name:"q75" ~loss:(Losses.quantile ~tau:0.75 ()) ~domain ());
   ]
+  (* a family of distinct quantile queries, for streams with many hard rounds *)
+  @ List.init 19 (fun j ->
+        let name = Printf.sprintf "tau%d" (5 * (j + 1)) in
+        ( name,
+          Cm_query.make ~name ~loss:(Losses.quantile ~tau:(0.05 *. float_of_int (j + 1)) ())
+            ~domain () ))
 
 let resolve name = List.assoc_opt name panel
 
-let mk_shard ?journal_path ~id ~block () =
+let mk_shard ?journal_path ?telemetry ?(config = config ())
+    ?(oracles = fun pool -> Session.default_oracles ~pool ()) ~id ~block () =
   Shard.create ~id
     ~weight:(float_of_int (Dataset.size block) /. float_of_int (Dataset.size dataset))
-    ?journal_path
-    ~make_session:(fun tel ->
-      (* runs on the shard domain: inline pool, incarnation-private rng *)
-      let pool = Pool.create ~domains:1 () in
-      Session.create ~pool ~telemetry:tel
-        ~label:(Printf.sprintf "shard%d" id)
-        ~config:(config ()) ~dataset:block
-        ~rng:(Rng.create ~seed:(100 + id) ())
-        ())
+    ?journal_path ?telemetry
+    ~session:(fun ~pool ~epoch:_ ~absorbed:_ ->
+      (* runs on the shard domain at every boot: incarnation-private rng *)
+      {
+        Shard.g_config = config;
+        g_dataset = block;
+        g_oracles = oracles pool;
+        g_rng = Rng.create ~seed:(100 + id) ();
+      })
     ~resolve ()
 
 let req ?rid ?shards ~id ~analyst ~query () =
@@ -203,6 +220,261 @@ let test_quarantine_blocks_start () =
   Alcotest.(check string) "stop preserves the quarantine verdict" "quarantined"
     (Shard.state_to_string (Shard.state s))
 
+(* --- drain continuity --- *)
+
+(* Everything the recovery contract promises bit for bit — verdict, seq,
+   theta bits, source, update index, spend stamps, epoch — and nothing
+   that legitimately varies (queue wait, batch size). *)
+let canon (r : Protocol.response) =
+  let bits v = Printf.sprintf "%Lx" (Int64.bits_of_float v) in
+  let opt f = function Some v -> f v | None -> "-" in
+  Printf.sprintf "%s seq=%d theta=[%s] src=%s upd=%s eps=%s delta=%s epoch=%s"
+    (Protocol.status_tag r.Protocol.rsp_status)
+    r.Protocol.rsp_seq
+    (opt (fun th -> String.concat "," (List.map bits (Array.to_list th))) r.Protocol.rsp_theta)
+    (opt Fun.id r.Protocol.rsp_source)
+    (opt string_of_int r.Protocol.rsp_update_index)
+    (opt bits r.Protocol.rsp_spent_eps)
+    (opt bits r.Protocol.rsp_spent_delta)
+    (opt string_of_int r.Protocol.rsp_epoch)
+
+let script = [| "sq"; "huber"; "abs"; "q25"; "q75"; "sq"; "q75"; "abs"; "huber"; "q25" |]
+
+let ask ?(query = fun i -> script.(i mod Array.length script)) s i =
+  match Shard.submit s (req ~rid:(Printf.sprintf "r%d" i) ~id:i ~analyst:"a" ~query:(query i) ()) with
+  | Some r -> r
+  | None -> Alcotest.failf "shard %d refused request %d" (Shard.id s) i
+
+let ask_range s lo hi = List.init (hi - lo) (fun j -> canon (ask s (lo + j)))
+
+(* Collects the names (and "resumed" flags) of the shard.start marks every
+   incarnation emits. *)
+let start_marks () =
+  let lock = Mutex.create () and marks = ref [] in
+  let telemetry ~incarnation:_ =
+    Telemetry.create
+      ~sink:
+        (Telemetry.Sink.fn (fun e ->
+             if e.Telemetry.name = "shard.start" then
+               Mutex.protect lock (fun () ->
+                   marks := List.assoc_opt "resumed" e.Telemetry.fields :: !marks)))
+      ()
+  in
+  (telemetry, fun () -> Mutex.protect lock (fun () -> List.rev !marks))
+
+(* Drain a journaled shard midway through the script, restart it on the
+   same files: the rest of the script must come back bit-identical to a
+   twin that served the whole script without stopping. *)
+let test_drain_restart_continues_bit_identically () =
+  in_tmp "drain" (fun dir ->
+      let block = List.hd (Shard.partition dataset ~by:Shard.Block ~shards:2) in
+      let half = Array.length script / 2 in
+      let twin = mk_shard ~journal_path:(Filename.concat dir "twin.wal") ~id:0 ~block () in
+      must_start twin;
+      let expected = ask_range twin 0 (Array.length script) in
+      Shard.stop twin;
+      let jp = Filename.concat dir "s.wal" in
+      let s = mk_shard ~journal_path:jp ~id:0 ~block () in
+      must_start s;
+      let first = ask_range s 0 half in
+      Shard.stop s;
+      Alcotest.(check bool) "drain left a checkpoint beside the journal" true
+        (Sys.file_exists (Epoch.drain_path jp));
+      let telemetry, marks = start_marks () in
+      let s' = mk_shard ~journal_path:jp ~telemetry ~id:0 ~block () in
+      must_start s';
+      Alcotest.(check bool) "the restart resumed the drain checkpoint" true
+        (marks () = [ Some (Telemetry.Bool true) ]);
+      Alcotest.(check bool) "the resumed checkpoint is removed" false
+        (Sys.file_exists (Epoch.drain_path jp));
+      let rest = ask_range s' half (Array.length script) in
+      Shard.stop s';
+      List.iteri
+        (fun i (e, g) -> Alcotest.(check string) (Printf.sprintf "answer %d" i) e g)
+        (List.combine expected (first @ rest)))
+
+(* A drain checkpoint whose journal moved on (more traffic, then a kill)
+   is stale: resuming it would replay noise already spent. The restart
+   must boot from the journal alone and delete it. *)
+let test_stale_drain_checkpoint_ignored () =
+  in_tmp "stale" (fun dir ->
+      let block = List.hd (Shard.partition dataset ~by:Shard.Block ~shards:2) in
+      let jp = Filename.concat dir "s.wal" in
+      let ckpt = Epoch.drain_path jp in
+      let s = mk_shard ~journal_path:jp ~id:0 ~block () in
+      must_start s;
+      ignore (ask_range s 0 3);
+      Shard.stop s;
+      let stale = In_channel.with_open_bin ckpt In_channel.input_all in
+      must_start s;
+      ignore (ask_range s 3 6);
+      let spent = Shard.spent s in
+      Alcotest.(check bool) "killed" true (Shard.kill s);
+      (* the old checkpoint reappears beside a journal that moved past it *)
+      Out_channel.with_open_bin ckpt (fun oc -> Out_channel.output_string oc stale);
+      let telemetry, marks = start_marks () in
+      let s' = mk_shard ~journal_path:jp ~telemetry ~id:0 ~block () in
+      must_start s';
+      Alcotest.(check bool) "booted from the journal alone" true
+        (marks () = [ Some (Telemetry.Bool false) ]);
+      Alcotest.(check bool) "stale checkpoint deleted" false (Sys.file_exists ckpt);
+      Alcotest.(check bool) "spend after the checkpoint stays accounted" true
+        ((Shard.spent s').Params.eps >= spent.Params.eps -. 1e-12);
+      Shard.stop s')
+
+(* --- upgrade safety of the one-shard layout --- *)
+
+(* A one-shard server without epochs journals to J itself — the file a
+   single-broker server wrote. Booting on such a journal must quarantine
+   its spend (never refund it) and must not open a fresh J.shard0. *)
+let test_one_shard_layout_upgrade () =
+  in_tmp "upgrade" (fun dir ->
+      let j = Filename.concat dir "journal.wal" in
+      let debit mech cum =
+        Journal.Debit
+          { jd_mechanism = mech; jd_eps = 0.; jd_delta = 0.; jd_cum_eps = cum; jd_cum_delta = 1e-8 }
+      in
+      let recorded_rsp seq =
+        {
+          Protocol.rsp_id = seq;
+          rsp_seq = seq;
+          rsp_status = Protocol.Answered;
+          rsp_theta = Some [| 0.25; -0.5 |];
+          rsp_source = Some "oracle";
+          rsp_update_index = Some seq;
+          rsp_batch = Some 1;
+          rsp_queue_wait_s = Some 0.;
+          rsp_spent_eps = Some 0.6;
+          rsp_spent_delta = Some 1e-8;
+          rsp_epoch = Some 0;
+          rsp_body = None;
+        }
+      in
+      let recorded seq = canon (recorded_rsp seq) in
+      let answer seq rid =
+        Journal.Answer
+          {
+            ja_seq = seq;
+            ja_analyst = "a";
+            ja_rid = Some rid;
+            ja_line = Protocol.encode_response (recorded_rsp seq);
+          }
+      in
+      Out_channel.with_open_bin j (fun oc ->
+          List.iter
+            (fun r -> Out_channel.output_string oc (Journal.record_to_string r ^ "\n"))
+            [
+              Journal.Mark "start";
+              debit "baseline" 0.25;
+              debit "serve" 0.6;
+              answer 0 "old-0";
+              answer 1 "old-1";
+              Journal.Mark "drain";
+              Journal.Mark "checkpoint";
+            ]);
+      Alcotest.(check string) "one shard, no epochs: J itself" j
+        (Shard.journal_file j ~shards:1 ~epochs:false 0);
+      Alcotest.(check string) "two shards: J.shard1" (j ^ ".shard1")
+        (Shard.journal_file j ~shards:2 ~epochs:false 1);
+      Alcotest.(check string) "epochs: J.shard0" (j ^ ".shard0")
+        (Shard.journal_file j ~shards:1 ~epochs:true 0);
+      let s =
+        mk_shard ~journal_path:(Shard.journal_file j ~shards:1 ~epochs:false 0) ~id:0
+          ~block:dataset ()
+      in
+      must_start s;
+      (match Shard.budget s with
+      | Some b ->
+          Alcotest.(check bool) "journaled spend quarantined, not refunded" true
+            ((Budget.spent b).Params.eps >= 0.6 -. 1e-12)
+      | None -> Alcotest.fail "running shard exposes no budget");
+      (match Shard.submit s (req ~rid:"old-1" ~id:7 ~analyst:"a" ~query:"sq" ()) with
+      | Some r -> Alcotest.(check string) "old rid replays its recorded answer" (recorded 1) (canon r)
+      | None -> Alcotest.fail "old rid refused");
+      Shard.stop s;
+      Alcotest.(check bool) "no J.shard0 appears" false (Sys.file_exists (j ^ ".shard0")))
+
+(* --- injected oracle faults --- *)
+
+(* The session constructor wraps noisy GD in a fault injector that times
+   out every 7th call: those attempts must fall through to output
+   perturbation (the rest of the chain), every query must still be
+   answered, and the journal must cover every answer's spend before it. *)
+let test_faulty_oracle_answers_through_fallback () =
+  in_tmp "faulty" (fun dir ->
+      let jp = Filename.concat dir "s.wal" in
+      let chain = ref [] and lock = Mutex.create () in
+      (* the constructor runs on the shard's domain; read after stop joins it *)
+      let faulty = ref None in
+      let oracles pool =
+        let f =
+          Faulty.create ~plan:(Faulty.Every { period = 7; fault = Faulty.Timeout })
+            (Oracles.noisy_gd ~pool ())
+        in
+        faulty := Some f;
+        [ Faulty.oracle f; Oracles.output_perturbation ]
+      in
+      let telemetry ~incarnation:_ =
+        Telemetry.create
+          ~sink:
+            (Telemetry.Sink.fn (fun e ->
+                 if e.Telemetry.name = "oracle.attempt" then
+                   Mutex.protect lock (fun () ->
+                       let ok = List.assoc_opt "ok" e.Telemetry.fields = Some (Telemetry.Bool true) in
+                       chain := (List.assoc_opt "oracle" e.Telemetry.fields, ok) :: !chain)))
+          ()
+      in
+      (* room for enough hard rounds (each one oracle call) to reach the
+         7th call, and enough stream slots to answer all of them *)
+      let config =
+        Config.practical ~universe ~privacy:(Params.create ~eps:4. ~delta:1e-6) ~alpha:0.01
+          ~beta:0.05 ~scale:2. ~k:40 ~t_max:24 ~solver_iters:120 ()
+      in
+      let s = mk_shard ~journal_path:jp ~telemetry ~config ~oracles ~id:0 ~block:dataset () in
+      must_start s;
+      let query i = Printf.sprintf "tau%d" (5 * (1 + (i * 7 mod 19))) in
+      let replies = List.init 40 (fun i -> (i, ask ~query s i)) in
+      Shard.stop s;
+      Alcotest.(check bool) "timeouts were injected" true
+        (match !faulty with Some f -> Faulty.injected f > 0 | None -> false);
+      let attempts = Mutex.protect lock (fun () -> List.rev !chain) in
+      let rec fell_through = function
+        | (_, false) :: (Some (Telemetry.Str "output_perturbation"), true) :: _ -> true
+        | _ :: rest -> fell_through rest
+        | [] -> false
+      in
+      Alcotest.(check bool) "a timed-out attempt fell through to the next oracle" true
+        (fell_through attempts);
+      List.iter
+        (fun (i, r) ->
+          match r.Protocol.rsp_status with
+          | Protocol.Answered -> ()
+          | st -> Alcotest.failf "request %d: %s" i (Protocol.status_tag st))
+        replies;
+      let rv =
+        match Journal.replay_string (In_channel.with_open_bin jp In_channel.input_all) with
+        | Ok rv -> rv
+        | Error e -> Alcotest.failf "journal replay: %s" e
+      in
+      let cum = ref 0. in
+      List.iter
+        (function
+          | Journal.Debit { jd_cum_eps; _ } -> cum := jd_cum_eps
+          | Journal.Answer { ja_seq; ja_line; _ } -> (
+              match Protocol.decode_response ja_line with
+              | Error why -> Alcotest.failf "journaled answer unreadable: %s" why
+              | Ok rsp ->
+                  Option.iter
+                    (fun e ->
+                      Alcotest.(check bool)
+                        (Printf.sprintf "answer seq %d spend %.6g covered by debit %.6g" ja_seq
+                           e !cum)
+                        true
+                        (!cum +. 1e-9 >= e))
+                    rsp.Protocol.rsp_spent_eps)
+          | Journal.Mark _ | Journal.Epoch _ | Journal.Ingest _ -> ())
+        rv.Journal.rv_records)
+
 (* --- per-shard journal independence --- *)
 
 (* Two shards journal to their own files; corrupting (then deleting) shard
@@ -315,8 +587,23 @@ let () =
           Alcotest.test_case "kill then journal restart" `Quick test_kill_then_journal_restart;
           Alcotest.test_case "quarantine blocks start" `Quick test_quarantine_blocks_start;
         ] );
+      ( "drain",
+        [
+          Alcotest.test_case "restart continues bit-identically" `Quick
+            test_drain_restart_continues_bit_identically;
+          Alcotest.test_case "stale drain checkpoint ignored" `Quick
+            test_stale_drain_checkpoint_ignored;
+        ] );
       ( "journal",
-        [ Alcotest.test_case "per-shard independence" `Quick test_journal_independence ] );
+        [
+          Alcotest.test_case "per-shard independence" `Quick test_journal_independence;
+          Alcotest.test_case "one-shard layout upgrade" `Quick test_one_shard_layout_upgrade;
+        ] );
+      ( "faults",
+        [
+          Alcotest.test_case "timeouts answer through the fallback chain" `Quick
+            test_faulty_oracle_answers_through_fallback;
+        ] );
       ( "accounting",
         [
           QCheck_alcotest.to_alcotest qcheck_spent_parallel_is_max;
