@@ -309,6 +309,32 @@ let fanout t req ids =
 
 (* --- composition --- *)
 
+let count_verdict t = function
+  | Protocol.Answered ->
+      Atomic.incr t.n_answered;
+      Metrics.tick t.m_answered
+  | Protocol.Degraded _ ->
+      Atomic.incr t.n_degraded;
+      Metrics.tick t.m_degraded
+  | Protocol.Partial _ ->
+      Atomic.incr t.n_partial;
+      Metrics.tick t.m_partial
+  | Protocol.Refused _ | Protocol.Rejected _ ->
+      Atomic.incr t.n_refused;
+      Metrics.tick t.m_refused
+  | Protocol.Failed _ ->
+      Atomic.incr t.n_failed;
+      Metrics.tick t.m_failed
+
+(* Live fleet burn: feed the "fleet" ledger with the composed cumulative
+   (coordinate-wise max across shards) — monotone, so replays and racing
+   composers cannot move it backwards. *)
+let feed_fleet_ledger t ~seq =
+  let spent = fleet_spent t in
+  Metrics.ledger_cum t.m_fleet_ledger ~eps:spent.Params.eps ~delta:spent.Params.delta
+    ~debits:(seq + 1);
+  spent
+
 type miss = { m_id : int; m_why : string; m_retry : float option }
 
 let compose t req ~ids results =
@@ -427,22 +453,7 @@ let compose t req ~ids results =
           | s -> s)
     | _ -> status
   in
-  (match status with
-  | Protocol.Answered ->
-      Atomic.incr t.n_answered;
-      Metrics.tick t.m_answered
-  | Protocol.Degraded _ ->
-      Atomic.incr t.n_degraded;
-      Metrics.tick t.m_degraded
-  | Protocol.Partial _ ->
-      Atomic.incr t.n_partial;
-      Metrics.tick t.m_partial
-  | Protocol.Refused _ | Protocol.Rejected _ ->
-      Atomic.incr t.n_refused;
-      Metrics.tick t.m_refused
-  | Protocol.Failed _ ->
-      Atomic.incr t.n_failed;
-      Metrics.tick t.m_failed);
+  count_verdict t status;
   (* per-shard outcome mix: a covering shard either contributed to this
      answer or was missing from it *)
   List.iter
@@ -457,29 +468,36 @@ let compose t req ~ids results =
         | None -> acc)
       None contributing
   in
-  let spent = fleet_spent t in
-  (* Live fleet burn: feed the "fleet" ledger with the composed cumulative
-     (coordinate-wise max across shards) — monotone, so replays and racing
-     composers cannot move it backwards. *)
-  Metrics.ledger_cum t.m_fleet_ledger ~eps:spent.Params.eps ~delta:spent.Params.delta
-    ~debits:(seq + 1);
-  match (t.shards, contributing) with
-  | [| _ |], [ (_, rsp, _) ] ->
-      (* A fleet of one composes nothing: its shard's reply (journal seq,
-         answer source, spend stamp) is the fleet's, byte for byte — which
-         keeps a retried rid's recorded bytes intact end to end. *)
+  let spent = feed_fleet_ledger t ~seq in
+  {
+    (base_response req ~seq status) with
+    Protocol.rsp_theta = theta;
+    rsp_source = Some "fleet";
+    rsp_batch = Some (List.length contributing);
+    rsp_queue_wait_s = queue_wait;
+    rsp_spent_eps = Some spent.Params.eps;
+    rsp_spent_delta = Some spent.Params.delta;
+    rsp_epoch;
+  }
+
+(* A fleet of one composes nothing: whatever its shard replies (journal
+   seq, answer source, spend stamp, a refusal's reason) is the fleet's
+   reply, byte for byte, so a retried rid gets the recorded bytes back. The
+   call is inline and has no deadline: the shard's reply is returned
+   however long it took. Only a shard that is not running (no reply) takes
+   the composed refusal. *)
+let pass_through t req =
+  match (try Shard.submit t.shards.(0) req with _ -> None) with
+  | None -> compose t req ~ids:[ 0 ] [ (0, None) ]
+  | Some rsp ->
+      let seq = Atomic.fetch_and_add t.seq 1 in
+      count_verdict t rsp.Protocol.rsp_status;
+      (match (rsp.Protocol.rsp_status, rsp.Protocol.rsp_theta) with
+      | (Protocol.Answered | Protocol.Degraded _ | Protocol.Partial _), Some _ ->
+          Metrics.tick t.m_shard_ok.(0)
+      | _ -> Metrics.tick t.m_shard_miss.(0));
+      ignore (feed_fleet_ledger t ~seq : Params.t);
       rsp
-  | _ ->
-      {
-        (base_response req ~seq status) with
-        Protocol.rsp_theta = theta;
-        rsp_source = Some "fleet";
-        rsp_batch = Some (List.length contributing);
-        rsp_queue_wait_s = queue_wait;
-        rsp_spent_eps = Some spent.Params.eps;
-        rsp_spent_delta = Some spent.Params.delta;
-        rsp_epoch;
-      }
 
 (* One "fleet.request" trace mark per routed request — the root span of the
    request's causal tree. Shard-side "server.request" spans carry the same
@@ -534,8 +552,7 @@ let record_request t ~trace ~span ~ids ~t0 req rsp =
 let ingest t req rows ~trace ~span ~t0 =
   let seq () = Atomic.fetch_and_add t.seq 1 in
   let failed why =
-    Atomic.incr t.n_failed;
-    Metrics.tick t.m_failed;
+    count_verdict t (Protocol.Failed why);
     let rsp =
       { (base_response req ~seq:(seq ()) (Protocol.Failed why)) with
         Protocol.rsp_source = Some "fleet";
@@ -646,16 +663,7 @@ let ingest t req rows ~trace ~span ~t0 =
                       reason = summary;
                     }
             in
-            (match status with
-            | Protocol.Answered ->
-                Atomic.incr t.n_answered;
-                Metrics.tick t.m_answered
-            | Protocol.Partial _ ->
-                Atomic.incr t.n_partial;
-                Metrics.tick t.m_partial
-            | _ ->
-                Atomic.incr t.n_failed;
-                Metrics.tick t.m_failed);
+            count_verdict t status;
             List.iter (fun (i, _, _) -> Metrics.tick t.m_shard_ok.(i)) contributing;
             List.iter (fun m -> Metrics.tick t.m_shard_miss.(m.m_id)) missing;
             let rsp =
@@ -696,20 +704,19 @@ let submit t req =
     | None -> (
         match covering t req with
         | Error why ->
-            Atomic.incr t.n_failed;
-            Metrics.tick t.m_failed;
+            count_verdict t (Protocol.Failed why);
             let rsp = base_response req ~seq:(-1) (Protocol.Failed why) in
             record_request t ~trace ~span ~ids:[] ~t0 req rsp;
             rsp
         | Ok ids ->
-            let results =
+            let rsp =
               match ids with
+              | _ when Array.length t.shards = 1 -> pass_through t req
               | [ i ] ->
                   (* single-shard cover: direct call, no fan-out threads *)
-                  [ (i, Shard.submit t.shards.(i) req) ]
-              | _ -> fanout t req ids
+                  compose t req ~ids [ (i, Shard.submit t.shards.(i) req) ]
+              | _ -> compose t req ~ids (fanout t req ids)
             in
-            let rsp = compose t req ~ids results in
             record_request t ~trace ~span ~ids ~t0 req rsp;
             rsp)
   end

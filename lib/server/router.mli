@@ -20,10 +20,12 @@
       [Partial {missing_shards; coverage; …}] with a retry-after hint,
     - nobody contributed → [Refused].
 
-    A fleet of one shard composes nothing: when its shard contributes, the
-    shard's reply is returned as is (its journal [seq], answer source and
-    spend stamp), so a one-shard server answers exactly as its shard does
-    and a retried [rid] gets the recorded bytes back.
+    A fleet of one shard composes nothing: its shard is called inline, with
+    no deadline, and whatever it replies — an answer with its journal
+    [seq], answer source and spend stamp, or a refusal with its reason — is
+    returned as is, so a one-shard server answers exactly as its shard does
+    and a retried [rid] gets the recorded bytes back. Only a shard that is
+    not running gets the composed [Refused].
 
     {b Accounting}: the response's [spent_eps]/[spent_delta] carry the
     fleet-level account — the coordinate-wise {e max} over every shard's

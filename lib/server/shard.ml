@@ -41,9 +41,11 @@ let partition ds ~by ~shards =
   if shards > n then
     invalid_arg
       (Printf.sprintf "Shard.partition: %d shards exceed the %d records available" shards n);
-  let rows = Dataset.rows ds in
   let universe = Dataset.universe ds in
+  (* Rows are read in place ([Dataset.rows] would copy them all first): a
+     fleet's boot footprint is one copy of the records, split. *)
   match by with
+  | _ when shards = 1 -> [ ds ]
   | Block ->
       (* Contiguous near-equal ranges over arrival order; the first
          [n mod shards] blocks take the extra row. *)
@@ -51,18 +53,18 @@ let partition ds ~by ~shards =
       let start = ref 0 in
       List.init shards (fun i ->
           let len = base + if i < extra then 1 else 0 in
-          let block = Array.sub rows !start len in
-          start := !start + len;
-          Dataset.create universe block)
+          let first = !start in
+          start := first + len;
+          Dataset.create universe (Array.init len (fun j -> Dataset.row ds (first + j))))
   | Hash ->
       let buckets = Array.make shards [] in
       (* Collect newest-first, reverse at the end: row order inside a shard
          stays the dataset's order, so the partition is deterministic. *)
-      Array.iter
-        (fun v ->
-          let b = hash_bucket v ~shards in
-          buckets.(b) <- v :: buckets.(b))
-        rows;
+      for j = 0 to n - 1 do
+        let v = Dataset.row ds j in
+        let b = hash_bucket v ~shards in
+        buckets.(b) <- v :: buckets.(b)
+      done;
       Array.iter
         (fun b ->
           if b = [] then

@@ -40,6 +40,7 @@ val partition : Pmw_data.Dataset.t -> by:by -> shards:int -> Pmw_data.Dataset.t 
     (every row lands in exactly one shard — the precondition for parallel
     composition). [Block] yields contiguous near-equal ranges; [Hash]
     buckets by a 64-bit mix of the record value, so equal records co-locate.
+    One shard gets the dataset itself, uncopied.
     @raise Invalid_argument if [shards < 1], if [shards] exceeds the row
     count, or if hash partitioning leaves a shard empty (skewed keys — use
     [Block] or fewer shards). *)

@@ -34,8 +34,8 @@ let dataset =
   Synth.linear_regression ~universe ~theta_star:[| 0.5; -0.2 |] ~noise:0.1 ~n:3_000
     (Rng.create ~seed:7 ())
 
-let config () =
-  Config.practical ~universe ~privacy ~alpha:0.02 ~beta:0.05 ~scale:2. ~k:14 ~t_max:8
+let config ?(scale = 2.) () =
+  Config.practical ~universe ~privacy ~alpha:0.02 ~beta:0.05 ~scale ~k:14 ~t_max:8
     ~solver_iters:120 ()
 
 let panel =
@@ -46,7 +46,7 @@ let panel =
 
 let resolve name = List.assoc_opt name panel
 
-let mk_fleet ?(shards = 3) () =
+let mk_fleet ?(shards = 3) ?scale () =
   let blocks = Shard.partition dataset ~by:Shard.Block ~shards in
   Array.of_list
     (List.mapi
@@ -55,7 +55,7 @@ let mk_fleet ?(shards = 3) () =
            ~weight:(float_of_int (Dataset.size block) /. float_of_int (Dataset.size dataset))
            ~session:(fun ~pool ~epoch:_ ~absorbed:_ ->
              {
-               Shard.g_config = config ();
+               Shard.g_config = config ?scale ();
                g_dataset = block;
                g_oracles = Session.default_oracles ~pool ();
                g_rng = Rng.create ~seed:(100 + i) ();
@@ -71,8 +71,8 @@ let start_fleet fleet =
       | Error m -> Alcotest.failf "shard %d failed to start: %s" (Shard.id s) m)
     fleet
 
-let with_fleet ?shards ?config:rcfg f =
-  let fleet = mk_fleet ?shards () in
+let with_fleet ?shards ?scale ?config:rcfg f =
+  let fleet = mk_fleet ?shards ?scale () in
   start_fleet fleet;
   let router = Router.create ?config:rcfg ~shards:fleet () in
   Fun.protect ~finally:(fun () -> Array.iter Shard.stop fleet) (fun () -> f fleet router)
@@ -126,6 +126,43 @@ let test_one_shard_fleet_passes_replies_through () =
         (Protocol.encode_response direct) (Protocol.encode_response rsp);
       Alcotest.(check string) "a retry through the router gets them back"
         (Protocol.encode_response rsp) (Protocol.encode_response retried))
+
+(* A lone shard's refusal is passed through too: the client sees the
+   shard's own reason, and the refusal the shard journaled under the rid
+   comes back byte for byte on a retry. *)
+let test_one_shard_fleet_passes_refusals_through () =
+  (* every query's scale exceeds a shard configured with S = 0.001 *)
+  with_fleet ~shards:1 ~scale:1e-3 (fun fleet router ->
+      let refused = Router.submit router (req ~rid:"r-2" ~id:2 ~query:"sq" ()) in
+      (match refused.Protocol.rsp_status with
+      | Protocol.Refused why ->
+          Alcotest.(check bool) "the shard's own reason" false
+            (String.length why >= 19 && String.sub why 0 19 = "no shard could answ")
+      | st -> Alcotest.failf "expected the shard's refusal, got %s" (Protocol.status_tag st));
+      let retried = Router.submit router (req ~rid:"r-2" ~id:2 ~query:"sq" ()) in
+      Alcotest.(check string) "a retried refusal is byte-identical"
+        (Protocol.encode_response refused) (Protocol.encode_response retried);
+      (match Shard.submit fleet.(0) (req ~rid:"r-2" ~id:2 ~query:"sq" ()) with
+      | Some direct ->
+          Alcotest.(check string) "the shard's recorded bytes"
+            (Protocol.encode_response direct) (Protocol.encode_response refused)
+      | None -> Alcotest.fail "the shard is running");
+      let unknown = Router.submit router (req ~id:3 ~query:"nope" ()) in
+      match unknown.Protocol.rsp_status with
+      | Protocol.Failed why ->
+          Alcotest.(check string) "an unknown query keeps its reason" "unknown query nope" why
+      | st -> Alcotest.failf "expected the shard's Failed, got %s" (Protocol.status_tag st))
+
+(* The fan-out deadline is a fleet's; a lone shard is called inline and
+   its reply is returned however long it took. *)
+let test_one_shard_fleet_has_no_deadline () =
+  with_fleet ~shards:1
+    ~config:{ Router.default_config with Router.rt_deadline_s = 1e-6 }
+    (fun _fleet router ->
+      let rsp = Router.submit router (req ~id:1 ~query:"sq" ()) in
+      match rsp.Protocol.rsp_status with
+      | Protocol.Answered | Protocol.Degraded _ -> ()
+      | st -> Alcotest.failf "expected the shard's answer, got %s" (Protocol.status_tag st))
 
 let test_partial_when_a_shard_is_down () =
   with_fleet (fun fleet router ->
@@ -375,6 +412,10 @@ let () =
           Alcotest.test_case "full cover answers" `Quick test_full_cover_answers;
           Alcotest.test_case "one-shard fleet passes replies through" `Quick
             test_one_shard_fleet_passes_replies_through;
+          Alcotest.test_case "one-shard fleet passes refusals through" `Quick
+            test_one_shard_fleet_passes_refusals_through;
+          Alcotest.test_case "one-shard fleet has no deadline" `Quick
+            test_one_shard_fleet_has_no_deadline;
           Alcotest.test_case "partial when a shard is down" `Quick
             test_partial_when_a_shard_is_down;
           Alcotest.test_case "refused when all down" `Quick test_refused_when_all_down;
