@@ -1,13 +1,14 @@
-(* Shared helpers for the bench executables that merge sections into
-   BENCH_pmw.json (load.exe writes "server", chaos.exe writes "chaos").
-   Lives in its own module because dune links every non-main module of this
-   directory into each executable. *)
+(* The one writer of BENCH_pmw.json: main.exe merges the kernel table's
+   top-level keys, chaos.exe its "chaos", "chaos_fleet" and "epochs"
+   sections, and every write keeps the keys it does not own. Lives in its
+   own module because dune links every non-main module of this directory
+   into each executable. *)
 
 module Protocol = Pmw_server.Protocol
 
 (* Pretty printer for the merged document: objects multi-line down to the
    section level, arrays of objects one element per line, leaves compact —
-   close enough to bench/main.ml's hand formatting to diff sanely. *)
+   one kernel row or section leaf per line, so two reports diff sanely. *)
 let rec pretty ~depth buf j =
   let indent n = String.make (2 * n) ' ' in
   let compact j = Buffer.add_string buf (Protocol.json_to_string j) in
@@ -39,8 +40,7 @@ let rec pretty ~depth buf j =
       Buffer.add_string buf "]"
   | j -> compact j
 
-(* Document schema. v3 added the per-leg "latency" block to the "server"
-   section (p50/p90/p99/max per run leg, not just throughput). *)
+(* Document schema; CI asserts the tag. *)
 let schema = "pmw-kernel-bench/3"
 
 let iso8601_utc () =
@@ -48,55 +48,32 @@ let iso8601_utc () =
   Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02dZ" (tm.Unix.tm_year + 1900) (tm.Unix.tm_mon + 1)
     tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min tm.Unix.tm_sec
 
-(* Replace one top-level [section] of the pmw-kernel-bench document at
-   [path], creating a minimal skeleton when the file is absent or
-   unparsable. Other sections (the kernel table, "server", "chaos") are
-   preserved byte-for-value; the schema tag is upgraded to the current
-   version, since the writer emits the current section shapes. *)
-let merge_section ~path ~section ~command json =
+(* Set the top-level [keys] of the pmw-kernel-bench document at [path] —
+   replaced in place when present, appended otherwise; a file that is
+   absent or unparsable starts empty. Every other key is preserved
+   byte-for-value; the schema tag is upgraded to the current version, since
+   the writers emit the current shapes. *)
+let merge ~path keys =
   let existing =
     if Sys.file_exists path then begin
       let ic = open_in_bin path in
       let len = in_channel_length ic in
       let raw = really_input_string ic len in
       close_in ic;
-      match Protocol.json_of_string raw with Ok (Protocol.Obj fields) -> fields | _ -> []
+      match Protocol.json_of_string raw with
+      | Ok (Protocol.Obj fields) -> List.remove_assoc "schema" fields
+      | _ -> []
     end
     else []
   in
-  let fields =
-    if existing = [] then
-      [
-        ("command", Protocol.Str command);
-        ( "meta",
-          Protocol.Obj
-            [
-              ("timestamp", Protocol.Str (iso8601_utc ()));
-              ("ocaml", Protocol.Str Sys.ocaml_version);
-            ] );
-      ]
-    else List.remove_assoc "schema" existing
+  let kept =
+    List.map (fun (k, v) -> (k, Option.value (List.assoc_opt k keys) ~default:v)) existing
   in
-  let fields =
-    (("schema", Protocol.Str schema) :: List.remove_assoc section fields) @ [ (section, json) ]
-  in
+  let added = List.filter (fun (k, _) -> not (List.mem_assoc k existing)) keys in
   let buf = Buffer.create 4096 in
-  pretty ~depth:0 buf (Protocol.Obj fields);
+  pretty ~depth:0 buf (Protocol.Obj ((("schema", Protocol.Str schema) :: kept) @ added));
   Buffer.add_char buf '\n';
   let oc = open_out path in
   Buffer.output_buffer oc buf;
   close_out oc;
-  Printf.printf "wrote %s (%s section)\n%!" path section
-
-(* Query names the stock `pmw_cli serve` regression workload (d=2)
-   registers; `serve` prints its registered names at startup. *)
-let default_panel =
-  [|
-    "0.25*squared";
-    "huber(0.5)";
-    "absolute";
-    "quantile(0.25)";
-    "quantile(0.75)";
-    "0.25*squared|mask=01";
-    "0.25*squared|mask=10";
-  |]
+  Printf.printf "wrote %s (%s)\n%!" path (String.concat ", " (List.map fst keys))

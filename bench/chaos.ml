@@ -60,6 +60,19 @@ let new_stats () =
 let uniform rng lo hi =
   lo +. ((hi -. lo) *. (float_of_int (Splitmix64.next_in rng ~bound:1_000_000) /. 1_000_000.))
 
+(* Query names the stock `pmw_cli serve` regression workload (d=2)
+   registers; `serve` prints its registered names at startup. *)
+let default_panel =
+  [|
+    "0.25*squared";
+    "huber(0.5)";
+    "absolute";
+    "quantile(0.25)";
+    "quantile(0.75)";
+    "0.25*squared|mask=01";
+    "0.25*squared|mask=10";
+  |]
+
 let is_rejected (rsp : Protocol.response) =
   match rsp.Protocol.rsp_status with Protocol.Rejected _ -> true | _ -> false
 
@@ -376,7 +389,7 @@ let fleet_soak ~bin ~dir ~seed ~eps ~n ~k ~shards ~analysts ~cycles ~kill_min ~k
       Printf.eprintf "fleet never came up; see %s/server-1.log\n" dir;
       exit 2);
   let running = Atomic.make true in
-  let panel = Bench_json.default_panel in
+  let panel = default_panel in
   let results = Array.make analysts (new_stats ()) in
   let threads =
     List.init analysts (fun i ->
@@ -451,12 +464,13 @@ let fleet_soak ~bin ~dir ~seed ~eps ~n ~k ~shards ~analysts ~cycles ~kill_min ~k
   let coverage_bad = total (fun s -> s.a_coverage_bad) in
   let max_reported_eps = Array.fold_left (fun acc s -> Float.max acc s.a_max_eps) 0. results in
   let shard_journals =
-    List.init shards (fun i ->
-        let path = Printf.sprintf "%s.shard%d" journal i in
+    List.map
+      (fun (i, path) ->
         let ok, records, (cum_eps, cum_delta) =
           validate_journal ~path ~eps_total:eps ~max_reported_eps:0. ~max_reported_delta:0.
         in
         (i, ok, records, cum_eps, cum_delta))
+      (Pmw_server.Shard.journal_files journal)
   in
   let max_cum_eps =
     List.fold_left (fun acc (_, _, _, e, _) -> Float.max acc e) 0. shard_journals
@@ -483,6 +497,9 @@ let fleet_soak ~bin ~dir ~seed ~eps ~n ~k ~shards ~analysts ~cycles ~kill_min ~k
   let tol = 1e-9 *. Float.max 1. eps in
   let checks_ok =
     List.for_all (fun (_, ok, _, _, _) -> ok) shard_journals
+    && check
+         (List.length shard_journals = shards)
+         "found %d shard journals for %d shards" (List.length shard_journals) shards
     && check (coverage_bad = 0) "%d partial answers with wrong coverage/missing_shards"
          coverage_bad
     && check (partials > 0) "no partial answers observed across %d shard kills" cycles
@@ -537,8 +554,7 @@ let fleet_soak ~bin ~dir ~seed ~eps ~n ~k ~shards ~analysts ~cycles ~kill_min ~k
           ("invariants_held", Protocol.Bool checks_ok);
         ]
     in
-    Bench_json.merge_section ~path:"BENCH_pmw.json" ~section:"chaos_fleet"
-      ~command:"bench/chaos.exe -- --kill-shard --json" section
+    Bench_json.merge ~path:"BENCH_pmw.json" [ ("chaos_fleet", section) ]
   end;
   exit (if checks_ok then 0 else 1)
 
@@ -957,8 +973,7 @@ let epoch_soak ~dir ~cycles ~json () =
           ("invariants_held", Protocol.Bool checks_ok);
         ]
     in
-    Bench_json.merge_section ~path:"BENCH_pmw.json" ~section:"epochs"
-      ~command:"bench/chaos.exe -- --kill-epoch --json" section
+    Bench_json.merge ~path:"BENCH_pmw.json" [ ("epochs", section) ]
   end;
   exit (if checks_ok then 0 else 1)
 
@@ -1053,7 +1068,7 @@ let () =
       ~listen_path:proxy_path ~upstream:socket ()
   in
   let running = Atomic.make true in
-  let panel = Bench_json.default_panel in
+  let panel = default_panel in
   let results = Array.make !analysts (new_stats ()) in
   let threads =
     List.init !analysts (fun i ->
@@ -1180,7 +1195,6 @@ let () =
           ("invariants_held", Protocol.Bool checks_ok);
         ]
     in
-    Bench_json.merge_section ~path:"BENCH_pmw.json" ~section:"chaos"
-      ~command:"bench/chaos.exe -- --json" section
+    Bench_json.merge ~path:"BENCH_pmw.json" [ ("chaos", section) ]
   end;
   exit (if checks_ok then 0 else 1)

@@ -16,7 +16,7 @@
      dune exec bench/main.exe -- list               # list experiment ids
      dune exec bench/main.exe -- t1-uglm            # one experiment
      dune exec bench/main.exe -- micro              # micro + kernel benchmarks only
-     dune exec bench/main.exe -- micro --json       # also write BENCH_pmw.json
+     dune exec bench/main.exe -- micro --json       # also merge kernels into BENCH_pmw.json
      dune exec bench/main.exe -- micro --json --quick  # |X| = 2^10 only (CI smoke) *)
 
 open Bechamel
@@ -26,6 +26,7 @@ module Registry = Pmw_experiments.Registry
 module Universe = Pmw_data.Universe
 module Histogram = Pmw_data.Histogram
 module Rng = Pmw_rng.Rng
+module Protocol = Pmw_server.Protocol
 
 (* --- bechamel micro-benchmarks: the kernels behind each experiment --- *)
 
@@ -312,47 +313,47 @@ let read_first_line cmd =
       | Unix.WEXITED 0 -> (match line with Some "" | None -> None | s -> s)
       | _ | (exception _) -> None)
 
-let iso8601_utc () =
-  let tm = Unix.gmtime (Unix.gettimeofday ()) in
-  Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02dZ" (tm.Unix.tm_year + 1900) (tm.Unix.tm_mon + 1)
-    tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min tm.Unix.tm_sec
-
 let write_json ~path ~quick rows =
-  let oc = open_out path in
   let git =
     match read_first_line "git describe --always --dirty 2>/dev/null" with
     | Some rev -> rev
     | None -> "unknown"
   in
   let pmw_domains = try Sys.getenv "PMW_DOMAINS" with Not_found -> "" in
-  Printf.fprintf oc "{\n";
-  Printf.fprintf oc "  \"schema\": \"%s\",\n" Bench_json.schema;
-  Printf.fprintf oc "  \"command\": \"bench/main.exe -- micro --json%s\",\n"
-    (if quick then " --quick" else "");
-  (* Trajectory metadata: enough to line up two BENCH_pmw.json files from
-     different commits/machines before comparing their numbers. *)
-  Printf.fprintf oc "  \"meta\": {\n";
-  Printf.fprintf oc "    \"git\": \"%s\",\n" (String.escaped git);
-  Printf.fprintf oc "    \"timestamp\": \"%s\",\n" (iso8601_utc ());
-  Printf.fprintf oc "    \"ocaml\": \"%s\",\n" Sys.ocaml_version;
-  Printf.fprintf oc "    \"pmw_domains_env\": \"%s\",\n" (String.escaped pmw_domains);
-  Printf.fprintf oc "    \"quick\": %b\n" quick;
-  Printf.fprintf oc "  },\n";
-  Printf.fprintf oc "  \"domains\": %d,\n" par_domains;
-  Printf.fprintf oc "  \"grain\": %d,\n" Pool.grain;
-  Printf.fprintf oc "  \"kernels\": [\n";
-  let last = List.length rows - 1 in
-  List.iteri
-    (fun i r ->
-      Printf.fprintf oc
-        "    { \"name\": \"%s\", \"universe_bits\": %d, \"baseline_ns\": %.1f, \"seq_ns\": %.1f, \
-         \"par_ns\": %.1f, \"speedup\": %.3f, \"wall_s\": %.3f }%s\n"
-        r.kr_name r.kr_bits r.kr_baseline r.kr_seq r.kr_par (speedup r) r.kr_wall_s
-        (if i = last then "" else ","))
-    rows;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc;
-  Printf.printf "wrote %s\n%!" path
+  let num f = Protocol.Num f and int i = Protocol.Num (float_of_int i) in
+  let command = "bench/main.exe -- micro --json" ^ if quick then " --quick" else "" in
+  Bench_json.merge ~path
+    [
+      ("command", Protocol.Str command);
+      (* Trajectory metadata: enough to line up two BENCH_pmw.json files
+         from different commits/machines before comparing their numbers. *)
+      ( "meta",
+        Protocol.Obj
+          [
+            ("git", Protocol.Str git);
+            ("timestamp", Protocol.Str (Bench_json.iso8601_utc ()));
+            ("ocaml", Protocol.Str Sys.ocaml_version);
+            ("pmw_domains_env", Protocol.Str pmw_domains);
+            ("quick", Protocol.Bool quick);
+          ] );
+      ("domains", int par_domains);
+      ("grain", int Pool.grain);
+      ( "kernels",
+        Protocol.Arr
+          (List.map
+             (fun r ->
+               Protocol.Obj
+                 [
+                   ("name", Protocol.Str r.kr_name);
+                   ("universe_bits", int r.kr_bits);
+                   ("baseline_ns", num r.kr_baseline);
+                   ("seq_ns", num r.kr_seq);
+                   ("par_ns", num r.kr_par);
+                   ("speedup", num (speedup r));
+                   ("wall_s", num r.kr_wall_s);
+                 ])
+             rows) );
+    ]
 
 let run_kernels ~json ~quick () =
   let sizes = if quick then [ 10 ] else [ 10; 14; 18 ] in

@@ -870,14 +870,12 @@ let stats_fleet file events check =
       (0., 0.) trees
   in
   (* Per-shard spend replayed from the shard traces: each incarnation
-     re-debits from zero (recovery quarantines prior spend into the fresh
-     ledger), so a shard's cumulative is the max over its incarnations, and
-     the fleet's is the coordinate-wise max over shards. *)
+     re-debits its live pot from zero (recovery quarantines prior spend into
+     the fresh ledger) above the sealed base its start mark stamps, so a
+     shard's cumulative is the max over its incarnations, and the fleet's is
+     the coordinate-wise max over shards. *)
   let trace_cum =
-    List.fold_left
-      (fun acc (_, _, evs) ->
-        List.fold_left (fun a (_, s) -> pmax a s) acc (Trace.ledger_totals evs))
-      (0., 0.) streams
+    List.fold_left (fun acc (_, _, evs) -> pmax acc (Trace.shard_spend evs)) (0., 0.) streams
   in
   Printf.printf
     "fleet spend: reported (eps %.6g, delta %.3e); coordinate-wise max of shard-trace ledgers \
@@ -908,15 +906,7 @@ let stats_journal_check journal_path reported_of_trace =
       ~finally:(fun () -> close_in ic)
       (fun () -> really_input_string ic (in_channel_length ic))
   in
-  let siblings =
-    (* exact .shardN only — not the .shardN.epoch snapshots (or .seal
-       checkpoints) the epoch lifecycle parks next to each journal *)
-    fleet_siblings journal_path
-    |> List.filter (fun (id, path) -> path = Printf.sprintf "%s.shard%d" journal_path id)
-  in
-  let journals =
-    if siblings = [] && Sys.file_exists journal_path then [ (0, journal_path) ] else siblings
-  in
+  let journals = Pmw_server.Shard.journal_files journal_path in
   if journals = [] then `Error (false, "no journal files found at " ^ journal_path)
   else begin
     let cum =

@@ -896,6 +896,9 @@ let run ?checkpoint t =
         ("journal", Telemetry.Bool (t.journal <> None));
         ("first_seq", Telemetry.Int t.seq);
         ("epoch", Telemetry.Int t.epoch);
+        (* the sealed-epoch spend this trace's ledgers start above *)
+        ("base_eps", Telemetry.Float (fst t.base));
+        ("base_delta", Telemetry.Float (snd t.base));
       ];
   (* A seal resumed at boot means a transition was in flight when we died
      and had not committed — re-run it before serving anything. *)

@@ -142,6 +142,23 @@ let pool_domains ~shards = max 1 ((Pool.default_domains () - 1) / shards)
 let journal_file path ~shards ~epochs i =
   if shards = 1 && not epochs then path else Printf.sprintf "%s.shard%d" path i
 
+let journal_files path =
+  let prefix = Filename.basename path ^ ".shard" in
+  let n = String.length prefix in
+  let shard name =
+    if String.starts_with ~prefix name then
+      let rest = String.sub name n (String.length name - n) in
+      match int_of_string_opt rest with
+      | Some i when string_of_int i = rest -> Some (i, path ^ ".shard" ^ rest)
+      | _ -> None
+    else None
+  in
+  let dir = Filename.dirname path in
+  match List.sort compare (List.filter_map shard (Array.to_list (Sys.readdir dir))) with
+  | [] when Sys.file_exists path -> [ (0, path) ]
+  | files -> files
+  | exception Sys_error _ -> []
+
 let create ~id ~weight ?journal_path ?epoch ?(config = Broker.default_config) ?(domains = 1)
     ?(telemetry = fun ~incarnation:_ -> Telemetry.null ())
     ?(metrics = Metrics.disabled ()) ~session ~resolve () =

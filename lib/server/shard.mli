@@ -97,6 +97,14 @@ val journal_file : string -> shards:int -> epochs:bool -> int -> string
     the same ledger instead of opening a fresh one), [j.shardI]
     otherwise. *)
 
+val journal_files : string -> (int * string) list
+(** The inverse of {!journal_file}: every shard journal on disk for the
+    fleet journal path [j], as [(i, path)] sorted by shard id — the exact
+    [j.shardI] files (never the [.epoch], [.drain], [.seal] or [.tmp]
+    files parked beside them), or [[(0, j)]] when there are none and [j]
+    itself exists; [[]] otherwise. Paths keep [j]'s spelling, so a bare
+    name finds the same files as [./j]. *)
+
 val create :
   id:int ->
   weight:float ->

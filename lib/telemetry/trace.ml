@@ -232,6 +232,20 @@ let ledger_totals events =
     events;
   List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
 
+let shard_spend events =
+  let start =
+    List.find_opt
+      (fun e -> e.Telemetry.kind = Telemetry.Mark && e.Telemetry.name = "server.start")
+      events
+  in
+  let base name = Option.value ~default:0. (Option.bind start (fun e -> float_field e name)) in
+  let eps, delta =
+    List.fold_left
+      (fun (e, d) (_, (le, ld)) -> (Float.max e le, Float.max d ld))
+      (0., 0.) (ledger_totals events)
+  in
+  (base "base_eps" +. eps, base "base_delta" +. delta)
+
 let validate events =
   let problem = ref None in
   let fail fmt = Printf.ksprintf (fun m -> if !problem = None then problem := Some m) fmt in

@@ -24,6 +24,12 @@ val ledger_totals : Telemetry.event list -> (string * (float * float)) list
 (** Replay the privacy-ledger timeline: per-ledger [(ε, δ)] sums of the
     individual debit events, sorted by ledger tag. *)
 
+val shard_spend : Telemetry.event list -> float * float
+(** Lifetime [(ε, δ)] one shard trace stream accounts for: the sealed-epoch
+    base stamped on its first ["server.start"] mark (a restarted epoch
+    server's ledgers hold only the live pot) plus the coordinate-wise max
+    of its {!ledger_totals}. *)
+
 type span_row = { sr_name : string; sr_calls : int; sr_total_s : float; sr_max_s : float }
 
 (** Aggregate of one observation stream (e.g. the server's

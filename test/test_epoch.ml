@@ -5,11 +5,21 @@
    compactions — torn tails, garbage lines, short writes at every swap
    step — always recovers to exactly the old or the new journal with the
    lifetime privacy account preserved (zero double-spend, zero lost
-   spend). *)
+   spend), and a shard restarted after a transition leaves a trace that
+   accounts for the lifetime spend its answers report. *)
 
 module Epoch = Pmw_server.Epoch
 module Journal = Pmw_server.Journal
+module Shard = Pmw_server.Shard
+module Protocol = Pmw_server.Protocol
 module Checkpoint = Pmw_session.Checkpoint
+module Session = Pmw_session.Session
+module Telemetry = Pmw_telemetry.Telemetry
+module Trace = Pmw_telemetry.Trace
+module Universe = Pmw_data.Universe
+module Dataset = Pmw_data.Dataset
+module Cm_query = Pmw_core.Cm_query
+module Rng = Pmw_rng.Rng
 
 let tmp_dir () =
   let d = Filename.temp_file "pmw-epoch" "" in
@@ -472,6 +482,92 @@ let test_garbage_tail () =
   Alcotest.(check bool) "roll-forward dropped the tail" true boot.Epoch.bt_rolled_forward;
   close_boot boot
 
+(* --- a restarted epoch shard's trace --- *)
+
+(* After a transition, a drain and a restart on the same files, the shard
+   stamps answers with its lifetime spend — sealed base plus live pot —
+   while the new incarnation's trace ledgers replay only the live pot. The
+   base on its server.start mark must make up the difference, so the trace
+   alone accounts for every spend the shard reports. *)
+let test_restarted_trace_covers_lifetime () =
+  let dir = tmp_dir () in
+  let universe = Universe.regression_grid ~d:2 ~levels:5 ~label_levels:5 () in
+  let domain = Pmw_convex.Domain.unit_ball ~dim:2 in
+  let rows =
+    Dataset.rows
+      (Pmw_data.Synth.linear_regression ~universe ~theta_star:[| 0.5; -0.2 |] ~noise:0.1 ~n:2_000
+         (Rng.create ~seed:7 ()))
+  in
+  let config =
+    Pmw_core.Config.practical ~universe
+      ~privacy:(Pmw_dp.Params.create ~eps:1. ~delta:1e-6)
+      ~alpha:0.02 ~beta:0.05 ~scale:2. ~k:14 ~t_max:8 ~solver_iters:120 ()
+  in
+  let queries =
+    [
+      ("sq", Cm_query.make ~name:"sq" ~loss:(Pmw_convex.Losses.squared ()) ~domain ());
+      ("abs", Cm_query.make ~name:"abs" ~loss:(Pmw_convex.Losses.absolute ()) ~domain ());
+    ]
+  in
+  let boot sink =
+    let shard =
+      Shard.create ~id:0 ~weight:1. ~journal_path:(Filename.concat dir "e.wal")
+        ~epoch:{ Shard.se_every = 0; se_row_bound = Universe.size universe }
+        ~telemetry:(fun ~incarnation:_ -> Telemetry.create ~sink ())
+        ~session:(fun ~pool ~epoch ~absorbed ->
+          {
+            Shard.g_config = config;
+            g_dataset = Dataset.create ~epoch universe (Array.append rows absorbed);
+            g_oracles = Session.default_oracles ~pool ();
+            g_rng = Rng.create ~seed:(11 + epoch) ();
+          })
+        ~resolve:(fun name -> List.assoc_opt name queries)
+        ()
+    in
+    (match Shard.start shard with Ok () -> () | Error m -> Alcotest.failf "boot: %s" m);
+    shard
+  in
+  let ask shard id query =
+    let req =
+      {
+        Protocol.req_id = id;
+        req_analyst = "an";
+        req_query = query;
+        req_rid = None;
+        req_shards = None;
+        req_trace = None;
+        req_pspan = None;
+        req_rows = None;
+      }
+    in
+    match Shard.submit shard req with
+    | Some rsp -> rsp
+    | None -> Alcotest.failf "request %d refused" id
+  in
+  let first = boot Telemetry.Sink.null in
+  ignore (ask first 0 "sq");
+  ignore (ask first 1 "abs");
+  Alcotest.(check bool) "epoch roll accepted" true (Shard.request_epoch first);
+  ignore (ask first 2 "sq");
+  Alcotest.(check (option int)) "rolled to epoch 1" (Some 1) (Shard.epoch first);
+  Shard.stop first;
+  let sink = Telemetry.Sink.ring () in
+  let second = boot sink in
+  let rsp = ask second 3 "abs" in
+  Shard.stop second;
+  Alcotest.(check (option int)) "restarted at epoch 1" (Some 1) rsp.Protocol.rsp_epoch;
+  let trace_eps, trace_delta = Trace.shard_spend (Telemetry.Sink.events sink) in
+  let covers what traced = function
+    | Some told ->
+        if traced +. (1e-9 *. Float.max 1. told) < told then
+          Alcotest.failf "trace accounts for %s %.9g but the answer says %.9g" what traced told
+    | None -> Alcotest.failf "answer carries no spent %s" what
+  in
+  covers "eps" trace_eps rsp.Protocol.rsp_spent_eps;
+  covers "delta" trace_delta rsp.Protocol.rsp_spent_delta;
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Sys.rmdir dir
+
 let () =
   Alcotest.run "epoch"
     [
@@ -517,5 +613,10 @@ let () =
           Alcotest.test_case "every byte-truncation recovers whole" `Quick test_torn_journal_fuzz;
           Alcotest.test_case "garbage tail is dropped, never half-applied" `Quick
             test_garbage_tail;
+        ] );
+      ( "restart",
+        [
+          Alcotest.test_case "restarted trace covers the lifetime spend" `Quick
+            test_restarted_trace_covers_lifetime;
         ] );
     ]

@@ -4,10 +4,12 @@
    restart, quarantine, drain), drain continuity (a drained shard restarted
    on the same files answers bit-identically to one that never stopped,
    and a stale drain checkpoint is never resumed), upgrade safety of the
-   one-shard journal layout, injected oracle faults served through the
-   fallback chain, per-shard journal independence (corrupting one shard's
-   journal cannot perturb another's recovery), and the qcheck property that the fleet-level account [Budget.spent_parallel]
-   is exactly the coordinate-wise max over per-shard ledgers. *)
+   one-shard journal layout and its inverse [Shard.journal_files],
+   injected oracle faults served through the fallback chain, per-shard
+   journal independence (corrupting one shard's journal cannot perturb
+   another's recovery), and the qcheck property that the fleet-level
+   account [Budget.spent_parallel] is exactly the coordinate-wise max over
+   per-shard ledgers. *)
 
 module Universe = Pmw_data.Universe
 module Dataset = Pmw_data.Dataset
@@ -394,6 +396,43 @@ let test_one_shard_layout_upgrade () =
       Shard.stop s;
       Alcotest.(check bool) "no J.shard0 appears" false (Sys.file_exists (j ^ ".shard0")))
 
+(* [journal_files] inverts [journal_file]: exactly the J.shardI journals,
+   never the snapshot/drain/seal/tmp files beside them, whichever way the
+   caller spells J — and J itself for a lone shard without epochs. *)
+let test_journal_files_inverse () =
+  in_tmp "jfiles" (fun dir ->
+      let touch name = Out_channel.with_open_bin (Filename.concat dir name) ignore in
+      let shards spelling = List.map fst (Shard.journal_files spelling) in
+      let cwd = Sys.getcwd () in
+      Fun.protect
+        ~finally:(fun () -> Sys.chdir cwd)
+        (fun () ->
+          Sys.chdir dir;
+          Alcotest.(check (list (pair int string)))
+            "nothing on disk" [] (Shard.journal_files "j.wal");
+          touch "j.wal";
+          Alcotest.(check (list (pair int string)))
+            "one shard, no epochs: J itself" [ (0, "j.wal") ] (Shard.journal_files "j.wal");
+          List.iter touch
+            [
+              "j.wal.shard1";
+              "j.wal.shard0";
+              "j.wal.shard0.epoch";
+              "j.wal.shard0.epoch.seal";
+              "j.wal.shard0.epoch.tmp";
+              "j.wal.shard1.drain";
+              "j.wal.shard1.tmp";
+              "j.wal.shard01";
+              "j.wal.shardx";
+            ];
+          Alcotest.(check (list (pair int string)))
+            "bare name" [ (0, "j.wal.shard0"); (1, "j.wal.shard1") ] (Shard.journal_files "j.wal");
+          Alcotest.(check (list int)) "./J finds the same shards" [ 0; 1 ] (shards "./j.wal");
+          Alcotest.(check (list (pair int string)))
+            "dir/J keeps the caller's spelling"
+            [ (0, Filename.concat dir "j.wal.shard0"); (1, Filename.concat dir "j.wal.shard1") ]
+            (Shard.journal_files (Filename.concat dir "j.wal"))))
+
 (* --- injected oracle faults --- *)
 
 (* The session constructor wraps noisy GD in a fault injector that times
@@ -598,6 +637,8 @@ let () =
         [
           Alcotest.test_case "per-shard independence" `Quick test_journal_independence;
           Alcotest.test_case "one-shard layout upgrade" `Quick test_one_shard_layout_upgrade;
+          Alcotest.test_case "journal_files inverts journal_file" `Quick
+            test_journal_files_inverse;
         ] );
       ( "faults",
         [
