@@ -55,16 +55,9 @@ let iso8601_utc () =
    the writers emit the current shapes. *)
 let merge ~path keys =
   let existing =
-    if Sys.file_exists path then begin
-      let ic = open_in_bin path in
-      let len = in_channel_length ic in
-      let raw = really_input_string ic len in
-      close_in ic;
-      match Protocol.json_of_string raw with
-      | Ok (Protocol.Obj fields) -> List.remove_assoc "schema" fields
-      | _ -> []
-    end
-    else []
+    match Result.bind (Pmw_session.Checkpoint.read_file path) Protocol.json_of_string with
+    | Ok (Protocol.Obj fields) -> List.remove_assoc "schema" fields
+    | _ -> []
   in
   let kept =
     List.map (fun (k, v) -> (k, Option.value (List.assoc_opt k keys) ~default:v)) existing

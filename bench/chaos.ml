@@ -8,13 +8,14 @@
    After the last cycle the analysts stop, the server is drained with
    SIGTERM, and the journal + traces are validated:
 
-     (a) the journal's cumulative (eps, delta) is monotone, additive for
-         serve debits, covers the largest spend any client was ever told
-         (rsp_spent_eps/delta), and never exceeds the configured pot — no budget is
-         forgotten by a crash and none is spent twice;
+     (a) the journal passes Pmw_server.Invariants (cumulative (eps, delta)
+         monotone, additive for serve debits, every answer covered by the
+         preceding debit, no rid journaled twice with different bytes),
+         covers the largest spend any client was ever told
+         (rsp_spent_eps/delta), and never exceeds the configured pot — no
+         budget is forgotten by a crash and none is spent twice;
      (b) every deliberately re-asked request_id produced a byte-identical
-         answer to the recorded one (client side), and no rid appears in
-         the journal twice with different bytes (server side);
+         answer to the recorded one (client side);
      (c) the final incarnation's fleet and shard traces pass
          Trace.validate, and its graceful drain left the drain checkpoint
          beside the journal.
@@ -27,6 +28,7 @@ module Protocol = Pmw_server.Protocol
 module Net = Pmw_server.Net
 module Flaky = Pmw_server.Flaky
 module Journal = Pmw_server.Journal
+module Invariants = Pmw_server.Invariants
 module Trace = Pmw_telemetry.Trace
 module Splitmix64 = Pmw_rng.Splitmix64
 
@@ -38,8 +40,7 @@ type analyst_stats = {
   mutable a_errors : int;
   mutable a_dedup_checks : int;
   mutable a_dedup_mismatches : int;
-  mutable a_max_eps : float;
-  mutable a_max_delta : float;
+  mutable a_max_spent : float * float;  (* largest (eps, delta) a reply reported *)
   mutable a_lines : (string * string) list;  (* (rid, recorded line), newest first *)
 }
 
@@ -52,8 +53,7 @@ let new_stats () =
     a_errors = 0;
     a_dedup_checks = 0;
     a_dedup_mismatches = 0;
-    a_max_eps = 0.;
-    a_max_delta = 0.;
+    a_max_spent = (0., 0.);
     a_lines = [];
   }
 
@@ -72,6 +72,22 @@ let default_panel =
     "0.25*squared|mask=01";
     "0.25*squared|mask=10";
   |]
+
+let request ?rid ?rows ~id ~analyst query =
+  {
+    Protocol.req_id = id;
+    req_analyst = analyst;
+    req_query = query;
+    req_rid = rid;
+    req_shards = None;
+    req_trace = None;
+    req_pspan = None;
+    req_rows = rows;
+  }
+
+let spent (rsp : Protocol.response) =
+  let v = Option.value ~default:0. in
+  (v rsp.Protocol.rsp_spent_eps, v rsp.Protocol.rsp_spent_delta)
 
 let is_rejected (rsp : Protocol.response) =
   match rsp.Protocol.rsp_status with Protocol.Rejected _ -> true | _ -> false
@@ -117,16 +133,8 @@ let analyst ?fleet ~running ~proxy_path ~panel ~seed ~dup_prob i =
     | Some c -> (
         let rid = Printf.sprintf "%s-r%d" name !r in
         let req =
-          {
-            Protocol.req_id = !r;
-            req_analyst = name;
-            req_query = panel.(Splitmix64.next_in rng ~bound:(Array.length panel));
-            req_rid = Some rid;
-            req_shards = None;
-            req_trace = None;
-            req_pspan = None;
-            req_rows = None;
-          }
+          request ~rid ~id:!r ~analyst:name
+            panel.(Splitmix64.next_in rng ~bound:(Array.length panel))
         in
         match Net.Client.call_with_retry ~policy c req with
         | Error _ ->
@@ -136,10 +144,7 @@ let analyst ?fleet ~running ~proxy_path ~panel ~seed ~dup_prob i =
             Thread.delay 0.05
         | Ok rsp ->
             stats.a_completed <- stats.a_completed + 1;
-            Option.iter (fun e -> stats.a_max_eps <- Float.max stats.a_max_eps e)
-              rsp.Protocol.rsp_spent_eps;
-            Option.iter (fun d -> stats.a_max_delta <- Float.max stats.a_max_delta d)
-              rsp.Protocol.rsp_spent_delta;
+            stats.a_max_spent <- Invariants.fleet [ stats.a_max_spent; spent rsp ];
             (match (rsp.Protocol.rsp_status, fleet) with
             | Protocol.Partial { missing_shards; coverage; _ }, Some shards ->
                 stats.a_partials <- stats.a_partials + 1;
@@ -248,114 +253,51 @@ let check cond fmt =
       end)
     fmt
 
-let validate_journal ~path ~eps_total ~max_reported_eps ~max_reported_delta =
-  let raw =
-    let ic = open_in_bin path in
-    let len = in_channel_length ic in
-    let s = really_input_string ic len in
-    close_in ic;
-    s
-  in
-  match Journal.replay_string raw with
+(* A trace file that loads and passes Trace.validate. *)
+let trace_valid path =
+  match Result.bind (Trace.load ~path) Trace.validate with
+  | Ok () -> true
+  | Error why -> check false "trace %s: %s" path why
+
+(* (mean, max) of recovery times, (0, 0) for none. *)
+let mean_max = function
+  | [] -> (0., 0.)
+  | ts ->
+      (List.fold_left ( +. ) 0. ts /. float_of_int (List.length ts), List.fold_left Float.max 0. ts)
+
+let num v = Protocol.Num v
+let int v = Protocol.Num (float_of_int v)
+
+(* The per-journal rules through the shared checker, plus what only this
+   soak knows: the journal was drained gracefully (no torn tail), and the
+   live epoch's cumulative stays inside the pot. An unreadable journal
+   fails and accounts for nothing. *)
+let journal_account ~path ~eps_total =
+  match Invariants.check_file ~path with
   | Error why ->
-      Printf.eprintf "INVARIANT VIOLATED: journal unreadable: %s\n%!" why;
-      (false, 0, (0., 0.))
-  | Ok rv ->
-      let ok = ref (check (not rv.Journal.rv_torn) "journal torn after graceful drain") in
-      let tol = 1e-9 *. Float.max 1. eps_total in
-      let prev = ref (0., 0.) in
-      (* Lifetime accounting: an Epoch record carries the spend retired into
-         sealed generations; answers after it report base + within-epoch cum. *)
-      let base = ref (0., 0.) in
+      let nothing, _ = Invariants.check ~path Journal.empty_recovery in
+      (check false "journal unreadable: %s" why, nothing)
+  | Ok (a, violations) ->
+      Printf.printf "  %s\n%!" (Invariants.verdict a violations);
       List.iter
-        (fun r ->
-          match r with
-          | Journal.Epoch { je_base_eps; je_base_delta; _ } ->
-              base := (je_base_eps, je_base_delta);
-              prev := (0., 0.)
-          | Journal.Ingest _ -> ()
-          | Journal.Debit { jd_mechanism; jd_eps; jd_delta = _; jd_cum_eps; jd_cum_delta } ->
-              let pe, pd = !prev in
-              ok :=
-                check
-                  (jd_cum_eps >= pe -. tol && jd_cum_delta >= pd -. tol)
-                  "cumulative ledger went backwards (%.6g,%.3g) -> (%.6g,%.3g)" pe pd jd_cum_eps
-                  jd_cum_delta
-                && !ok;
-              if jd_mechanism = "serve" then
-                ok :=
-                  check
-                    (Float.abs (jd_cum_eps -. (pe +. jd_eps)) <= tol)
-                    "serve debit not additive: %.6g + %.6g <> %.6g" pe jd_eps jd_cum_eps
-                  && !ok;
-              prev := (jd_cum_eps, jd_cum_delta)
-          | Journal.Answer { ja_seq; ja_line; _ } -> (
-              (* debit-before-answers: at every journal prefix, the spend
-                 an answer reports to its client must already be covered
-                 by the last durable debit — otherwise a crash right here
-                 would re-serve the answer with its cost never debited *)
-              match Protocol.decode_response ja_line with
-              | Error why ->
-                  ok := check false "journaled answer seq %d unreadable: %s" ja_seq why && !ok
-              | Ok rsp ->
-                  let pe, pd = !prev in
-                  let be, bd = !base in
-                  Option.iter
-                    (fun e ->
-                      ok :=
-                        check
-                          (be +. pe +. tol >= e)
-                          "answer seq %d reports spent_eps %.6g but the preceding debit only \
-                           covers %.6g"
-                          ja_seq e (be +. pe)
-                        && !ok)
-                    rsp.Protocol.rsp_spent_eps;
-                  Option.iter
-                    (fun d ->
-                      ok :=
-                        check
-                          (bd +. pd +. (tol *. 1e-6) >= d)
-                          "answer seq %d reports spent_delta %.3g but the preceding debit only \
-                           covers %.3g"
-                          ja_seq d (bd +. pd)
-                        && !ok)
-                    rsp.Protocol.rsp_spent_delta)
-          | Journal.Mark _ -> ())
-        rv.Journal.rv_records;
-      let cum_eps, cum_delta = rv.Journal.rv_cum in
-      let base_eps, base_delta = rv.Journal.rv_base in
-      ok :=
+        (fun v -> ignore (check false "%s" (Invariants.violation_to_string v)))
+        violations;
+      let drained = check (not a.Invariants.ac_torn) "journal %s torn after graceful drain" path in
+      let in_pot =
         check
-          (cum_eps <= eps_total +. tol)
-          "journal cumulative eps %.6g exceeds the %.6g pot (double-spend)" cum_eps eps_total
-        && !ok;
-      ok :=
-        check
-          (base_eps +. cum_eps +. tol >= max_reported_eps)
-          "a client saw spent_eps %.6g but the journal only covers %.6g" max_reported_eps
-          (base_eps +. cum_eps)
-        && !ok;
-      ok :=
-        check
-          (base_delta +. cum_delta +. (tol *. 1e-6) >= max_reported_delta)
-          "a client saw spent_delta %.3g but the journal only covers %.3g" max_reported_delta
-          (base_delta +. cum_delta)
-        && !ok;
-      (* server-side byte identity: a rid journaled twice must carry the
-         same bytes (it should in fact never be journaled twice at all —
-         the dedup path replays without re-recording) *)
-      let by_rid = Hashtbl.create 256 in
-      List.iter
-        (fun (key, line) ->
-          match Hashtbl.find_opt by_rid key with
-          | None -> Hashtbl.add by_rid key line
-          | Some first ->
-              ok :=
-                check (String.equal first line) "rid %s journaled twice with different bytes"
-                  (snd key)
-                && !ok)
-        rv.Journal.rv_answers;
-      (!ok, List.length rv.Journal.rv_records, rv.Journal.rv_cum)
+          (Invariants.covers ~reported:a.Invariants.ac_cum (eps_total, Float.infinity))
+          "journal %s cumulative eps %.6g exceeds the %.6g pot (double-spend)" path
+          (fst a.Invariants.ac_cum) eps_total
+      in
+      (violations = [] && drained && in_pot, a)
+
+(* The largest spend any client was told must be paid for by [lifetime] —
+   one journal's, or the coordinate-wise max over a fleet's. *)
+let clients_covered ~eps_total ~reported lifetime =
+  check
+    (Invariants.covers ~pot:eps_total ~reported lifetime)
+    "a client saw spent (eps %.6g, delta %.3g) but the journals only cover (eps %.6g, delta %.3g)"
+    (fst reported) (snd reported) (fst lifetime) (snd lifetime)
 
 (* --- fleet soak (--kill-shard) ---
 
@@ -401,19 +343,7 @@ let fleet_soak ~bin ~dir ~seed ~eps ~n ~k ~shards ~analysts ~cycles ~kill_min ~k
           ())
   in
   let ctl = Net.Client.connect ~deadline_s:5. socket in
-  let call_ctl ~id q =
-    Net.Client.call ctl
-      {
-        Protocol.req_id = id;
-        req_analyst = "chaos-ctl";
-        req_query = q;
-        req_rid = None;
-        req_shards = None;
-        req_trace = None;
-        req_pspan = None;
-        req_rows = None;
-      }
-  in
+  let call_ctl ~id q = Net.Client.call ctl (request ~id ~analyst:"chaos-ctl" q) in
   let rng = Splitmix64.create (Int64.of_int (seed + 997)) in
   let recoveries = ref [] in
   let failed_restart = ref false in
@@ -462,41 +392,19 @@ let fleet_soak ~bin ~dir ~seed ~eps ~n ~k ~shards ~analysts ~cycles ~kill_min ~k
   let errors = total (fun s -> s.a_errors) in
   let partials = total (fun s -> s.a_partials) in
   let coverage_bad = total (fun s -> s.a_coverage_bad) in
-  let max_reported_eps = Array.fold_left (fun acc s -> Float.max acc s.a_max_eps) 0. results in
+  let reported = Invariants.fleet (Array.to_list (Array.map (fun s -> s.a_max_spent) results)) in
   let shard_journals =
     List.map
-      (fun (i, path) ->
-        let ok, records, (cum_eps, cum_delta) =
-          validate_journal ~path ~eps_total:eps ~max_reported_eps:0. ~max_reported_delta:0.
-        in
-        (i, ok, records, cum_eps, cum_delta))
+      (fun (_, path) -> journal_account ~path ~eps_total:eps)
       (Pmw_server.Shard.journal_files journal)
   in
-  let max_cum_eps =
-    List.fold_left (fun acc (_, _, _, e, _) -> Float.max acc e) 0. shard_journals
+  let fleet_account =
+    Invariants.fleet (List.map (fun (_, a) -> a.Invariants.ac_lifetime) shard_journals)
   in
-  let trace_ok =
-    match Trace.load ~path:trace with
-    | Error why ->
-        Printf.eprintf "INVARIANT VIOLATED: fleet trace unreadable: %s\n%!" why;
-        false
-    | Ok events -> (
-        match Trace.validate events with
-        | Ok () -> true
-        | Error why ->
-            Printf.eprintf "INVARIANT VIOLATED: fleet trace invalid: %s\n%!" why;
-            false)
-  in
-  let recov = Array.of_list !recoveries in
-  Array.sort compare recov;
-  let recovery_mean =
-    if Array.length recov = 0 then 0.
-    else Array.fold_left ( +. ) 0. recov /. float_of_int (Array.length recov)
-  in
-  let recovery_max = if Array.length recov = 0 then 0. else recov.(Array.length recov - 1) in
-  let tol = 1e-9 *. Float.max 1. eps in
+  let trace_ok = trace_valid trace in
+  let recovery_mean, recovery_max = mean_max !recoveries in
   let checks_ok =
-    List.for_all (fun (_, ok, _, _, _) -> ok) shard_journals
+    List.for_all fst shard_journals
     && check
          (List.length shard_journals = shards)
          "found %d shard journals for %d shards" (List.length shard_journals) shards
@@ -506,11 +414,9 @@ let fleet_soak ~bin ~dir ~seed ~eps ~n ~k ~shards ~analysts ~cycles ~kill_min ~k
     && check (not !failed_restart) "a killed shard never came back"
     && check (!kill_errors = 0) "%d ctl kills failed" !kill_errors
     && check (completed > 0) "no requests completed"
-    && check
-         (max_reported_eps <= max_cum_eps +. tol)
-         "fleet reported spent_eps %.6g but the largest shard journal covers %.6g (cross-shard \
-          double-spend)"
-         max_reported_eps max_cum_eps
+    (* parallel composition: the max over the shard journals, never their
+       sum, pays for what the fleet reported *)
+    && clients_covered ~eps_total:eps ~reported fleet_account
     && check (recovery_max < 1.)
          "slowest shard recovery %.0f ms blew the one-second target" (recovery_max *. 1e3)
     && trace_ok
@@ -518,20 +424,13 @@ let fleet_soak ~bin ~dir ~seed ~eps ~n ~k ~shards ~analysts ~cycles ~kill_min ~k
   Printf.printf
     "fleet soak: %d shard kills across %d shards, %d analysts, %.1fs wall\n\
     \  %d completed (%d answered, %d partial, %d client errors), %d bad coverages\n\
-    \  shard recovery ms mean %.0f max %.0f; fleet max reported eps %.4f, max shard journal eps \
-     %.4f\n"
+    \  shard recovery ms mean %.0f max %.0f; fleet max reported (eps %.4f, delta %.3g), max \
+     shard journal (eps %.4f, delta %.3g)\n"
     cycles shards analysts wall_s completed answered partials errors coverage_bad
-    (recovery_mean *. 1e3) (recovery_max *. 1e3) max_reported_eps max_cum_eps;
-  List.iter
-    (fun (i, ok, records, cum_eps, cum_delta) ->
-      Printf.printf "  shard %d journal: %d records, cum eps %.4f, cum delta %.3g%s\n" i records
-        cum_eps cum_delta
-        (if ok then "" else " INVALID"))
-    shard_journals;
+    (recovery_mean *. 1e3) (recovery_max *. 1e3) (fst reported) (snd reported)
+    (fst fleet_account) (snd fleet_account);
   Printf.printf "%s\n%!" (if checks_ok then "ALL INVARIANTS HELD" else "INVARIANTS VIOLATED");
   if json then begin
-    let num v = Protocol.Num v in
-    let int v = Protocol.Num (float_of_int v) in
     let section =
       Protocol.Obj
         [
@@ -548,9 +447,9 @@ let fleet_soak ~bin ~dir ~seed ~eps ~n ~k ~shards ~analysts ~cycles ~kill_min ~k
           ("client_errors", int errors);
           ("shard_recovery_mean_ms", num (recovery_mean *. 1e3));
           ("shard_recovery_max_ms", num (recovery_max *. 1e3));
-          ("fleet_max_reported_eps", num max_reported_eps);
+          ("fleet_max_reported_eps", num (fst reported));
           ( "shard_journal_cum_eps",
-            Protocol.Arr (List.map (fun (_, _, _, e, _) -> num e) shard_journals) );
+            Protocol.Arr (List.map (fun (_, a) -> num (fst a.Invariants.ac_cum)) shard_journals) );
           ("invariants_held", Protocol.Bool checks_ok);
         ]
     in
@@ -622,14 +521,9 @@ let epoch_fault_plan =
   ]
 
 let copy_file src dst =
-  if Sys.file_exists src then begin
-    let ic = open_in_bin src in
-    let s = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    let oc = open_out_bin dst in
-    output_string oc s;
-    close_out oc
-  end
+  match Pmw_session.Checkpoint.read_file src with
+  | Ok s -> Out_channel.with_open_bin dst (fun oc -> output_string oc s)
+  | Error _ -> ()
 
 let percentile sorted p =
   let n = Array.length sorted in
@@ -702,7 +596,7 @@ let epoch_soak ~dir ~cycles ~json () =
   must_start refsh "reference";
   let ok = ref true in
   let diverged = ref false in
-  let max_reported_eps = ref 0. and max_reported_delta = ref 0. in
+  let reported = ref (0., 0.) in
   let transitions = ref 0 in
   let trans_times = ref [] and recov_times = ref [] in
   let reclaimed = ref 0 in
@@ -750,24 +644,9 @@ let epoch_soak ~dir ~cycles ~json () =
             (rr <> None)
           && !ok
   in
-  let mkreq ?rows ~id ~rid ~query () =
-    {
-      Protocol.req_id = id;
-      req_analyst = "epoch-an";
-      req_query = query;
-      req_rid = Some rid;
-      req_shards = None;
-      req_trace = None;
-      req_pspan = None;
-      req_rows = rows;
-    }
-  in
+  let mkreq ?rows ~id ~rid ~query () = request ?rows ~rid ~id ~analyst:"epoch-an" query in
   let note_spent = function
-    | Some r ->
-        Option.iter (fun e -> max_reported_eps := Float.max !max_reported_eps e)
-          r.Protocol.rsp_spent_eps;
-        Option.iter (fun d -> max_reported_delta := Float.max !max_reported_delta d)
-          r.Protocol.rsp_spent_delta
+    | Some r -> reported := Invariants.fleet [ !reported; spent r ]
     | None -> ()
   in
   let plan_len = List.length epoch_fault_plan in
@@ -898,35 +777,18 @@ let epoch_soak ~dir ~cycles ~json () =
   Shard.stop chaos;
   Shard.stop refsh;
   let wall_s = Unix.gettimeofday () -. t_start in
-  let chaos_ok, chaos_records, _ =
-    validate_journal ~path:(jpath 0) ~eps_total:eps_pot ~max_reported_eps:!max_reported_eps
-      ~max_reported_delta:!max_reported_delta
+  let chaos_ok, chaos_account = journal_account ~path:(jpath 0) ~eps_total:eps_pot in
+  let chaos_ok =
+    clients_covered ~eps_total:eps_pot ~reported:!reported chaos_account.Invariants.ac_lifetime
+    && chaos_ok
   in
-  let ref_ok, _, _ =
-    validate_journal ~path:(jpath 1) ~eps_total:eps_pot ~max_reported_eps:0.
-      ~max_reported_delta:0.
-  in
-  (* whole-epoch recovery, never hybrid: the surviving journal's generation
-     must equal the epoch snapshot's *)
+  let chaos_records = chaos_account.Invariants.ac_records in
+  let ref_ok, _ = journal_account ~path:(jpath 1) ~eps_total:eps_pot in
+  (* whole-epoch recovery, never hybrid *)
   let agreement_ok =
-    let raw =
-      let ic = open_in_bin (jpath 0) in
-      let s = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      s
-    in
-    match
-      ( Journal.replay_string raw,
-        Pmw_server.Epoch.read_snapshot ~path:(jpath 0 ^ ".epoch") )
-    with
-    | Ok rv, Ok (Some snap) ->
-        check
-          (rv.Journal.rv_epoch = snap.Pmw_server.Epoch.sn_epoch)
-          "journal generation %d disagrees with epoch snapshot %d (hybrid state)"
-          rv.Journal.rv_epoch snap.Pmw_server.Epoch.sn_epoch
-    | Ok _, Ok None -> check false "no epoch snapshot survived the soak"
-    | Error m, _ -> check false "chaos journal unreadable at the end: %s" m
-    | _, Error m -> check false "epoch snapshot unreadable at the end: %s" m
+    match Invariants.one_generation chaos_account with
+    | Ok () -> true
+    | Error m -> check false "%s" m
   in
   (* compaction bound: the journal must scale with one epoch's script, not
      with total history (~7 records per cycle would leak through otherwise) *)
@@ -937,9 +799,7 @@ let epoch_soak ~dir ~cycles ~json () =
   in
   let trans = Array.of_list !trans_times in
   Array.sort compare trans;
-  let recov = Array.of_list !recov_times in
-  Array.sort compare recov;
-  let recovery_max = if Array.length recov = 0 then 0. else recov.(Array.length recov - 1) in
+  let _, recovery_max = mean_max !recov_times in
   let checks_ok = !ok && chaos_ok && ref_ok && agreement_ok && bound_ok in
   Printf.printf
     "epoch soak: %d cycles over %d fault combos, %.1fs wall\n\
@@ -952,8 +812,6 @@ let epoch_soak ~dir ~cycles ~json () =
     (recovery_max *. 1e3) !reclaimed chaos_records !max_post_records
     (if checks_ok then "ALL INVARIANTS HELD" else "INVARIANTS VIOLATED");
   if json then begin
-    let num v = Protocol.Num v in
-    let int v = Protocol.Num (float_of_int v) in
     let section =
       Protocol.Obj
         [
@@ -969,7 +827,7 @@ let epoch_soak ~dir ~cycles ~json () =
           ("compaction_bytes_reclaimed", int !reclaimed);
           ("journal_records_final", int chaos_records);
           ("journal_records_max_post_transition", int !max_post_records);
-          ("max_reported_eps", num !max_reported_eps);
+          ("max_reported_eps", num (fst !reported));
           ("invariants_held", Protocol.Bool checks_ok);
         ]
     in
@@ -1111,43 +969,22 @@ let () =
   let errors = total (fun s -> s.a_errors) in
   let dedup_checks = total (fun s -> s.a_dedup_checks) in
   let dedup_mismatches = total (fun s -> s.a_dedup_mismatches) in
-  let max_reported_eps =
-    Array.fold_left (fun acc s -> Float.max acc s.a_max_eps) 0. results
+  let reported = Invariants.fleet (Array.to_list (Array.map (fun s -> s.a_max_spent) results)) in
+  let journal_ok, account = journal_account ~path:journal ~eps_total:!eps in
+  let journal_ok =
+    clients_covered ~eps_total:!eps ~reported account.Invariants.ac_lifetime && journal_ok
   in
-  let max_reported_delta =
-    Array.fold_left (fun acc s -> Float.max acc s.a_max_delta) 0. results
-  in
-  let journal_ok, journal_records, (cum_eps, cum_delta) =
-    validate_journal ~path:journal ~eps_total:!eps ~max_reported_eps ~max_reported_delta
-  in
+  let cum_eps, cum_delta = account.Invariants.ac_cum in
   (* the final incarnation's fleet trace and its one shard's trace *)
   let trace_ok =
-    List.for_all
-      (fun path ->
-        match Trace.load ~path with
-        | Error why ->
-            Printf.eprintf "INVARIANT VIOLATED: final trace %s unreadable: %s\n%!" path why;
-            false
-        | Ok events -> (
-            match Trace.validate events with
-            | Ok () -> true
-            | Error why ->
-                Printf.eprintf "INVARIANT VIOLATED: final trace %s invalid: %s\n%!" path why;
-                false))
-      [ !trace; !trace ^ ".shard0.inc1" ]
+    List.for_all trace_valid [ !trace; Trace.shard_file !trace ~shard:0 ~incarnation:1 ]
   in
   let drain_ok =
     check
       (Sys.file_exists (Pmw_server.Epoch.drain_path journal))
       "the graceful drain left no checkpoint beside the journal"
   in
-  let recov = Array.of_list !recoveries in
-  Array.sort compare recov;
-  let recovery_mean =
-    if Array.length recov = 0 then 0.
-    else Array.fold_left ( +. ) 0. recov /. float_of_int (Array.length recov)
-  in
-  let recovery_max = if Array.length recov = 0 then 0. else recov.(Array.length recov - 1) in
+  let recovery_mean, recovery_max = mean_max !recoveries in
   let checks_ok =
     check (dedup_mismatches = 0) "%d dedup mismatches (retried rids got fresh bytes)"
       dedup_mismatches
@@ -1164,13 +1001,11 @@ let () =
     \  proxy faults: %s\n\
      %s\n%!"
     !cycles !analysts wall_s completed answered errors dedup_checks dedup_mismatches
-    (recovery_mean *. 1e3) (recovery_max *. 1e3) journal_records cum_eps max_reported_eps
-    cum_delta
+    (recovery_mean *. 1e3) (recovery_max *. 1e3) account.Invariants.ac_records cum_eps
+    (fst reported) cum_delta
     (String.concat ", " (List.map (fun (k, v) -> Printf.sprintf "%s %d" k v) (Flaky.stats proxy)))
     (if checks_ok then "ALL INVARIANTS HELD" else "INVARIANTS VIOLATED");
   if !json then begin
-    let num v = Protocol.Num v in
-    let int v = Protocol.Num (float_of_int v) in
     let section =
       Protocol.Obj
         [
@@ -1186,10 +1021,10 @@ let () =
           ("dedup_mismatches", int dedup_mismatches);
           ("recovery_mean_ms", num (recovery_mean *. 1e3));
           ("recovery_max_ms", num (recovery_max *. 1e3));
-          ("journal_records", int journal_records);
+          ("journal_records", int account.Invariants.ac_records);
           ("journal_cum_eps", num cum_eps);
           ("journal_cum_delta", num cum_delta);
-          ("max_reported_eps", num max_reported_eps);
+          ("max_reported_eps", num (fst reported));
           ( "proxy_faults",
             Protocol.Obj (List.map (fun (k, v) -> (k, int v)) (Flaky.stats proxy)) );
           ("invariants_held", Protocol.Bool checks_ok);

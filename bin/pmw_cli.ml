@@ -684,9 +684,7 @@ let serve_cmd =
             | None -> Telemetry.null ()
             | Some path ->
                 Telemetry.create
-                  ~sink:
-                    (Telemetry.Sink.jsonl_file
-                       (Printf.sprintf "%s.shard%d.inc%d" path i incarnation))
+                  ~sink:(Telemetry.Sink.jsonl_file (Trace.shard_file path ~shard:i ~incarnation))
                   ~tag:(Printf.sprintf "shard%d" i) ())
           ~session:(fun ~pool ~epoch ~absorbed ->
             (* Generation e of this shard is a pure function of (epoch,
@@ -793,26 +791,7 @@ let serve_cmd =
 
 (* --- stats --- *)
 
-(* Sibling trace files of a fleet run: --trace FILE writes the router/
-   supervisor trace to FILE and each shard incarnation to FILE.shardI.incJ.
-   Returns (shard_id, path) sorted by (id, path) so incarnations of one
-   shard stay adjacent. *)
-let fleet_siblings file =
-  let dir = Filename.dirname file and base = Filename.basename file in
-  let prefix = base ^ ".shard" in
-  let plen = String.length prefix in
-  Sys.readdir dir |> Array.to_list
-  |> List.filter_map (fun name ->
-         if String.length name > plen && String.sub name 0 plen = prefix then
-           let rest = String.sub name plen (String.length name - plen) in
-           let id =
-             match String.index_opt rest '.' with
-             | Some dot -> int_of_string_opt (String.sub rest 0 dot)
-             | None -> int_of_string_opt rest
-           in
-           Option.map (fun id -> (id, Filename.concat dir name)) id
-         else None)
-  |> List.sort compare
+module Invariants = Pmw_server.Invariants
 
 let pp_losses summary =
   match Trace.losses summary with
@@ -820,10 +799,6 @@ let pp_losses summary =
   | ls ->
       Printf.printf "\nlosses (events dropped on overflow):\n";
       List.iter (fun (name, v) -> Printf.printf "  %-32s %8d\n" name v) ls
-
-(* Coordinate-wise max of (eps, delta) pairs — the parallel-composition
-   fold used everywhere the fleet accounts spend. *)
-let pmax (e1, d1) (e2, d2) = (Float.max e1 e2, Float.max d1 d2)
 
 let pp_tree t =
   let ids l = String.concat "," (List.map string_of_int l) in
@@ -845,38 +820,29 @@ let pp_tree t =
         (match l.Trace.lg_ok with Some true -> "ok" | Some false -> "FAILED" | None -> ""))
     t.Trace.tr_legs
 
-let stats_fleet file events check =
+let stats_fleet file events ~reported check =
   let ( let* ) r f = match r with Error m -> `Error (false, m) | Ok v -> f v in
-  let siblings = fleet_siblings file in
   let* streams =
     List.fold_left
-      (fun acc (id, path) ->
+      (fun acc (_, path) ->
         Result.bind acc (fun l ->
             match Trace.load ~path with
-            | Ok evs -> Ok ((id, path, evs) :: l)
+            | Ok evs -> Ok (evs :: l)
             | Error m -> Error (path ^ ": " ^ m)))
-      (Ok []) siblings
+      (Ok []) (Trace.shard_files file)
     |> Result.map List.rev
   in
-  let trees = Trace.stitch ~fleet:events ~shards:(List.map (fun (_, _, e) -> e) streams) in
+  let trees = Trace.stitch ~fleet:events ~shards:streams in
   let complete = List.filter (fun t -> t.Trace.tr_complete) trees in
   Printf.printf "\nfleet request trees (%d stitched from %d shard trace files, %d complete):\n"
     (List.length trees) (List.length streams) (List.length complete);
   List.iter pp_tree trees;
-  (* Reported fleet spend: coordinate-wise max over every root's stamp. *)
-  let reported =
-    List.fold_left
-      (fun acc t -> match t.Trace.tr_spent with Some s -> pmax acc s | None -> acc)
-      (0., 0.) trees
-  in
   (* Per-shard spend replayed from the shard traces: each incarnation
      re-debits its live pot from zero (recovery quarantines prior spend into
      the fresh ledger) above the sealed base its start mark stamps, so a
      shard's cumulative is the max over its incarnations, and the fleet's is
      the coordinate-wise max over shards. *)
-  let trace_cum =
-    List.fold_left (fun acc (_, _, evs) -> pmax acc (Trace.shard_spend evs)) (0., 0.) streams
-  in
+  let trace_cum = Invariants.fleet (List.map Trace.shard_spend streams) in
   Printf.printf
     "fleet spend: reported (eps %.6g, delta %.3e); coordinate-wise max of shard-trace ledgers \
      (eps %.6g, delta %.3e)\n"
@@ -884,8 +850,7 @@ let stats_fleet file events check =
   (* Soundness: the fleet must never report spend the shard ledgers cannot
      account for. (The converse — ledgers ahead of the last stamped answer —
      is legal: spend that landed after the last composed request.) *)
-  let tol = 1e-9 *. Float.max 1. (fst trace_cum) in
-  if fst reported > fst trace_cum +. tol || snd reported > snd trace_cum +. tol then
+  if not (Invariants.covers ~reported trace_cum) then
     `Error
       ( false,
         Printf.sprintf
@@ -898,51 +863,36 @@ let stats_fleet file events check =
     else `Ok ()
   end
 
-let stats_journal_check journal_path reported_of_trace =
-  let module Journal = Pmw_server.Journal in
-  let read_file path =
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
+(* Every shard journal must be readable and pass the per-journal rules,
+   and the reported fleet spend must be covered by the coordinate-wise max
+   of their lifetime accounts. *)
+let stats_journal_check journal_path reported =
   let journals = Pmw_server.Shard.journal_files journal_path in
   if journals = [] then `Error (false, "no journal files found at " ^ journal_path)
   else begin
-    let cum =
-      List.fold_left
-        (fun acc (id, path) ->
-          match Journal.replay_string (read_file path) with
-          | Ok r ->
-              (* Lifetime account: sealed-epoch base plus the live epoch's
-                 cum — a compacted journal says no less than its history. *)
-              let be, bd = r.Journal.rv_base in
-              let ce, cd = r.Journal.rv_cum in
-              let life = (be +. ce, bd +. cd) in
-              Printf.printf "  journal shard%d: epoch %d, cum (eps %.6g, delta %.3e)%s%s%s\n" id
-                r.Journal.rv_epoch (fst life) (snd life)
-                (if r.Journal.rv_epoch > 0 then
-                   Printf.sprintf " = base (%.6g, %.3e) + live (%.6g, %.3e)" be bd ce cd
-                 else "")
-                (match List.length r.Journal.rv_ingest with
-                | 0 -> ""
-                | p -> Printf.sprintf "  [%d rows pending absorption]" p)
-                (if r.Journal.rv_torn then "  [torn tail dropped]" else "");
-              pmax acc life
-          | Error m ->
-              Printf.printf "  journal shard%d: unreadable (%s)\n" id m;
-              acc)
-        (0., 0.) journals
+    let checked =
+      List.map
+        (fun (_, path) ->
+          Result.bind (Invariants.check_file ~path) (fun (account, violations) ->
+              Printf.printf "  %s\n" (Invariants.verdict account violations);
+              List.iter
+                (fun v -> Printf.printf "    %s\n" (Invariants.violation_to_string v))
+                violations;
+              if violations = [] then Ok account
+              else Error (Printf.sprintf "journal %s broke the ledger invariants" path)))
+        journals
     in
-    let re, rd = reported_of_trace in
-    Printf.printf
-      "journal cross-check: reported fleet spend (eps %.6g, delta %.3e) vs coordinate-wise max \
-       of journal cums (eps %.6g, delta %.3e)\n"
-      re rd (fst cum) (snd cum);
-    let tol = 1e-9 *. Float.max 1. (fst cum) in
-    if re > fst cum +. tol || rd > snd cum +. tol then
-      `Error (false, "journal cross-check failed: reported spend exceeds journal cums")
-    else `Ok ()
+    match List.partition_map (function Ok a -> Left a | Error m -> Right m) checked with
+    | _, m :: _ -> `Error (false, "journal check failed: " ^ m)
+    | accounts, [] ->
+        let cum = Invariants.fleet (List.map (fun a -> a.Invariants.ac_lifetime) accounts) in
+        let re, rd = reported in
+        Printf.printf
+          "journal cross-check: reported fleet spend (eps %.6g, delta %.3e) vs coordinate-wise \
+           max of journal cums (eps %.6g, delta %.3e)\n"
+          re rd (fst cum) (snd cum);
+        if Invariants.covers ~reported cum then `Ok ()
+        else `Error (false, "journal cross-check failed: reported spend exceeds journal cums")
   end
 
 let stats_cmd =
@@ -978,9 +928,11 @@ let stats_cmd =
       & opt (some string) None
       & info [ "journal" ] ~docv:"PATH"
           ~doc:
-            "Cross-check the fleet spend against the write-ahead journals: replay PATH.shardI \
-             (or PATH itself for a single shard without epochs) and compare the reported spend with the \
-             coordinate-wise max of the journal cums.")
+            "Check the write-ahead journals: replay PATH.shardI (or PATH itself for a single \
+             shard without epochs) read-only, fail if any is unreadable or breaks a ledger \
+             invariant (monotone and additive cumulatives, every answer covered by the \
+             preceding debit, no rid journaled with different bytes), and compare the reported \
+             spend with the coordinate-wise max of the journals' lifetime accounts.")
   in
   let run file check fleet journal =
     match Trace.load ~path:file with
@@ -989,28 +941,16 @@ let stats_cmd =
         let summary = Trace.summarize events in
         Format.printf "%a@." Trace.pp_summary summary;
         pp_losses summary;
-        let fleet_result =
-          if fleet then stats_fleet file events check
-          else `Ok ()
+        (* Reported fleet spend: coordinate-wise max over every
+           fleet.request root's stamp. *)
+        let reported =
+          Invariants.fleet
+            (List.filter_map (fun t -> t.Trace.tr_spent) (Trace.stitch ~fleet:events ~shards:[]))
         in
+        let fleet_result = if fleet then stats_fleet file events ~reported check else `Ok () in
         match fleet_result with
         | `Error _ as e -> e
         | `Ok () -> (
-            let reported =
-              List.fold_left
-                (fun acc e ->
-                  if e.Telemetry.kind = Telemetry.Mark && e.Telemetry.name = "fleet.request"
-                  then
-                    let f n =
-                      match List.assoc_opt n e.Telemetry.fields with
-                      | Some (Telemetry.Float v) -> v
-                      | Some (Telemetry.Int i) -> float_of_int i
-                      | _ -> 0.
-                    in
-                    pmax acc (f "spent_eps", f "spent_delta")
-                  else acc)
-                (0., 0.) events
-            in
             let journal_result =
               match journal with
               | Some path -> stats_journal_check path reported

@@ -159,13 +159,12 @@ let snapshot_body sn =
   line "ckpt 0";
   Buffer.contents b
 
-let snapshot_to_string sn =
-  let body = snapshot_body sn in
-  Printf.sprintf "%s %d\nchecksum %Lx\n%s" magic version (Checkpoint.fnv1a64 body) body
+let snapshot_to_string sn = Checkpoint.frame ~magic ~version (snapshot_body sn)
 
 let ( let* ) = Result.bind
 
-let snapshot_of_string s =
+let snapshot_of_string file =
+  let* s = Checkpoint.unframe ~what:"epoch snapshot" ~magic ~version file in
   let pos = ref 0 in
   let len = String.length s in
   let read_line what =
@@ -187,28 +186,6 @@ let snapshot_of_string s =
         match int_of_string_opt (String.trim (List.hd (String.split_on_char ' ' (String.trim rest) @ [ "" ]))) with
         | Some v -> Ok (v, String.trim rest)
         | None -> Error (Printf.sprintf "epoch snapshot: bad %s count" what))
-  in
-  let* header = read_line "header" in
-  let* () =
-    match String.split_on_char ' ' header with
-    | [ m; v ] when m = magic ->
-        if v = string_of_int version then Ok ()
-        else Error (Printf.sprintf "epoch snapshot: unsupported version %s" v)
-    | _ -> Error "epoch snapshot: not an epoch snapshot"
-  in
-  let* checksum_line = read_line "checksum" in
-  let* expected =
-    match String.split_on_char ' ' checksum_line with
-    | [ "checksum"; v ] -> (
-        match Int64.of_string_opt ("0x" ^ v) with
-        | Some v -> Ok v
-        | None -> Error "epoch snapshot: bad checksum field")
-    | _ -> Error "epoch snapshot: missing checksum line"
-  in
-  let body = String.sub s !pos (len - !pos) in
-  let* () =
-    if Int64.equal expected (Checkpoint.fnv1a64 body) then Ok ()
-    else Error "epoch snapshot: checksum mismatch — corrupt or torn file"
   in
   let* epoch_line = read_line "epoch" in
   let* sn_epoch, _ = int_after "epoch" "epoch " epoch_line in
@@ -276,18 +253,12 @@ let write_snapshot ~path sn =
     ~fsync_step:Snap_fsync ~rename_step:Snap_rename ~dirsync_step:Snap_dirsync
     (snapshot_to_string sn)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let read_snapshot ~path =
   if not (Sys.file_exists path) then Ok None
   else
-    match read_file path with
-    | exception Sys_error why -> Error ("epoch snapshot: " ^ why)
-    | s -> Result.map Option.some (snapshot_of_string s)
+    match Checkpoint.read_file path with
+    | Error why -> Error ("epoch snapshot: " ^ why)
+    | Ok s -> Result.map Option.some (snapshot_of_string s)
 
 let seal_path snapshot_path = snapshot_path ^ ".seal"
 let snapshot_path journal_path = journal_path ^ ".epoch"

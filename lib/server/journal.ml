@@ -269,38 +269,36 @@ type t = {
 }
 
 
+let replay_file ~path =
+  match Pmw_session.Checkpoint.read_file path with
+  | Error why -> Error ("journal: " ^ why)
+  | Ok content -> Result.map_error (fun why -> path ^ ": " ^ why) (replay_string content)
+
+let lifetime rv =
+  let be, bd = rv.rv_base and ce, cd = rv.rv_cum in
+  (be +. ce, bd +. cd)
+
 let open_journal ~path =
-  match
-    let content =
-      if Sys.file_exists path then begin
-        let ic = open_in_bin path in
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      end
-      else ""
-    in
-    Result.map (fun r -> (content, r)) (replay_string content)
-  with
-  | exception Sys_error why -> Error ("journal: " ^ why)
+  match if Sys.file_exists path then replay_file ~path else Ok empty_recovery with
   | Error why -> Error why
-  | Ok (content, recovery) -> (
+  | Ok recovery -> (
       match
         let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_APPEND ] 0o644 in
+        let valid = (Unix.fstat fd).Unix.st_size - recovery.rv_dropped_bytes in
         if recovery.rv_dropped_bytes > 0 then begin
           (* truncate the torn tail off so the next reader starts clean *)
-          Unix.ftruncate fd (String.length content - recovery.rv_dropped_bytes);
+          Unix.ftruncate fd valid;
           Unix.fsync fd
         end;
-        fd
+        (fd, valid)
       with
-      | fd ->
+      | fd, valid ->
           Ok
             ( {
                 jt_path = path;
                 jt_fd = fd;
                 jt_closed = false;
-                jt_bytes = String.length content - recovery.rv_dropped_bytes;
+                jt_bytes = valid;
                 jt_records = List.length recovery.rv_records;
               },
               recovery )

@@ -100,13 +100,22 @@ val replay_string : string -> (recovery, string) result
 (** Pure replay of journal file contents. Never raises. [Error] only on
     mid-file corruption (an invalid record followed by more data). *)
 
+val replay_file : path:string -> (recovery, string) result
+(** {!replay_string} of the file at [path], read-only: a torn tail is
+    reported, never truncated. [Error] names the file (and, for mid-file
+    corruption, the byte offset) or carries the read failure. *)
+
+val lifetime : recovery -> float * float
+(** The lifetime [(ε, δ)] the journal accounts for: [rv_base + rv_cum]
+    coordinate-wise. *)
+
 type t
 
 val open_journal : path:string -> (t * recovery, string) result
 (** Open (creating if missing) for appending, replaying what is already
-    there. A torn tail is truncated off the file, so a later re-open is
-    clean. The descriptor is opened [O_APPEND]; callers append from a
-    single thread (the broker's serializer). *)
+    there ({!replay_file}). A torn tail is truncated off the file, so a
+    later re-open is clean. The descriptor is opened [O_APPEND]; callers
+    append from a single thread (the broker's serializer). *)
 
 val append : t -> record -> unit
 (** Buffer-free append of one record ([write(2)] of the full line). Does

@@ -87,13 +87,52 @@ let body t =
   List.iteri (fun i (eps, delta) -> line "acct.%d %s %s" i (f eps) (f delta)) t.acct_events;
   Buffer.contents b
 
-let to_string t =
-  let body = body t in
+(* --- framing ---
+
+   Every checksummed text file (this checkpoint, the epoch snapshot) is
+   [magic version], then [checksum <fnv1a64 hex of the body>], then the
+   body. *)
+
+let frame ~magic ~version body =
   Printf.sprintf "%s %d\nchecksum %Lx\n%s" magic version (fnv1a64 body) body
 
-(* --- decoding --- *)
-
 let ( let* ) = Result.bind
+
+let unframe ~what ~magic ~version s =
+  let fail fmt = Printf.ksprintf (fun m -> Error (what ^ ": " ^ m)) fmt in
+  let line_at pos =
+    match String.index_from_opt s pos '\n' with
+    | Some nl -> Ok (String.sub s pos (nl - pos), nl + 1)
+    | None -> fail "truncated header"
+  in
+  let* header, pos = line_at 0 in
+  let* () =
+    match String.split_on_char ' ' header with
+    | [ m; v ] when m = magic ->
+        if v = string_of_int version then Ok ()
+        else fail "unsupported version %s (this build reads %d)" v version
+    | _ -> fail "not a %s file" magic
+  in
+  let* checksum_line, start = line_at pos in
+  let* expected =
+    match String.split_on_char ' ' checksum_line with
+    | [ "checksum"; v ] -> (
+        match Int64.of_string_opt ("0x" ^ v) with Some v -> Ok v | None -> fail "bad checksum")
+    | _ -> fail "missing checksum line"
+  in
+  let body = String.sub s start (String.length s - start) in
+  let actual = fnv1a64 body in
+  if Int64.equal expected actual then Ok body
+  else fail "checksum mismatch (stored %Lx, computed %Lx) — corrupt or torn file" expected actual
+
+let read_file path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | s -> Ok s
+  | exception Sys_error why -> Error why
+
+let to_string t = frame ~magic ~version (body t)
+
+(* --- decoding --- *)
 
 let float_field what s =
   match float_of_string_opt s with
@@ -173,33 +212,7 @@ let parse_pairs tbl ~prefix ~count =
   loop 0 []
 
 let of_string s =
-  let* header, rest =
-    match String.index_opt s '\n' with
-    | None -> Error "checkpoint: empty input"
-    | Some i -> Ok (String.sub s 0 i, String.sub s (i + 1) (String.length s - i - 1))
-  in
-  let* () =
-    match fields header with
-    | [ m; v ] when m = magic ->
-        if v = string_of_int version then Ok ()
-        else Error (Printf.sprintf "checkpoint: unsupported version %s (this build reads %d)" v version)
-    | _ -> Error "checkpoint: not a pmw session checkpoint"
-  in
-  let* checksum_line, body =
-    match String.index_opt rest '\n' with
-    | None -> Error "checkpoint: truncated after header"
-    | Some i -> Ok (String.sub rest 0 i, String.sub rest (i + 1) (String.length rest - i - 1))
-  in
-  let* expected =
-    match fields checksum_line with
-    | [ "checksum"; v ] -> int64_field "checksum" v
-    | _ -> Error "checkpoint: missing checksum line"
-  in
-  let actual = fnv1a64 body in
-  let* () =
-    if Int64.equal expected actual then Ok ()
-    else Error (Printf.sprintf "checkpoint: checksum mismatch (stored %Lx, computed %Lx) — corrupt file" expected actual)
-  in
+  let* body = unframe ~what:"checkpoint" ~magic ~version s in
   let tbl = index_lines body in
   let* config = lookup tbl "config" in
   let* fingerprint =
@@ -383,16 +396,7 @@ let write ~path t =
   fsync_dir (Filename.dirname path)
 
 let read ~path =
-  if not (Sys.file_exists path) then Error (Printf.sprintf "checkpoint: no such file %s" path)
-  else begin
-    let ic = open_in_bin path in
-    let s =
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    of_string s
-  end
+  Result.bind (Result.map_error (fun why -> "checkpoint: " ^ why) (read_file path)) of_string
 
 let attempts_for t name =
   List.length (List.filter (fun a -> a.at_oracle = name) t.attempts)

@@ -87,6 +87,23 @@ val fsync_dir : string -> unit
 
 val read : path:string -> (t, string) result
 
+(** {1 Checksummed text files}
+
+    The framing this checkpoint and the epoch snapshot share:
+    [magic version], then [checksum <fnv1a64 hex of the body>], then the
+    body. *)
+
+val frame : magic:string -> version:int -> string -> string
+(** [frame ~magic ~version body] — the file bytes for [body]. *)
+
+val unframe : what:string -> magic:string -> version:int -> string -> (string, string) result
+(** The body of a framed file, after checking magic, version and checksum;
+    errors are prefixed with [what]. Never raises. *)
+
+val read_file : string -> (string, string) result
+(** The whole file; [Error] carries the [Sys_error] message (which names
+    the path). *)
+
 val attempts_for : t -> string -> int
 (** Number of recorded attempts by the named oracle — what
     [Faulty_oracle.set_calls] needs to replay a fault schedule on resume. *)

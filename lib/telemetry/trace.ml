@@ -340,6 +340,31 @@ let validate events =
 
 (* --- fleet stitching (stats --fleet) --- *)
 
+let shard_file path ~shard ~incarnation = Printf.sprintf "%s.shard%d.inc%d" path shard incarnation
+
+let shard_files path =
+  let prefix = Filename.basename path ^ ".shard" in
+  let after prefix s =
+    if String.starts_with ~prefix s then
+      Some (String.sub s (String.length prefix) (String.length s - String.length prefix))
+    else None
+  in
+  let canonical s =
+    match int_of_string_opt s with Some i when i >= 0 && string_of_int i = s -> Some i | _ -> None
+  in
+  let parse name =
+    match Option.map (String.split_on_char '.') (after prefix name) with
+    | Some [ shard; inc ] -> (
+        match (canonical shard, Option.bind (after "inc" inc) canonical) with
+        | Some shard, Some incarnation ->
+            Some ((shard, incarnation), shard_file path ~shard ~incarnation)
+        | _ -> None)
+    | _ -> None
+  in
+  match Sys.readdir (Filename.dirname path) with
+  | names -> List.sort compare (List.filter_map parse (Array.to_list names))
+  | exception Sys_error _ -> []
+
 (* One shard-side leg of a routed request: a "server.request" span carrying
    the router's trace id (and the router span id as parent). The begin event
    holds the identifying fields; the end event (joined by span id within the

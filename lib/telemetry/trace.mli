@@ -72,6 +72,17 @@ val pp_summary : Format.formatter -> summary -> unit
     plus every per-shard trace stream (the ["server.request"] spans stamped
     with the same trace id). *)
 
+val shard_file : string -> shard:int -> incarnation:int -> string
+(** [shard_file f ~shard ~incarnation] — [f.shardI.incJ], the trace
+    [serve --trace f] writes for shard [I]'s [J]-th incarnation. *)
+
+val shard_files : string -> ((int * int) * string) list
+(** The inverse of {!shard_file}: every [f.shardI.incJ] file on disk as
+    [((I, J), path)], sorted by shard then incarnation. Only decimal [I] and
+    [J] with nothing after them match, so [f.shard0.inc1.gz] is ignored.
+    Paths keep [f]'s spelling, so a bare name finds the same files as
+    [./f]. *)
+
 (** One shard-side leg of a routed request. *)
 type leg = {
   lg_tag : string;  (** emitting instance's tag (["shard0"]); ["?"] if untagged *)

@@ -32,12 +32,6 @@ let write_file path s =
   output_string oc s;
   close_out oc
 
-let read_file path =
-  let ic = open_in_bin path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  s
-
 let journal_string records =
   String.concat "" (List.map (fun r -> Journal.record_to_string r ^ "\n") records)
 
@@ -76,11 +70,6 @@ let recover_ok ~what ~snapshot_path ~journal_path =
   match Epoch.recover ~snapshot_path ~journal_path with
   | Ok boot -> boot
   | Error e -> Alcotest.failf "%s: recovery failed: %s" what e
-
-(* lifetime (ε, δ) a journal accounts for: sealed base + live cumulative *)
-let lifetime rv =
-  let be, bd = rv.Journal.rv_base and ce, cd = rv.Journal.rv_cum in
-  (be +. ce, bd +. cd)
 
 let close_boot boot = Journal.close boot.Epoch.bt_journal
 
@@ -177,6 +166,27 @@ let test_snapshot_rejects_ckpt_block () =
   | Ok _ -> Alcotest.fail "a non-empty checkpoint block must be rejected"
   | Error _ -> ()
 
+(* On-disk bytes are a compatibility contract: a fixed snapshot must
+   serialize to exactly these committed bytes. *)
+let golden_snapshot_bytes =
+  "pmw-epoch-snapshot 1\n\
+   checksum cea61b3203aa4f69\n\
+   epoch 1\n\
+   seq 10\n\
+   base 0x1.999999999999ap-3 0x1.5798ee2308c3ap-26\n\
+   absorbed 3 3 7 7\n\
+   prior 3 0x1p-2 0x1p-1 0x1p-2\n\
+   dedup 1\n\
+   2fbe654ec083f906 {\"k\":\"answer\",\"seq\":0,\"analyst\":\"an\",\"rid\":\"r0\",\"rsp\":\"respr0\"}\n\
+   ckpt 0\n"
+
+let test_snapshot_golden_bytes () =
+  let sn = snapshot ~epoch:1 ~base:(0.2, 2e-8) in
+  Alcotest.(check string) "snapshot bytes" golden_snapshot_bytes (Epoch.snapshot_to_string sn);
+  match Epoch.snapshot_of_string golden_snapshot_bytes with
+  | Ok sn' -> Alcotest.(check bool) "golden bytes parse back" true (sn' = sn)
+  | Error e -> Alcotest.fail e
+
 (* --- compaction --- *)
 
 let test_compact_single_record () =
@@ -185,12 +195,12 @@ let test_compact_single_record () =
   write_file path (journal_string (live_journal ~epoch:0 ~base:(0., 0.)));
   Epoch.compact ~journal_path:path ~epoch:1 ~base:(0.2, 2e-8) ~seq:12;
   let check_compacted what =
-    match Journal.replay_string (read_file path) with
+    match Journal.replay_file ~path:path with
     | Error e -> Alcotest.failf "%s: compacted journal unreadable: %s" what e
     | Ok rv ->
         Alcotest.(check int) (what ^ ": one record") 1 (List.length rv.Journal.rv_records);
         Alcotest.(check int) (what ^ ": epoch") 1 rv.Journal.rv_epoch;
-        Alcotest.(check bool) (what ^ ": lifetime preserved") true (lifetime rv = (0.2, 2e-8));
+        Alcotest.(check bool) (what ^ ": lifetime preserved") true (Journal.lifetime rv = (0.2, 2e-8));
         Alcotest.(check int) (what ^ ": seq carried") 11 rv.Journal.rv_max_seq
   in
   check_compacted "first";
@@ -242,11 +252,11 @@ let test_recover_roll_forward () =
   Alcotest.(check bool) "no seal resumed" true (boot.Epoch.bt_seal = None);
   Alcotest.(check bool) "seal deleted" false (Sys.file_exists (Epoch.seal_path sp));
   close_boot boot;
-  match Journal.replay_string (read_file jp) with
+  match Journal.replay_file ~path:jp with
   | Error e -> Alcotest.failf "rolled-forward journal unreadable: %s" e
   | Ok rv ->
       Alcotest.(check int) "compacted to one record" 1 (List.length rv.Journal.rv_records);
-      Alcotest.(check bool) "lifetime = snapshot base" true (lifetime rv = (0.2, 2e-8))
+      Alcotest.(check bool) "lifetime = snapshot base" true (Journal.lifetime rv = (0.2, 2e-8))
 
 let test_recover_journal_ahead () =
   let dir = tmp_dir () in
@@ -408,7 +418,7 @@ let interrupted_compaction ~fault step =
       Alcotest.failf "fault at %s did not interrupt recovery" (Epoch.step_to_string step)
   | Error _ | (exception _) -> Epoch.clear_fault_hook ());
   (* ...the on-disk journal is already whole: exactly old or new *)
-  (match Journal.replay_string (read_file jp) with
+  (match Journal.replay_file ~path:jp with
   | Error e ->
       Alcotest.failf "journal torn by fault at %s: %s" (Epoch.step_to_string step) e
   | Ok rv ->
@@ -420,17 +430,17 @@ let interrupted_compaction ~fault step =
       Alcotest.(check bool)
         (Printf.sprintf "no spend lost or doubled after %s" (Epoch.step_to_string step))
         true
-        (lifetime rv = old_lifetime));
+        (Journal.lifetime rv = old_lifetime));
   (* ...and the second recovery completes the roll-forward *)
   let boot = recover_ok ~what:(Epoch.step_to_string step) ~snapshot_path:sp ~journal_path:jp in
   Alcotest.(check int) "landed on the new epoch" 1 boot.Epoch.bt_epoch;
   Alcotest.(check bool) "seal gone" false (Sys.file_exists (Epoch.seal_path sp));
   close_boot boot;
-  match Journal.replay_string (read_file jp) with
+  match Journal.replay_file ~path:jp with
   | Error e -> Alcotest.failf "final journal unreadable: %s" e
   | Ok rv ->
       Alcotest.(check int) "final journal compacted" 1 (List.length rv.Journal.rv_records);
-      Alcotest.(check bool) "final lifetime preserved" true (lifetime rv = old_lifetime)
+      Alcotest.(check bool) "final lifetime preserved" true (Journal.lifetime rv = old_lifetime)
 
 let test_compaction_crash_fuzz () =
   List.iter
@@ -461,13 +471,13 @@ let test_torn_journal_fuzz () =
     in
     Alcotest.(check int) (Printf.sprintf "whole epoch at cut %d" cut) 1 boot.Epoch.bt_epoch;
     close_boot boot;
-    match Journal.replay_string (read_file jp) with
+    match Journal.replay_file ~path:jp with
     | Error e -> Alcotest.failf "cut %d left a torn journal: %s" cut e
     | Ok rv ->
         Alcotest.(check bool)
           (Printf.sprintf "lifetime intact at cut %d" cut)
           true
-          (lifetime rv = new_base)
+          (Journal.lifetime rv = new_base)
   done
 
 (* a garbage line appended by a partial write is dropped as a torn tail,
@@ -580,6 +590,7 @@ let () =
             test_snapshot_file_roundtrip;
           Alcotest.test_case "non-empty checkpoint block is rejected" `Quick
             test_snapshot_rejects_ckpt_block;
+          Alcotest.test_case "golden bytes" `Quick test_snapshot_golden_bytes;
         ] );
       ( "compaction",
         [

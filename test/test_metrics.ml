@@ -33,7 +33,7 @@ module Protocol = Pmw_server.Protocol
 module Shard = Pmw_server.Shard
 module Router = Pmw_server.Router
 module Supervisor = Pmw_server.Supervisor
-module Journal = Pmw_server.Journal
+module Invariants = Pmw_server.Invariants
 module Telemetry = Pmw_telemetry.Telemetry
 module Metrics = Pmw_telemetry.Metrics
 module Rng = Pmw_rng.Rng
@@ -265,14 +265,6 @@ let wait_for ?(seconds = 8.) what pred =
   done;
   if not (pred ()) then Alcotest.failf "timed out waiting for %s" what
 
-let journal_cum path =
-  let ic = open_in_bin path in
-  let raw = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  match Journal.replay_string raw with
-  | Ok rv -> rv.Journal.rv_cum
-  | Error e -> Alcotest.failf "journal %s unreadable: %s" path e
-
 (* --- the coordinate-wise-max property --- *)
 
 (* One schedule: which query each step submits, and the step index before
@@ -304,23 +296,22 @@ let fleet_spend_covered_by_journals (steps, kill_at) =
   let reported = Router.fleet_spent router in
   (* quiesce the journals before replaying them *)
   Array.iter Shard.stop fleet;
-  let cums =
+  let accounts =
     Array.to_list fleet
     |> List.map (fun s ->
-           match Shard.journal_path s with
-           | Some p -> journal_cum p
-           | None -> Alcotest.fail "shard has no journal")
+           let path = Option.get (Shard.journal_path s) in
+           match Invariants.check_file ~path with
+           | Ok (a, []) -> a.Invariants.ac_lifetime
+           | Ok (_, v :: _) ->
+               QCheck.Test.fail_reportf "journal %s: %s" path (Invariants.violation_to_string v)
+           | Error e -> QCheck.Test.fail_reportf "journal %s unreadable: %s" path e)
   in
-  let cum_eps = List.fold_left (fun a (e, _) -> Float.max a e) 0. cums in
-  let cum_delta = List.fold_left (fun a (_, d) -> Float.max a d) 0. cums in
-  if reported.Params.eps > cum_eps +. 1e-9 then
+  let covered = Invariants.fleet accounts in
+  let reported = (reported.Params.eps, reported.Params.delta) in
+  if not (Invariants.covers ~reported covered) then
     QCheck.Test.fail_reportf
-      "reported fleet eps %.9g exceeds journal coordinate-wise max %.9g"
-      reported.Params.eps cum_eps;
-  if reported.Params.delta > cum_delta +. 1e-12 then
-    QCheck.Test.fail_reportf
-      "reported fleet delta %.3e exceeds journal coordinate-wise max %.3e"
-      reported.Params.delta cum_delta;
+      "reported fleet spend (%.9g, %.3e) exceeds the journals' coordinate-wise max (%.9g, %.3e)"
+      (fst reported) (snd reported) (fst covered) (snd covered);
   true
 
 let prop_fleet_spend =

@@ -21,6 +21,7 @@ module Pool = Pmw_parallel.Pool
 module Protocol = Pmw_server.Protocol
 module Broker = Pmw_server.Broker
 module Journal = Pmw_server.Journal
+module Invariants = Pmw_server.Invariants
 module Net = Pmw_server.Net
 module Rng = Pmw_rng.Rng
 
@@ -662,12 +663,6 @@ let test_dedup_fresh_req_id () =
           Alcotest.(check int) "dedup hit tallied" 1 (Broker.dedup_hits broker);
           Alcotest.(check int) "retry consumed no batch slot" 1 (Broker.processed broker))
 
-let read_file path =
-  let ic = open_in_bin path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  s
-
 (* The same contract across a crash: incarnation 2 replays the journal,
    quarantines the recorded spend, and serves the recorded bytes for a
    retried rid without evaluating anything. *)
@@ -770,35 +765,18 @@ let test_drain_answers_queued () =
           List.iter Thread.join clients;
           Journal.close journal;
           let rv =
-            match Journal.replay_string (read_file jpath) with
+            match Journal.replay_file ~path:jpath with
             | Ok rv -> rv
             | Error e -> Alcotest.failf "journal replay: %s" e
           in
           Alcotest.(check bool) "no torn tail after a clean drain" false rv.Journal.rv_torn;
-          (* debit-before-answers ordering: at every journal prefix, the
-             spend an answer reports to its client is already covered by
-             the last durable debit — the crash-safety direction (a kill
-             between the appends can over-count, never under-cover) *)
-          let cum = ref 0. in
-          List.iter
-            (fun r ->
-              match r with
-              | Journal.Debit { jd_cum_eps; _ } -> cum := jd_cum_eps
-              | Journal.Answer { ja_seq; ja_line; _ } -> (
-                  match Protocol.decode_response ja_line with
-                  | Error why -> Alcotest.failf "journaled answer unreadable: %s" why
-                  | Ok rsp ->
-                      Option.iter
-                        (fun e ->
-                          Alcotest.(check bool)
-                            (Printf.sprintf
-                               "answer seq %d spend %.6g covered by the preceding debit %.6g"
-                               ja_seq e !cum)
-                            true
-                            (!cum +. 1e-9 >= e))
-                        rsp.Protocol.rsp_spent_eps)
-              | Journal.Mark _ | Journal.Epoch _ | Journal.Ingest _ -> ())
-            rv.Journal.rv_records;
+          (* debit-before-answers ordering and the other ledger rules: at
+             every journal prefix, the spend an answer reports to its client
+             is already covered by the last durable debit — the crash-safety
+             direction (a kill between the appends can over-count, never
+             under-cover) *)
+          Alcotest.(check (list string)) "ledger invariants hold" []
+            (List.map Invariants.violation_to_string (snd (Invariants.check ~path:jpath rv)));
           Array.iteri
             (fun i reply ->
               match reply with

@@ -223,6 +223,70 @@ let test_checkpoint_rejects_corruption () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "wrong version accepted"
 
+(* On-disk bytes are a compatibility contract: a fixed checkpoint must
+   serialize to exactly these committed bytes. *)
+let golden_checkpoint =
+  {
+    Checkpoint.fingerprint =
+      {
+        fp_eps = 1.;
+        fp_delta = 1e-6;
+        fp_alpha = 0.1;
+        fp_scale = 2.;
+        fp_k = 4;
+        fp_t_max = 3;
+        fp_eta = 0.25;
+        fp_universe_size = 8;
+        fp_universe_name = "grid d=1";
+        fp_dataset_size = 100;
+      };
+    epoch = 2;
+    queries = 3;
+    degraded = 1;
+    refused = 0;
+    breached = false;
+    granted = [ (0.5, 1e-7) ];
+    attempts = [ { at_oracle = "ridge"; at_eps = 0.5; at_delta = 1e-7; at_ok = true } ];
+    answered = 2;
+    mw_updates = 1;
+    mw_log_weights = [| -0.5; 0.25 |];
+    sv_threshold = 0.125;
+    sv_tops = 1;
+    sv_asked = 2;
+    sv_rng = [| 1L; 2L; 3L; 4L |];
+    rng = [| 5L; 6L; 7L; 0xffL |];
+    acct_rho = 0.;
+    acct_events = [ (0.5, 1e-7) ];
+  }
+
+let golden_checkpoint_bytes =
+  "pmw-session-checkpoint 1\n\
+   checksum e7a228258fd9cd33\n\
+   config 0x1p+0 0x1.0c6f7a0b5ed8dp-20 0x1.999999999999ap-4 0x1p+1 4 3 0x1p-2\n\
+   universe 8 grid d=1\n\
+   dataset 100\n\
+   epoch 2\n\
+   session 3 1 0 false\n\
+   granted 1\n\
+   granted.0 0x1p-1 0x1.ad7f29abcaf48p-24\n\
+   attempts 1\n\
+   attempt.0 true 0x1p-1 0x1.ad7f29abcaf48p-24 ridge\n\
+   answered 2\n\
+   mw 1 2\n\
+   mw.logw -0x1p-1 0x1p-2\n\
+   sv 0x1p-3 1 2\n\
+   sv.rng 1 2 3 4\n\
+   rng 5 6 7 ff\n\
+   acct 0x0p+0 1\n\
+   acct.0 0x1p-1 0x1.ad7f29abcaf48p-24\n"
+
+let test_checkpoint_golden_bytes () =
+  Alcotest.(check string) "checkpoint bytes" golden_checkpoint_bytes
+    (Checkpoint.to_string golden_checkpoint);
+  match Checkpoint.of_string golden_checkpoint_bytes with
+  | Ok c -> Alcotest.(check bool) "golden bytes parse back" true (c = golden_checkpoint)
+  | Error e -> Alcotest.fail e
+
 let test_resume_rejects_config_mismatch () =
   let s, _ = faulty_session ~plan:Faulty.Never ~rng:(Rng.create ~seed:3 ()) () in
   ignore (run_stream s (queries 3));
@@ -363,6 +427,7 @@ let () =
         [
           Alcotest.test_case "round-trip" `Quick test_checkpoint_roundtrip;
           Alcotest.test_case "rejects corruption" `Quick test_checkpoint_rejects_corruption;
+          Alcotest.test_case "golden bytes" `Quick test_checkpoint_golden_bytes;
           Alcotest.test_case "rejects config mismatch" `Quick test_resume_rejects_config_mismatch;
         ] );
       ( "faulty oracle",

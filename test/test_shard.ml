@@ -26,6 +26,7 @@ module Protocol = Pmw_server.Protocol
 module Broker = Pmw_server.Broker
 module Shard = Pmw_server.Shard
 module Journal = Pmw_server.Journal
+module Invariants = Pmw_server.Invariants
 module Epoch = Pmw_server.Epoch
 module Telemetry = Pmw_telemetry.Telemetry
 module Faulty = Pmw_erm.Faulty_oracle
@@ -490,29 +491,13 @@ let test_faulty_oracle_answers_through_fallback () =
           | Protocol.Answered -> ()
           | st -> Alcotest.failf "request %d: %s" i (Protocol.status_tag st))
         replies;
-      let rv =
-        match Journal.replay_string (In_channel.with_open_bin jp In_channel.input_all) with
-        | Ok rv -> rv
-        | Error e -> Alcotest.failf "journal replay: %s" e
-      in
-      let cum = ref 0. in
-      List.iter
-        (function
-          | Journal.Debit { jd_cum_eps; _ } -> cum := jd_cum_eps
-          | Journal.Answer { ja_seq; ja_line; _ } -> (
-              match Protocol.decode_response ja_line with
-              | Error why -> Alcotest.failf "journaled answer unreadable: %s" why
-              | Ok rsp ->
-                  Option.iter
-                    (fun e ->
-                      Alcotest.(check bool)
-                        (Printf.sprintf "answer seq %d spend %.6g covered by debit %.6g" ja_seq
-                           e !cum)
-                        true
-                        (!cum +. 1e-9 >= e))
-                    rsp.Protocol.rsp_spent_eps)
-          | Journal.Mark _ | Journal.Epoch _ | Journal.Ingest _ -> ())
-        rv.Journal.rv_records)
+      (* debit-before-answer (and the other ledger rules) held throughout
+         the fallbacks *)
+      match Invariants.check_file ~path:jp with
+      | Error e -> Alcotest.failf "journal replay: %s" e
+      | Ok (_, violations) ->
+          Alcotest.(check (list string)) "ledger invariants hold" []
+            (List.map Invariants.violation_to_string violations))
 
 (* --- per-shard journal independence --- *)
 

@@ -374,6 +374,48 @@ let test_pool_timing_verbosity () =
         (Pmw_parallel.Pool.num_chunks n)
         (List.length chunks))
 
+(* Trace.shard_files inverts Trace.shard_file: the exact F.shardI.incJ
+   files, whatever the spelling of F, and nothing else. *)
+let test_shard_files () =
+  let dir = Filename.temp_file "pmw_trace_files" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  let touch name = Out_channel.with_open_bin (Filename.concat dir name) ignore in
+  List.iter touch
+    [
+      "f.jsonl";
+      Filename.basename (Trace.shard_file "f.jsonl" ~shard:1 ~incarnation:1);
+      "f.jsonl.shard0.inc10";
+      "f.jsonl.shard0.inc2";
+      "f.jsonl.shard0.inc1.gz";
+      "f.jsonl.shard0.inc01";
+      "f.jsonl.shard0";
+      "f.jsonl.shardx.inc1";
+      "g.jsonl.shard0.inc1";
+    ];
+  let ids spelling = List.map fst (Trace.shard_files spelling) in
+  let cwd = Sys.getcwd () in
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.chdir cwd;
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () ->
+      Sys.chdir dir;
+      let expected = [ (0, 2); (0, 10); (1, 1) ] in
+      Alcotest.(check (list (pair (pair int int) string)))
+        "bare name"
+        (List.map (fun (i, j) -> ((i, j), Printf.sprintf "f.jsonl.shard%d.inc%d" i j)) expected)
+        (Trace.shard_files "f.jsonl");
+      Alcotest.(check (list (pair int int))) "./F finds the same files" expected (ids "./f.jsonl");
+      Alcotest.(check (list string))
+        "dir/F keeps the caller's spelling"
+        (List.map
+           (fun (i, j) -> Filename.concat dir (Printf.sprintf "f.jsonl.shard%d.inc%d" i j))
+           expected)
+        (List.map snd (Trace.shard_files (Filename.concat dir "f.jsonl")));
+      Alcotest.(check (list (pair int int))) "no such trace" [] (ids "h.jsonl"))
+
 let () =
   Alcotest.run "pmw_telemetry"
     [
@@ -390,6 +432,7 @@ let () =
           Alcotest.test_case "jsonl round-trip" `Quick test_jsonl_roundtrip;
           Alcotest.test_case "bad line reported" `Quick test_load_reports_bad_line;
           Alcotest.test_case "validator catches defects" `Quick test_validate_catches_defects;
+          Alcotest.test_case "shard_files inverts shard_file" `Quick test_shard_files;
         ] );
       ( "acceptance",
         [
