@@ -20,7 +20,7 @@
      pmw_cli session --checkpoint-dir /tmp/pmw --fault timeout --kill-after 8
      pmw_cli session --checkpoint-dir /tmp/pmw --fault timeout --resume
      pmw_cli serve -n 40000 --eps 20 --socket /tmp/pmw.sock --trace serve.jsonl
-     pmw_cli serve --shards 4 --chaos-ctl --metrics --trace fleet.jsonl
+     pmw_cli serve --shards 4 --chaos-ctl --trace fleet.jsonl
      pmw_cli top --socket /tmp/pmw.sock --once
      pmw_cli stats serve.jsonl --check
      pmw_cli stats fleet.jsonl --fleet --journal /tmp/pmw.journal
@@ -603,14 +603,6 @@ let serve_cmd =
            ~doc:"Fan-out deadline per query: shards that have not answered by then are reported \
                  as missing in a partial answer (0 = wait forever)")
   in
-  let metrics_flag =
-    Arg.(value & flag
-         & info [ "metrics" ]
-             ~doc:"Enable the live metrics plane: latency histograms, rolling rates, gauges and \
-                   per-ledger privacy burn, shared across the whole fleet. Scrape it with \
-                   ctl:metrics / ctl:metrics:prom (with --chaos-ctl) or watch it with \
-                   'pmw_cli top'. Off by default — disabled handles cost one branch per event.")
-  in
   let epoch_every_arg =
     Arg.(value & opt int 0
          & info [ "epoch-every" ] ~docv:"ANSWERS"
@@ -627,7 +619,7 @@ let serve_cmd =
                    this often (0 disables). Requires --journal.")
   in
   let run workload n k alpha eps delta t_max d seed socket max_batch quota retry_after
-      journal_path dedup_cap shards shard_by chaos_ctl fleet_deadline enable_metrics epoch_every
+      journal_path dedup_cap shards shard_by chaos_ctl fleet_deadline epoch_every
       epoch_secs trace =
     let ( let* ) r f = match r with Error m -> `Error (false, m) | Ok v -> f v in
     let epochs = epoch_every > 0 || epoch_secs > 0. in
@@ -655,7 +647,7 @@ let serve_cmd =
           ~alpha ~beta:0.05 ~scale:w.Common.Workload.scale ~k ~t_max ~solver_iters:200 ()
       in
       let telemetry = make_telemetry trace in
-      let metrics = if enable_metrics then Metrics.create () else Metrics.disabled () in
+      let metrics = Metrics.create () in
       let registry = Hashtbl.create 16 in
       List.iter
         (fun q -> Hashtbl.replace registry q.Pmw_core.Cm_query.name q)
@@ -787,7 +779,7 @@ let serve_cmd =
         (const run $ workload_arg $ n_arg $ k_arg $ alpha_arg $ eps_arg $ delta_arg $ t_arg $ d_arg
        $ seed_arg $ socket_arg $ max_batch_arg $ quota_arg $ retry_arg $ journal_arg
        $ dedup_cap_arg $ shards_arg $ shard_by_arg $ chaos_ctl_flag $ fleet_deadline_arg
-       $ metrics_flag $ epoch_every_arg $ epoch_secs_arg $ trace_arg))
+       $ epoch_every_arg $ epoch_secs_arg $ trace_arg))
 
 (* --- stats --- *)
 
@@ -1005,7 +997,7 @@ let top_cmd =
   let doc =
     "Watch a serving fleet's live metrics: scrape ctl:metrics:prom over the Unix socket and \
      render latency quantiles, rates, gauges and privacy burn (requires the server to run with \
-     --metrics and --chaos-ctl)"
+     --chaos-ctl)"
   in
   let module Net = Pmw_server.Net in
   let module Protocol = Pmw_server.Protocol in
@@ -1162,8 +1154,7 @@ let top_cmd =
                   `Error
                     ( false,
                       Printf.sprintf
-                        "server refused ctl:metrics:prom (%s) — run the server with --metrics \
-                         and --chaos-ctl"
+                        "server refused ctl:metrics:prom (%s) — run the server with --chaos-ctl"
                         why )
               | _ ->
                   Net.Client.close client;

@@ -142,9 +142,7 @@ type t = {
   mutable dedup_hit_log_len : int;
   dedup_hit_marks_dropped : int Atomic.t;
   (* Live metrics handles, cached at create (handles are concurrent —
-     unlike telemetry they may be hit from client threads directly). All
-     no-op when the registry is disabled. *)
-  metrics : Metrics.t;
+     unlike telemetry they may be hit from client threads directly). *)
   m_batch : Metrics.histogram;
   m_queue_wait : Metrics.histogram;
   m_request : Metrics.histogram;
@@ -177,7 +175,7 @@ let dedup_insert t key line =
   end
 
 let create ?(config = default_config) ?journal ?(recovery = Journal.empty_recovery)
-    ?(metrics = Metrics.disabled ()) ?(metrics_label = "server") ?epoch
+    ?(metrics = Metrics.create ()) ?(metrics_label = "server") ?epoch
     ?(epoch_boot = empty_epoch_boot) ~session ~resolve () =
   if config.max_batch < 1 then invalid_arg "Broker.create: max_batch must be >= 1";
   if config.dedup_cap < 0 then invalid_arg "Broker.create: dedup_cap must be >= 0";
@@ -248,7 +246,6 @@ let create ?(config = default_config) ?journal ?(recovery = Journal.empty_recove
       dedup_hit_log = [];
       dedup_hit_log_len = 0;
       dedup_hit_marks_dropped = Atomic.make 0;
-      metrics;
       m_batch = Metrics.histogram metrics "server.batch_size";
       m_queue_wait = Metrics.histogram metrics "server.queue_wait_s";
       m_request = Metrics.histogram metrics "server.request_s";
@@ -509,21 +506,15 @@ let response_of_verdict ~id ~seq ~batch ~queue_wait_s verdict =
         (Some o.Online.update_index)
   | Online.Refused r -> base (Protocol.Refused (Online.refusal_to_string r)) None None None
 
-(* Mirroring must EMIT, not just overwrite: [Telemetry.set_counter] never
-   produces an event, so a set-only mirror leaves every server_* counter
-   (including the dedup-mark overflow count) invisible to written traces and
-   to [pmw_cli stats], which reads counters back out of Count events. The
-   serializer is the only caller, so the read-increment pair is race-free. *)
-let mirror_counter t name total =
-  let prev = Telemetry.counter t.telemetry name in
-  if total > prev then Telemetry.incr ~by:(total - prev) t.telemetry name
-
+(* The serializer is the only caller, so each read-increment pair in
+   [Telemetry.mirror_counter] is race-free. *)
 let mirror_counters t =
-  mirror_counter t "server_rejected_budget" (Atomic.get t.rejected_budget);
-  mirror_counter t "server_rejected_quota" (Atomic.get t.rejected_quota);
-  mirror_counter t "server_rejected_draining" (Atomic.get t.rejected_draining);
-  mirror_counter t "server_dedup_hits" (Atomic.get t.dedup_hits);
-  mirror_counter t "server_dedup_hit_marks_dropped" (Atomic.get t.dedup_hit_marks_dropped);
+  let mirror = Telemetry.mirror_counter t.telemetry in
+  mirror "server_rejected_budget" (Atomic.get t.rejected_budget);
+  mirror "server_rejected_quota" (Atomic.get t.rejected_quota);
+  mirror "server_rejected_draining" (Atomic.get t.rejected_draining);
+  mirror "server_dedup_hits" (Atomic.get t.dedup_hits);
+  mirror "server_dedup_hit_marks_dropped" (Atomic.get t.dedup_hit_marks_dropped);
   let hits =
     locked t (fun () ->
         let l = t.dedup_hit_log in
@@ -589,7 +580,6 @@ let process_batch t items =
   let batch_size = List.length items in
   Telemetry.observe t.telemetry "server.batch_size" (float_of_int batch_size);
   Metrics.observe t.m_batch (float_of_int batch_size);
-  let timed = Metrics.is_enabled t.metrics in
   let b = Session.batch t.session in
   let budget = Session.budget t.session in
   let replies =
@@ -601,7 +591,7 @@ let process_batch t items =
         Telemetry.observe t.telemetry "server.queue_wait_s" queue_wait_s;
         Metrics.observe t.m_queue_wait queue_wait_s;
         let req = p.p_req in
-        let t0 = if timed then Unix.gettimeofday () else 0. in
+        let t0 = Unix.gettimeofday () in
         (* Distributed-tracing correlation: the trace id (and the caller's
            span id, on a router fan-out) ride on the span's fields, so the
            fleet stitcher can hang this shard-side span under the
@@ -672,7 +662,7 @@ let process_batch t items =
                       response_of_verdict ~id:req.Protocol.req_id ~seq ~batch:batch_size
                         ~queue_wait_s (Session.batch_answer b q)))
         in
-        if timed then Metrics.observe t.m_request (Unix.gettimeofday () -. t0);
+        Metrics.observe t.m_request (Unix.gettimeofday () -. t0);
         (* stamp the LIFETIME ledger cumulative (sealed-epoch base + the
            current pot) at release so any client-held answer names a spend
            level the journal — base record plus within-epoch debits — must

@@ -137,7 +137,7 @@ val create :
     reconciliation, dedup seeding and seq continuation happen here, before
     any request is admitted.
 
-    [metrics] (default disabled) feeds the live metrics plane:
+    [metrics] (default: a fresh registry) feeds the live metrics plane:
     [server.batch_size] / [server.queue_wait_s] / [server.request_s]
     histograms, the [server.queue_depth] / [server.epoch] /
     [server.journal_bytes] / [server.journal_records] /

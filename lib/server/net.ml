@@ -80,7 +80,6 @@ type listener = {
   conns_lock : Mutex.t;
   mutable stopping : bool;
   (* Metrics handles are concurrent: reader threads hit them directly. *)
-  timed : bool;
   m_accepted : Metrics.rate;
   m_requests : Metrics.rate;
   m_bad_lines : Metrics.rate;
@@ -117,24 +116,18 @@ let serve_conn l fd =
   let respond line =
     (* net.write_s is pure transmit time: how long pushing one response
        line into the socket takes (blocking on a slow reader included). *)
-    if l.timed then begin
-      let t0 = Unix.gettimeofday () in
-      Io.write_all fd (line ^ "\n");
-      Metrics.observe l.m_write (Unix.gettimeofday () -. t0)
-    end
-    else Io.write_all fd (line ^ "\n")
+    let t0 = Unix.gettimeofday () in
+    Io.write_all fd (line ^ "\n");
+    Metrics.observe l.m_write (Unix.gettimeofday () -. t0)
   in
   let timed_read () =
     (* net.read_s is time-to-next-request — for closed-loop analysts this
        includes client think time, which is exactly the idle-vs-busy split
        an operator wants next to server.request_s. *)
-    if l.timed then begin
-      let t0 = Unix.gettimeofday () in
-      let res = Io.read_line r in
-      Metrics.observe l.m_read (Unix.gettimeofday () -. t0);
-      res
-    end
-    else Io.read_line r
+    let t0 = Unix.gettimeofday () in
+    let res = Io.read_line r in
+    Metrics.observe l.m_read (Unix.gettimeofday () -. t0);
+    res
   in
   let rec loop () =
     match timed_read () with
@@ -178,7 +171,7 @@ let rec accept_loop l =
       accept_loop l
   | exception Unix.Unix_error _ -> if not l.stopping then Log.warn (fun m -> m "accept failed")
 
-let listen ?(metrics = Metrics.disabled ()) ~handler ~path () =
+let listen ?(metrics = Metrics.create ()) ~handler ~path () =
   Lazy.force ignore_sigpipe;
   (try Unix.unlink path with Unix.Unix_error _ -> ());
   let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -197,7 +190,6 @@ let listen ?(metrics = Metrics.disabled ()) ~handler ~path () =
       conns = Hashtbl.create 16;
       conns_lock = Mutex.create ();
       stopping = false;
-      timed = Metrics.is_enabled metrics;
       m_accepted = Metrics.rate metrics "net_accepted";
       m_requests = Metrics.rate metrics "net_requests";
       m_bad_lines = Metrics.rate metrics "net_bad_lines";

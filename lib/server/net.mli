@@ -49,9 +49,9 @@ val listen :
 (** Bind (replacing any stale socket file at [path]), listen, and start the
     accept thread. [handler] runs on the per-connection reader threads and
     must be thread-safe and blocking-friendly ({!Broker.submit} and
-    {!Router.submit} both qualify). [metrics] (default disabled) feeds the
-    live metrics plane: [net_accepted] / [net_requests] / [net_bad_lines]
-    rates, the [net.connections] gauge, and [net.read_s] (time to the next
+    {!Router.submit} both qualify). [metrics] (default: a fresh registry)
+    feeds the live metrics plane: [net_accepted] / [net_requests] /
+    [net_bad_lines] rates, the [net.connections] gauge, and [net.read_s] (time to the next
     request line — client think time included, by design) and [net.write_s]
     (pure transmit time) histograms. Raises [Unix.Unix_error] if the bind
     fails. *)

@@ -29,17 +29,10 @@ type t = {
   cfg : config;
   shards : Shard.t array;
   seq : int Atomic.t;
-  (* Verdict tallies live in atomics: submits run on arbitrary client
-     threads, and the telemetry single-writer contract means the supervisor
-     (one thread) mirrors these into the trace, never the router itself. *)
-  n_answered : int Atomic.t;
-  n_degraded : int Atomic.t;
-  n_partial : int Atomic.t;
-  n_refused : int Atomic.t;
-  n_failed : int Atomic.t;
-  n_ctl : int Atomic.t;
   (* Live metrics (concurrent handles — client threads hit these directly,
-     unlike telemetry). *)
+     unlike telemetry). The verdict rates are the only verdict tallies: the
+     telemetry single-writer contract means the supervisor (one thread)
+     mirrors their totals into the trace, never the router itself. *)
   metrics : Metrics.t;
   m_request : Metrics.histogram;
   m_fanout : Metrics.histogram;
@@ -66,18 +59,12 @@ type t = {
   marks_dropped : int Atomic.t;
 }
 
-let create ?(config = default_config) ?(metrics = Metrics.disabled ()) ~shards () =
+let create ?(config = default_config) ?(metrics = Metrics.create ()) ~shards () =
   if Array.length shards = 0 then invalid_arg "Router.create: no shards";
   {
     cfg = config;
     shards;
     seq = Atomic.make 0;
-    n_answered = Atomic.make 0;
-    n_degraded = Atomic.make 0;
-    n_partial = Atomic.make 0;
-    n_refused = Atomic.make 0;
-    n_failed = Atomic.make 0;
-    n_ctl = Atomic.make 0;
     metrics;
     m_request = Metrics.histogram metrics "router.request_s";
     m_fanout = Metrics.histogram metrics "router.fanout_shards";
@@ -137,13 +124,14 @@ let fleet_spent t =
     t.shards
 
 let counters t =
+  let total r = (Metrics.rate_snapshot r).Metrics.rs_total in
   [
-    ("fleet_answered", Atomic.get t.n_answered);
-    ("fleet_degraded", Atomic.get t.n_degraded);
-    ("fleet_partial", Atomic.get t.n_partial);
-    ("fleet_refused", Atomic.get t.n_refused);
-    ("fleet_failed", Atomic.get t.n_failed);
-    ("fleet_ctl", Atomic.get t.n_ctl);
+    ("fleet_answered", total t.m_answered);
+    ("fleet_degraded", total t.m_degraded);
+    ("fleet_partial", total t.m_partial);
+    ("fleet_refused", total t.m_refused);
+    ("fleet_failed", total t.m_failed);
+    ("fleet_ctl", total t.m_ctl);
     ("fleet_trace_marks_dropped", Atomic.get t.marks_dropped);
   ]
 
@@ -174,7 +162,6 @@ let state_code = function
   | Shard.Quarantined -> 5.
 
 let ctl t req =
-  Atomic.incr t.n_ctl;
   Metrics.tick t.m_ctl;
   let ok theta =
     { (base_response req ~seq:(-1) Protocol.Answered) with
@@ -310,21 +297,11 @@ let fanout t req ids =
 (* --- composition --- *)
 
 let count_verdict t = function
-  | Protocol.Answered ->
-      Atomic.incr t.n_answered;
-      Metrics.tick t.m_answered
-  | Protocol.Degraded _ ->
-      Atomic.incr t.n_degraded;
-      Metrics.tick t.m_degraded
-  | Protocol.Partial _ ->
-      Atomic.incr t.n_partial;
-      Metrics.tick t.m_partial
-  | Protocol.Refused _ | Protocol.Rejected _ ->
-      Atomic.incr t.n_refused;
-      Metrics.tick t.m_refused
-  | Protocol.Failed _ ->
-      Atomic.incr t.n_failed;
-      Metrics.tick t.m_failed
+  | Protocol.Answered -> Metrics.tick t.m_answered
+  | Protocol.Degraded _ -> Metrics.tick t.m_degraded
+  | Protocol.Partial _ -> Metrics.tick t.m_partial
+  | Protocol.Refused _ | Protocol.Rejected _ -> Metrics.tick t.m_refused
+  | Protocol.Failed _ -> Metrics.tick t.m_failed
 
 (* Live fleet burn: feed the "fleet" ledger with the composed cumulative
    (coordinate-wise max across shards) — monotone, so replays and racing
@@ -685,7 +662,7 @@ let submit t req =
   if String.length q >= 4 && String.sub q 0 4 = "ctl:" then
     if t.cfg.rt_allow_ctl then ctl t req
     else begin
-      Atomic.incr t.n_failed;
+      Metrics.tick t.m_failed;
       base_response req ~seq:(-1) (Protocol.Failed "ctl queries are disabled")
     end
   else begin

@@ -98,8 +98,8 @@ type t
 
 val create :
   ?config:config -> ?metrics:Pmw_telemetry.Metrics.t -> shards:Shard.t array -> unit -> t
-(** [metrics] (default disabled) is the fleet-shared live registry: the
-    router feeds [router.request_s] / [router.fanout_shards] /
+(** [metrics] (default: a fresh registry) is the fleet-shared live
+    registry: the router feeds [router.request_s] / [router.fanout_shards] /
     [router.coverage] histograms, per-verdict [fleet_*] rates, per-shard
     [router.shard<i>.contributed]/[.missing] outcome rates, and the
     ["fleet"] ledger (composed coordinate-wise-max burn). Pass the same
@@ -121,7 +121,8 @@ val processed : t -> int
 
 val counters : t -> (string * int) list
 (** Verdict tallies ([fleet_answered], [fleet_degraded], [fleet_partial],
-    [fleet_refused], [fleet_failed]) plus [fleet_ctl] and
+    [fleet_refused], [fleet_failed]) plus [fleet_ctl] — the exact totals of
+    the same-named rates in {!metrics}, the only copy of each tally — and
     [fleet_trace_marks_dropped] (root marks lost to the pending-queue cap —
     a losses-section counter) — mirrored into the fleet telemetry by the
     supervisor's heartbeat (the router itself never touches a telemetry

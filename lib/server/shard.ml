@@ -161,7 +161,7 @@ let journal_files path =
 
 let create ~id ~weight ?journal_path ?epoch ?(config = Broker.default_config) ?(domains = 1)
     ?(telemetry = fun ~incarnation:_ -> Telemetry.null ())
-    ?(metrics = Metrics.disabled ()) ~session ~resolve () =
+    ?(metrics = Metrics.create ()) ~session ~resolve () =
   (match (epoch, journal_path) with
   | Some _, None ->
       (* the epoch protocol's commit/compaction story is built around the

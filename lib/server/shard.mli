@@ -138,8 +138,8 @@ val create :
 
     [telemetry] builds the per-incarnation telemetry instance (default:
     fresh null instances); give incarnations distinct sinks or tags to keep
-    their traces apart. [metrics] (default disabled) is the fleet-shared
-    live metrics registry, handed to every incarnation's broker with the
+    their traces apart. [metrics] (default: a fresh registry) is the
+    fleet-shared live metrics registry, handed to every incarnation's broker with the
     ledger label ["shard<id>"] — metrics handles are concurrent, so one
     registry serves the whole fleet across domains. [weight] is the shard's
     share of the fleet's records (the router's coverage unit).

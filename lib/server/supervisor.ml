@@ -43,43 +43,35 @@ type t = {
   extra_marks : unit -> (string * (string * Telemetry.value) list) list;
   watched : watched array;
   stop_flag : bool Atomic.t;
-  n_restarts : int Atomic.t;
-  n_quarantines : int Atomic.t;
-  metrics : Metrics.t;
   m_restarts : Metrics.rate;
   m_quarantines : Metrics.rate;
   m_check : Metrics.histogram;
   mutable thread : Thread.t option;
 }
 
-(* Emit-the-delta mirroring (same trick as the broker's): [set_counter]
-   never emits, and stats readers reconstruct counters from Count events. *)
-let mirror_counter telemetry name total =
-  let prev = Telemetry.counter telemetry name in
-  if total > prev then Telemetry.incr ~by:(total - prev) telemetry name
+let restarts t = (Metrics.rate_snapshot t.m_restarts).Metrics.rs_total
+let quarantines t = (Metrics.rate_snapshot t.m_quarantines).Metrics.rs_total
 
 (* The supervisor's own counters are mirrored from the authoritative
-   tallies, never bumped ad hoc at incident sites: incident paths and the
-   heartbeat both call this, and the delta rule makes the combination
-   idempotent — each counter converges on its tally no matter how the two
+   tallies (the fleet_restarts / fleet_quarantines rates), never bumped
+   ad hoc at incident sites: incident paths and the heartbeat both call
+   this, and the delta rule makes the combination idempotent — each counter converges on its tally no matter how the two
    interleave. (The previous scheme emitted directly at incidents, so the
    fleet-level quarantine counter drifted from its documented name and any
    future mirror of the same name would have double-counted.) *)
 let mirror_own t =
-  mirror_counter t.telemetry "fleet_shard_restarts" (Atomic.get t.n_restarts);
-  mirror_counter t.telemetry "fleet_quarantined" (Atomic.get t.n_quarantines);
+  let mirror = Telemetry.mirror_counter t.telemetry in
+  mirror "fleet_shard_restarts" (restarts t);
+  mirror "fleet_quarantined" (quarantines t);
   Array.iter
     (fun w ->
       let id = Shard.id w.w_shard in
-      mirror_counter t.telemetry (Printf.sprintf "shard%d_restarts" id) w.w_restarts;
-      mirror_counter t.telemetry
-        (Printf.sprintf "shard%d_quarantined" id)
-        w.w_quarantined)
+      mirror (Printf.sprintf "shard%d_restarts" id) w.w_restarts;
+      mirror (Printf.sprintf "shard%d_quarantined" id) w.w_quarantined)
     t.watched
 
 let quarantine_shard t w ~now:_ =
   Shard.quarantine w.w_shard;
-  Atomic.incr t.n_quarantines;
   w.w_quarantined <- 1;
   w.w_restart_at <- 0.;
   let id = Shard.id w.w_shard in
@@ -117,7 +109,6 @@ let handle_crashed t w ~now =
     match Shard.start w.w_shard with
     | Ok () ->
         let boot_s = Unix.gettimeofday () -. t0 in
-        Atomic.incr t.n_restarts;
         w.w_restarts <- w.w_restarts + 1;
         w.w_last_boot <- Unix.gettimeofday ();
         w.w_restart_at <- 0.;
@@ -159,7 +150,7 @@ let heartbeat t =
   Telemetry.mark t.telemetry "fleet.heartbeat"
     ~fields:(("running", Telemetry.Int running) :: fields);
   mirror_own t;
-  List.iter (fun (name, v) -> mirror_counter t.telemetry name v) (t.extra ());
+  List.iter (fun (name, v) -> Telemetry.mirror_counter t.telemetry name v) (t.extra ());
   (* Drain marks queued by non-writer threads (the router's fleet.request
      root spans): the heartbeat is the single telemetry writer, so this is
      the only place they may be emitted. *)
@@ -185,7 +176,6 @@ let kick_epochs t =
 let monitor t =
   let last_beat = ref 0. in
   let last_epoch_kick = ref (Unix.gettimeofday ()) in
-  let timed = Metrics.is_enabled t.metrics in
   while not (Atomic.get t.stop_flag) do
     let now = Unix.gettimeofday () in
     Array.iter
@@ -206,19 +196,19 @@ let monitor t =
     (* supervisor.check_s: one full health pass over the fleet — creeping
        values here mean the monitor is being starved or a Shard.state lock
        is contended *)
-    if timed then Metrics.observe t.m_check (Unix.gettimeofday () -. now);
+    Metrics.observe t.m_check (Unix.gettimeofday () -. now);
     Thread.delay t.cfg.su_poll_s
   done;
   heartbeat t;
   Telemetry.mark t.telemetry "fleet.stop"
     ~fields:
       [
-        ("restarts", Telemetry.Int (Atomic.get t.n_restarts));
-        ("quarantines", Telemetry.Int (Atomic.get t.n_quarantines));
+        ("restarts", Telemetry.Int (restarts t));
+        ("quarantines", Telemetry.Int (quarantines t));
       ]
 
 let start ?(config = default_config) ?telemetry ?(extra_counters = fun () -> [])
-    ?(extra_marks = fun () -> []) ?(metrics = Metrics.disabled ()) ~shards () =
+    ?(extra_marks = fun () -> []) ?(metrics = Metrics.create ()) ~shards () =
   let telemetry = match telemetry with Some t -> t | None -> Telemetry.null () in
   let now = Unix.gettimeofday () in
   let t =
@@ -240,9 +230,6 @@ let start ?(config = default_config) ?telemetry ?(extra_counters = fun () -> [])
             })
           shards;
       stop_flag = Atomic.make false;
-      n_restarts = Atomic.make 0;
-      n_quarantines = Atomic.make 0;
-      metrics;
       m_restarts = Metrics.rate metrics "fleet_restarts";
       m_quarantines = Metrics.rate metrics "fleet_quarantines";
       m_check = Metrics.histogram metrics "supervisor.check_s";
@@ -256,9 +243,6 @@ let stop t =
   Atomic.set t.stop_flag true;
   (match t.thread with None -> () | Some th -> Thread.join th);
   t.thread <- None
-
-let restarts t = Atomic.get t.n_restarts
-let quarantines t = Atomic.get t.n_quarantines
 
 let quarantined t =
   Array.to_list t.watched

@@ -68,8 +68,9 @@ val start :
     into [telemetry] under the same names. [extra_marks] (typically
     {!Router.trace_marks}) is drained on each heartbeat (and once at stop)
     and each [(name, fields)] emitted as a mark — how trace events produced
-    on non-writer threads reach the fleet trace. [metrics] (default
-    disabled) feeds [fleet_restarts] / [fleet_quarantines] rates and the
+    on non-writer threads reach the fleet trace. [metrics] (default: a
+    fresh registry) holds the [fleet_restarts] / [fleet_quarantines] rates
+    — the supervisor's only restart and quarantine tallies — and the
     [supervisor.check_s] health-pass histogram. *)
 
 val stop : t -> unit
@@ -78,7 +79,8 @@ val stop : t -> unit
     with {!Shard.stop}. Idempotent. *)
 
 val restarts : t -> int
-(** Successful shard restarts performed so far. *)
+(** Successful shard restarts performed so far (the [fleet_restarts]
+    rate's total). *)
 
 val quarantines : t -> int
 val quarantined : t -> int list

@@ -13,10 +13,9 @@
    femto-units (1e15) because privacy debits are routinely 1e-6-scale and
    the burn-rate forecast must not round them away.
 
-   A disabled registry ([Metrics.disabled ()]) hands out inert handles:
-   every operation is one branch on an immutable bool — no clock read, no
-   atomic traffic — so instrumented code pays nothing when the operator
-   did not ask for metrics. *)
+   Every serving process runs one registry, always on: an update is a
+   few uncontended atomic ops plus, for rates and ledgers, one clock
+   read, so instrumented code never guards its call sites. *)
 
 let scale = 1e6
 let eps_scale = 1e9
@@ -71,31 +70,27 @@ let bucket_mid i = bucket_base *. Float.pow 2. (float_of_int i) *. Float.sqrt 2.
 
 type histogram = {
   h_name : string;
-  h_enabled : bool;
   h_counts : int Atomic.t array;
   h_count : int Atomic.t;
   h_sum : int Atomic.t;  (* micro-units *)
   h_max : int Atomic.t;  (* micro-units *)
 }
 
-let make_histogram ~enabled name =
+let make_histogram name =
   {
     h_name = name;
-    h_enabled = enabled;
-    h_counts = Array.init (if enabled then buckets else 1) (fun _ -> Atomic.make 0);
+    h_counts = Array.init buckets (fun _ -> Atomic.make 0);
     h_count = Atomic.make 0;
     h_sum = Atomic.make 0;
     h_max = Atomic.make 0;
   }
 
 let observe h v =
-  if h.h_enabled then begin
-    Atomic.incr h.h_counts.(bucket_index v);
-    Atomic.incr h.h_count;
-    let sv = to_scaled scale v in
-    atomic_add h.h_sum sv;
-    atomic_max h.h_max sv
-  end
+  Atomic.incr h.h_counts.(bucket_index v);
+  Atomic.incr h.h_count;
+  let sv = to_scaled scale v in
+  atomic_add h.h_sum sv;
+  atomic_max h.h_max sv
 
 type hist_snapshot = {
   hs_count : int;
@@ -146,21 +141,19 @@ let slots = 64
 
 type rate = {
   r_name : string;
-  r_enabled : bool;
   r_clock : unit -> float;
   r_total : int Atomic.t;
   r_slot : int Atomic.t array;
   r_slot_sec : int Atomic.t array;
 }
 
-let make_rate ~enabled ~clock name =
+let make_rate ~clock name =
   {
     r_name = name;
-    r_enabled = enabled;
     r_clock = clock;
     r_total = Atomic.make 0;
-    r_slot = Array.init (if enabled then slots else 1) (fun _ -> Atomic.make 0);
-    r_slot_sec = Array.init (if enabled then slots else 1) (fun _ -> Atomic.make (-1));
+    r_slot = Array.init slots (fun _ -> Atomic.make 0);
+    r_slot_sec = Array.init slots (fun _ -> Atomic.make (-1));
   }
 
 let slot_land ~sec ~slot ~by now i =
@@ -169,7 +162,7 @@ let slot_land ~sec ~slot ~by now i =
   atomic_add slot.(i) by
 
 let tick ?(by = 1) r =
-  if r.r_enabled && by > 0 then begin
+  if by > 0 then begin
     atomic_add r.r_total by;
     let now = int_of_float (r.r_clock ()) in
     slot_land ~sec:r.r_slot_sec ~slot:r.r_slot ~by now (now mod slots)
@@ -187,19 +180,17 @@ type rate_snapshot = { rs_total : int; rs_per_s : float }
 
 let rate_snapshot ?(window_s = 10) r =
   let total = Atomic.get r.r_total in
-  if not r.r_enabled then { rs_total = total; rs_per_s = 0. }
-  else
-    let now = int_of_float (r.r_clock ()) in
-    let w = if window_s < 1 then 1 else if window_s > slots - 2 then slots - 2 else window_s in
-    let n = window_sum ~sec:r.r_slot_sec ~slot:r.r_slot ~now ~window_s:w in
-    { rs_total = total; rs_per_s = float_of_int n /. float_of_int w }
+  let now = int_of_float (r.r_clock ()) in
+  let w = if window_s < 1 then 1 else if window_s > slots - 2 then slots - 2 else window_s in
+  let n = window_sum ~sec:r.r_slot_sec ~slot:r.r_slot ~now ~window_s:w in
+  { rs_total = total; rs_per_s = float_of_int n /. float_of_int w }
 
 (* --- gauges --- *)
 
-type gauge = { g_name : string; g_enabled : bool; g_value : int Atomic.t (* micro-units *) }
+type gauge = { g_name : string; g_value : int Atomic.t (* micro-units *) }
 
-let make_gauge ~enabled name = { g_name = name; g_enabled = enabled; g_value = Atomic.make 0 }
-let set_gauge g v = if g.g_enabled then Atomic.set g.g_value (to_scaled scale v)
+let make_gauge name = { g_name = name; g_value = Atomic.make 0 }
+let set_gauge g v = Atomic.set g.g_value (to_scaled scale v)
 let gauge_value g = of_scaled scale (Atomic.get g.g_value)
 
 (* --- privacy-ledger burn --- *)
@@ -210,7 +201,6 @@ let gauge_value g = of_scaled scale (Atomic.get g.g_value)
    burn increments for the rate estimate. *)
 type ledger = {
   l_name : string;
-  l_enabled : bool;
   l_clock : unit -> float;
   l_eps : int Atomic.t;  (* nano-eps, cumulative *)
   l_delta : int Atomic.t;  (* femto-delta, cumulative *)
@@ -221,25 +211,22 @@ type ledger = {
   l_slot_sec : int Atomic.t array;
 }
 
-let make_ledger ~enabled ~clock name =
+let make_ledger ~clock name =
   {
     l_name = name;
-    l_enabled = enabled;
     l_clock = clock;
     l_eps = Atomic.make 0;
     l_delta = Atomic.make 0;
     l_debits = Atomic.make 0;
     l_eps_budget = Atomic.make 0;
     l_delta_budget = Atomic.make 0;
-    l_slot_eps = Array.init (if enabled then slots else 1) (fun _ -> Atomic.make 0);
-    l_slot_sec = Array.init (if enabled then slots else 1) (fun _ -> Atomic.make (-1));
+    l_slot_eps = Array.init slots (fun _ -> Atomic.make 0);
+    l_slot_sec = Array.init slots (fun _ -> Atomic.make (-1));
   }
 
 let set_ledger_budget l ~eps ~delta =
-  if l.l_enabled then begin
-    Atomic.set l.l_eps_budget (to_scaled eps_scale eps);
-    Atomic.set l.l_delta_budget (to_scaled delta_scale delta)
-  end
+  Atomic.set l.l_eps_budget (to_scaled eps_scale eps);
+  Atomic.set l.l_delta_budget (to_scaled delta_scale delta)
 
 (* monotone CAS: returns how much [cell] grew, 0 on stale/racing feeds *)
 let advance cell v =
@@ -250,14 +237,12 @@ let advance cell v =
   go ()
 
 let ledger_cum l ~eps ~delta ~debits =
-  if l.l_enabled then begin
-    let grew = advance l.l_eps (to_scaled eps_scale eps) in
-    ignore (advance l.l_delta (to_scaled delta_scale delta));
-    atomic_max l.l_debits debits;
-    if grew > 0 then begin
-      let now = int_of_float (l.l_clock ()) in
-      slot_land ~sec:l.l_slot_sec ~slot:l.l_slot_eps ~by:grew now (now mod slots)
-    end
+  let grew = advance l.l_eps (to_scaled eps_scale eps) in
+  ignore (advance l.l_delta (to_scaled delta_scale delta));
+  atomic_max l.l_debits debits;
+  if grew > 0 then begin
+    let now = int_of_float (l.l_clock ()) in
+    slot_land ~sec:l.l_slot_sec ~slot:l.l_slot_eps ~by:grew now (now mod slots)
   end
 
 type ledger_snapshot = {
@@ -278,12 +263,10 @@ let ledger_snapshot ?(window_s = 10) l =
   let eps_budget = of_scaled eps_scale (Atomic.get l.l_eps_budget) in
   let delta_budget = of_scaled delta_scale (Atomic.get l.l_delta_budget) in
   let burn =
-    if not l.l_enabled then 0.
-    else
-      let now = int_of_float (l.l_clock ()) in
-      let w = if window_s < 1 then 1 else if window_s > slots - 2 then slots - 2 else window_s in
-      of_scaled eps_scale (window_sum ~sec:l.l_slot_sec ~slot:l.l_slot_eps ~now ~window_s:w)
-      /. float_of_int w
+    let now = int_of_float (l.l_clock ()) in
+    let w = if window_s < 1 then 1 else if window_s > slots - 2 then slots - 2 else window_s in
+    of_scaled eps_scale (window_sum ~sec:l.l_slot_sec ~slot:l.l_slot_eps ~now ~window_s:w)
+    /. float_of_int w
   in
   let remaining = Float.max 0. (eps_budget -. eps) in
   let rounds_left =
@@ -305,37 +288,23 @@ let ledger_snapshot ?(window_s = 10) l =
 (* --- the registry --- *)
 
 type t = {
-  enabled : bool;
   clock : unit -> float;
   lock : Mutex.t;
   histograms : (string, histogram) Hashtbl.t;
   rates : (string, rate) Hashtbl.t;
   gauges : (string, gauge) Hashtbl.t;
   ledgers : (string, ledger) Hashtbl.t;
-  dummy_h : histogram;
-  dummy_r : rate;
-  dummy_g : gauge;
-  dummy_l : ledger;
 }
 
-let make ~enabled ~clock =
+let create ?(clock = Unix.gettimeofday) () =
   {
-    enabled;
     clock;
     lock = Mutex.create ();
     histograms = Hashtbl.create 16;
     rates = Hashtbl.create 16;
     gauges = Hashtbl.create 16;
     ledgers = Hashtbl.create 16;
-    dummy_h = make_histogram ~enabled:false "disabled";
-    dummy_r = make_rate ~enabled:false ~clock "disabled";
-    dummy_g = make_gauge ~enabled:false "disabled";
-    dummy_l = make_ledger ~enabled:false ~clock "disabled";
   }
-
-let create ?(clock = Unix.gettimeofday) () = make ~enabled:true ~clock
-let disabled () = make ~enabled:false ~clock:(fun () -> 0.)
-let is_enabled t = t.enabled
 
 (* Registration takes the mutex (idempotent find-or-create, so wiring code
    can re-ask by name); handle *use* never does. Instrumented code should
@@ -353,21 +322,10 @@ let registered tbl lock name create_fn =
   Mutex.unlock lock;
   h
 
-let histogram t name =
-  if not t.enabled then t.dummy_h
-  else registered t.histograms t.lock name (make_histogram ~enabled:true)
-
-let rate t name =
-  if not t.enabled then t.dummy_r
-  else registered t.rates t.lock name (make_rate ~enabled:true ~clock:t.clock)
-
-let gauge t name =
-  if not t.enabled then t.dummy_g
-  else registered t.gauges t.lock name (make_gauge ~enabled:true)
-
-let ledger t name =
-  if not t.enabled then t.dummy_l
-  else registered t.ledgers t.lock name (make_ledger ~enabled:true ~clock:t.clock)
+let histogram t name = registered t.histograms t.lock name make_histogram
+let rate t name = registered t.rates t.lock name (make_rate ~clock:t.clock)
+let gauge t name = registered t.gauges t.lock name make_gauge
+let ledger t name = registered t.ledgers t.lock name (make_ledger ~clock:t.clock)
 
 let sorted_values tbl =
   Hashtbl.fold (fun _ v acc -> v :: acc) tbl []
@@ -426,9 +384,7 @@ let json_obj b entries render =
 let to_json t =
   let hs, rs, gs, ls = snapshot_lists t in
   let b = Buffer.create 1024 in
-  Buffer.add_string b "{\"enabled\":";
-  Buffer.add_string b (if t.enabled then "true" else "false");
-  Buffer.add_string b ",\"histograms\":";
+  Buffer.add_string b "{\"histograms\":";
   json_obj b
     (List.map (fun h -> (h.h_name, hist_snapshot h)) hs)
     (fun s ->
@@ -517,6 +473,7 @@ let to_prometheus t =
         ("eps", "gauge");
         ("delta", "gauge");
         ("eps_budget", "gauge");
+        ("delta_budget", "gauge");
         ("debits_total", "counter");
         ("burn_eps_per_s", "gauge");
         ("rounds_left", "gauge");
@@ -531,6 +488,8 @@ let to_prometheus t =
           (Printf.sprintf "pmw_ledger_delta%s %s\n" lbl (prom_float s.ls_delta));
         Buffer.add_string b
           (Printf.sprintf "pmw_ledger_eps_budget%s %s\n" lbl (prom_float s.ls_eps_budget));
+        Buffer.add_string b
+          (Printf.sprintf "pmw_ledger_delta_budget%s %s\n" lbl (prom_float s.ls_delta_budget));
         Buffer.add_string b (Printf.sprintf "pmw_ledger_debits_total%s %d\n" lbl s.ls_debits);
         Buffer.add_string b
           (Printf.sprintf "pmw_ledger_burn_eps_per_s%s %s\n" lbl

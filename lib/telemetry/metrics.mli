@@ -9,11 +9,11 @@
     (sums and maxima live in scaled fixed-point integers precisely so no
     float is ever boxed on the update path).
 
-    {b Disabled is free}: a registry built with {!disabled} hands out inert
-    handles whose every operation is a single branch on an immutable bool —
-    no clock read, no atomic traffic, no registration. Instrumented code
-    therefore threads a [Metrics.t] unconditionally and never guards call
-    sites.
+    {b Always on}: a serving process builds one registry with {!create}
+    and every instrument is live. An update costs a few uncontended atomic
+    operations (plus one clock read for rates and ledgers), so
+    instrumented code threads a [Metrics.t] unconditionally and never
+    guards call sites.
 
     {b Usage contract}: ask for handles by name once, at wiring time
     (registration takes a mutex; it is idempotent, so two subsystems asking
@@ -29,16 +29,11 @@
 
 type t
 (** A metrics registry: one per serving process (shared across shards —
-    handles are concurrent), or one {!disabled} sentinel. *)
+    handles are concurrent). *)
 
 val create : ?clock:(unit -> float) -> unit -> t
-(** Enabled registry. [clock] (default [Unix.gettimeofday]) feeds the
+(** A fresh registry. [clock] (default [Unix.gettimeofday]) feeds the
     rolling windows; inject a fake clock in tests. *)
-
-val disabled : unit -> t
-(** Registry whose handles no-op. No clock is ever read. *)
-
-val is_enabled : t -> bool
 
 (** {1 Latency / size histograms} *)
 
@@ -49,8 +44,8 @@ val histogram : t -> string -> histogram
 
 val observe : histogram -> float -> unit
 (** Record one value (seconds, batch size, coverage, ...). Thread-safe,
-    allocation-free, no-op on a disabled handle. Non-positive and NaN
-    values land in the lowest bucket with magnitude 0. *)
+    allocation-free. Non-positive and NaN values land in the lowest bucket
+    with magnitude 0. *)
 
 type hist_snapshot = {
   hs_count : int;
@@ -127,7 +122,7 @@ val ledger_snapshot : ?window_s:int -> ledger -> ledger_snapshot
 
 val to_json : t -> string
 (** One-line JSON snapshot:
-    [{"enabled":..,"histograms":{..},"rates":{..},"gauges":{..},
+    [{"histograms":{..},"rates":{..},"gauges":{..},
     "ledgers":{..}}]. Floats follow the trace-layer convention — finite as
     [%.17g], non-finite as the strings ["nan"]/["inf"]/["-inf"] (so
     [rounds_left] on an idle ledger is the string ["inf"]). Small enough

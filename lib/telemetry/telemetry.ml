@@ -267,6 +267,13 @@ let set_counter t name v =
 
 let counter t name = match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0
 
+(* Mirroring must EMIT, not just overwrite: [set_counter] never produces an
+   event, and stats readers rebuild counters from Count events, so a
+   set-only mirror would leave the counter invisible to written traces. *)
+let mirror_counter t name total =
+  let prev = counter t name in
+  if total > prev then incr ~by:(total - prev) t name
+
 let counters t =
   List.sort compare (Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t.counters [])
 

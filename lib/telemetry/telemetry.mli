@@ -143,6 +143,13 @@ val set_counter : t -> string -> int -> unit
 val counter : t -> string -> int
 (** Current value (0 if never touched). *)
 
+val mirror_counter : t -> string -> int -> unit
+(** [mirror_counter t name total] raises counter [name] to the
+    authoritative [total] through {!incr}, so the one [Count] event carries
+    only the delta. It does nothing when [total] has not grown, and never
+    lowers a counter. Unlike {!set_counter} it emits: stats readers
+    rebuild counters from [Count] events. *)
+
 val counters : t -> (string * int) list
 (** All counters, sorted by name. *)
 

@@ -1,10 +1,10 @@
 (* Tests for the live metrics plane (lib/telemetry/metrics.ml) and the
    fleet-level observability invariants that ride on it:
 
-   - the Metrics registry itself: disabled handles are inert, histogram
-     quantiles respect the log2-bucket resolution, rolling rates follow an
-     injected clock, and cumulative ledger feeds are idempotent under
-     replay (the monotone compare-and-set);
+   - the Metrics registry itself: histogram quantiles respect the
+     log2-bucket resolution, rolling rates follow an injected clock,
+     cumulative ledger feeds are idempotent under replay (the monotone
+     compare-and-set), and the JSON and Prometheus renderers agree;
    - the parallel-composition accounting property, as a qcheck property
      over random query/kill schedules: the fleet spend the router reports
      is always covered by the coordinate-wise max of the per-shard journal
@@ -39,25 +39,6 @@ module Metrics = Pmw_telemetry.Metrics
 module Rng = Pmw_rng.Rng
 
 (* --- Metrics registry unit tests --- *)
-
-let test_disabled_is_inert () =
-  let m = Metrics.disabled () in
-  Alcotest.(check bool) "disabled" false (Metrics.is_enabled m);
-  let h = Metrics.histogram m "x" in
-  Metrics.observe h 0.5;
-  Metrics.observe h 1.5;
-  let s = Metrics.hist_snapshot h in
-  Alcotest.(check int) "no samples recorded" 0 s.Metrics.hs_count;
-  let r = Metrics.rate m "y" in
-  Metrics.tick r;
-  Alcotest.(check int) "no ticks recorded" 0 (Metrics.rate_snapshot r).Metrics.rs_total;
-  let l = Metrics.ledger m "fleet" in
-  Metrics.ledger_cum l ~eps:0.3 ~delta:1e-7 ~debits:2;
-  Alcotest.(check (float 0.)) "no spend recorded" 0.
-    (Metrics.ledger_snapshot l).Metrics.ls_eps;
-  Alcotest.(check bool) "snapshot says disabled" true
-    (String.length (Metrics.to_json m) > 0
-    && String.sub (Metrics.to_json m) 0 17 = "{\"enabled\":false,")
 
 let test_histogram_quantiles () =
   let m = Metrics.create () in
@@ -143,16 +124,20 @@ let test_renderers_parse () =
   Metrics.set_ledger_budget l ~eps:1. ~delta:1e-6;
   Metrics.ledger_cum l ~eps:0.25 ~delta:1e-7 ~debits:1;
   let json = Metrics.to_json m in
+  let find s sub =
+    let n = String.length sub in
+    let rec go i =
+      if i + n > String.length s then None else if String.sub s i n = sub then Some i else go (i + 1)
+    in
+    go 0
+  in
+  Alcotest.(check bool) "json opens with the histograms" true
+    (String.starts_with ~prefix:"{\"histograms\":" json);
   List.iter
     (fun needle ->
-      let contains s sub =
-        let n = String.length sub in
-        let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
-        go 0
-      in
-      Alcotest.(check bool) (Printf.sprintf "json contains %s" needle) true (contains json needle))
+      Alcotest.(check bool) (Printf.sprintf "json contains %s" needle) true
+        (find json needle <> None))
     [
-      "\"enabled\":true";
       "\"server.request_s\"";
       "\"fleet_answered\"";
       "\"burn_eps_per_s\"";
@@ -180,7 +165,25 @@ let test_renderers_parse () =
             match float_of_string_opt value with
             | Some _ -> ()
             | None -> Alcotest.failf "unparseable sample value %S in %S" value ln)
-    samples
+    samples;
+  (* renderer parity: every key of the JSON ledger object has its
+     pmw_ledger_* sample (the debit count is a counter, hence _total) *)
+  let ledger_json =
+    let opener = "\"ledgers\":{\"fleet\":{" in
+    match find json opener with
+    | None -> Alcotest.fail "json has no fleet ledger"
+    | Some i ->
+        let from = i + String.length opener in
+        String.sub json from (String.index_from json from '}' - from)
+  in
+  List.iter
+    (fun field ->
+      let key = List.nth (String.split_on_char '"' field) 1 in
+      let family = if key = "debits" then "debits_total" else key in
+      let prefix = Printf.sprintf "pmw_ledger_%s{ledger=\"fleet\"} " family in
+      Alcotest.(check bool) (Printf.sprintf "prometheus has %s" prefix) true
+        (List.exists (String.starts_with ~prefix) samples))
+    (String.split_on_char ',' ledger_json)
 
 (* --- fleet fixture (mirrors test_router.ml, plus journals) --- *)
 
@@ -456,7 +459,6 @@ let () =
     [
       ( "metrics",
         [
-          Alcotest.test_case "disabled handles are inert" `Quick test_disabled_is_inert;
           Alcotest.test_case "histogram quantiles" `Quick test_histogram_quantiles;
           Alcotest.test_case "rolling rate window" `Quick test_rate_rolling_window;
           Alcotest.test_case "ledger replay idempotent" `Quick test_ledger_replay_is_idempotent;

@@ -22,6 +22,7 @@ module Shard = Pmw_server.Shard
 module Router = Pmw_server.Router
 module Supervisor = Pmw_server.Supervisor
 module Net = Pmw_server.Net
+module Metrics = Pmw_telemetry.Metrics
 module Rng = Pmw_rng.Rng
 
 (* --- fixture --- *)
@@ -216,9 +217,16 @@ let test_shard_scoped_queries () =
 
 let test_ctl_plane_gating () =
   with_fleet (fun _fleet router ->
-      match (Router.submit router (req ~id:8 ~query:"ctl:health" ())).rsp_status with
+      (match (Router.submit router (req ~id:8 ~query:"ctl:health" ())).rsp_status with
       | Protocol.Failed _ -> ()
       | st -> Alcotest.failf "ctl must be disabled by default, got %s" (Protocol.status_tag st));
+      (* the refusal is one failed verdict, counted once: the trace counter
+         and the live rate read the same tally *)
+      Alcotest.(check int) "trace counter counts the refusal" 1
+        (List.assoc "fleet_failed" (Router.counters router));
+      let failed = Metrics.rate (Router.metrics router) "fleet_failed" in
+      Alcotest.(check int) "live rate counts the refusal" 1
+        (Metrics.rate_snapshot failed).Metrics.rs_total);
   with_fleet ~config:{ Router.default_config with rt_allow_ctl = true } (fun fleet router ->
       (match Router.submit router (req ~id:9 ~query:"ctl:health" ()) with
       | { Protocol.rsp_status = Protocol.Answered; rsp_theta = Some states; _ } ->

@@ -62,6 +62,21 @@ let test_independent_instances () =
 let ring_instance () =
   Telemetry.create ~clock:(counter_clock ()) ~sink:(Telemetry.Sink.ring ()) ()
 
+(* A mirror emits one Count event carrying only the delta, stays silent
+   when the total did not grow, and never lowers the counter. *)
+let test_mirror_counter () =
+  let t = ring_instance () in
+  Telemetry.incr ~by:2 t "c";
+  Telemetry.mirror_counter t "c" 5;
+  Telemetry.mirror_counter t "c" 5;
+  Telemetry.mirror_counter t "c" 3;
+  Alcotest.(check int) "counter reaches the total" 5 (Telemetry.counter t "c");
+  let counts = List.filter (fun e -> e.Telemetry.kind = Telemetry.Count) (Telemetry.events t) in
+  Alcotest.(check int) "one event per growth" 2 (List.length counts);
+  let mirrored = List.nth counts 1 in
+  Alcotest.(check (float 0.)) "event carries the delta" 3. (float_field mirrored "by");
+  Alcotest.(check (float 0.)) "event carries the total" 5. (float_field mirrored "total")
+
 let test_ring_events () =
   let t = ring_instance () in
   Telemetry.mark t "hello" ~fields:[ ("n", Telemetry.Int 1) ];
@@ -424,6 +439,7 @@ let () =
           Alcotest.test_case "null tracks counters+ledgers" `Quick test_null_instance_tracks;
           Alcotest.test_case "instances independent" `Quick test_independent_instances;
           Alcotest.test_case "ring events" `Quick test_ring_events;
+          Alcotest.test_case "mirror_counter emits the delta" `Quick test_mirror_counter;
           Alcotest.test_case "span nesting + exceptions" `Quick test_span_nesting_and_exn;
           Alcotest.test_case "observations" `Quick test_observations;
         ] );
