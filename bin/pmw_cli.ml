@@ -7,7 +7,7 @@
      session         run the fault-tolerant session engine (checkpoints,
                      fault injection, resume)
      serve           serve a session to concurrent analysts over a Unix
-                     socket (batched evaluation, graceful SIGTERM drain)
+                     socket (batched durability, graceful SIGTERM drain)
      stats           validate and aggregate a JSONL telemetry trace
                      (--fleet stitches cross-shard request trees)
      top             live fleet metrics snapshot scraped over ctl:metrics
@@ -558,9 +558,6 @@ let serve_cmd =
     Arg.(value & opt string "/tmp/pmw.sock" & info [ "socket" ] ~docv:"PATH"
            ~doc:"Unix domain socket to listen on")
   in
-  let max_batch_arg =
-    Arg.(value & opt int 16 & info [ "max-batch" ] ~doc:"Most requests answered per serializer pass")
-  in
   let quota_arg =
     Arg.(value & opt int 0 & info [ "quota" ] ~doc:"Per-analyst query cap (0 = unlimited)")
   in
@@ -618,13 +615,12 @@ let serve_cmd =
              ~doc:"Supervisor-driven time windows: ask every running shard to roll its epoch \
                    this often (0 disables). Requires --journal.")
   in
-  let run workload n k alpha eps delta t_max d seed socket max_batch quota retry_after
+  let run workload n k alpha eps delta t_max d seed socket quota retry_after
       journal_path dedup_cap shards shard_by chaos_ctl fleet_deadline epoch_every
       epoch_secs trace =
     let ( let* ) r f = match r with Error m -> `Error (false, m) | Ok v -> f v in
     let epochs = epoch_every > 0 || epoch_secs > 0. in
     if n <= 0 || k <= 0 then `Error (false, "n and k must be positive")
-    else if max_batch < 1 then `Error (false, "max-batch must be >= 1")
     else if dedup_cap < 0 then `Error (false, "dedup-cap must be >= 0")
     else if shards < 1 then `Error (false, "--shards must be >= 1")
     else if epoch_every < 0 || epoch_secs < 0. then
@@ -669,7 +665,7 @@ let serve_cmd =
             (if epochs then
                Some { Shard.se_every = epoch_every; se_row_bound = Pmw_data.Universe.size universe }
              else None)
-          ~config:{ Broker.max_batch; quota; retry_after_s = retry_after; dedup_cap }
+          ~config:{ Broker.default_config with quota; retry_after_s = retry_after; dedup_cap }
           ~domains:(Shard.pool_domains ~shards)
           ~telemetry:(fun ~incarnation ->
             match trace with
@@ -777,7 +773,7 @@ let serve_cmd =
     Term.(
       ret
         (const run $ workload_arg $ n_arg $ k_arg $ alpha_arg $ eps_arg $ delta_arg $ t_arg $ d_arg
-       $ seed_arg $ socket_arg $ max_batch_arg $ quota_arg $ retry_arg $ journal_arg
+       $ seed_arg $ socket_arg $ quota_arg $ retry_arg $ journal_arg
        $ dedup_cap_arg $ shards_arg $ shard_by_arg $ chaos_ctl_flag $ fleet_deadline_arg
        $ epoch_every_arg $ epoch_secs_arg $ trace_arg))
 

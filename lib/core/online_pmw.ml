@@ -39,6 +39,36 @@ let refusal_to_string = function
   | Oracle_failed r -> Printf.sprintf "oracle failed: %s" r
   | Oracle_budget_denied r -> Printf.sprintf "oracle budget denied: %s" r
 
+(* --- the solve memo ---
+
+   Every value cached here is a deterministic pure function of its key: the
+   hypothesis distribution and the public minimizer depend only on (query,
+   MW state), the error-query value on (query, dataset, MW state) and the
+   reference minimum on (query, dataset) alone — and the pool guarantees
+   each is bit-identical on recomputation. Reusing an entry therefore NEVER
+   changes an answer, only skips a redundant O(|X|) or O(n) solve; noise is
+   never cached, so every sparse-vector test still draws its own.
+
+   The memo lives as long as the mechanism, unless a caller drops it with
+   [forget_solves] (the query server does, after each batch). The
+   hypothesis-dependent entries are dropped wherever the hypothesis moves
+   (an MW update, a restore); the reference minima survive both, since the
+   dataset never changes under a mechanism. Keys are query names, but each entry carries
+   the query value itself and is only reused on PHYSICAL equality — two
+   distinct queries that happen to share a name are recomputed instead of
+   silently aliasing. A table that reaches [memo_capacity] entries is
+   cleared before its next insert, so an endless stream of fresh names
+   cannot grow it without bound. *)
+
+let memo_capacity = 256
+
+type memo = {
+  mutable m_dhat : Pmw_data.Histogram.t option;  (** D̂ᵗ *)
+  m_theta : (string, Cm_query.t * Vec.t) Hashtbl.t;  (** θ̂ = argmin ℓ(θ; D̂ᵗ) *)
+  m_q : (string, Cm_query.t * float) Hashtbl.t;  (** err_ℓ(D, D̂ᵗ) *)
+  m_ref : (string, Cm_query.t * float) Hashtbl.t;  (** min_θ ℓ(θ; D) *)
+}
+
 type t = {
   config : Config.t;
   pool : Pmw_parallel.Pool.t;
@@ -50,9 +80,7 @@ type t = {
   accountant : Pmw_dp.Accountant.t;
   telemetry : Telemetry.t;
   mutable answered : int;
-  mutable stamp : int;
-      (* bumped whenever the hypothesis may have changed (MW update,
-         restore); versions every batch-memo entry *)
+  memo : memo;  (* the solve memo below; lives as long as the mechanism *)
 }
 
 let create ?pool ?telemetry ~config ~dataset ~oracle ?prior ~rng () =
@@ -89,7 +117,13 @@ let create ?pool ?telemetry ~config ~dataset ~oracle ?prior ~rng () =
     accountant = Pmw_dp.Accountant.create ~telemetry ~label:"oracle" ();
     telemetry;
     answered = 0;
-    stamp = 0;
+    memo =
+      {
+        m_dhat = None;
+        m_theta = Hashtbl.create 16;
+        m_q = Hashtbl.create 16;
+        m_ref = Hashtbl.create 16;
+      };
   }
 
 let hypothesis t = Pmw_mw.Mw.distribution t.mw
@@ -109,94 +143,64 @@ let all_finite v =
   Array.iter (fun x -> if not (Float.is_finite x) then ok := false) v;
   !ok
 
-(* --- batch-scoped solve memoization ---
+let forget_hypothesis memo =
+  memo.m_dhat <- None;
+  Hashtbl.reset memo.m_theta;
+  Hashtbl.reset memo.m_q
 
-   Every value cached here is a deterministic pure function of its key: the
-   hypothesis distribution and the public minimizer depend only on (query,
-   MW state), the reference solve and the error-query value only on (query,
-   dataset, MW state) — and the pool guarantees each is bit-identical on
-   recomputation. Reusing a memo entry therefore NEVER changes an answer,
-   only skips redundant O(|X|) sweeps; a batch of queries runs bit-for-bit
-   like the same queries answered one by one.
+let forget_solves t =
+  forget_hypothesis t.memo;
+  Hashtbl.reset t.memo.m_ref
 
-   Entries are versioned by [t.stamp] (bumped on every MW update and on
-   restore) so a ⊤ mid-batch invalidates everything computed against the
-   old hypothesis. Keys are query names, but each entry carries the query
-   value itself and is only reused on PHYSICAL equality — two distinct
-   queries that happen to share a name fall back to recomputation instead
-   of silently aliasing. *)
-
-type memo = {
-  mutable m_dhat : (int * Pmw_data.Histogram.t) option;  (** stamped D̂ᵗ *)
-  m_theta : (string, int * Cm_query.t * Vec.t) Hashtbl.t;  (** stamped θ̂ *)
-  m_ref : (string, Cm_query.t * float) Hashtbl.t;  (** min_θ ℓ(θ; D): stamp-free *)
-  m_q : (string, int * Cm_query.t * float) Hashtbl.t;  (** stamped err_ℓ(D, D̂ᵗ) *)
-}
-
-type batch = { b_mech : t; b_memo : memo }
-
-let batch t =
-  {
-    b_mech = t;
-    b_memo =
-      { m_dhat = None; m_theta = Hashtbl.create 8; m_ref = Hashtbl.create 8; m_q = Hashtbl.create 8 };
-  }
-
-let memo_dhat t memo =
-  match memo.m_dhat with
-  | Some (stamp, dhat) when stamp = t.stamp -> dhat
-  | _ ->
-      let dhat = hypothesis t in
-      memo.m_dhat <- Some (t.stamp, dhat);
-      dhat
-
-let memo_theta_hyp t memo query dhat =
-  match Hashtbl.find_opt memo.m_theta query.Cm_query.name with
-  | Some (stamp, q, theta) when stamp = t.stamp && q == query ->
-      Telemetry.incr t.telemetry "solve_memo_hits";
-      theta
-  | _ ->
-      let theta =
-        Telemetry.span t.telemetry "solve.hypothesis" (fun () ->
-            (Cm_query.minimize_on_histogram ~pool:t.pool ~iters:t.config.Config.solver_iters query
-               dhat)
-              .Solve.theta)
-      in
-      Hashtbl.replace memo.m_theta query.Cm_query.name (t.stamp, query, theta);
-      theta
-
-let memo_reference_value t memo query =
-  match Hashtbl.find_opt memo.m_ref query.Cm_query.name with
+let memoized t table query compute =
+  match Hashtbl.find_opt table query.Cm_query.name with
   | Some (q, v) when q == query ->
       Telemetry.incr t.telemetry "solve_memo_hits";
       v
   | _ ->
-      let report =
-        Telemetry.span t.telemetry "solve.reference" (fun () ->
-            Cm_query.minimize_on_dataset ~pool:t.pool ~iters:t.config.Config.solver_iters query
-              t.dataset)
-      in
-      Hashtbl.replace memo.m_ref query.Cm_query.name (query, report.Solve.value);
-      report.Solve.value
-
-let memo_q_value t memo query theta_hyp =
-  match Hashtbl.find_opt memo.m_q query.Cm_query.name with
-  | Some (stamp, q, v) when stamp = t.stamp && q == query -> v
-  | _ ->
-      let reference = memo_reference_value t memo query in
-      let v =
-        Float.max 0. (Cm_query.loss_on_dataset ~pool:t.pool query t.dataset theta_hyp -. reference)
-      in
-      Hashtbl.replace memo.m_q query.Cm_query.name (t.stamp, query, v);
+      let v = compute () in
+      if Hashtbl.length table >= memo_capacity then Hashtbl.reset table;
+      Hashtbl.replace table query.Cm_query.name (query, v);
       v
 
-let answer_inner t memo query =
+let memo_dhat t =
+  match t.memo.m_dhat with
+  | Some dhat -> dhat
+  | None ->
+      let dhat = hypothesis t in
+      t.memo.m_dhat <- Some dhat;
+      dhat
+
+let hypothesis_minimizer t query =
+  memoized t t.memo.m_theta query (fun () ->
+      let dhat = memo_dhat t in
+      Telemetry.span t.telemetry "solve.hypothesis" (fun () ->
+          (Cm_query.minimize_on_histogram ~pool:t.pool ~iters:t.config.Config.solver_iters query
+             dhat)
+            .Solve.theta))
+
+let hypothesis_answer t query =
+  let theta = hypothesis_minimizer t query in
+  if all_finite theta then Some { theta; source = From_hypothesis; update_index = updates t }
+  else None
+
+let err_value t query theta_hyp =
+  memoized t t.memo.m_q query (fun () ->
+      let reference =
+        memoized t t.memo.m_ref query (fun () ->
+            (Telemetry.span t.telemetry "solve.reference" (fun () ->
+                 Cm_query.minimize_on_dataset ~pool:t.pool ~iters:t.config.Config.solver_iters
+                   query t.dataset))
+              .Solve.value)
+      in
+      Float.max 0. (Cm_query.loss_on_dataset ~pool:t.pool query t.dataset theta_hyp -. reference))
+
+let answer_inner t query =
   if Cm_query.scale query > t.config.Config.scale +. 1e-9 then
     Refused (Scale_exceeded { query_scale = Cm_query.scale query; limit = t.config.Config.scale })
   else begin
     let iters = t.config.Config.solver_iters in
-    let dhat = memo_dhat t memo in
-    let theta_hyp = memo_theta_hyp t memo query dhat in
+    let theta_hyp = hypothesis_minimizer t query in
     if not (all_finite theta_hyp) then Refused (Quarantined "non-finite hypothesis minimizer")
     else if halted t then begin
       (* Graceful degradation: the SV budget is gone, but the frozen public
@@ -212,7 +216,7 @@ let answer_inner t memo query =
       (* q_j(D) = err_l(D, Dhat^t); the true-data solve behind it is an
          internal computation whose output only reaches the analyst through
          SV. *)
-      let q_value = memo_q_value t memo query theta_hyp in
+      let q_value = err_value t query theta_hyp in
       if not (Float.is_finite q_value) then Refused (Quarantined "non-finite error-query value")
       else begin
         t.answered <- t.answered + 1;
@@ -281,7 +285,7 @@ let answer_inner t memo query =
                   with
                   | Error why -> Refused (Quarantined why)
                   | Ok () ->
-                      t.stamp <- t.stamp + 1;
+                      forget_hypothesis t.memo;
                       Log.debug (fun m ->
                           m "query %d (%s): above threshold, oracle answered, MW update %d/%d"
                             t.answered query.Cm_query.name (updates t) t.config.Config.t_max);
@@ -293,18 +297,11 @@ let answer_inner t memo query =
     end
   end
 
-let batch_answer b query =
-  let t = b.b_mech in
+let answer t query =
   ignore (Telemetry.next_round t.telemetry : int);
   Telemetry.span t.telemetry "query"
     ~fields:[ ("query", Telemetry.Str query.Cm_query.name) ]
-    (fun () -> answer_inner t b.b_memo query)
-
-let batch_mechanism b = b.b_mech
-
-(* A fresh single-use batch per call: no sharing, so the sequential path
-   computes exactly what it always did. *)
-let answer t query = batch_answer (batch t) query
+    (fun () -> answer_inner t query)
 
 let answer_opt t query = match answer t query with Answered o -> Some o | _ -> None
 
@@ -342,7 +339,6 @@ let restore t s =
   Pmw_rng.Rng.restore t.rng s.snap_rng;
   Pmw_dp.Accountant.restore t.accountant ~events:s.snap_oracle_events ~rho:s.snap_oracle_rho;
   t.answered <- s.snap_answered;
-  (* The update counter alone cannot version memo entries (a restore can
-     land on the same count with different weights), so invalidate
-     unconditionally. *)
-  t.stamp <- t.stamp + 1
+  (* A restore can land on the same update count with different weights,
+     so the hypothesis-dependent entries go unconditionally. *)
+  forget_hypothesis t.memo

@@ -113,36 +113,42 @@ val answer_opt : t -> Cm_query.t -> outcome option
 val answer_all : t -> Cm_query.t list -> verdict list
 (** Convenience fold of {!answer}. *)
 
-(** {1 Batched evaluation}
+(** {1 The solve memo}
 
-    A batch is a short-lived evaluation context that amortizes the O(|X|)
-    work behind consecutive {!batch_answer} calls: the hypothesis extraction
-    (one softmax sweep of [D̂ᵗ]), the public minimizer [θ̂] and the
-    error-query value [err_ℓ(D, D̂ᵗ)] are each computed once per (query,
-    hypothesis version) and reused — the query server's broker evaluates a
-    whole batch of pending analyst requests against one hypothesis pass.
+    The mechanism memoizes the deterministic work behind {!answer} for its
+    whole lifetime: the hypothesis extraction (one softmax sweep of [D̂ᵗ]),
+    the public minimizer [θ̂] and the error-query value [err_ℓ(D, D̂ᵗ)] per
+    (query, hypothesis), and the reference minimum [min_θ ℓ(θ; D)] per
+    query. An MW update or a {!restore} drops everything that depends on the
+    hypothesis; the reference minima, which depend only on the query and the
+    dataset, are kept.
 
     Reuse is {e sound by construction}: every cached value is a
     deterministic pure function of its key (the pool makes recomputation
-    bit-identical), so a batch produces bit-for-bit the verdicts of the same
-    queries fed to {!answer} one at a time, in the same order — including
-    when a ⊤ mid-batch updates the hypothesis (entries are versioned and
-    invalidated). Each sparse-vector test still consumes its own stream
-    slot and draws its own noise; only the deterministic solves are shared.
-    Reuse requires physically-equal query values (e.g. resolved from one
-    registry); name-equal but distinct queries are recomputed, never
-    aliased. A [solve_memo_hits] counter tracks sharing. *)
+    bit-identical), so a mechanism answers bit-for-bit as one that solves
+    everything afresh. Each sparse-vector test still consumes its own
+    stream slot and draws its own noise; only the deterministic solves are
+    shared. Reuse requires physically-equal query values (e.g. resolved
+    from one registry); name-equal but distinct queries are recomputed,
+    never aliased. Every reuse ticks the [solve_memo_hits] counter once per
+    solve it skips. *)
 
-type batch
+val memo_capacity : int
+(** Entries each memo table holds; a full table is cleared before its next
+    insert, so a stream of ever-new query names stays bounded. *)
 
-val batch : t -> batch
-(** A fresh context. Keep it for one broker batch; drop it after (entries
-    pin the histograms/vectors they cache). *)
+val forget_solves : t -> unit
+(** Drops every memo entry, the reference minima included; the next
+    {!answer} solves afresh. Answers are unchanged either way. The query
+    server's broker calls it after each drained batch, so served reuse
+    stays within one batch. *)
 
-val batch_answer : batch -> Cm_query.t -> verdict
-(** Exactly {!answer}, sharing solves with earlier calls on this batch. *)
-
-val batch_mechanism : batch -> t
+val hypothesis_answer : t -> Cm_query.t -> outcome option
+(** The answer from the current hypothesis alone: [θ̂ = argmin_θ ℓ(θ; D̂ᵗ)]
+    with source [From_hypothesis], through the same memoized solve
+    {!answer} uses. Pure post-processing of the public hypothesis: no
+    privacy cost, no sparse-vector slot, no round. [None] when [θ̂] is not
+    finite. *)
 
 val as_answerer : t -> Cm_query.t -> Pmw_linalg.Vec.t option
 (** The mechanism as a bare answering function — the shape

@@ -5,12 +5,13 @@
     front end in {!Net}); requests pass admission control and land in a
     FIFO queue. A single serializer thread — {!run}, which must execute on
     the thread that owns the session's {!Pmw_parallel.Pool} — drains up to
-    [max_batch] pending requests at a time and answers them through one
-    {!Pmw_session.Session.batch} context, so the O(|X|) hypothesis pass and
-    the per-query solves are shared across the batch. Verdicts are
-    bit-identical to sequential processing in [seq] order (the batch layer's
-    contract), so concurrency changes throughput and interleaving, never
-    answers.
+    [max_batch] pending requests at a time, answers each with
+    {!Pmw_session.Session.answer} in [seq] order, journals the drained
+    batch under one [fsync], and drops the mechanism's solve memo
+    ({!Pmw_session.Session.forget_solves}), so solves are reused only
+    within a batch. Verdicts are bit-identical to sequential
+    processing in [seq] order, so concurrency changes throughput and
+    interleaving, never answers.
 
     {b Admission control} (inside {!submit}, atomic with the enqueue):
     requests are rejected-with-retry-after once the session cannot fund one
@@ -51,7 +52,7 @@
     contract. *)
 
 type config = {
-  max_batch : int;  (** most requests answered per serializer pass; >= 1 *)
+  max_batch : int;  (** most requests per serializer pass: one fsync, one memo window; >= 1 *)
   quota : int;  (** per-analyst lifetime query cap; [0] means unlimited *)
   retry_after_s : float;  (** backpressure hint on budget rejections *)
   dedup_cap : int;  (** recorded answers kept for retry dedup; [0] disables *)
@@ -131,11 +132,11 @@ val create :
   unit ->
   t
 (** [resolve] maps wire query names to registered queries; returning the
-    same physical value for the same name is what lets a batch share
-    solves. Pass the [journal] and the [recovery] that
-    {!Journal.open_journal} returned to enable the durability layer —
-    reconciliation, dedup seeding and seq continuation happen here, before
-    any request is admitted.
+    same physical value for the same name is what lets the mechanism's
+    solve memo ({!Pmw_core.Online_pmw}) reuse solves. Pass the [journal]
+    and the [recovery] that {!Journal.open_journal} returned to enable the
+    durability layer — reconciliation, dedup seeding and seq continuation
+    happen here, before any request is admitted.
 
     [metrics] (default: a fresh registry) feeds the live metrics plane:
     [server.batch_size] / [server.queue_wait_s] / [server.request_s]

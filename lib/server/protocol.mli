@@ -5,15 +5,16 @@
     A {b request} is [{"v":1, "id":<int>, "analyst":<string>,
     "query":<string>}] — the query is named, not inlined: the server resolves
     it against its registered workload, which both keeps the sensitive
-    dataset's geometry out of the protocol and gives the broker
-    physically-equal query values to share batched solves on.
+    dataset's geometry out of the protocol and gives the mechanism
+    physically-equal query values to memoize its solves on.
 
     A {b response} echoes [id], carries the broker's global [seq] (the
     serializer's processing order — replaying the queries sequentially in
     [seq] order reproduces the transcript bit-for-bit), a [status] of
     [answered | degraded | refused | rejected | error] with a [reason] for
     everything but [answered], the released [theta] when there is one, and
-    the service observations [batch] (how many requests shared the pass) and
+    the service observations [batch] (how many requests shared the
+    serializer pass and its journal [fsync]) and
     [queue_wait_s]. [rejected] is the admission controller speaking — the
     request never reached the mechanism (so no [seq] slot is consumed,
     [seq] is [-1]) and [retry_after_s] hints when to try again.
@@ -122,7 +123,10 @@ type response = {
   rsp_theta : float array option;
   rsp_source : string option;  (** ["hypothesis"] or ["oracle"] *)
   rsp_update_index : int option;
-  rsp_batch : int option;  (** size of the batch that served this request *)
+  rsp_batch : int option;
+      (** size of the drained batch that served this request: the requests
+          answered in one serializer pass and made durable by one journal
+          [fsync] *)
   rsp_queue_wait_s : float option;
   rsp_spent_eps : float option;
       (** ledger cumulative ε when this answer was released *)

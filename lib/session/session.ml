@@ -1,11 +1,9 @@
 module Online = Pmw_core.Online_pmw
 module Budget = Pmw_core.Budget
 module Config = Pmw_core.Config
-module Cm_query = Pmw_core.Cm_query
 module Params = Pmw_dp.Params
 module Oracle = Pmw_erm.Oracle
 module Oracles = Pmw_erm.Oracles
-module Solve = Pmw_convex.Solve
 module Telemetry = Pmw_telemetry.Telemetry
 
 let log_src = Logs.Src.create "pmw.session" ~doc:"Fault-tolerant PMW session events"
@@ -18,7 +16,6 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
    trace is being written. *)
 type t = {
   config : Config.t;
-  pool : Pmw_parallel.Pool.t;
   dataset : Pmw_data.Dataset.t;
   budget : Budget.t;
   online : Online.t;
@@ -104,7 +101,6 @@ let make ~config ~pool ~dataset ~oracles ~retries ~spend_claim ?prior ~rng ~budg
   let online = Online.create ~pool ~telemetry ~config ~dataset ~oracle:chain ?prior ~rng () in
   {
     config;
-    pool;
     dataset;
     budget;
     online;
@@ -128,40 +124,21 @@ let create ?pool ?telemetry ?label ~config ~dataset ?oracles ?(retries = 0)
   | Error why -> invalid_arg ("Session.create: SV budget does not fit: " ^ why));
   make ~config ~pool ~dataset ~oracles ~retries ~spend_claim ?prior ~rng ~budget ~telemetry ()
 
-let from_hypothesis t query =
-  let dhat = Online.hypothesis t.online in
-  let iters = t.config.Config.solver_iters in
-  (Cm_query.minimize_on_histogram ~pool:t.pool ~iters query dhat).Solve.theta
+(* Last stage of the fallback chain: when every oracle failed or the ledger
+   refused the attempt, the hypothesis still answers, as pure
+   post-processing, through the mechanism's memoized θ̂. *)
+let degrade t query reason refusal =
+  match Online.hypothesis_answer t.online query with
+  | Some outcome -> Online.Degraded (outcome, reason)
+  | None -> Online.Refused refusal
 
-let all_finite v =
-  let ok = ref true in
-  Array.iter (fun x -> if not (Float.is_finite x) then ok := false) v;
-  !ok
-
-(* One post-processing path shared by [answer] and [batch_answer]:
-   [online_answer] is either [Online.answer t.online] or a batch-scoped
-   [Online.batch_answer] — the degraded-fallback solve and the tallies are
-   identical either way, which is what makes batched and sequential
-   transcripts comparable verdict-for-verdict. *)
-let answer_via t online_answer query =
+let answer t query =
   let verdict =
-    match online_answer query with
-    | Online.Refused (Online.Oracle_failed why) ->
-        (* Last stage of the fallback chain: the hypothesis still answers,
-           as pure post-processing, even when every oracle is down. *)
-        let theta = from_hypothesis t query in
-        if all_finite theta then
-          Online.Degraded
-            ( { Online.theta; source = Online.From_hypothesis; update_index = Online.updates t.online },
-              Online.Oracle_unavailable why )
-        else Online.Refused (Online.Oracle_failed why)
-    | Online.Refused (Online.Oracle_budget_denied why) ->
-        let theta = from_hypothesis t query in
-        if all_finite theta then
-          Online.Degraded
-            ( { Online.theta; source = Online.From_hypothesis; update_index = Online.updates t.online },
-              Online.Privacy_budget_exhausted why )
-        else Online.Refused (Online.Oracle_budget_denied why)
+    match Online.answer t.online query with
+    | Online.Refused (Online.Oracle_failed why as r) ->
+        degrade t query (Online.Oracle_unavailable why) r
+    | Online.Refused (Online.Oracle_budget_denied why as r) ->
+        degrade t query (Online.Privacy_budget_exhausted why) r
     | v -> v
   in
   Telemetry.incr t.telemetry "queries";
@@ -178,19 +155,8 @@ let answer_via t online_answer query =
   | Online.Answered _ -> ());
   verdict
 
-let answer t query = answer_via t (Online.answer t.online) query
 let answer_all t queries = List.map (answer t) queries
-
-(* --- batched answering --- *)
-
-type batch = { bt_session : t; bt_online : Online.batch }
-
-let batch t = { bt_session = t; bt_online = Online.batch t.online }
-let batch_answer b query = answer_via b.bt_session (Online.batch_answer b.bt_online) query
-
-let answer_batch t queries =
-  let b = batch t in
-  List.map (batch_answer b) queries
+let forget_solves t = Online.forget_solves t.online
 
 (* --- admission control --- *)
 

@@ -69,28 +69,16 @@ val create :
     with or without a sink. *)
 
 val answer : t -> Pmw_core.Cm_query.t -> Pmw_core.Online_pmw.verdict
+(** {!Pmw_core.Online_pmw.answer}, plus the session's last degradation
+    layer: a query whose oracle chain failed or whose attempt the ledger
+    refused is answered from the hypothesis instead
+    ({!Pmw_core.Online_pmw.hypothesis_answer}, reusing the mechanism's
+    memoized [θ̂]) and flagged [Degraded]. *)
+
 val answer_all : t -> Pmw_core.Cm_query.t list -> Pmw_core.Online_pmw.verdict list
 
-(** {1 Batched answering}
-
-    The query server's broker answers each drained batch of analyst requests
-    through one {!batch} context, so the mechanism's deterministic solves
-    (hypothesis extraction, public minimizers, error-query values) are shared
-    across the batch — see {!Pmw_core.Online_pmw.batch}. Verdicts, ledger
-    debits and degradation behaviour are bit-identical to calling {!answer}
-    on the same queries in the same order. *)
-
-type batch
-
-val batch : t -> batch
-(** A fresh short-lived context; drop it once the batch is answered. *)
-
-val batch_answer : batch -> Pmw_core.Cm_query.t -> Pmw_core.Online_pmw.verdict
-(** Exactly {!answer} — including the degraded-fallback solve and the
-    telemetry tallies — sharing solves with earlier calls on the batch. *)
-
-val answer_batch : t -> Pmw_core.Cm_query.t list -> Pmw_core.Online_pmw.verdict list
-(** [answer_all] through one fresh {!batch}. *)
+val forget_solves : t -> unit
+(** {!Pmw_core.Online_pmw.forget_solves} on the session's mechanism. *)
 
 val admissible : t -> (unit, string) result
 (** Budget-aware admission check: can this session fund one more oracle

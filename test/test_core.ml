@@ -225,6 +225,220 @@ let test_online_accurate_with_exact_oracle () =
             true (err <= config.Config.alpha +. 0.02))
     queries
 
+(* --- the solve memo --- *)
+
+module Telemetry = Pmw_telemetry.Telemetry
+
+let traced_mechanism ?(seed = 5) config ds =
+  let telemetry = Telemetry.create ~sink:(Telemetry.Sink.ring ()) () in
+  let m =
+    Online_pmw.create ~telemetry ~config ~dataset:ds ~oracle:Pmw_erm.Oracles.exact
+      ~rng:(Rng.create ~seed ()) ()
+  in
+  (m, telemetry)
+
+let span_calls telemetry name =
+  match Telemetry.span_stats telemetry name with Some s -> s.Telemetry.span_calls | None -> 0
+
+let memo_hits telemetry = Telemetry.counter telemetry "solve_memo_hits"
+
+(* How many error-query values were fed to sparse vector, and the bits of
+   the latest one. *)
+let last_q_value telemetry =
+  match Telemetry.observation telemetry "q_value" with
+  | Some o -> (o.Telemetry.obs_count, Int64.bits_of_float o.Telemetry.obs_last)
+  | None -> (0, 0L)
+
+(* A copy that is name-equal but physically distinct: it shares no
+   per-query memo entry with the original, so feeding copies is a memo-free
+   reference for everything but the extracted D̂ᵗ. *)
+let fresh_copy q = { q with Cm_query.name = q.Cm_query.name }
+
+let theta_bits theta =
+  String.concat ","
+    (Array.to_list (Array.map (fun x -> Int64.to_string (Int64.bits_of_float x)) theta))
+
+let verdict_bits v =
+  let outcome o =
+    Printf.sprintf "%s|%s|%d" (theta_bits o.Online_pmw.theta)
+      (match o.Online_pmw.source with
+      | Online_pmw.From_hypothesis -> "hyp"
+      | Online_pmw.From_oracle -> "oracle")
+      o.Online_pmw.update_index
+  in
+  match v with
+  | Online_pmw.Answered o -> "answered " ^ outcome o
+  | Online_pmw.Degraded (o, d) ->
+      "degraded " ^ outcome o ^ " " ^ Online_pmw.degradation_to_string d
+  | Online_pmw.Refused r -> "refused " ^ Online_pmw.refusal_to_string r
+
+let test_memo_repeated_query_hits () =
+  let ds = small_dataset () in
+  let m, tel = traced_mechanism (practical_config ()) ds in
+  ignore (Online_pmw.answer m squared_query);
+  Alcotest.(check int) "first ask solves the reference" 1 (span_calls tel "solve.reference");
+  let hits = memo_hits tel in
+  ignore (Online_pmw.answer m squared_query);
+  Alcotest.(check bool) "repeat hits the memo" true (memo_hits tel > hits);
+  Alcotest.(check int) "repeat solves no reference" 1 (span_calls tel "solve.reference");
+  (* reuse needs physical equality: a name-equal copy is solved afresh *)
+  ignore (Online_pmw.answer m (fresh_copy squared_query));
+  Alcotest.(check int) "a distinct copy re-solves" 2 (span_calls tel "solve.reference")
+
+(* [forget_solves] drops every entry, the reference minimum included, and
+   changes no answer. *)
+let test_memo_forget_solves () =
+  let ds = small_dataset () in
+  let m, tel = traced_mechanism (practical_config ()) ds in
+  let first = verdict_bits (Online_pmw.answer m squared_query) in
+  Online_pmw.forget_solves m;
+  let hits = memo_hits tel in
+  let again = verdict_bits (Online_pmw.answer m squared_query) in
+  Alcotest.(check int) "no hit after forgetting" hits (memo_hits tel);
+  Alcotest.(check int) "the reference is solved again" 2 (span_calls tel "solve.reference");
+  Alcotest.(check int) "θ̂ is solved again" 2 (span_calls tel "solve.hypothesis");
+  let control, _ = traced_mechanism (practical_config ()) ds in
+  let c1 = verdict_bits (Online_pmw.answer control squared_query) in
+  let c2 = verdict_bits (Online_pmw.answer control squared_query) in
+  Alcotest.(check (list string)) "answers as a mechanism that kept its memo" [ c1; c2 ]
+    [ first; again ]
+
+(* θ̂ is re-solved exactly when a ⊤ round moved the hypothesis since it was
+   last solved; the reference minimum is solved once for the whole run. *)
+let test_memo_top_round_invalidates () =
+  let ds = small_dataset () in
+  let m, tel = traced_mechanism (practical_config ~alpha:0.005 ~k:20 ~t_max:3 ()) ds in
+  let solved_at = ref (-1) in
+  let reused = ref 0 in
+  for i = 1 to 12 do
+    let u = Online_pmw.updates m in
+    let before = span_calls tel "solve.hypothesis" in
+    ignore (Online_pmw.answer m squared_query);
+    let expected = if u = !solved_at then 0 else 1 in
+    if expected = 0 then incr reused;
+    Alcotest.(check int)
+      (Printf.sprintf "call %d: hypothesis solves" i)
+      expected
+      (span_calls tel "solve.hypothesis" - before);
+    solved_at := u
+  done;
+  Alcotest.(check bool) "a ⊤ round happened" true (Online_pmw.updates m > 0);
+  Alcotest.(check bool) "θ̂ was reused between updates" true (!reused > 0);
+  Alcotest.(check int) "one reference solve across updates" 1 (span_calls tel "solve.reference")
+
+(* Restoring an earlier snapshot must drop θ̂ solved against a later
+   hypothesis: the restored mechanism answers exactly as a fresh one
+   restored from the same snapshot. *)
+let test_memo_restore_invalidates () =
+  let ds = small_dataset () in
+  let config = practical_config ~alpha:0.005 ~k:20 ~t_max:10 () in
+  let m, tel = traced_mechanism config ds in
+  ignore (Online_pmw.answer m squared_query);
+  let snap = Online_pmw.snapshot m in
+  let rec advance n =
+    if n = 0 then Alcotest.fail "no ⊤ round to move the hypothesis"
+    else begin
+      ignore (Online_pmw.answer m squared_query);
+      if Online_pmw.updates m = snap.Online_pmw.snap_mw_updates then advance (n - 1)
+    end
+  in
+  advance 15;
+  (* cache θ̂ of the later hypothesis, so a restore that kept it would reuse it *)
+  ignore (Online_pmw.hypothesis_answer m squared_query);
+  let cached = span_calls tel "solve.hypothesis" in
+  ignore (Online_pmw.hypothesis_answer m squared_query);
+  Alcotest.(check int) "θ̂ is cached before the restore" cached (span_calls tel "solve.hypothesis");
+  Online_pmw.restore m snap;
+  let before = span_calls tel "solve.hypothesis" in
+  let got = verdict_bits (Online_pmw.answer m squared_query) in
+  Alcotest.(check int) "restore forces a fresh θ̂" 1 (span_calls tel "solve.hypothesis" - before);
+  let control, _ = traced_mechanism ~seed:99 config ds in
+  Online_pmw.restore control snap;
+  Alcotest.(check string) "restored answer is the snapshot's"
+    (verdict_bits (Online_pmw.answer control squared_query))
+    got
+
+(* The headline contract: a 40-query transcript through the memo is
+   bit-for-bit the transcript of the same queries fed as physically
+   distinct copies, which can never hit a per-query entry; and every answer
+   from the hypothesis is bit-for-bit θ̂ solved directly on the current D̂ᵗ,
+   which checks the one entry the copies share (the extracted D̂ᵗ). *)
+let test_memo_transcript_matches_memo_free () =
+  let ds = small_dataset () in
+  let config = practical_config ~alpha:0.02 ~k:30 ~t_max:6 () in
+  let panel =
+    [
+      squared_query;
+      Cm_query.make ~name:"huber" ~loss:(Losses.huber ~delta:0.5 ()) ~domain ();
+      Cm_query.make ~name:"abs" ~loss:(Losses.absolute ()) ~domain ();
+      Cm_query.make ~name:"q3" ~loss:(Losses.quantile ~tau:0.3 ()) ~domain ();
+    ]
+  in
+  let queries = List.init 40 (fun i -> List.nth panel (i * 7 mod 4)) in
+  let memo, memo_tel = traced_mechanism config ds in
+  let plain, plain_tel = traced_mechanism config ds in
+  List.iteri
+    (fun i q ->
+      let label = Printf.sprintf "query %d (%s)" i q.Cm_query.name in
+      let expected = verdict_bits (Online_pmw.answer plain (fresh_copy q)) in
+      let v = Online_pmw.answer memo q in
+      Alcotest.(check string) label expected (verdict_bits v);
+      Alcotest.(check (pair int int64))
+        (label ^ ": error-query value")
+        (last_q_value plain_tel) (last_q_value memo_tel);
+      match v with
+      | Online_pmw.Answered ({ Online_pmw.source = From_hypothesis; _ } as o)
+      | Online_pmw.Degraded (o, _) ->
+          let direct =
+            Cm_query.minimize_on_histogram ~iters:config.Config.solver_iters q
+              (Online_pmw.hypothesis memo)
+          in
+          Alcotest.(check string) (label ^ ": θ̂ on the current D̂ᵗ")
+            (theta_bits direct.Pmw_convex.Solve.theta) (theta_bits o.Online_pmw.theta)
+      | _ -> ())
+    queries;
+  Alcotest.(check int) "the copies never hit" 0 (memo_hits plain_tel);
+  Alcotest.(check bool) "the shared values hit" true (memo_hits memo_tel > 0);
+  Alcotest.(check bool) "the run updated and degraded" true
+    (Online_pmw.updates memo > 0 && Online_pmw.halted memo);
+  checkf 0. "same oracle spend"
+    (Pmw_dp.Accountant.total_basic (Online_pmw.oracle_accountant plain)).Params.eps
+    (Pmw_dp.Accountant.total_basic (Online_pmw.oracle_accountant memo)).Params.eps
+
+(* A full table is cleared before its next insert: the first name survives
+   [memo_capacity] entries, and misses once one more distinct name lands. *)
+let test_memo_capacity_bound () =
+  let ds = small_dataset () in
+  let cap = Online_pmw.memo_capacity in
+  let named =
+    Array.init (cap + 1) (fun i -> { squared_query with Cm_query.name = Printf.sprintf "sq%d" i })
+  in
+  let first = named.(0) in
+  (* θ̂ table, at a frozen hypothesis: one live query, then degraded ones *)
+  let m, tel = traced_mechanism (practical_config ~k:1 ()) ds in
+  let thetas () = span_calls tel "solve.hypothesis" in
+  (* the live query may be a ⊤ round, which empties the table again *)
+  ignore (Online_pmw.answer m first);
+  Alcotest.(check bool) "answering from a frozen hypothesis" true (Online_pmw.halted m);
+  for i = 0 to cap - 1 do
+    ignore (Online_pmw.answer m named.(i))
+  done;
+  let full = thetas () in
+  ignore (Online_pmw.answer m first);
+  Alcotest.(check int) "a full table still holds the first name" full (thetas ());
+  ignore (Online_pmw.answer m named.(cap));
+  ignore (Online_pmw.answer m first);
+  Alcotest.(check int) "past the cap the first name misses" (full + 2) (thetas ());
+  (* reference table, which no update clears *)
+  let m, tel = traced_mechanism (practical_config ~k:(cap + 10) ~t_max:(cap + 10) ()) ds in
+  for i = 0 to cap do
+    ignore (Online_pmw.answer m named.(i))
+  done;
+  ignore (Online_pmw.answer m first);
+  Alcotest.(check bool) "still live" false (Online_pmw.halted m);
+  Alcotest.(check int) "past the cap the first reference misses" (cap + 2)
+    (span_calls tel "solve.reference")
+
 (* --- Offline PMW --- *)
 
 let test_offline_answers_all_queries () =
@@ -966,6 +1180,15 @@ let () =
           Alcotest.test_case "accountant" `Quick test_online_accountant_tracks_oracle_calls;
           Alcotest.test_case "hypothesis valid" `Quick test_online_hypothesis_is_valid_histogram;
           Alcotest.test_case "accurate with exact oracle" `Slow test_online_accurate_with_exact_oracle;
+        ] );
+      ( "solve_memo",
+        [
+          Alcotest.test_case "repeated query hits" `Quick test_memo_repeated_query_hits;
+          Alcotest.test_case "forget_solves drops every entry" `Quick test_memo_forget_solves;
+          Alcotest.test_case "top round invalidates" `Quick test_memo_top_round_invalidates;
+          Alcotest.test_case "restore invalidates" `Quick test_memo_restore_invalidates;
+          Alcotest.test_case "transcript = memo-free" `Quick test_memo_transcript_matches_memo_free;
+          Alcotest.test_case "capacity bound" `Quick test_memo_capacity_bound;
         ] );
       ( "offline_pmw",
         [

@@ -1,9 +1,9 @@
 (* Tests for the concurrent query server (lib/server): protocol round-trip
    fuzzing, the broker's admission control (budget backpressure, quotas,
    drain), the headline determinism contract — K concurrent analysts
-   answered through batched sparse-vector evaluation produce bit-for-bit
-   the transcript of a sequential replay in [seq] order, at every pool
-   size — and drain-then-resume bit-identity through the PR 1 checkpoint
+   answered through the memoizing mechanism produce bit-for-bit the
+   transcript of a memo-free sequential replay in [seq] order, at every
+   pool size — and drain-then-resume bit-identity through the PR 1 checkpoint
    path. Plus the ledger race regression the server's admission path pins
    down: concurrent [Budget.request]s must never double-spend. *)
 
@@ -24,6 +24,7 @@ module Journal = Pmw_server.Journal
 module Invariants = Pmw_server.Invariants
 module Net = Pmw_server.Net
 module Rng = Pmw_rng.Rng
+module Telemetry = Pmw_telemetry.Telemetry
 
 (* Concurrency cases run inside a worker thread watched by a deadline, so
    a deadlocked broker (the failure mode these tests exist for) fails the
@@ -62,7 +63,7 @@ let config () =
     ~solver_iters:120 ()
 
 (* The registered workload: [resolve] must return the SAME physical query
-   value per name — that is what lets a batch share its solves. *)
+   value per name — that is what lets the mechanism's memo reuse solves. *)
 let panel =
   [
     ("sq", Cm_query.make ~name:"sq" ~loss:(Losses.squared ()) ~domain ());
@@ -73,6 +74,16 @@ let panel =
 
 let resolve name = List.assoc_opt name panel
 let query_of name = List.assoc name panel
+
+(* A name-equal but physically fresh copy of a registered query: it can hit
+   no per-query memo entry, so a replay fed these re-solves every query.
+   (The extracted D̂ᵗ is shared; test_core checks θ̂ against a direct solve
+   on it.) *)
+let fresh_query_of name =
+  let q = query_of name in
+  { q with Cm_query.name = q.Cm_query.name }
+
+let memo_hits session = Telemetry.counter (Session.telemetry session) "solve_memo_hits"
 
 let make_session ~pool ~seed () =
   Session.create ~pool ~config:(config ()) ~dataset ~rng:(Rng.create ~seed ()) ()
@@ -437,20 +448,26 @@ let assignments =
   ]
 
 (* The headline contract: for every pool size, K concurrent analysts
-   served through batched evaluation produce exactly the verdicts of a
-   fresh session replaying the same queries sequentially in [seq] order. *)
+   served through the memoizing mechanism produce exactly the verdicts of a
+   fresh session replaying the same queries sequentially in [seq] order,
+   without the memo. *)
 let concurrent_matches_sequential_replay ~domains () =
   let pool = Pool.create ~domains () in
   Fun.protect
     ~finally:(fun () -> Pool.shutdown pool)
     (fun () ->
-      let _, transcript = serve_concurrent ~pool ~max_batch:4 ~seed:42 assignments in
+      let served, transcript = serve_concurrent ~pool ~max_batch:4 ~seed:42 assignments in
       let replay = make_session ~pool ~seed:42 () in
       List.iter
         (fun (seq, name, fp) ->
-          let fp' = verdict_fp (Session.answer replay (query_of name)) in
+          let fp' = verdict_fp (Session.answer replay (fresh_query_of name)) in
           Alcotest.(check string) (Printf.sprintf "seq %d (%s)" seq name) fp' fp)
-        transcript)
+        transcript;
+      Alcotest.(check int) "replay is memo-free" 0 (memo_hits replay);
+      (* the broker dropped the memo after its last batch: a repeat misses *)
+      let hits = memo_hits served in
+      ignore (Session.answer served (query_of "sq"));
+      Alcotest.(check int) "no memo outlives a batch" hits (memo_hits served))
 
 let pmw_domains () =
   match Sys.getenv_opt "PMW_DOMAINS" with
@@ -570,16 +587,18 @@ let test_drain_then_resume_bit_identity () =
           let tail_resumed =
             List.map (fun n -> verdict_fp (Session.answer resumed (query_of n))) tail
           in
-          (* uninterrupted control: the served prefix in seq order, then the tail *)
+          (* uninterrupted memo-free control: the served prefix in seq order,
+             then the tail *)
           let control = make_session ~pool ~seed:42 () in
           List.iter
             (fun (seq, name, fp) ->
-              let fp' = verdict_fp (Session.answer control (query_of name)) in
+              let fp' = verdict_fp (Session.answer control (fresh_query_of name)) in
               Alcotest.(check string) (Printf.sprintf "prefix seq %d (%s)" seq name) fp' fp)
             transcript;
           let tail_control =
-            List.map (fun n -> verdict_fp (Session.answer control (query_of n))) tail
+            List.map (fun n -> verdict_fp (Session.answer control (fresh_query_of n))) tail
           in
+          Alcotest.(check int) "control is memo-free" 0 (memo_hits control);
           List.iteri
             (fun i (expected, got) ->
               Alcotest.(check string) (Printf.sprintf "tail query %d bit-identical" i) expected
