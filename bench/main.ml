@@ -58,6 +58,18 @@ let micro_tests () =
     (* T1.lipschitz & friends: one public argmin over the hypothesis *)
     Test.make ~name:"t1-lipschitz/public-argmin"
       (Staged.stage (fun () -> Pmw_core.Cm_query.minimize_on_histogram ~iters:50 query dhat));
+    (* Figure 3's served solve: one panel-query argmin (Huber, the stock
+       |X| = 245 universe, 200 iterations per arm, one domain) over the
+       histogram of a 37 500-row sample — one shard's reference minimum in
+       the `fleet` benchmark workload *)
+    Test.make ~name:"convex/panel-solve"
+      (Staged.stage
+         (let panel = Common.Workload.regression () in
+          let huber = List.nth panel.Common.Workload.queries 1 in
+          let shard = panel.Common.Workload.sample ~n:37_500 (Rng.create ~seed:6 ()) in
+          let hist = Pmw_data.Dataset.histogram shard in
+          let pool = Pmw_parallel.Pool.create ~domains:1 () in
+          fun () -> Pmw_core.Cm_query.minimize_on_histogram ~pool ~iters:200 huber hist));
     (* T1.uglm: one noisy-GD oracle call *)
     Test.make ~name:"t1-uglm/oracle-call"
       (Staged.stage
@@ -119,24 +131,29 @@ let micro_tests () =
 let run_micro () =
   let tests = Test.make_grouped ~name:"pmw" ~fmt:"%s/%s" (micro_tests ()) in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:None () in
-  let raw = Benchmark.all cfg Instance.[ monotonic_clock ] tests in
+  let raw = Benchmark.all cfg Instance.[ monotonic_clock; minor_allocated ] tests in
   let ols = Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |] in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name v ->
-      match Analyze.OLS.estimates v with
-      | Some [ t ] -> rows := (name, t) :: !rows
-      | Some _ | None -> ())
-    results;
-  let rows = List.sort compare !rows in
-  Printf.printf "\n== micro-benchmarks (ns per call, OLS on monotonic clock) ==\n";
-  List.iter (fun (name, t) -> Printf.printf "%-32s %12.0f ns\n" name t) rows;
+  let per_call instance =
+    let results = Analyze.all ols instance raw in
+    fun name ->
+      match Option.bind (Hashtbl.find_opt results name) Analyze.OLS.estimates with
+      | Some [ t ] -> t
+      | Some _ | None -> nan
+  in
+  let ns = per_call Instance.monotonic_clock and words = per_call Instance.minor_allocated in
+  let names = List.sort compare (Hashtbl.fold (fun name _ acc -> name :: acc) raw []) in
+  Printf.printf
+    "\n== micro-benchmarks (per call, OLS: ns on monotonic clock, minor words allocated) ==\n";
+  List.iter
+    (fun name -> Printf.printf "%-32s %12.0f ns %12.0f w\n" name (ns name) (words name))
+    names;
   Printf.printf "%!"
 
 (* --- kernel regression bench: the pooled kernels against the pre-pool
    (seed) algorithms, replicated verbatim from the original Mw/Special/
-   Histogram implementations so "baseline" means the actual before-code. --- *)
+   Histogram implementations so "baseline" means the actual before-code
+   (the residual objective's baseline is the generic objective path, which
+   is still in the library). --- *)
 
 module Pool = Pmw_parallel.Pool
 
@@ -284,7 +301,36 @@ let bench_kernels_at ~pool1 ~pool4 bits =
           kr_wall_s = 0.;
         })
   in
-  [ mw_update; distribution; lse; expect ]
+  (* objective: f θ + grad θ of the Huber histogram objective — one step of
+     the served solvers' inner sweep. Baseline: the same loss with its
+     residual hint dropped, i.e. the generic per-point path. θ alternates
+     between two points, so every call computes its residuals afresh. *)
+  let objective =
+    let module Objective = Pmw_convex.Objective in
+    let hist = Histogram.uniform universe in
+    let loss = Pmw_convex.Losses.huber ~delta:0.5 () in
+    let generic = { loss with Pmw_convex.Loss.residual = None } in
+    let thetas = [| Array.make bits 0.3; Array.make bits (-0.2) |] in
+    let step loss pool =
+      let obj = Objective.of_histogram ~pool loss hist ~dim:bits in
+      let k = ref 0 in
+      fun () ->
+        incr k;
+        let theta = thetas.(!k land 1) in
+        ignore (obj.Objective.f theta);
+        ignore (obj.Objective.grad theta)
+    in
+    walled (fun () ->
+        {
+          kr_name = "convex/objective";
+          kr_bits = bits;
+          kr_baseline = time_ns (step generic pool1);
+          kr_seq = time_ns (step loss pool1);
+          kr_par = time_ns (step loss pool4);
+          kr_wall_s = 0.;
+        })
+  in
+  [ mw_update; distribution; lse; expect; objective ]
 
 let speedup r = r.kr_baseline /. r.kr_par
 

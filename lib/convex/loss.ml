@@ -6,6 +6,13 @@ type glm = {
   feature : Pmw_data.Point.t -> Vec.t;
 }
 
+type residual = {
+  psi : float -> float;
+  psi_deriv : float -> float;
+  coef : float;
+  prepare : Pmw_data.Point.t -> Pmw_data.Point.t;
+}
+
 type t = {
   name : string;
   value : Vec.t -> Pmw_data.Point.t -> float;
@@ -13,12 +20,13 @@ type t = {
   lipschitz : float;
   strong_convexity : float;
   glm : glm option;
+  residual : residual option;
 }
 
-let make ~name ?(lipschitz = 1.) ?(strong_convexity = 0.) ?glm ~value ~grad () =
+let make ~name ?(lipschitz = 1.) ?(strong_convexity = 0.) ?glm ?residual ~value ~grad () =
   if lipschitz < 0. then invalid_arg "Loss.make: negative Lipschitz constant";
   if strong_convexity < 0. then invalid_arg "Loss.make: negative strong convexity";
-  { name; value; grad; lipschitz; strong_convexity; glm }
+  { name; value; grad; lipschitz; strong_convexity; glm; residual }
 
 let of_glm ~name ?lipschitz ?strong_convexity glm =
   let value theta x = glm.link (Vec.dot theta (glm.feature x)) in
@@ -27,6 +35,22 @@ let of_glm ~name ?lipschitz ?strong_convexity glm =
     Vec.scale (glm.link_deriv (Vec.dot theta phi)) phi
   in
   make ~name ?lipschitz ?strong_convexity ~glm ~value ~grad ()
+
+(* Bracketed as [coef *. ψ r] and [coef *. (ψ' r *. x_j)]: at [coef = 1.]
+   these are the bits of [ψ r] and [ψ' r *. x_j], so [scale c]'s wrappers
+   ([c *. value], [c *. grad_j]) equal the hint with [coef = c] — the
+   residual contract of loss.mli. *)
+let of_residual ~name ?lipschitz ?strong_convexity r =
+  let value theta x =
+    let (p : Pmw_data.Point.t) = r.prepare x in
+    r.coef *. r.psi (Vec.dot theta p.features -. p.label)
+  in
+  let grad theta x =
+    let (p : Pmw_data.Point.t) = r.prepare x in
+    let d = r.psi_deriv (Vec.dot theta p.features -. p.label) in
+    Array.map (fun xj -> r.coef *. (d *. xj)) p.features
+  in
+  make ~name ?lipschitz ?strong_convexity ~residual:r ~value ~grad ()
 
 let scale c t =
   if c <= 0. then invalid_arg "Loss.scale: factor must be positive";
@@ -45,6 +69,10 @@ let scale c t =
             link_deriv = (fun z -> c *. g.link_deriv z);
           })
         t.glm;
+    (* [c *. (c' *. v)] is not [(c *. c') *. v] in floating point, so only
+       an unscaled hint can absorb the factor bit-exactly. *)
+    residual =
+      (match t.residual with Some r when r.coef = 1. -> Some { r with coef = c } | _ -> None);
   }
 
 let add a b =
@@ -55,6 +83,7 @@ let add a b =
     lipschitz = a.lipschitz +. b.lipschitz;
     strong_convexity = a.strong_convexity +. b.strong_convexity;
     glm = None;
+    residual = None;
   }
 
 let scale_parameter t domain = Domain.diameter domain *. t.lipschitz

@@ -9,16 +9,10 @@ let maybe_normalize normalize loss =
 
 let squared ?(radius = 1.) ?(feature_norm = 1.) ?(label_bound = 1.) ?(normalize = true) () =
   let residual_bound = (radius *. feature_norm) +. label_bound in
-  let value theta (x : Point.t) =
-    let r = Vec.dot theta x.features -. x.label in
-    r *. r
-  in
-  let grad theta (x : Point.t) =
-    let r = Vec.dot theta x.features -. x.label in
-    Vec.scale (2. *. r) x.features
-  in
   maybe_normalize normalize
-    (Loss.make ~name:"squared" ~lipschitz:(2. *. residual_bound *. feature_norm) ~value ~grad ())
+    (Loss.of_residual ~name:"squared"
+       ~lipschitz:(2. *. residual_bound *. feature_norm)
+       { Loss.psi = (fun r -> r *. r); psi_deriv = (fun r -> 2. *. r); coef = 1.; prepare = Fun.id })
 
 let squared_margin ?(radius = 1.) ?(feature_norm = 1.) ?(normalize = true) () =
   let margin_bound = 1. +. (radius *. feature_norm) in
@@ -53,11 +47,7 @@ let hinge ?(feature_norm = 1.) () =
   Loss.of_glm ~name:"hinge" ~lipschitz:feature_norm glm
 
 let residual_loss ~name ~lipschitz ~psi ~psi_deriv =
-  let value theta (x : Point.t) = psi (Vec.dot theta x.features -. x.label) in
-  let grad theta (x : Point.t) =
-    Vec.scale (psi_deriv (Vec.dot theta x.features -. x.label)) x.features
-  in
-  Loss.make ~name ~lipschitz ~value ~grad ()
+  Loss.of_residual ~name ~lipschitz { Loss.psi; psi_deriv; coef = 1.; prepare = Fun.id }
 
 let huber ?(delta = 1.) ?(feature_norm = 1.) () =
   if delta <= 0. then invalid_arg "Losses.huber: delta must be positive";
@@ -160,6 +150,10 @@ let preprocess ~name ~f (base : Loss.t) =
     value = (fun theta x -> base.Loss.value theta (f x));
     grad = (fun theta x -> base.Loss.grad theta (f x));
     glm = Option.map (fun g -> { g with Loss.feature = (fun x -> g.Loss.feature (f x)) }) base.Loss.glm;
+    residual =
+      Option.map
+        (fun r -> { r with Loss.prepare = (fun x -> r.Loss.prepare (f x)) })
+        base.Loss.residual;
   }
 
 let feature_mask mask base =

@@ -6,12 +6,18 @@
     [|y| <= label_bound], and parameters in a ball of radius [radius]
     (defaults all [1.], matching the paper's normalization). Pass
     [~normalize:true] (the default for the unbounded-curvature losses) to
-    rescale the loss so its Lipschitz constant is exactly 1. *)
+    rescale the loss so its Lipschitz constant is exactly 1.
+
+    The regression losses of the residual [⟨θ,x⟩ − y] ({!squared}, {!huber},
+    {!absolute}, {!quantile}, {!epsilon_insensitive}) are built with
+    {!Loss.of_residual} and carry the [residual] hint, which {!preprocess}
+    (hence {!feature_mask}) keeps. *)
 
 val squared :
   ?radius:float -> ?feature_norm:float -> ?label_bound:float -> ?normalize:bool -> unit -> Loss.t
 (** Linear-regression loss [(⟨θ,x⟩ − y)²] (Section 1's running example). Not
-    a pure GLM in our representation (the label enters non-linearly). *)
+    a pure GLM in our representation (the label enters non-linearly), but a
+    residual loss. *)
 
 val squared_margin : ?radius:float -> ?feature_norm:float -> ?normalize:bool -> unit -> Loss.t
 (** [(1 − y⟨θ,x⟩)²] for labels [y ∈ {±1}] — the GLM form of squared loss
@@ -66,7 +72,8 @@ val preprocess : name:string -> f:(Pmw_data.Point.t -> Pmw_data.Point.t) -> Loss
 (** Apply the loss to transformed records, e.g. restrict a regression to a
     feature subset by zeroing masked coordinates. The stated constants carry
     over only when [f] does not increase feature norms or label magnitudes
-    (true for masking/clipping); the caller is responsible. *)
+    (true for masking/clipping); the caller is responsible. Both hints of the
+    base loss are kept, with [f] composed into [feature] or [prepare]. *)
 
 val feature_mask : bool array -> Loss.t -> Loss.t
 (** [preprocess] specialized to zeroing the coordinates where the mask is

@@ -6,48 +6,124 @@ type t = { dim : int; f : Vec.t -> float; grad : Vec.t -> Vec.t }
 
 (* Histogram objectives are evaluated hundreds of times per solve (two solver
    arms, Armijo backtracking, suffix averaging), each evaluation an O(|X|)
-   sweep. Two memo layers cut the repeated work:
+   sweep. [of_histogram] takes one of three paths, by the loss's hint:
 
-   - a per-objective decoded-point table: the support (indices of positive
-     mass), weights and — for GLM losses — the feature vectors φ(x) are
-     extracted once when the objective is built, instead of re-decoded on
-     every [f]/[grad] call of every solver iteration;
+   - GLM ([Loss.glm]): the feature vectors φ(x) are decoded once, and the
+     inner products zᵢ = ⟨θ, φᵢ⟩ are cached for the last θ, so [f θ] and
+     [grad θ] at the same point (solvers routinely call both) pay for the
+     dot products once;
 
-   - a last-θ cache: GLM losses share the inner products zᵢ = ⟨θ, φᵢ⟩
-     between [f θ] and [grad θ] at the same point (solvers routinely call
-     both), so each θ pays for its dot products once.
+   - residual ([Loss.residual]): each support point is decoded once through
+     [prepare] into a flat feature matrix and a label array, and the
+     residuals rᵢ = ⟨θ, xᵢ⟩ − yᵢ are cached for the last θ the same way.
+     [f] and [grad] are inline loops that allocate no per-point vector,
+     record or closure. They perform the generic path's arithmetic in its
+     order — [Vec.dot]'s loop, [w *. (coef *. ψ r)] in [Special.kahan_range]'s
+     recurrence, [acc_j +. w *. (coef *. (ψ' r *. x_j))] — so every result is
+     bit-identical to it (the residual contract of loss.mli);
+
+   - generic: the support (indices of positive mass) and weights are
+     extracted once, and each evaluation calls [Loss.value]/[Loss.grad] per
+     point.
 
    Everything is chunked on the pool with index-ordered tree combines, so the
    results are bit-identical whatever the pool size. *)
 
-type 'a support = { weights : float array; points : 'a array }
-
-let build_support hist decode =
+(* The support of [hist] — the indices of positive mass — and its weights. *)
+let support hist =
   let n = Pmw_data.Histogram.size hist in
   let m = ref 0 in
   for i = 0 to n - 1 do
     if Pmw_data.Histogram.get hist i > 0. then incr m
   done;
-  let weights = Array.make !m 0. in
-  let points = Array.make !m (decode 0) in
+  let weights = Array.make !m 0. and index = Array.make !m 0 in
   let j = ref 0 in
   for i = 0 to n - 1 do
     let w = Pmw_data.Histogram.get hist i in
     if w > 0. then begin
       weights.(!j) <- w;
-      points.(!j) <- decode i;
+      index.(!j) <- i;
       incr j
     end
   done;
-  { weights; points }
+  (weights, index)
+
+(* The residual path. [x] holds the prepared feature vectors row-major
+   ([dim] floats per support point), [y] their labels; each prepared record
+   is dropped as soon as it is copied. *)
+let residual_objective pool (r : Loss.residual) (weights, index) decode ~dim =
+  let m = Array.length weights in
+  let x = Array.make (m * dim) 0. and y = Array.make m 0. in
+  Array.iteri
+    (fun k i ->
+      let (p : Pmw_data.Point.t) = r.Loss.prepare (decode i) in
+      if Vec.dim p.features <> dim then
+        invalid_arg "Objective.of_histogram: feature dimension mismatch";
+      Array.blit p.features 0 x (k * dim) dim;
+      y.(k) <- p.label)
+    index;
+  let { Loss.psi; psi_deriv; coef; prepare = _ } = r in
+  let res = Array.make m 0. in
+  let cached_theta = ref None in
+  (* Structural equality, as in the GLM path: equal coordinates give equal
+     residuals, so the cache can never go stale. *)
+  let ensure_res theta =
+    match !cached_theta with
+    | Some c when c = theta -> ()
+    | _ ->
+        if Vec.dim theta <> dim then invalid_arg "Vec.dot: dimension mismatch";
+        Pool.parallel_for pool ~n:m (fun lo hi ->
+            for i = lo to hi - 1 do
+              let row = i * dim in
+              let dot = ref 0. in
+              for j = 0 to dim - 1 do
+                dot := !dot +. (theta.(j) *. x.(row + j))
+              done;
+              res.(i) <- !dot -. y.(i)
+            done);
+        cached_theta := Some (Array.copy theta)
+  in
+  let f theta =
+    ensure_res theta;
+    Pool.parallel_reduce pool ~n:m ~neutral:0. ~combine:( +. ) ~chunk:(fun lo hi ->
+        (* [Special.kahan_range], inlined so the summands stay unboxed. *)
+        let sum = ref 0. and c = ref 0. in
+        for i = lo to hi - 1 do
+          let v = (weights.(i) *. (coef *. psi res.(i))) -. !c in
+          let t = !sum +. v in
+          c := t -. !sum -. v;
+          sum := t
+        done;
+        !sum)
+  in
+  let grad theta =
+    ensure_res theta;
+    Pool.parallel_reduce pool ~n:m
+      ~neutral:(Vec.create dim)
+      ~chunk:(fun lo hi ->
+        let acc = Vec.create dim in
+        for i = lo to hi - 1 do
+          let w = weights.(i) and d = psi_deriv res.(i) in
+          let row = i * dim in
+          for j = 0 to dim - 1 do
+            acc.(j) <- acc.(j) +. (w *. (coef *. (d *. x.(row + j))))
+          done
+        done;
+        acc)
+      ~combine:(fun a b ->
+        Vec.add_inplace a b;
+        a)
+  in
+  { dim; f; grad }
 
 let of_histogram ?pool (loss : Loss.t) hist ~dim =
   let pool = match pool with Some p -> p | None -> Pool.default () in
   let universe = Pmw_data.Histogram.universe hist in
   let decode i = Pmw_data.Universe.get universe i in
-  match loss.Loss.glm with
-  | Some g ->
-      let { weights; points = phi } = build_support hist (fun i -> g.Loss.feature (decode i)) in
+  match (loss.Loss.glm, loss.Loss.residual) with
+  | Some g, _ ->
+      let weights, index = support hist in
+      let phi = Array.map (fun i -> g.Loss.feature (decode i)) index in
       let m = Array.length weights in
       let z = Array.make m 0. in
       let cached_theta = ref [||] in
@@ -85,8 +161,10 @@ let of_histogram ?pool (loss : Loss.t) hist ~dim =
         acc
       in
       { dim; f; grad }
-  | None ->
-      let { weights; points } = build_support hist decode in
+  | None, Some r -> residual_objective pool r (support hist) decode ~dim
+  | None, None ->
+      let weights, index = support hist in
+      let points = Array.map decode index in
       let m = Array.length weights in
       let f theta =
         Pool.parallel_reduce pool ~n:m ~neutral:0. ~combine:( +. )

@@ -64,10 +64,11 @@ let gradient_descent_armijo ?theta0 ~iters domain (obj : Objective.t) =
   let theta = ref (check_start domain theta0) in
   let v = ref (obj.f !theta) in
   let step = ref 1. in
-  let evals = ref 1 in
+  let grads = ref 0 in
   (try
      for _ = 1 to iters do
        let g = obj.grad !theta in
+       incr grads;
        let gnorm_sq = Vec.norm2_sq g in
        if gnorm_sq < 1e-24 then raise Exit;
        (* Backtrack until sufficient decrease (projected Armijo). *)
@@ -76,7 +77,6 @@ let gradient_descent_armijo ?theta0 ~iters domain (obj : Objective.t) =
          else
            let cand = Domain.project domain (Vec.sub !theta (Vec.scale s g)) in
            let cv = obj.f cand in
-           incr evals;
            let decrease = Vec.dist2 cand !theta in
            if cv <= !v -. (1e-4 *. decrease *. decrease /. Float.max s 1e-12) && cv < !v then
              Some (cand, cv, s)
@@ -91,7 +91,7 @@ let gradient_descent_armijo ?theta0 ~iters domain (obj : Objective.t) =
            step := Float.min (s *. 2.) 1e6
      done
    with Exit -> ());
-  { theta = !theta; value = !v; iterations = !evals }
+  { theta = !theta; value = !v; iterations = !grads }
 
 let accelerated_gradient ?theta0 ~iters ~smoothness domain (obj : Objective.t) =
   if iters <= 0 then invalid_arg "Solve.accelerated_gradient: iters must be positive";
@@ -146,7 +146,7 @@ let minimize ?(iters = 400) ?theta0 ?(lipschitz = 1.) ?(strong_convexity = 0.) d
   match Domain.kind domain with
   | Domain.Box { lo; hi } when Domain.dim domain = 1 ->
       let theta = ternary_search ~iters:100 ~lo ~hi (fun x -> obj.f [| x |]) in
-      { theta = [| theta |]; value = obj.f [| theta |]; iterations = 100 }
+      { theta = [| theta |]; value = obj.f [| theta |]; iterations = 0 }
   | Domain.L2_ball _ | Domain.Box _ | Domain.Simplex ->
       let arm1 = gradient_descent_armijo ?theta0 ~iters domain obj in
       let arm2 =

@@ -13,7 +13,12 @@
 type report = {
   theta : Pmw_linalg.Vec.t;  (** the best point found (inside the domain) *)
   value : float;  (** objective value at [theta] *)
-  iterations : int;  (** total gradient evaluations spent *)
+  iterations : int;
+      (** gradient evaluations spent: one per step of the subgradient,
+          accelerated and Frank–Wolfe loops, one per Armijo step (its
+          backtracking evaluates only [f]), the sum of both arms in
+          {!minimize}, and [0] for the 1-d ternary search, which uses no
+          gradient *)
 }
 
 val projected_subgradient :

@@ -282,6 +282,122 @@ let test_objective_add_ridge () =
   let theta = [| 1.; 0. |] in
   checkf 1e-12 "value gains lambda/2 |theta|^2" (o.Objective.f theta +. 1.) (r.Objective.f theta)
 
+(* --- the residual-hint objective path --- *)
+
+let bits = Int64.bits_of_float
+let same_bits a b = bits a = bits b
+let same_vec a b = Array.length a = Array.length b && Array.for_all2 same_bits a b
+
+(* A d=3 regression grid with random weights and ~1/5 of the points at zero
+   mass, so the support skips indices and spans several pool chunks. *)
+let multi_chunk_histogram () =
+  let u = Universe.regression_grid ~d:3 ~levels:17 ~label_levels:5 () in
+  let r = Rng.create ~seed:8 () in
+  let w =
+    Array.init (Universe.size u) (fun _ ->
+        if Rng.uniform r ~lo:0. ~hi:1. < 0.2 then 0. else Rng.uniform r ~lo:0. ~hi:1.)
+  in
+  let h = Histogram.of_weights u w in
+  Alcotest.(check bool) "support spans several chunks" true
+    (Histogram.support_size h > Pmw_parallel.Pool.grain);
+  h
+
+let mask3 = [| true; false; true |]
+
+let hinted_losses () =
+  [
+    Losses.squared ();
+    Losses.squared ~normalize:false ();
+    Losses.huber ~delta:0.5 ();
+    Losses.absolute ();
+    Losses.quantile ~tau:0.25 ();
+    Losses.epsilon_insensitive ~epsilon:0.1 ();
+    Loss.scale 3. (Losses.huber ());
+    Losses.feature_mask mask3 (Losses.squared ());
+    Losses.feature_mask mask3 (Losses.quantile ~tau:0.7 ());
+    Losses.feature_mask mask3 (Loss.scale 0.5 (Losses.absolute ()));
+  ]
+
+(* The hint is an evaluation strategy, not a different loss: f, grad and a
+   whole solve must equal the generic per-point path bit for bit, at any
+   pool size. *)
+let test_residual_path_bit_identical () =
+  let h = multi_chunk_histogram () in
+  let domain = Domain.unit_ball ~dim:3 in
+  let thetas =
+    [| 0.; 0.; 0. |] :: [| 2.; -1.; 0.5 |]
+    :: List.init 6 (fun _ -> Pmw_data.Synth.random_unit_vector ~dim:3 rng)
+  in
+  List.iter
+    (fun domains ->
+      let pool = Pmw_parallel.Pool.create ~domains () in
+      List.iter
+        (fun (loss : Loss.t) ->
+          let name = Printf.sprintf "%s, pool %d" loss.Loss.name domains in
+          Alcotest.(check bool) (name ^ " carries the hint") true (Option.is_some loss.Loss.residual);
+          let generic = { loss with Loss.residual = None } in
+          let o = Objective.of_histogram ~pool loss h ~dim:3 in
+          let g = Objective.of_histogram ~pool generic h ~dim:3 in
+          List.iter
+            (fun theta ->
+              (* grad before f, then f, then grad again: cold and cached residuals *)
+              Alcotest.(check bool) (name ^ ": grad") true (same_vec (o.grad theta) (g.grad theta));
+              Alcotest.(check bool) (name ^ ": f") true (same_bits (o.f theta) (g.f theta));
+              Alcotest.(check bool) (name ^ ": grad again") true
+                (same_vec (o.grad theta) (g.grad theta)))
+            thetas;
+          let a = Solve.minimize_loss_on_histogram ~pool ~iters:40 loss domain h in
+          let b = Solve.minimize_loss_on_histogram ~pool ~iters:40 generic domain h in
+          Alcotest.(check bool) (name ^ ": solve theta") true (same_vec a.Solve.theta b.Solve.theta);
+          Alcotest.(check bool) (name ^ ": solve value") true (same_bits a.Solve.value b.Solve.value);
+          Alcotest.(check int) (name ^ ": solve iterations") b.Solve.iterations a.Solve.iterations)
+        (hinted_losses ());
+      Pmw_parallel.Pool.shutdown pool)
+    [ 1; 2 ]
+
+let test_residual_hint_dropped () =
+  (* [squared ()] is normalized (coef 0.25): a second factor cannot be folded
+     in bit-exactly, and a sum has no residual form at all. *)
+  let nested = Loss.scale 2. (Losses.squared ()) in
+  let summed = Losses.ridge ~lambda:0.3 ~radius:1. (Losses.absolute ()) in
+  let both = Loss.add (Losses.huber ()) (Losses.absolute ()) in
+  List.iter
+    (fun (loss : Loss.t) ->
+      Alcotest.(check bool) (loss.Loss.name ^ " drops the hint") true (Option.is_none loss.Loss.residual))
+    [ nested; summed; both ];
+  (* the fallback still evaluates the loss it names *)
+  let h = multi_chunk_histogram () in
+  let theta = [| 0.2; -0.3; 0.1 |] in
+  let base = Objective.of_histogram (Losses.squared ()) h ~dim:3 in
+  checkf 1e-12 "nested scale = 2 x base" (2. *. base.Objective.f theta)
+    ((Objective.of_histogram nested h ~dim:3).Objective.f theta);
+  (* an unscaled hint absorbs the factor *)
+  match (Loss.scale 3. (Losses.huber ())).Loss.residual with
+  | Some r -> checkf 0. "coef" 3. r.Loss.coef
+  | None -> Alcotest.fail "scale of an unscaled residual loss dropped the hint"
+
+(* Every served regression loss must stay on the allocation-free path: the
+   7 panel queries, and the three families of [pmwbench stream] (quantile τ,
+   Huber δ, a feature mask over squared / absolute / quantile). *)
+let test_served_losses_carry_hint () =
+  let w = Pmw_experiments.Common.Workload.regression () in
+  let panel = List.map (fun q -> q.Pmw_core.Cm_query.loss) w.Pmw_experiments.Common.Workload.queries in
+  Alcotest.(check int) "panel size" 7 (List.length panel);
+  let mask = [| true; false |] in
+  let stream =
+    [
+      Losses.quantile ~tau:0.42 ();
+      Losses.huber ~delta:0.3 ();
+      Losses.feature_mask mask (Losses.squared ());
+      Losses.feature_mask mask (Losses.absolute ());
+      Losses.feature_mask mask (Losses.quantile ~tau:0.6 ());
+    ]
+  in
+  List.iter
+    (fun (loss : Loss.t) ->
+      Alcotest.(check bool) (loss.Loss.name ^ " carries the hint") true (Option.is_some loss.Loss.residual))
+    (panel @ stream)
+
 (* --- solvers --- *)
 
 (* A known quadratic: f(t) = ||t - c||^2 with optimum c (interior or not). *)
@@ -369,6 +485,42 @@ let test_minimize_nonsmooth () =
   done;
   Alcotest.(check bool) "no worse than random sweep + tol" true (r.Solve.value <= !best +. 0.02)
 
+(* [iterations] counts gradient evaluations, whatever the solver spends on
+   [f] (Armijo backtracking, suffix averaging, ternary search). *)
+let test_iterations_count_gradients () =
+  let counting c =
+    let q = quadratic c in
+    let grads = ref 0 in
+    let obj =
+      Objective.of_fn ~dim:q.Objective.dim ~f:q.Objective.f ~grad:(fun t ->
+          incr grads;
+          q.Objective.grad t)
+    in
+    (obj, grads)
+  in
+  let ball = Domain.unit_ball ~dim:2 in
+  let runs =
+    [
+      ("armijo", fun obj -> Solve.gradient_descent_armijo ~iters:30 ball obj);
+      ("subgradient", fun obj -> Solve.projected_subgradient ~iters:30 ~lipschitz:4. ball obj);
+      ("strongly convex", fun obj -> Solve.strongly_convex_subgradient ~iters:30 ~sigma:2. ball obj);
+      ("accelerated", fun obj -> Solve.accelerated_gradient ~iters:30 ~smoothness:2. ball obj);
+      ("frank-wolfe", fun obj -> Solve.frank_wolfe ~iters:30 ~radius:1. obj);
+      ("minimize", fun obj -> Solve.minimize ~iters:30 ~lipschitz:4. ball obj);
+    ]
+  in
+  List.iter
+    (fun (name, run) ->
+      (* an optimum outside the ball keeps Armijo from stopping early *)
+      let obj, grads = counting [| 1.5; -0.7 |] in
+      let r = run obj in
+      Alcotest.(check int) (name ^ ": iterations = gradient calls") !grads r.Solve.iterations)
+    runs;
+  let obj, grads = counting [| 0.4 |] in
+  let r = Solve.minimize (Domain.interval ~lo:0. ~hi:1.) obj in
+  Alcotest.(check int) "ternary search: no gradient" 0 !grads;
+  Alcotest.(check int) "ternary search: iterations" 0 r.Solve.iterations
+
 let test_ternary_search () =
   let m = Solve.ternary_search ~lo:(-10.) ~hi:10. (fun x -> ((x -. 3.) *. (x -. 3.)) +. 1.) in
   checkf 1e-6 "unimodal minimum" 3. m
@@ -429,6 +581,9 @@ let () =
         [
           Alcotest.test_case "histogram = dataset" `Quick test_objective_histogram_vs_dataset;
           Alcotest.test_case "add ridge" `Quick test_objective_add_ridge;
+          Alcotest.test_case "residual path = generic path" `Quick test_residual_path_bit_identical;
+          Alcotest.test_case "residual hint dropped" `Quick test_residual_hint_dropped;
+          Alcotest.test_case "served losses carry the hint" `Quick test_served_losses_carry_hint;
         ] );
       ( "solve",
         [
@@ -438,6 +593,7 @@ let () =
           Alcotest.test_case "1d box exact" `Quick test_minimize_1d_box_exact;
           Alcotest.test_case "nonsmooth" `Quick test_minimize_nonsmooth;
           Alcotest.test_case "ternary search" `Quick test_ternary_search;
+          Alcotest.test_case "iterations count gradients" `Quick test_iterations_count_gradients;
           Alcotest.test_case "validation" `Quick test_solver_validation;
         ] );
       ( "properties",
