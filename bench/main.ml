@@ -301,18 +301,20 @@ let bench_kernels_at ~pool1 ~pool4 bits =
           kr_wall_s = 0.;
         })
   in
-  (* objective: f θ + grad θ of the Huber histogram objective — one step of
-     the served solvers' inner sweep. Baseline: the same loss with its
-     residual hint dropped, i.e. the generic per-point path. θ alternates
-     between two points, so every call computes its residuals afresh. *)
-  let objective =
+  (* objective: f θ + grad θ of a histogram objective — one step of the
+     served solvers' inner sweep — for the Huber loss (convex/objective) and
+     the logistic margin GLM on ±1-labelled records, |X| = 2^bits
+     (convex/objective-glm). Baseline: the same loss with its residual hint
+     dropped, i.e. the generic per-point path. θ alternates between two
+     points, so every call computes its residuals afresh. *)
+  let objective name loss universe =
     let module Objective = Pmw_convex.Objective in
     let hist = Histogram.uniform universe in
-    let loss = Pmw_convex.Losses.huber ~delta:0.5 () in
+    let dim = Universe.dim universe in
     let generic = { loss with Pmw_convex.Loss.residual = None } in
-    let thetas = [| Array.make bits 0.3; Array.make bits (-0.2) |] in
+    let thetas = [| Array.make dim 0.3; Array.make dim (-0.2) |] in
     let step loss pool =
-      let obj = Objective.of_histogram ~pool loss hist ~dim:bits in
+      let obj = Objective.of_histogram ~pool loss hist ~dim in
       let k = ref 0 in
       fun () ->
         incr k;
@@ -322,7 +324,7 @@ let bench_kernels_at ~pool1 ~pool4 bits =
     in
     walled (fun () ->
         {
-          kr_name = "convex/objective";
+          kr_name = name;
           kr_bits = bits;
           kr_baseline = time_ns (step generic pool1);
           kr_seq = time_ns (step loss pool1);
@@ -330,7 +332,15 @@ let bench_kernels_at ~pool1 ~pool4 bits =
           kr_wall_s = 0.;
         })
   in
-  [ mw_update; distribution; lse; expect; objective ]
+  [
+    mw_update;
+    distribution;
+    lse;
+    expect;
+    objective "convex/objective" (Pmw_convex.Losses.huber ~delta:0.5 ()) universe;
+    objective "convex/objective-glm" (Pmw_convex.Losses.logistic ())
+      (Universe.labeled_hypercube ~d:(bits - 1) ~labels:[| -1.; 1. |] ());
+  ]
 
 let speedup r = r.kr_baseline /. r.kr_par
 

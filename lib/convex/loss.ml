@@ -1,11 +1,5 @@
 module Vec = Pmw_linalg.Vec
 
-type glm = {
-  link : float -> float;
-  link_deriv : float -> float;
-  feature : Pmw_data.Point.t -> Vec.t;
-}
-
 type residual = {
   psi : float -> float;
   psi_deriv : float -> float;
@@ -19,28 +13,20 @@ type t = {
   grad : Vec.t -> Pmw_data.Point.t -> Vec.t;
   lipschitz : float;
   strong_convexity : float;
-  glm : glm option;
+  glm : bool;
   residual : residual option;
 }
 
-let make ~name ?(lipschitz = 1.) ?(strong_convexity = 0.) ?glm ?residual ~value ~grad () =
+let make ~name ?(lipschitz = 1.) ?(strong_convexity = 0.) ~value ~grad () =
   if lipschitz < 0. then invalid_arg "Loss.make: negative Lipschitz constant";
   if strong_convexity < 0. then invalid_arg "Loss.make: negative strong convexity";
-  { name; value; grad; lipschitz; strong_convexity; glm; residual }
-
-let of_glm ~name ?lipschitz ?strong_convexity glm =
-  let value theta x = glm.link (Vec.dot theta (glm.feature x)) in
-  let grad theta x =
-    let phi = glm.feature x in
-    Vec.scale (glm.link_deriv (Vec.dot theta phi)) phi
-  in
-  make ~name ?lipschitz ?strong_convexity ~glm ~value ~grad ()
+  { name; value; grad; lipschitz; strong_convexity; glm = false; residual = None }
 
 (* Bracketed as [coef *. ψ r] and [coef *. (ψ' r *. x_j)]: at [coef = 1.]
    these are the bits of [ψ r] and [ψ' r *. x_j], so [scale c]'s wrappers
    ([c *. value], [c *. grad_j]) equal the hint with [coef = c] — the
    residual contract of loss.mli. *)
-let of_residual ~name ?lipschitz ?strong_convexity r =
+let of_residual ~name ?lipschitz ?strong_convexity ?(glm = false) r =
   let value theta x =
     let (p : Pmw_data.Point.t) = r.prepare x in
     r.coef *. r.psi (Vec.dot theta p.features -. p.label)
@@ -50,25 +36,17 @@ let of_residual ~name ?lipschitz ?strong_convexity r =
     let d = r.psi_deriv (Vec.dot theta p.features -. p.label) in
     Array.map (fun xj -> r.coef *. (d *. xj)) p.features
   in
-  make ~name ?lipschitz ?strong_convexity ~residual:r ~value ~grad ()
+  { (make ~name ?lipschitz ?strong_convexity ~value ~grad ()) with glm; residual = Some r }
 
 let scale c t =
   if c <= 0. then invalid_arg "Loss.scale: factor must be positive";
   {
+    t with
     name = Printf.sprintf "%g*%s" c t.name;
     value = (fun theta x -> c *. t.value theta x);
     grad = (fun theta x -> Vec.scale c (t.grad theta x));
     lipschitz = c *. t.lipschitz;
     strong_convexity = c *. t.strong_convexity;
-    glm =
-      Option.map
-        (fun g ->
-          {
-            g with
-            link = (fun z -> c *. g.link z);
-            link_deriv = (fun z -> c *. g.link_deriv z);
-          })
-        t.glm;
     (* [c *. (c' *. v)] is not [(c *. c') *. v] in floating point, so only
        an unscaled hint can absorb the factor bit-exactly. *)
     residual =
@@ -82,7 +60,7 @@ let add a b =
     grad = (fun theta x -> Vec.add (a.grad theta x) (b.grad theta x));
     lipschitz = a.lipschitz +. b.lipschitz;
     strong_convexity = a.strong_convexity +. b.strong_convexity;
-    glm = None;
+    glm = false;
     residual = None;
   }
 

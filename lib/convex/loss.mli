@@ -8,23 +8,21 @@
       universe (the paper's Lipschitz condition);
     - [strong_convexity]: the σ of σ-strong convexity ([0.] when merely
       convex);
-    - [glm]: present when the loss is a generalized linear model
-      [ℓ(θ; x) = ℓ'(⟨θ, φ(x)⟩)] (Section 4.2.2), enabling the
-      dimension-independent oracle;
-    - [residual]: present when the loss is a function of the residual
-      [⟨θ, x⟩ − y] of a (possibly preprocessed) record, enabling the
-      allocation-free histogram objective of {!Objective.of_histogram}.
+    - [glm]: [true] when the loss is a generalized linear model
+      [ℓ(θ; x) = ℓ'(⟨θ, φ(x)⟩)] (Section 4.2.2) that the dimension-independent
+      oracle may serve — a routing flag only, with no effect on evaluation;
+    - [residual]: the one evaluation hint, present when the loss depends on
+      [θ] only through one inner product with a (possibly preprocessed)
+      record, enabling the allocation-free histogram objective of
+      {!Objective.of_histogram}.
+
+    Both kinds of linear-predictor loss share the hint. A regression loss is
+    [ψ(⟨θ, x⟩ − y)]. A margin loss [link(⟨θ, ±y·x⟩)] (logistic, hinge) is
+    the same form on the prepared record [±y·x] with label [0.]: its residual
+    is the margin itself, since [z -. 0. = z] for every float.
 
     Gradients may be arbitrary subgradients at kinks (hinge, absolute), as
     the paper allows. *)
-
-type glm = {
-  link : float -> float;  (** ℓ' — the scalar convex link *)
-  link_deriv : float -> float;  (** a (sub)derivative of ℓ' *)
-  feature : Pmw_data.Point.t -> Pmw_linalg.Vec.t;
-      (** φ — folds the label into the feature vector, e.g. [-y·x] for
-          logistic loss *)
-}
 
 type residual = {
   psi : float -> float;  (** ψ — the scalar convex penalty on the residual *)
@@ -32,7 +30,8 @@ type residual = {
   coef : float;  (** the positive factor [c] in [c·ψ] *)
   prepare : Pmw_data.Point.t -> Pmw_data.Point.t;
       (** the record transform applied before the residual is taken, e.g. a
-          feature mask; the identity for a plain regression loss *)
+          feature mask; the identity for a plain regression loss, and
+          [x ↦ (±y·x, label 0.)] for a margin loss *)
 }
 (** The residual hint: [ℓ(θ; x) = coef · ψ(⟨θ, p.features⟩ − p.label)] with
     [p = prepare x].
@@ -50,7 +49,7 @@ type t = {
   grad : Pmw_linalg.Vec.t -> Pmw_data.Point.t -> Pmw_linalg.Vec.t;
   lipschitz : float;
   strong_convexity : float;
-  glm : glm option;
+  glm : bool;  (** route to the [glm] oracle; see above *)
   residual : residual option;
 }
 
@@ -58,31 +57,30 @@ val make :
   name:string ->
   ?lipschitz:float ->
   ?strong_convexity:float ->
-  ?glm:glm ->
-  ?residual:residual ->
   value:(Pmw_linalg.Vec.t -> Pmw_data.Point.t -> float) ->
   grad:(Pmw_linalg.Vec.t -> Pmw_data.Point.t -> Pmw_linalg.Vec.t) ->
   unit ->
   t
-(** Defaults: [lipschitz = 1.], [strong_convexity = 0.].
+(** Defaults: [lipschitz = 1.], [strong_convexity = 0.]. The result has
+    no hint and [glm = false]; {!of_residual} builds a hinted loss.
     @raise Invalid_argument on negative constants. *)
 
-val of_glm : name:string -> ?lipschitz:float -> ?strong_convexity:float -> glm -> t
-(** Build the loss from its GLM structure; [value]/[grad] are derived. *)
-
-val of_residual : name:string -> ?lipschitz:float -> ?strong_convexity:float -> residual -> t
+val of_residual :
+  name:string -> ?lipschitz:float -> ?strong_convexity:float -> ?glm:bool -> residual -> t
 (** Build the loss from its residual structure; [value]/[grad] are derived
-    from ψ so that the residual contract holds by construction. *)
+    from ψ so that the residual contract holds by construction. [glm]
+    (default [false]) sets the routing flag. *)
 
 val scale : float -> t -> t
 (** [scale c loss] multiplies the loss (and its constants) by [c > 0]. A
     residual hint with [coef = 1.] becomes one with [coef = c]; any other hint
     is dropped ([c *. (c' *. v)] and [(c *. c') *. v] may differ in the last
-    bit), so a twice-scaled loss takes the generic objective path. *)
+    bit), so a twice-scaled loss takes the generic objective path. The [glm]
+    flag is kept. *)
 
 val add : t -> t -> t
-(** Pointwise sum; constants add (a valid, possibly loose, bound). Both
-    hints are dropped. *)
+(** Pointwise sum; constants add (a valid, possibly loose, bound). The hint
+    is dropped and [glm] is [false]: a sum of two GLMs is not one. *)
 
 val scale_parameter : t -> Domain.t -> float
 (** The paper's scaling constant

@@ -14,37 +14,33 @@ let squared ?(radius = 1.) ?(feature_norm = 1.) ?(label_bound = 1.) ?(normalize 
        ~lipschitz:(2. *. residual_bound *. feature_norm)
        { Loss.psi = (fun r -> r *. r); psi_deriv = (fun r -> 2. *. r); coef = 1.; prepare = Fun.id })
 
+(* A margin loss [link(⟨θ, s·y·x⟩)] as a label-0 residual loss: the prepared
+   record is [s·y·x], so the residual is the margin itself ([z -. 0. = z])
+   and [value]/[grad] are the bits of [link] and [link'·(s·y·x)]. *)
+let margin_loss ~name ~lipschitz ~negate ~link ~link_deriv =
+  let prepare =
+    if negate then fun (x : Point.t) -> Point.make (Vec.scale (-.x.label) x.features)
+    else fun (x : Point.t) -> Point.make (Vec.scale x.label x.features)
+  in
+  Loss.of_residual ~name ~lipschitz ~glm:true
+    { Loss.psi = link; psi_deriv = link_deriv; coef = 1.; prepare }
+
 let squared_margin ?(radius = 1.) ?(feature_norm = 1.) ?(normalize = true) () =
   let margin_bound = 1. +. (radius *. feature_norm) in
-  let glm =
-    {
-      Loss.link = (fun u -> (1. -. u) *. (1. -. u));
-      link_deriv = (fun u -> -2. *. (1. -. u));
-      feature = (fun (x : Point.t) -> Vec.scale x.label x.features);
-    }
-  in
   maybe_normalize normalize
-    (Loss.of_glm ~name:"squared_margin" ~lipschitz:(2. *. margin_bound *. feature_norm) glm)
+    (margin_loss ~name:"squared_margin" ~lipschitz:(2. *. margin_bound *. feature_norm)
+       ~negate:false
+       ~link:(fun u -> (1. -. u) *. (1. -. u))
+       ~link_deriv:(fun u -> -2. *. (1. -. u)))
 
 let logistic ?(feature_norm = 1.) () =
-  let glm =
-    {
-      Loss.link = Special.log1p_exp;
-      link_deriv = Special.logistic;
-      feature = (fun (x : Point.t) -> Vec.scale (-.x.label) x.features);
-    }
-  in
-  Loss.of_glm ~name:"logistic" ~lipschitz:feature_norm glm
+  margin_loss ~name:"logistic" ~lipschitz:feature_norm ~negate:true ~link:Special.log1p_exp
+    ~link_deriv:Special.logistic
 
 let hinge ?(feature_norm = 1.) () =
-  let glm =
-    {
-      Loss.link = (fun u -> Float.max 0. (1. -. u));
-      link_deriv = (fun u -> if u < 1. then -1. else 0.);
-      feature = (fun (x : Point.t) -> Vec.scale x.label x.features);
-    }
-  in
-  Loss.of_glm ~name:"hinge" ~lipschitz:feature_norm glm
+  margin_loss ~name:"hinge" ~lipschitz:feature_norm ~negate:false
+    ~link:(fun u -> Float.max 0. (1. -. u))
+    ~link_deriv:(fun u -> if u < 1. then -1. else 0.)
 
 let residual_loss ~name ~lipschitz ~psi ~psi_deriv =
   Loss.of_residual ~name ~lipschitz { Loss.psi; psi_deriv; coef = 1.; prepare = Fun.id }
@@ -126,14 +122,9 @@ let smoothed_hinge ?(gamma = 0.5) ?(feature_norm = 1.) () =
   let link_deriv u =
     if u >= 1. then 0. else if u <= 1. -. gamma then -1. else -.(1. -. u) /. gamma
   in
-  let glm =
-    {
-      Loss.link;
-      link_deriv;
-      feature = (fun (x : Point.t) -> Vec.scale x.label x.features);
-    }
-  in
-  Loss.of_glm ~name:(Printf.sprintf "smoothed_hinge(%g)" gamma) ~lipschitz:feature_norm glm
+  margin_loss
+    ~name:(Printf.sprintf "smoothed_hinge(%g)" gamma)
+    ~lipschitz:feature_norm ~negate:false ~link ~link_deriv
 
 let epsilon_insensitive ~epsilon ?(feature_norm = 1.) () =
   if epsilon < 0. then invalid_arg "Losses.epsilon_insensitive: epsilon must be non-negative";
@@ -149,7 +140,6 @@ let preprocess ~name ~f (base : Loss.t) =
     Loss.name;
     value = (fun theta x -> base.Loss.value theta (f x));
     grad = (fun theta x -> base.Loss.grad theta (f x));
-    glm = Option.map (fun g -> { g with Loss.feature = (fun x -> g.Loss.feature (f x)) }) base.Loss.glm;
     residual =
       Option.map
         (fun r -> { r with Loss.prepare = (fun x -> r.Loss.prepare (f x)) })

@@ -9,9 +9,11 @@
     rescale the loss so its Lipschitz constant is exactly 1.
 
     The regression losses of the residual [⟨θ,x⟩ − y] ({!squared}, {!huber},
-    {!absolute}, {!quantile}, {!epsilon_insensitive}) are built with
-    {!Loss.of_residual} and carry the [residual] hint, which {!preprocess}
-    (hence {!feature_mask}) keeps. *)
+    {!absolute}, {!quantile}, {!epsilon_insensitive}) and the margin GLMs
+    ({!squared_margin}, {!logistic}, {!hinge}, {!smoothed_hinge}; a label-0
+    residual of the record [±y·x]) are built with {!Loss.of_residual} and
+    carry the [residual] hint, which {!preprocess} (hence {!feature_mask})
+    keeps. The margin GLMs also set the [glm] routing flag. *)
 
 val squared :
   ?radius:float -> ?feature_norm:float -> ?label_bound:float -> ?normalize:bool -> unit -> Loss.t
@@ -72,8 +74,9 @@ val preprocess : name:string -> f:(Pmw_data.Point.t -> Pmw_data.Point.t) -> Loss
 (** Apply the loss to transformed records, e.g. restrict a regression to a
     feature subset by zeroing masked coordinates. The stated constants carry
     over only when [f] does not increase feature norms or label magnitudes
-    (true for masking/clipping); the caller is responsible. Both hints of the
-    base loss are kept, with [f] composed into [feature] or [prepare]. *)
+    (true for masking/clipping); the caller is responsible. The base loss's
+    residual hint is kept with [f] composed into [prepare], and so is its
+    [glm] flag. *)
 
 val feature_mask : bool array -> Loss.t -> Loss.t
 (** [preprocess] specialized to zeroing the coordinates where the mask is

@@ -6,21 +6,19 @@ type t = { dim : int; f : Vec.t -> float; grad : Vec.t -> Vec.t }
 
 (* Histogram objectives are evaluated hundreds of times per solve (two solver
    arms, Armijo backtracking, suffix averaging), each evaluation an O(|X|)
-   sweep. [of_histogram] takes one of three paths, by the loss's hint:
+   sweep. [of_histogram] takes one of two paths, by the loss's hint:
 
-   - GLM ([Loss.glm]): the feature vectors φ(x) are decoded once, and the
-     inner products zᵢ = ⟨θ, φᵢ⟩ are cached for the last θ, so [f θ] and
-     [grad θ] at the same point (solvers routinely call both) pay for the
-     dot products once;
-
-   - residual ([Loss.residual]): each support point is decoded once through
+   - residual ([Loss.residual]; the regression losses and, as label-0
+     residuals, the margin GLMs): each support point is decoded once through
      [prepare] into a flat feature matrix and a label array, and the
-     residuals rᵢ = ⟨θ, xᵢ⟩ − yᵢ are cached for the last θ the same way.
-     [f] and [grad] are inline loops that allocate no per-point vector,
-     record or closure. They perform the generic path's arithmetic in its
-     order — [Vec.dot]'s loop, [w *. (coef *. ψ r)] in [Special.kahan_range]'s
-     recurrence, [acc_j +. w *. (coef *. (ψ' r *. x_j))] — so every result is
-     bit-identical to it (the residual contract of loss.mli);
+     residuals rᵢ = ⟨θ, xᵢ⟩ − yᵢ are cached for the last θ, so [f θ] and
+     [grad θ] at the same point (solvers routinely call both) pay for the
+     dot products once. [f] and [grad] are inline loops that allocate no
+     per-point vector, record or closure. They perform the generic path's
+     arithmetic in its order — [Vec.dot]'s loop, [w *. (coef *. ψ r)] in
+     [Special.kahan_range]'s recurrence, [acc_j +. w *. (coef *. (ψ' r *. x_j))]
+     — so every result is bit-identical to it (the residual contract of
+     loss.mli);
 
    - generic: the support (indices of positive mass) and weights are
      extracted once, and each evaluation calls [Loss.value]/[Loss.grad] per
@@ -65,8 +63,8 @@ let residual_objective pool (r : Loss.residual) (weights, index) decode ~dim =
   let { Loss.psi; psi_deriv; coef; prepare = _ } = r in
   let res = Array.make m 0. in
   let cached_theta = ref None in
-  (* Structural equality, as in the GLM path: equal coordinates give equal
-     residuals, so the cache can never go stale. *)
+  (* Structural equality: a hit requires equal coordinates, which implies
+     equal residuals — the cache can never go stale. *)
   let ensure_res theta =
     match !cached_theta with
     | Some c when c = theta -> ()
@@ -120,49 +118,9 @@ let of_histogram ?pool (loss : Loss.t) hist ~dim =
   let pool = match pool with Some p -> p | None -> Pool.default () in
   let universe = Pmw_data.Histogram.universe hist in
   let decode i = Pmw_data.Universe.get universe i in
-  match (loss.Loss.glm, loss.Loss.residual) with
-  | Some g, _ ->
-      let weights, index = support hist in
-      let phi = Array.map (fun i -> g.Loss.feature (decode i)) index in
-      let m = Array.length weights in
-      let z = Array.make m 0. in
-      let cached_theta = ref [||] in
-      (* Structural equality: a hit requires equal coordinates, which implies
-         equal zᵢ — the cache can never go stale. *)
-      let ensure_z theta =
-        if not (!cached_theta = theta) then begin
-          Pool.parallel_for pool ~n:m (fun lo hi ->
-              for i = lo to hi - 1 do
-                z.(i) <- Vec.dot theta phi.(i)
-              done);
-          cached_theta := Array.copy theta
-        end
-      in
-      let f theta =
-        ensure_z theta;
-        Pool.parallel_reduce pool ~n:m ~neutral:0. ~combine:( +. )
-          ~chunk:(fun lo hi -> Special.kahan_range lo hi (fun i -> weights.(i) *. g.Loss.link z.(i)))
-      in
-      let grad theta =
-        ensure_z theta;
-        let acc =
-          Pool.parallel_reduce pool ~n:m
-            ~neutral:(Vec.create dim)
-            ~chunk:(fun lo hi ->
-              let acc = Vec.create dim in
-              for i = lo to hi - 1 do
-                Vec.axpy ~alpha:(weights.(i) *. g.Loss.link_deriv z.(i)) ~x:phi.(i) ~y:acc
-              done;
-              acc)
-            ~combine:(fun a b ->
-              Vec.add_inplace a b;
-              a)
-        in
-        acc
-      in
-      { dim; f; grad }
-  | None, Some r -> residual_objective pool r (support hist) decode ~dim
-  | None, None ->
+  match loss.Loss.residual with
+  | Some r -> residual_objective pool r (support hist) decode ~dim
+  | None ->
       let weights, index = support hist in
       let points = Array.map decode index in
       let m = Array.length weights in

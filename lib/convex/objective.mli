@@ -17,14 +17,12 @@ val of_histogram : ?pool:Pmw_parallel.Pool.t -> Loss.t -> Pmw_data.Histogram.t -
     (default: the shared pool).
 
     Construction builds a per-query memo table: the support indices and
-    their weights are extracted {e once}. GLM losses ({!Loss.glm}) also
-    decode their feature vectors [φ(x)] once, and cache the inner products
-    [⟨θ, φ(x)⟩] between [f θ] and [grad θ] at the same [θ]. Residual losses
-    ({!Loss.residual}) decode each record once through [prepare] into flat
-    feature and label arrays, cache the residuals for the last [θ], and
-    evaluate [f] and [grad] without a per-point allocation, bit-identically
-    to the generic per-point path. Other losses call [Loss.value] and
-    [Loss.grad] per support point.
+    their weights are extracted {e once}. Losses with the residual hint
+    ({!Loss.residual}: the regression losses and the margin GLMs) decode each
+    record once through [prepare] into flat feature and label arrays, cache
+    the residuals for the last [θ], and evaluate [f] and [grad] without a
+    per-point allocation, bit-identically to the generic per-point path.
+    Other losses call [Loss.value] and [Loss.grad] per support point.
 
     @raise Invalid_argument for a residual loss whose prepared records do
     not have [dim] features. *)

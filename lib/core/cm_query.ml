@@ -42,14 +42,21 @@ let update_vector t ~theta_oracle ~theta_hyp _index x =
   Vec.dot direction (t.loss.Loss.grad theta_hyp x)
 
 (* Same linear query as [update_vector], but with the direction θᵗ − θ̂ᵗ
-   hoisted out of the per-element loop and — for GLM losses — the gradient
-   ∇ℓ_x(θ̂) = link'(⟨θ̂, φ(x)⟩)·φ(x) contracted against the direction without
-   materializing it, so the O(|X|) MW update sweep allocates nothing. *)
+   hoisted out of the per-element loop and — for losses with the residual
+   hint — the gradient ∇ℓ_x(θ̂) = coef·ψ'(r)·p contracted against the
+   direction without materializing it: Σⱼ dirⱼ·(coef·(ψ'(r)·pⱼ)) in
+   [Vec.dot]'s order, the bits of [update_vector]. [prepare] still allocates
+   for a loss whose records it transforms (a mask, a margin loss's ±y·x). *)
 let update_fn t ~theta_oracle ~theta_hyp =
   let direction = Vec.sub theta_oracle theta_hyp in
-  match t.loss.Loss.glm with
-  | Some g ->
+  match t.loss.Loss.residual with
+  | Some { Loss.psi_deriv; coef; prepare; psi = _ } ->
       fun _index x ->
-        let phi = g.Loss.feature x in
-        g.Loss.link_deriv (Vec.dot theta_hyp phi) *. Vec.dot direction phi
+        let (p : Pmw_data.Point.t) = prepare x in
+        let d = psi_deriv (Vec.dot theta_hyp p.features -. p.label) in
+        let acc = ref 0. in
+        for j = 0 to Vec.dim direction - 1 do
+          acc := !acc +. (direction.(j) *. (coef *. (d *. p.features.(j))))
+        done;
+        !acc
   | None -> fun _index x -> Vec.dot direction (t.loss.Loss.grad theta_hyp x)

@@ -58,7 +58,8 @@ val update_fn :
   int -> Pmw_data.Point.t -> float
 (** [update_fn t ~theta_oracle ~theta_hyp] is pointwise equal to
     [update_vector t ~theta_oracle ~theta_hyp], but hoists the direction
-    [θᵗ − θ̂ᵗ] out of the per-element loop and, for GLM losses, contracts the
-    gradient against the direction without allocating it — use it when the
-    closure is swept over the whole universe (the MW update). The returned
-    closure is pure and safe to call from worker domains. *)
+    [θᵗ − θ̂ᵗ] out of the per-element loop and, for losses with the residual
+    hint ({!Pmw_convex.Loss.residual}), contracts the gradient against the
+    direction without allocating it, bit for bit as [update_vector] does —
+    use it when the closure is swept over the whole universe (the MW update).
+    The returned closure is pure and safe to call from worker domains. *)

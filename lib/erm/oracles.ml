@@ -94,27 +94,26 @@ let noisy_gd ?pool ?(max_steps = 200) () =
   { name = "noisy_gd"; run = (fun req -> run_noisy_gd ?pool ~max_steps req) }
 
 let run_glm ?pool ~max_steps (req : request) =
-  match req.loss.Loss.glm with
-  | None -> run_noisy_gd ?pool ~max_steps req
-  | Some _ ->
-      let steps = gd_steps max_steps req in
-      let n = float_of_int (Pmw_data.Dataset.size req.dataset) in
-      let lipschitz = Float.max req.loss.Loss.lipschitz 1e-9 in
-      let per_step = Params.split_advanced ~count:steps req.privacy in
-      let sigma =
-        Mechanisms.gaussian_sigma ~eps:per_step.Params.eps ~delta:per_step.Params.delta
-          ~sensitivity:(2. *. lipschitz /. n)
-      in
-      let dim = Domain.dim req.domain in
-      (* Dimension-independent magnitude: a 1-d-calibrated Gaussian magnitude
-         in a random direction, rather than sigma per coordinate (total
-         magnitude ~ sigma instead of sigma * sqrt d). *)
-      let noise () =
-        let magnitude = Pmw_rng.Dist.gaussian ~sigma req.rng in
-        let direction = Pmw_data.Synth.random_unit_vector ~dim req.rng in
-        Vec.scale magnitude direction
-      in
-      noisy_descent ?pool req ~steps ~noise
+  if not req.loss.Loss.glm then run_noisy_gd ?pool ~max_steps req
+  else
+    let steps = gd_steps max_steps req in
+    let n = float_of_int (Pmw_data.Dataset.size req.dataset) in
+    let lipschitz = Float.max req.loss.Loss.lipschitz 1e-9 in
+    let per_step = Params.split_advanced ~count:steps req.privacy in
+    let sigma =
+      Mechanisms.gaussian_sigma ~eps:per_step.Params.eps ~delta:per_step.Params.delta
+        ~sensitivity:(2. *. lipschitz /. n)
+    in
+    let dim = Domain.dim req.domain in
+    (* Dimension-independent magnitude: a 1-d-calibrated Gaussian magnitude
+       in a random direction, rather than sigma per coordinate (total
+       magnitude ~ sigma instead of sigma * sqrt d). *)
+    let noise () =
+      let magnitude = Pmw_rng.Dist.gaussian ~sigma req.rng in
+      let direction = Pmw_data.Synth.random_unit_vector ~dim req.rng in
+      Vec.scale magnitude direction
+    in
+    noisy_descent ?pool req ~steps ~noise
 
 let glm ?pool ?(max_steps = 200) () =
   { name = "glm"; run = (fun req -> run_glm ?pool ~max_steps req) }
@@ -245,7 +244,5 @@ let with_fallback ?name ?telemetry ?(retries = 0) ?(validate = finite_in_domain)
 
 let for_loss (loss : Loss.t) =
   if loss.Loss.strong_convexity > 0. then strongly_convex
-  else
-    match loss.Loss.glm with
-    | Some _ -> glm ()
-    | None -> noisy_gd ()
+  else if loss.Loss.glm then glm ()
+  else noisy_gd ()

@@ -37,7 +37,7 @@ val glm : ?pool:Pmw_parallel.Pool.t -> ?max_steps:int -> unit -> Oracle.t
     scaling [~1/α₀²] of Table 1 row 3; its formal privacy matches JT14's
     claim rather than a self-contained proof, so the privacy-audit
     experiment (F4) excludes it. Falls back to {!noisy_gd} behaviour on
-    losses without GLM structure. *)
+    losses whose [glm] flag is [false]. *)
 
 val laplace_output : Oracle.t
 (** Output perturbation with per-coordinate Laplace noise calibrated to the
@@ -53,7 +53,8 @@ val strongly_convex : Oracle.t
 
 val for_loss : Pmw_convex.Loss.t -> Oracle.t
 (** Dispatch matching Section 4.2: strongly convex losses get
-    {!strongly_convex}, GLM losses get {!glm}, everything else {!noisy_gd}. *)
+    {!strongly_convex}, losses with the [glm] flag (the margin GLMs, also
+    scaled or masked) get {!glm}, everything else {!noisy_gd}. *)
 
 (** {1 Retry / fallback chains} *)
 

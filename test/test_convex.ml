@@ -240,20 +240,37 @@ let test_feature_mask () =
   Alcotest.check_raises "mask dim" (Invalid_argument "Losses.feature_mask: mask dimension mismatch")
     (fun () -> ignore (loss.Loss.value theta (Point.make [| 1. |])))
 
+let bits = Int64.bits_of_float
+let same_bits a b = bits a = bits b
+let same_vec a b = Array.length a = Array.length b && Array.for_all2 same_bits a b
+
+(* A margin GLM is a label-0 residual loss of the record ±y·x: the residual
+   is the margin, and value/grad are the bits of link(z) and link'(z)·φ. The
+   [glm] flag only routes to the GLM oracle. *)
 let test_glm_structure () =
   let logistic = Losses.logistic () in
-  Alcotest.(check bool) "logistic is a GLM" true (Option.is_some logistic.Loss.glm);
+  Alcotest.(check bool) "logistic is a GLM" true logistic.Loss.glm;
   let squared = Losses.squared () in
-  Alcotest.(check bool) "squared is not (our encoding)" true (Option.is_none squared.Loss.glm);
-  (* GLM value/grad consistency: value = link(<theta, phi>) *)
-  match logistic.Loss.glm with
-  | None -> Alcotest.fail "unreachable"
-  | Some g ->
+  Alcotest.(check bool) "squared is not (our encoding)" false squared.Loss.glm;
+  Alcotest.(check bool) "scale keeps the flag" true (Loss.scale 2. logistic).Loss.glm;
+  Alcotest.(check bool) "mask keeps the flag" true
+    (Losses.feature_mask [| true; false; true |] logistic).Loss.glm;
+  Alcotest.(check bool) "a sum is not a GLM" false (Loss.add logistic (Losses.hinge ())).Loss.glm;
+  match logistic.Loss.residual with
+  | None -> Alcotest.fail "logistic lost its residual hint"
+  | Some r ->
       let x = random_labeled_point ~dim:3 rng in
       let theta = Pmw_data.Synth.random_unit_vector ~dim:3 rng in
-      checkf 1e-9 "glm decomposition"
-        (g.Loss.link (Vec.dot theta (g.Loss.feature x)))
-        (logistic.Loss.value theta x)
+      let (p : Point.t) = r.Loss.prepare x in
+      let phi = Vec.scale (-.x.Point.label) x.Point.features in
+      checkf 0. "coef" 1. r.Loss.coef;
+      checkf 0. "label 0" 0. p.Point.label;
+      Alcotest.(check bool) "features -y·x" true (same_vec phi p.Point.features);
+      let z = Vec.dot theta phi in
+      Alcotest.(check bool) "value = link(<theta, phi>)" true
+        (same_bits (Pmw_linalg.Special.log1p_exp z) (logistic.Loss.value theta x));
+      Alcotest.(check bool) "grad = link'(z) phi" true
+        (same_vec (Vec.scale (Pmw_linalg.Special.logistic z) phi) (logistic.Loss.grad theta x))
 
 let test_scale_parameter () =
   let loss = Losses.logistic () in
@@ -284,10 +301,6 @@ let test_objective_add_ridge () =
 
 (* --- the residual-hint objective path --- *)
 
-let bits = Int64.bits_of_float
-let same_bits a b = bits a = bits b
-let same_vec a b = Array.length a = Array.length b && Array.for_all2 same_bits a b
-
 (* A d=3 regression grid with random weights and ~1/5 of the points at zero
    mass, so the support skips indices and spans several pool chunks. *)
 let multi_chunk_histogram () =
@@ -316,6 +329,12 @@ let hinted_losses () =
     Losses.feature_mask mask3 (Losses.squared ());
     Losses.feature_mask mask3 (Losses.quantile ~tau:0.7 ());
     Losses.feature_mask mask3 (Loss.scale 0.5 (Losses.absolute ()));
+    Losses.logistic ();
+    Losses.hinge ();
+    Losses.smoothed_hinge ();
+    Losses.squared_margin ();
+    Loss.scale 2. (Losses.logistic ());
+    Losses.feature_mask mask3 (Losses.logistic ());
   ]
 
 (* The hint is an evaluation strategy, not a different loss: f, grad and a

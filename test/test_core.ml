@@ -68,6 +68,53 @@ let test_update_vector_bounded_by_scale () =
     Alcotest.(check bool) "|u(x)| <= S" true (Float.abs v <= s +. 1e-9)
   done
 
+(* [update_fn] is [update_vector] with the direction hoisted and, for a loss
+   with the residual hint, the gradient contracted inline: the two must agree
+   bit for bit at every universe point — for the regression and margin
+   losses (scaled, masked), the 7 panel queries, and an unhinted loss. *)
+let test_update_fn_matches_update_vector () =
+  let rng = Rng.create ~seed:23 () in
+  let check_query q universe =
+    for _ = 1 to 3 do
+      let theta_oracle = Domain.random_point q.Cm_query.domain rng in
+      let theta_hyp = Domain.random_point q.Cm_query.domain rng in
+      let fast = Cm_query.update_fn q ~theta_oracle ~theta_hyp in
+      for i = 0 to Universe.size universe - 1 do
+        let x = Universe.get universe i in
+        let a = fast i x and b = Cm_query.update_vector q ~theta_oracle ~theta_hyp i x in
+        if Int64.bits_of_float a <> Int64.bits_of_float b then
+          Alcotest.failf "%s: update_fn %h <> update_vector %h at point %d" q.Cm_query.name a b i
+      done
+    done
+  in
+  let universe3 = Universe.regression_grid ~d:3 ~levels:5 ~label_levels:5 () in
+  let domain3 = Domain.unit_ball ~dim:3 in
+  let mask3 = [| true; false; true |] in
+  List.iter
+    (fun loss -> check_query (Cm_query.make ~loss ~domain:domain3 ()) universe3)
+    [
+      Losses.squared ();
+      Losses.squared ~normalize:false ();
+      Losses.huber ~delta:0.5 ();
+      Losses.absolute ();
+      Losses.quantile ~tau:0.25 ();
+      Losses.epsilon_insensitive ~epsilon:0.1 ();
+      Pmw_convex.Loss.scale 3. (Losses.huber ());
+      Losses.feature_mask mask3 (Losses.squared ());
+      Losses.feature_mask mask3 (Losses.quantile ~tau:0.7 ());
+      Losses.feature_mask mask3 (Pmw_convex.Loss.scale 0.5 (Losses.absolute ()));
+      Losses.logistic ();
+      Losses.hinge ();
+      Losses.smoothed_hinge ();
+      Losses.squared_margin ();
+      Pmw_convex.Loss.scale 2. (Losses.logistic ());
+      Losses.feature_mask mask3 (Losses.logistic ());
+      Losses.ridge ~lambda:0.3 ~radius:1. (Losses.huber ());
+    ];
+  let panel = Pmw_experiments.Common.Workload.regression () in
+  Alcotest.(check int) "panel size" 7 (List.length panel.queries);
+  List.iter (fun q -> check_query q panel.universe) panel.queries
+
 (* Property: the error query err_l(D, Dhat) moves by at most 3S/n between
    adjacent datasets (Section 3.4.2). This is the bound that justifies the
    sparse-vector sensitivity. *)
@@ -1163,6 +1210,7 @@ let () =
           Alcotest.test_case "err_hypothesis of D" `Quick test_err_hypothesis_of_true_histogram_is_zero;
           Alcotest.test_case "err of bad answer" `Quick test_err_of_bad_answer_positive;
           Alcotest.test_case "update vector bounded" `Quick test_update_vector_bounded_by_scale;
+          Alcotest.test_case "update_fn = update_vector" `Quick test_update_fn_matches_update_vector;
           QCheck_alcotest.to_alcotest qcheck_error_sensitivity;
         ] );
       ( "config",

@@ -189,7 +189,24 @@ let test_for_loss_dispatch () =
        (Losses.prox_quadratic ~sigma:1. ~target:(fun x -> x.Pmw_data.Point.features) ~dim:2 ()))
       .Oracle.name;
   Alcotest.(check string) "glm" "glm" (Oracles.for_loss (Losses.logistic ())).Oracle.name;
-  Alcotest.(check string) "default" "noisy_gd" (Oracles.for_loss (Losses.squared ())).Oracle.name
+  Alcotest.(check string) "default" "noisy_gd" (Oracles.for_loss (Losses.squared ())).Oracle.name;
+  (* The [glm] flag, not the residual hint, routes: masked and scaled margin
+     losses stay on the GLM oracle, regression losses never reach it, and a
+     sum of two GLMs is not one. *)
+  let mask = [| true; false |] in
+  let scale = Pmw_convex.Loss.scale 2. in
+  List.iter
+    (fun (expected, loss) ->
+      Alcotest.(check string) loss.Pmw_convex.Loss.name expected (Oracles.for_loss loss).Oracle.name)
+    [
+      ("glm", Losses.feature_mask mask (Losses.logistic ()));
+      ("glm", Losses.squared_margin ());
+      ("glm", scale (Losses.logistic ()));
+      ("noisy_gd", Losses.feature_mask mask (Losses.squared ()));
+      ("noisy_gd", Losses.huber ());
+      ("noisy_gd", scale (Losses.squared ()));
+      ("noisy_gd", Pmw_convex.Loss.add (Losses.logistic ()) (Losses.hinge ()));
+    ]
 
 let test_privacy_budget_affects_noise () =
   (* Tiny eps must hurt accuracy relative to huge eps (sanity of calibration
