@@ -580,6 +580,7 @@ let epoch_soak ~dir ~cycles ~json () =
           Shard.g_config = config;
           g_dataset = Dataset.create ~epoch universe (Array.append base_rows absorbed);
           g_oracles = Pmw_session.Session.default_oracles ~pool ();
+          g_spend_claim = (fun () -> None);
           g_rng = Rng.create ~seed:(1009 + (31 * epoch)) ();
         })
       ~resolve ()

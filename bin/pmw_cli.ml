@@ -3,9 +3,10 @@
    Subcommands:
      list            list the paper-reproduction experiments
      exp NAME        run one experiment (or --all)
-     run             run online PMW on a synthetic workload with chosen knobs
-     session         run the fault-tolerant session engine (checkpoints,
-                     fault injection, resume)
+     run             answer a synthetic workload offline through one in-process
+                     shard: the serving path without a socket (journal,
+                     drain checkpoint and rid replay with --journal; oracle
+                     fault injection with --fault)
      serve           serve a session to concurrent analysts over a Unix
                      socket (batched durability, graceful SIGTERM drain)
      stats           validate and aggregate a JSONL telemetry trace
@@ -16,15 +17,14 @@
 
    Examples:
      pmw_cli exp f1-crossover
-     pmw_cli run --workload classification --n 200000 --k 24 --alpha 0.05
-     pmw_cli session --checkpoint-dir /tmp/pmw --fault timeout --kill-after 8
-     pmw_cli session --checkpoint-dir /tmp/pmw --fault timeout --resume
+     pmw_cli run --workload classification -n 200000 -k 24 --alpha 0.05
+     pmw_cli run -k 40 --journal /tmp/run.wal --fault timeout --fault-every 2
      pmw_cli serve -n 40000 --eps 20 --socket /tmp/pmw.sock --trace serve.jsonl
      pmw_cli serve --shards 4 --chaos-ctl --trace fleet.jsonl
      pmw_cli top --socket /tmp/pmw.sock --once
      pmw_cli stats serve.jsonl --check
      pmw_cli stats fleet.jsonl --fleet --journal /tmp/pmw.journal
-     pmw_cli theory --alpha 0.05 --k 1000 --d 4 --log-universe 10 *)
+     pmw_cli theory --alpha 0.05 -k 1000 -d 4 --log-universe 10 *)
 
 open Cmdliner
 module Registry = Pmw_experiments.Registry
@@ -32,6 +32,8 @@ module Common = Pmw_experiments.Common
 module Telemetry = Pmw_telemetry.Telemetry
 module Trace = Pmw_telemetry.Trace
 module Metrics = Pmw_telemetry.Metrics
+module Shard = Pmw_server.Shard
+module Protocol = Pmw_server.Protocol
 
 (* Shared --trace flag: a JSONL event trace of the whole run. *)
 let trace_arg =
@@ -84,93 +86,283 @@ let exp_cmd =
   in
   Cmd.v (Cmd.info "exp" ~doc) Term.(ret (const run $ all_flag $ name_arg))
 
-(* --- run --- *)
+(* --- the workload that run and serve answer, and its shards --- *)
 
-let run_cmd =
-  let doc = "Answer a synthetic CM-query stream with online private multiplicative weights" in
-  let workload_arg =
+type workload = { wl : Common.Workload.regression; config : Pmw_core.Config.t; n : int; seed : int }
+
+(* Sampled by the caller, so the records die with its last use (a fleet
+   keeps only its shards' blocks). *)
+let sample w = w.wl.Common.Workload.sample ~n:w.n (Pmw_rng.Rng.create ~seed:w.seed ())
+
+(* The nine workload arguments, declared once for run and serve; only
+   -k's default and doc differ by caller. The universe and the config are
+   built inside one [try], so an out-of-range value is a usage error rather
+   than an uncaught exception. *)
+let workload_term ~k_default ~k_doc =
+  let kind_arg =
     let kind = Arg.enum [ ("regression", `Regression); ("classification", `Classification) ] in
     Arg.(value & opt kind `Regression & info [ "workload" ] ~docv:"KIND" ~doc:"regression|classification")
   in
   let n_arg = Arg.(value & opt int 150_000 & info [ "n" ] ~doc:"Dataset size") in
-  let k_arg = Arg.(value & opt int 20 & info [ "k" ] ~doc:"Number of queries") in
+  let k_arg = Arg.(value & opt int k_default & info [ "k" ] ~doc:k_doc) in
   let alpha_arg = Arg.(value & opt float 0.06 & info [ "alpha" ] ~doc:"Target excess risk") in
   let eps_arg = Arg.(value & opt float 1.0 & info [ "eps" ] ~doc:"Privacy budget epsilon") in
   let delta_arg = Arg.(value & opt float 1e-6 & info [ "delta" ] ~doc:"Privacy budget delta") in
   let t_arg = Arg.(value & opt int 20 & info [ "t-max" ] ~doc:"MW update budget T") in
   let d_arg = Arg.(value & opt int 2 & info [ "d" ] ~doc:"Feature dimension") in
   let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Random seed") in
+  let build kind n k alpha eps delta t_max d seed =
+    if n <= 0 || k <= 0 then `Error (false, "n and k must be positive")
+    else
+      match
+        let wl =
+          match kind with
+          | `Regression -> Common.Workload.regression ~d ()
+          | `Classification -> Common.Workload.classification ~d ()
+        in
+        let config =
+          Pmw_core.Config.practical ~universe:wl.Common.Workload.universe
+            ~privacy:(Pmw_dp.Params.create ~eps ~delta)
+            ~alpha ~beta:0.05 ~scale:wl.Common.Workload.scale ~k ~t_max ~solver_iters:200 ()
+        in
+        { wl; config; n; seed }
+      with
+      | w -> `Ok w
+      | exception (Invalid_argument m | Failure m) -> `Error (false, m)
+  in
+  Term.(
+    ret
+      (const build $ kind_arg $ n_arg $ k_arg $ alpha_arg $ eps_arg $ delta_arg $ t_arg $ d_arg
+     $ seed_arg))
+
+(* A shard's trace, tagged with the label of the shard's ledger. *)
+let shard_telemetry path i =
+  Telemetry.create ~sink:(Telemetry.Sink.jsonl_file path) ~tag:(Printf.sprintf "shard%d" i) ()
+
+(* Shard [i] of the workload, serving [block] of its dataset: serve builds
+   one per block of its fleet, run one over the whole dataset. Generation
+   e is a pure function of (e, absorbed): the boot block plus every row
+   absorbed so far, with an RNG seed derived from the epoch — so a
+   transition re-run after a crash reconstructs the identical session, the
+   byte-identity the recovery contract rests on. Until rows are absorbed
+   the boot block serves as is, without a copy. [oracles] builds each
+   generation's fallback chain and spend claim on the shard's pool. *)
+let workload_shard { wl; config; n; seed } ~shards ?journal ?epoch ~broker ~telemetry ?metrics
+    ~oracles i block =
+  let universe = wl.Common.Workload.universe and queries = wl.Common.Workload.queries in
+  Shard.create ~id:i
+    ~weight:(float_of_int (Pmw_data.Dataset.size block) /. float_of_int n)
+    ?journal_path:
+      (Option.map (fun p -> Shard.journal_file p ~shards ~epochs:(epoch <> None) i) journal)
+    ?epoch ~config:broker ~domains:(Shard.pool_domains ~shards) ~telemetry ?metrics
+    ~session:(fun ~pool ~epoch ~absorbed ->
+      let g_oracles, g_spend_claim = oracles ~pool in
+      {
+        Shard.g_config = config;
+        g_dataset =
+          (if absorbed = [||] then Pmw_data.Dataset.with_epoch block epoch
+           else
+             Pmw_data.Dataset.create ~epoch universe
+               (Array.append (Pmw_data.Dataset.rows block) absorbed));
+        g_oracles;
+        g_spend_claim;
+        g_rng = Pmw_rng.Rng.create ~seed:(seed + 7919 + (1000 * (i + 1)) + (104729 * epoch)) ();
+      })
+    ~resolve:(fun name -> List.find_opt (fun q -> q.Pmw_core.Cm_query.name = name) queries)
+    ()
+
+(* --- run --- *)
+
+let run_cmd =
+  let doc =
+    "Answer a synthetic CM-query stream with online private multiplicative weights, through \
+     one in-process shard (the serving path without a socket). SIGTERM/SIGINT stop it after \
+     the round in flight. Exits 2 when a round was rejected or refused or the privacy budget \
+     is exhausted."
+  in
+  let module Oracles = Pmw_erm.Oracles in
+  let module Faulty = Pmw_erm.Faulty_oracle in
   let oracle_arg =
     let kind =
       Arg.enum
         [ ("auto", `Auto); ("noisy-gd", `Gd); ("glm", `Glm); ("output-perturbation", `Out); ("exact", `Exact) ]
     in
     Arg.(value & opt kind `Auto & info [ "oracle" ] ~docv:"ORACLE"
-           ~doc:"auto|noisy-gd|glm|output-perturbation|exact (exact is non-private!)")
+           ~doc:"auto|noisy-gd|glm|output-perturbation|exact (exact is non-private!); output \
+                 perturbation follows it in the fallback chain")
   in
-  let run workload n k alpha eps delta t_max d seed oracle_kind trace =
-    if n <= 0 || k <= 0 then `Error (false, "n and k must be positive")
-    else begin
-      let w =
-        match workload with
-        | `Regression -> Common.Workload.regression ~d ()
-        | `Classification -> Common.Workload.classification ~d ()
+  let journal_arg =
+    Arg.(value & opt (some string) None & info [ "journal" ] ~docv:"PATH"
+           ~doc:"Journal every debit and answer to PATH as 'serve --journal' does. A rerun with \
+                 the same flags on the same files replays the answered rounds (no new debit) \
+                 and resumes the drain checkpoint an interrupted run left.")
+  in
+  let fault_term =
+    let fault_arg =
+      Arg.(value & opt (some string) None & info [ "fault" ] ~docv:"SPEC"
+             ~doc:"Wrap the first oracle of the chain in a fault injector: \
+                   nan|inf|divergent|timeout|misreport:FACTOR. The schedule counts oracle \
+                   calls from 0 in every process, a resumed run's included.")
+    in
+    let every_arg =
+      Arg.(value & opt int 3 & info [ "fault-every" ] ~docv:"N"
+             ~doc:"Inject on every Nth oracle call (N >= 1)")
+    in
+    let build spec every =
+      if every < 1 then `Error (false, "--fault-every must be >= 1")
+      else
+        match Option.map Faulty.fault_of_string spec with
+        | None -> `Ok None
+        | Some (Ok fault) -> `Ok (Some (Faulty.Every { period = every; fault }))
+        | Some (Error m) -> `Error (false, m)
+    in
+    Term.(ret (const build $ fault_arg $ every_arg))
+  in
+  let status_reason = function
+    | Protocol.Rejected { reason; _ } -> "rejected: " ^ reason
+    | Protocol.Refused why -> "refused: " ^ why
+    | Protocol.Failed why -> "failed: " ^ why
+    | st -> Protocol.status_tag st
+  in
+  let run w oracle_kind fault journal trace =
+    let k = w.config.Pmw_core.Config.k and t_max = w.config.Pmw_core.Config.t_max in
+    let privacy = w.config.Pmw_core.Config.privacy in
+    let queries = Array.of_list w.wl.Common.Workload.queries in
+    let oracle =
+      match oracle_kind with
+      | `Auto -> Oracles.for_loss queries.(0).Pmw_core.Cm_query.loss
+      | `Gd -> Oracles.noisy_gd ()
+      | `Glm -> Oracles.glm ()
+      | `Out -> Oracles.output_perturbation
+      | `Exact ->
+          Printf.printf "WARNING: the exact oracle is not differentially private.\n";
+          Oracles.exact
+    in
+    Printf.printf "universe %s (|X|=%d), n=%d, oracle=%s\n%!"
+      (Pmw_data.Universe.name w.wl.Common.Workload.universe)
+      (Pmw_data.Universe.size w.wl.Common.Workload.universe)
+      w.n oracle.Pmw_erm.Oracle.name;
+    let dataset = sample w in
+    (* One shard, one incarnation: the trace is the shard's, and the fault
+       injector marks into it too. *)
+    let telemetry = match trace with None -> Telemetry.null () | Some path -> shard_telemetry path 0 in
+    let oracles ~pool =
+      let first =
+        match oracle.Pmw_erm.Oracle.name with
+        | "glm" -> Oracles.glm ~pool ()
+        | "noisy_gd" -> Oracles.noisy_gd ~pool ()
+        | _ -> oracle
       in
-      let rng = Pmw_rng.Rng.create ~seed () in
-      let dataset = w.Common.Workload.sample ~n rng in
-      let privacy = Pmw_dp.Params.create ~eps ~delta in
-      let config =
-        Pmw_core.Config.practical ~universe:w.Common.Workload.universe ~privacy ~alpha ~beta:0.05
-          ~scale:w.Common.Workload.scale ~k ~t_max ~solver_iters:200 ()
-      in
-      let oracle =
-        match oracle_kind with
-        | `Auto -> Pmw_erm.Oracles.for_loss (List.hd w.Common.Workload.queries).Pmw_core.Cm_query.loss
-        | `Gd -> Pmw_erm.Oracles.noisy_gd ()
-        | `Glm -> Pmw_erm.Oracles.glm ()
-        | `Out -> Pmw_erm.Oracles.output_perturbation
-        | `Exact ->
-            Printf.printf "WARNING: the exact oracle is not differentially private.\n";
-            Pmw_erm.Oracles.exact
-      in
-      Printf.printf "universe %s (|X|=%d), n=%d, oracle=%s\n%!"
-        (Pmw_data.Universe.name w.Common.Workload.universe)
-        (Pmw_data.Universe.size w.Common.Workload.universe)
-        n oracle.Pmw_erm.Oracle.name;
-      let telemetry = make_telemetry trace in
-      let mechanism = Pmw_core.Online_pmw.create ~telemetry ~config ~dataset ~oracle ~rng () in
-      let analyst = Pmw_core.Analyst.cycle ~name:"cli" w.Common.Workload.queries ~k in
-      let records =
-        Pmw_core.Analyst.run ~analyst ~k
-          ~answer:(fun q ->
-            Option.map (fun o -> o.Pmw_core.Online_pmw.theta) (Pmw_core.Online_pmw.answer_opt mechanism q))
-          ~dataset ~solver_iters:300 ()
-      in
-      List.iter
-        (fun (r : Pmw_core.Analyst.record) ->
-          match r.Pmw_core.Analyst.error with
-          | Some e ->
-              Printf.printf "round %3d  %-28s excess risk %.4f\n" r.Pmw_core.Analyst.index
-                r.Pmw_core.Analyst.query.Pmw_core.Cm_query.name e
-          | None -> Printf.printf "round %3d  (halted)\n" r.Pmw_core.Analyst.index)
-        records;
-      Printf.printf "answered %d/%d; max err %.4f; mean err %.4f; MW updates %d/%d\n"
-        (Pmw_core.Analyst.answered records)
-        k
-        (Pmw_core.Analyst.max_error records)
-        (Pmw_core.Analyst.mean_error records)
-        (Pmw_core.Online_pmw.updates mechanism)
-        t_max;
-      Telemetry.emit_ledger_finals telemetry;
-      close_telemetry telemetry;
-      `Ok ()
-    end
+      match fault with
+      | None -> ([ first; Oracles.output_perturbation ], fun () -> None)
+      | Some plan ->
+          let f = Faulty.create ~telemetry ~plan first in
+          ([ Faulty.oracle f; Oracles.output_perturbation ], fun () -> Faulty.claimed_spend f)
+    in
+    let shard =
+      workload_shard w ~shards:1 ?journal
+        ~broker:{ Pmw_server.Broker.default_config with dedup_cap = max 4096 k }
+        ~telemetry:(fun ~incarnation:_ -> telemetry)
+        ~oracles 0 dataset
+    in
+    let stop = Atomic.make false in
+    List.iter
+      (fun s -> Sys.set_signal s (Sys.Signal_handle (fun _ -> Atomic.set stop true)))
+      [ Sys.sigterm; Sys.sigint ];
+    match Shard.start shard with
+    | Error m ->
+        Shard.stop shard;
+        close_telemetry telemetry;
+        `Error (false, m)
+    | Ok () ->
+        let replies = Array.make k None in
+        let submitted = ref 0 in
+        (* Round r is request rid run-r, so a rerun on the same journal
+           replays every round it already answered. *)
+        let answer q =
+          let round = !submitted in
+          incr submitted;
+          let reply =
+            Shard.submit shard
+              {
+                Protocol.req_id = round;
+                req_analyst = "run";
+                req_query = q.Pmw_core.Cm_query.name;
+                req_rid = Some (Printf.sprintf "run-%d" round);
+                req_shards = None;
+                req_trace = None;
+                req_pspan = None;
+                req_rows = None;
+              }
+          in
+          replies.(round) <- reply;
+          Option.bind reply (fun r -> r.Protocol.rsp_theta)
+        in
+        (* Why round i got no answer, if it got none. *)
+        let unanswered i =
+          match replies.(i) with
+          | None -> Some "no reply: shard down"
+          | Some { Protocol.rsp_theta = None; rsp_status; _ } -> Some (status_reason rsp_status)
+          | Some _ -> None
+        in
+        let print_round (r : Pmw_core.Analyst.record) =
+          let i = r.Pmw_core.Analyst.index in
+          let name = r.Pmw_core.Analyst.query.Pmw_core.Cm_query.name in
+          (match (r.Pmw_core.Analyst.error, replies.(i)) with
+          | Some e, Some { Protocol.rsp_status = Protocol.Degraded why; _ } ->
+              Printf.printf "round %3d  %-28s excess risk %.4f  (degraded: %s)\n" i name e why
+          | Some e, _ -> Printf.printf "round %3d  %-28s excess risk %.4f\n" i name e
+          | None, _ ->
+              Printf.printf "round %3d  %-28s %s\n" i name (Option.value (unanswered i) ~default:""));
+          flush stdout
+        in
+        (* The analyst prints each round's record when asked for the next
+           query, so it gets one turn past the last round. *)
+        let analyst =
+          Pmw_core.Analyst.adaptive ~name:"run" (fun ~round ~history ->
+              (match history with r :: _ -> print_round r | [] -> ());
+              if round >= k || Atomic.get stop then None
+              else Some queries.(round mod Array.length queries))
+        in
+        let records =
+          Pmw_core.Analyst.run ~analyst ~k:(k + 1) ~answer ~dataset ~solver_iters:300 ()
+        in
+        let exhausted = Option.fold ~none:false ~some:Pmw_core.Budget.exhausted (Shard.budget shard) in
+        Shard.stop shard;
+        let updates =
+          Array.fold_left
+            (fun n r -> match r with Some { Protocol.rsp_source = Some "oracle"; _ } -> n + 1 | _ -> n)
+            0 replies
+        in
+        let spent = Shard.spent shard in
+        Printf.printf "answered %d/%d; max err %.4f; mean err %.4f; MW updates %d/%d\n"
+          (Pmw_core.Analyst.answered records)
+          k
+          (Pmw_core.Analyst.max_error records)
+          (Pmw_core.Analyst.mean_error records)
+          updates t_max;
+        Printf.printf "privacy spent (eps %.4f of %.4f, delta %.2e of %.2e)\n%!"
+          spent.Pmw_dp.Params.eps privacy.Pmw_dp.Params.eps spent.Pmw_dp.Params.delta
+          privacy.Pmw_dp.Params.delta;
+        if !submitted < k then
+          Printf.eprintf "stopped after %d of %d rounds%s\n%!" !submitted k
+            (if journal = None then "" else "; rerun with the same flags to continue");
+        let failure i = Option.map (Printf.sprintf "round %d %s" i) (unanswered i) in
+        match List.find_map failure (List.init !submitted Fun.id) with
+        | None when not exhausted -> `Ok ()
+        | failure ->
+            (* A run that ended refused or with an exhausted ledger is a
+               failure for scripts even though the process ran to the end. *)
+            Printf.eprintf "session ended badly: %s\n"
+              (Option.value failure ~default:"privacy budget exhausted");
+            exit 2
   in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
       ret
-        (const run $ workload_arg $ n_arg $ k_arg $ alpha_arg $ eps_arg $ delta_arg $ t_arg $ d_arg
-       $ seed_arg $ oracle_arg $ trace_arg))
+        (const run
+        $ workload_term ~k_default:20 ~k_doc:"Number of queries"
+        $ oracle_arg $ fault_term $ journal_arg $ trace_arg))
 
 (* --- ingest --- *)
 
@@ -373,160 +565,6 @@ let release_cmd =
       ret
         (const run $ input_arg $ alpha_arg $ eps_arg $ delta_arg $ t_arg $ workload_arg
        $ out_hist_arg $ out_synth_arg $ rows_arg $ seed_arg))
-
-(* --- session --- *)
-
-let session_cmd =
-  let doc =
-    "Run the fault-tolerant session engine: checkpoint after every query, optionally inject \
-     oracle faults, and resume a killed run with --resume"
-  in
-  let module Session = Pmw_session.Session in
-  let module Checkpoint = Pmw_session.Checkpoint in
-  let module Faulty = Pmw_erm.Faulty_oracle in
-  let workload_arg =
-    let kind = Arg.enum [ ("regression", `Regression); ("classification", `Classification) ] in
-    Arg.(value & opt kind `Regression & info [ "workload" ] ~docv:"KIND" ~doc:"regression|classification")
-  in
-  let n_arg = Arg.(value & opt int 150_000 & info [ "n" ] ~doc:"Dataset size") in
-  let k_arg = Arg.(value & opt int 20 & info [ "k" ] ~doc:"Number of queries") in
-  let alpha_arg = Arg.(value & opt float 0.06 & info [ "alpha" ] ~doc:"Target excess risk") in
-  let eps_arg = Arg.(value & opt float 1.0 & info [ "eps" ] ~doc:"Privacy budget epsilon") in
-  let delta_arg = Arg.(value & opt float 1e-6 & info [ "delta" ] ~doc:"Privacy budget delta") in
-  let t_arg = Arg.(value & opt int 20 & info [ "t-max" ] ~doc:"MW update budget T") in
-  let d_arg = Arg.(value & opt int 2 & info [ "d" ] ~doc:"Feature dimension") in
-  let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Random seed (must match across resume)") in
-  let dir_arg =
-    Arg.(value & opt (some string) None & info [ "checkpoint-dir" ] ~docv:"DIR"
-           ~doc:"Write DIR/session.ckpt (atomically) after every query")
-  in
-  let resume_flag =
-    Arg.(value & flag & info [ "resume" ] ~doc:"Resume from DIR/session.ckpt instead of starting fresh")
-  in
-  let fault_arg =
-    Arg.(value & opt (some string) None & info [ "fault" ] ~docv:"SPEC"
-           ~doc:"Inject oracle faults: nan|inf|divergent|timeout|misreport:FACTOR")
-  in
-  let fault_every_arg =
-    Arg.(value & opt int 3 & info [ "fault-every" ] ~doc:"Inject on every Nth oracle call")
-  in
-  let fault_seed_arg = Arg.(value & opt int 5 & info [ "fault-seed" ] ~doc:"Fault-injection seed") in
-  let kill_arg =
-    Arg.(value & opt (some int) None & info [ "kill-after" ] ~docv:"M"
-           ~doc:"Exit after answering M queries this invocation (simulates a crash; resume later)")
-  in
-  let run workload n k alpha eps delta t_max d seed dir resume fault_spec fault_every fault_seed
-      kill_after trace =
-    let ( let* ) r f = match r with Error m -> `Error (false, m) | Ok v -> f v in
-    let* fault =
-      match fault_spec with
-      | None -> Ok None
-      | Some s -> Result.map Option.some (Faulty.fault_of_string s)
-    in
-    if n <= 0 || k <= 0 then `Error (false, "n and k must be positive")
-    else begin
-      let w =
-        match workload with
-        | `Regression -> Common.Workload.regression ~d ()
-        | `Classification -> Common.Workload.classification ~d ()
-      in
-      let dataset = w.Common.Workload.sample ~n (Pmw_rng.Rng.create ~seed ()) in
-      let config =
-        Pmw_core.Config.practical ~universe:w.Common.Workload.universe
-          ~privacy:(Pmw_dp.Params.create ~eps ~delta)
-          ~alpha ~beta:0.05 ~scale:w.Common.Workload.scale ~k ~t_max ~solver_iters:200 ()
-      in
-      let telemetry = make_telemetry trace in
-      let faulty =
-        Option.map
-          (fun f ->
-            Faulty.create ~seed:fault_seed ~telemetry
-              ~plan:(Faulty.Every { period = fault_every; fault = f })
-              (Pmw_erm.Oracles.noisy_gd ()))
-          fault
-      in
-      let oracles =
-        match faulty with
-        | Some fo -> [ Faulty.oracle fo; Pmw_erm.Oracles.output_perturbation ]
-        | None -> [ Pmw_erm.Oracles.noisy_gd (); Pmw_erm.Oracles.output_perturbation ]
-      in
-      let spend_claim =
-        match faulty with
-        | Some fo -> fun () -> Faulty.claimed_spend fo
-        | None -> fun () -> None
-      in
-      let rng = Pmw_rng.Rng.create ~seed:(seed + 7919) () in
-      let ckpt_path = Option.map (fun dir -> Filename.concat dir "session.ckpt") dir in
-      let* session =
-        if resume then
-          match ckpt_path with
-          | None -> Error "--resume requires --checkpoint-dir"
-          | Some path -> (
-              match Checkpoint.read ~path with
-              | Error m -> Error m
-              | Ok ckpt ->
-                  Option.iter
-                    (fun fo ->
-                      Faulty.set_calls fo (Checkpoint.attempts_for ckpt (Faulty.oracle fo).Pmw_erm.Oracle.name))
-                    faulty;
-                  Session.resume ~telemetry ~config ~dataset ~oracles ~spend_claim ~rng ckpt)
-        else Ok (Session.create ~telemetry ~config ~dataset ~oracles ~spend_claim ~rng ())
-      in
-      Option.iter (fun d -> if not (Sys.file_exists d) then Sys.mkdir d 0o755) dir;
-      let qarr = Array.of_list w.Common.Workload.queries in
-      let start = Session.queries session in
-      if start > 0 then Printf.printf "resumed at query %d\n%!" start;
-      let todo = max 0 (k - start) in
-      let todo = match kill_after with Some m -> min m todo | None -> todo in
-      for i = start to start + todo - 1 do
-        let q = qarr.(i mod Array.length qarr) in
-        let module O = Pmw_core.Online_pmw in
-        (match Session.answer session q with
-        | O.Answered o ->
-            Printf.printf "round %3d  %-24s answered (%s)\n" i q.Pmw_core.Cm_query.name
-              (match o.O.source with O.From_hypothesis -> "hypothesis" | O.From_oracle -> "oracle")
-        | O.Degraded (_, reason) ->
-            Printf.printf "round %3d  %-24s DEGRADED: %s\n" i q.Pmw_core.Cm_query.name
-              (O.degradation_to_string reason)
-        | O.Refused reason ->
-            Printf.printf "round %3d  %-24s REFUSED: %s\n" i q.Pmw_core.Cm_query.name
-              (O.refusal_to_string reason));
-        Option.iter (fun path -> Session.save session ~path) ckpt_path
-      done;
-      let b = Session.budget session in
-      let spent = Pmw_core.Budget.spent b and total = Pmw_core.Budget.total b in
-      Printf.printf
-        "queries %d/%d: %d answered, %d degraded, %d refused; oracle attempts %d%s\n\
-         privacy spent (eps %.4f of %.4f, delta %.2e of %.2e)\n"
-        (Session.queries session) k (Session.answered session)
-        (Session.degraded_answers session) (Session.refusals session)
-        (Session.attempt_count session)
-        (if Session.breached session then "; LEDGER BREACHED (drained to cap)" else "")
-        spent.Pmw_dp.Params.eps total.Pmw_dp.Params.eps spent.Pmw_dp.Params.delta
-        total.Pmw_dp.Params.delta;
-      Session.finish session;
-      close_telemetry telemetry;
-      if Session.queries session < k then begin
-        Printf.printf "stopped early after --kill-after; rerun with --resume to continue\n";
-        `Ok ()
-      end
-      else
-        match Session.exit_status session with
-        | Ok () -> `Ok ()
-        | Error reason ->
-            (* A session that ended refused or with a drained ledger is a
-               failure for scripts even though the process ran to the end. *)
-            Printf.eprintf "session ended badly: %s\n" reason;
-            exit 2
-    end
-  in
-  Cmd.v (Cmd.info "session" ~doc)
-    Term.(
-      ret
-        (const run $ workload_arg $ n_arg $ k_arg $ alpha_arg $ eps_arg $ delta_arg $ t_arg $ d_arg
-       $ seed_arg $ dir_arg $ resume_flag $ fault_arg $ fault_every_arg $ fault_seed_arg $ kill_arg
-       $ trace_arg))
-
 (* --- serve --- *)
 
 let serve_cmd =
@@ -538,22 +576,8 @@ let serve_cmd =
   in
   let module Broker = Pmw_server.Broker in
   let module Net = Pmw_server.Net in
-  let module Journal = Pmw_server.Journal in
-  let module Shard = Pmw_server.Shard in
   let module Router = Pmw_server.Router in
   let module Supervisor = Pmw_server.Supervisor in
-  let workload_arg =
-    let kind = Arg.enum [ ("regression", `Regression); ("classification", `Classification) ] in
-    Arg.(value & opt kind `Regression & info [ "workload" ] ~docv:"KIND" ~doc:"regression|classification")
-  in
-  let n_arg = Arg.(value & opt int 150_000 & info [ "n" ] ~doc:"Dataset size") in
-  let k_arg = Arg.(value & opt int 200 & info [ "k" ] ~doc:"Sparse-vector stream capacity") in
-  let alpha_arg = Arg.(value & opt float 0.06 & info [ "alpha" ] ~doc:"Target excess risk") in
-  let eps_arg = Arg.(value & opt float 1.0 & info [ "eps" ] ~doc:"Privacy budget epsilon") in
-  let delta_arg = Arg.(value & opt float 1e-6 & info [ "delta" ] ~doc:"Privacy budget delta") in
-  let t_arg = Arg.(value & opt int 20 & info [ "t-max" ] ~doc:"MW update budget T") in
-  let d_arg = Arg.(value & opt int 2 & info [ "d" ] ~doc:"Feature dimension") in
-  let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Random seed") in
   let socket_arg =
     Arg.(value & opt string "/tmp/pmw.sock" & info [ "socket" ] ~docv:"PATH"
            ~doc:"Unix domain socket to listen on")
@@ -615,13 +639,13 @@ let serve_cmd =
              ~doc:"Supervisor-driven time windows: ask every running shard to roll its epoch \
                    this often (0 disables). Requires --journal.")
   in
-  let run workload n k alpha eps delta t_max d seed socket quota retry_after
-      journal_path dedup_cap shards shard_by chaos_ctl fleet_deadline epoch_every
-      epoch_secs trace =
+  let run w socket quota retry_after journal_path dedup_cap shards shard_by chaos_ctl
+      fleet_deadline epoch_every epoch_secs trace =
     let ( let* ) r f = match r with Error m -> `Error (false, m) | Ok v -> f v in
     let epochs = epoch_every > 0 || epoch_secs > 0. in
-    if n <= 0 || k <= 0 then `Error (false, "n and k must be positive")
-    else if dedup_cap < 0 then `Error (false, "dedup-cap must be >= 0")
+    let universe = w.wl.Common.Workload.universe in
+    let privacy = w.config.Pmw_core.Config.privacy in
+    if dedup_cap < 0 then `Error (false, "dedup-cap must be >= 0")
     else if shards < 1 then `Error (false, "--shards must be >= 1")
     else if epoch_every < 0 || epoch_secs < 0. then
       `Error (false, "--epoch-every/--epoch-secs must be >= 0")
@@ -631,69 +655,29 @@ let serve_cmd =
       (* Block the shutdown signals before any thread exists so every thread
          inherits the mask and only the watcher consumes them. *)
       ignore (Thread.sigmask Unix.SIG_BLOCK [ Sys.sigterm; Sys.sigint ] : int list);
-      let w =
-        match workload with
-        | `Regression -> Common.Workload.regression ~d ()
-        | `Classification -> Common.Workload.classification ~d ()
-      in
-      let dataset = w.Common.Workload.sample ~n (Pmw_rng.Rng.create ~seed ()) in
-      let config =
-        Pmw_core.Config.practical ~universe:w.Common.Workload.universe
-          ~privacy:(Pmw_dp.Params.create ~eps ~delta)
-          ~alpha ~beta:0.05 ~scale:w.Common.Workload.scale ~k ~t_max ~solver_iters:200 ()
-      in
       let telemetry = make_telemetry trace in
       let metrics = Metrics.create () in
-      let registry = Hashtbl.create 16 in
-      List.iter
-        (fun q -> Hashtbl.replace registry q.Pmw_core.Cm_query.name q)
-        w.Common.Workload.queries;
       (* Disjoint record blocks, each with its own session, journal and
          serializer domain, behind a supervised routing tier. Parallel
          composition gives every shard the full (eps, delta) pot. *)
       let* blocks =
-        try Ok (Shard.partition dataset ~by:shard_by ~shards)
+        try Ok (Shard.partition (sample w) ~by:shard_by ~shards)
         with Invalid_argument m -> Error m
       in
-      let n_total = float_of_int (Pmw_data.Dataset.size dataset) in
-      let universe = w.Common.Workload.universe in
       let mk_shard i block =
-        Shard.create ~id:i
-          ~weight:(float_of_int (Pmw_data.Dataset.size block) /. n_total)
-          ?journal_path:(Option.map (fun p -> Shard.journal_file p ~shards ~epochs i) journal_path)
+        workload_shard w ~shards ?journal:journal_path
           ?epoch:
             (if epochs then
                Some { Shard.se_every = epoch_every; se_row_bound = Pmw_data.Universe.size universe }
              else None)
-          ~config:{ Broker.default_config with quota; retry_after_s = retry_after; dedup_cap }
-          ~domains:(Shard.pool_domains ~shards)
+          ~broker:{ Broker.default_config with quota; retry_after_s = retry_after; dedup_cap }
           ~telemetry:(fun ~incarnation ->
             match trace with
             | None -> Telemetry.null ()
-            | Some path ->
-                Telemetry.create
-                  ~sink:(Telemetry.Sink.jsonl_file (Trace.shard_file path ~shard:i ~incarnation))
-                  ~tag:(Printf.sprintf "shard%d" i) ())
-          ~session:(fun ~pool ~epoch ~absorbed ->
-            (* Generation e of this shard is a pure function of (epoch,
-               absorbed): boot block + every row absorbed so far, with an
-               RNG seed derived from the epoch — so a transition re-run
-               after a crash reconstructs the identical session, the
-               byte-identity the recovery contract rests on. Until rows
-               are absorbed the boot block serves as is, without a copy. *)
-            {
-              Shard.g_config = config;
-              g_dataset =
-                (if absorbed = [||] then Pmw_data.Dataset.with_epoch block epoch
-                 else
-                   Pmw_data.Dataset.create ~epoch universe
-                     (Array.append (Pmw_data.Dataset.rows block) absorbed));
-              g_oracles = Pmw_session.Session.default_oracles ~pool ();
-              g_rng =
-                Pmw_rng.Rng.create ~seed:(seed + 7919 + (1000 * (i + 1)) + (104729 * epoch)) ();
-            })
-          ~resolve:(Hashtbl.find_opt registry)
-          ~metrics ()
+            | Some path -> shard_telemetry (Trace.shard_file path ~shard:i ~incarnation) i)
+          ~metrics
+          ~oracles:(fun ~pool -> (Pmw_session.Session.default_oracles ~pool (), fun () -> None))
+          i block
       in
       let fleet = Array.of_list (List.mapi mk_shard blocks) in
       let* () =
@@ -720,7 +704,8 @@ let serve_cmd =
       in
       (* Parallel composition: every shard holds the full (eps, delta)
          pot, and so does the composed fleet view. *)
-      Metrics.set_ledger_budget (Metrics.ledger metrics "fleet") ~eps ~delta;
+      Metrics.set_ledger_budget (Metrics.ledger metrics "fleet") ~eps:privacy.Pmw_dp.Params.eps
+        ~delta:privacy.Pmw_dp.Params.delta;
       let supervisor =
         Supervisor.start
           ~config:{ Supervisor.default_config with su_epoch_every_s = epoch_secs }
@@ -731,9 +716,8 @@ let serve_cmd =
       in
       let listener = Net.listen ~metrics ~handler:(Router.submit router) ~path:socket () in
       Printf.printf "serving %s (|X|=%d, n=%d, k=%d) on %s; %d %s shard%s%s%s; queries: %s\n%!"
-        (Pmw_data.Universe.name w.Common.Workload.universe)
-        (Pmw_data.Universe.size w.Common.Workload.universe)
-        n k socket shards (Shard.by_to_string shard_by)
+        (Pmw_data.Universe.name universe) (Pmw_data.Universe.size universe)
+        w.n w.config.Pmw_core.Config.k socket shards (Shard.by_to_string shard_by)
         (if shards = 1 then "" else "s")
         (if chaos_ctl then ", ctl enabled" else "")
         (if not epochs then ""
@@ -741,7 +725,7 @@ let serve_cmd =
            Printf.sprintf ", epochs (every %d answers%s)" epoch_every
              (if epoch_secs > 0. then Printf.sprintf " / %.3gs" epoch_secs else ""))
         (String.concat " "
-           (List.map (fun q -> q.Pmw_core.Cm_query.name) w.Common.Workload.queries));
+           (List.map (fun q -> q.Pmw_core.Cm_query.name) w.wl.Common.Workload.queries));
       (* Shard serializers run on their own domains; this thread only
          waits for the shutdown signal. *)
       let (_ : int) = Thread.wait_signal [ Sys.sigterm; Sys.sigint ] in
@@ -764,7 +748,8 @@ let serve_cmd =
       let spent = Router.fleet_spent router in
       Printf.printf
         "fleet privacy spent by parallel composition (eps %.4f of %.4f, delta %.2e of %.2e)\n"
-        spent.Pmw_dp.Params.eps eps spent.Pmw_dp.Params.delta delta;
+        spent.Pmw_dp.Params.eps privacy.Pmw_dp.Params.eps spent.Pmw_dp.Params.delta
+        privacy.Pmw_dp.Params.delta;
       close_telemetry telemetry;
       `Ok ()
     end
@@ -772,8 +757,9 @@ let serve_cmd =
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(
       ret
-        (const run $ workload_arg $ n_arg $ k_arg $ alpha_arg $ eps_arg $ delta_arg $ t_arg $ d_arg
-       $ seed_arg $ socket_arg $ quota_arg $ retry_arg $ journal_arg
+        (const run
+        $ workload_term ~k_default:200 ~k_doc:"Sparse-vector stream capacity"
+        $ socket_arg $ quota_arg $ retry_arg $ journal_arg
        $ dedup_cap_arg $ shards_arg $ shard_by_arg $ chaos_ctl_flag $ fleet_deadline_arg
        $ epoch_every_arg $ epoch_secs_arg $ trace_arg))
 
@@ -1201,7 +1187,6 @@ let () =
             list_cmd;
             exp_cmd;
             run_cmd;
-            session_cmd;
             serve_cmd;
             stats_cmd;
             top_cmd;

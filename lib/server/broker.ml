@@ -539,7 +539,7 @@ let mirror_counters t =
    appends then persists spend with no answers — replay quarantines it as
    already-spent, a safe over-count. Answers-first would invert the
    failure: persisted answers seed the dedup table and are re-served on
-   --resume while no debit covers their cost. *)
+   restart while no debit covers their cost. *)
 let journal_batch t replies =
   match t.journal with
   | None -> ()

@@ -105,6 +105,7 @@ type generation = {
   g_config : Pmw_core.Config.t;
   g_dataset : Dataset.t;
   g_oracles : Pmw_erm.Oracle.t list;
+  g_spend_claim : unit -> Params.t option;
   g_rng : Pmw_rng.Rng.t;
 }
 
@@ -209,13 +210,13 @@ let build_session t ~pool ~telemetry ~epoch ~absorbed ~prior ~resume =
   match resume with
   | None ->
       Session.create ~pool ~telemetry ~label ~config:g.g_config ~dataset:g.g_dataset
-        ~oracles:g.g_oracles
+        ~oracles:g.g_oracles ~spend_claim:g.g_spend_claim
         ?prior:(Option.map (Histogram.of_weights (Dataset.universe g.g_dataset)) prior)
         ~rng:g.g_rng ()
   | Some ck -> (
       match
         Session.resume ~pool ~telemetry ~label ~config:g.g_config ~dataset:g.g_dataset
-          ~oracles:g.g_oracles ~rng:g.g_rng ck
+          ~oracles:g.g_oracles ~spend_claim:g.g_spend_claim ~rng:g.g_rng ck
       with
       | Ok s -> s
       | Error why -> failwith ("resume: " ^ why))

@@ -81,6 +81,9 @@ type generation = {
   g_config : Pmw_core.Config.t;
   g_dataset : Pmw_data.Dataset.t;  (** stamped with the generation's epoch *)
   g_oracles : Pmw_erm.Oracle.t list;  (** the fallback chain *)
+  g_spend_claim : unit -> Pmw_dp.Params.t option;
+      (** polled after every oracle attempt ({!Pmw_session.Session.create}'s
+          [spend_claim]); [fun () -> None] trusts the chain's accounting *)
   g_rng : Pmw_rng.Rng.t;
 }
 

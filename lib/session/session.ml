@@ -20,7 +20,6 @@ type t = {
   budget : Budget.t;
   online : Online.t;
   telemetry : Telemetry.t;
-  mutable last_refusal : string option;
   breached : bool ref;
   attempts : Checkpoint.attempt list ref;  (* newest first *)
 }
@@ -105,7 +104,6 @@ let make ~config ~pool ~dataset ~oracles ~retries ~spend_claim ?prior ~rng ~budg
     budget;
     online;
     telemetry;
-    last_refusal = None;
     breached;
     attempts;
   }
@@ -149,7 +147,6 @@ let answer t query =
         ~fields:[ ("reason", Telemetry.Str (Online.degradation_to_string d)) ]
   | Online.Refused r ->
       let why = Online.refusal_to_string r in
-      t.last_refusal <- Some why;
       Telemetry.incr t.telemetry "refusals";
       Telemetry.mark t.telemetry "session.refused" ~fields:[ ("reason", Telemetry.Str why) ]
   | Online.Answered _ -> ());
@@ -174,16 +171,6 @@ let degraded_answers t = Telemetry.counter t.telemetry "degraded_answers"
 let refusals t = Telemetry.counter t.telemetry "refusals"
 let answered t = queries t - degraded_answers t - refusals t
 let breached t = !(t.breached)
-
-let exit_status t =
-  if !(t.breached) then
-    Error "session breached: a misreported oracle spend drained the privacy ledger"
-  else
-    match t.last_refusal with
-    | Some why -> Error (Printf.sprintf "last query refused: %s" why)
-    | None ->
-        if Budget.exhausted t.budget then Error "privacy budget exhausted"
-        else Ok ()
 
 let finish t =
   Telemetry.emit_ledger_finals t.telemetry

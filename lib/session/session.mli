@@ -109,12 +109,6 @@ val answered : t -> int
 val degraded_answers : t -> int
 val refusals : t -> int
 
-val exit_status : t -> (unit, string) result
-(** [Ok ()] when the session can still answer live queries; [Error reason]
-    when it ended badly — the ledger was breached, the last query was
-    refused, or the privacy budget is exhausted. The CLI maps [Error] to
-    exit code 2. *)
-
 val finish : t -> unit
 (** Emit the end-of-run ["ledger.final"] marks
     ({!Pmw_telemetry.Telemetry.emit_ledger_finals}) so a written trace is

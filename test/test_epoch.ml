@@ -529,6 +529,7 @@ let test_restarted_trace_covers_lifetime () =
             Shard.g_config = config;
             g_dataset = Dataset.create ~epoch universe (Array.append rows absorbed);
             g_oracles = Session.default_oracles ~pool ();
+            g_spend_claim = (fun () -> None);
             g_rng = Rng.create ~seed:(11 + epoch) ();
           })
         ~resolve:(fun name -> List.assoc_opt name queries)

@@ -236,6 +236,7 @@ let mk_fleet ?metrics ~dir ~shards () =
                Shard.g_config = config ();
                g_dataset = block;
                g_oracles = Session.default_oracles ~pool ();
+               g_spend_claim = (fun () -> None);
                g_rng = Rng.create ~seed:(100 + i) ();
              })
            ~resolve ())

@@ -59,6 +59,7 @@ let mk_fleet ?(shards = 3) ?scale () =
                Shard.g_config = config ?scale ();
                g_dataset = block;
                g_oracles = Session.default_oracles ~pool ();
+               g_spend_claim = (fun () -> None);
                g_rng = Rng.create ~seed:(100 + i) ();
              })
            ~resolve ())

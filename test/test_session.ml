@@ -329,31 +329,9 @@ let test_fault_plan_replay () =
   Alcotest.(check (list bool)) "replayed pattern" a (head @ tail);
   Alcotest.(check bool) "some faults fired" true (List.exists Fun.id a)
 
-(* --- exit status and the centralized telemetry tallies --- *)
+(* --- the centralized telemetry tallies --- *)
 
 module Telemetry = Pmw_telemetry.Telemetry
-
-let test_exit_status_clean () =
-  let s, _ = faulty_session ~plan:Faulty.Never ~rng:(Rng.create ~seed:3 ()) () in
-  ignore (run_stream s (queries 4));
-  match Session.exit_status s with
-  | Ok () -> ()
-  | Error why -> Alcotest.failf "clean session reported %S" why
-
-let test_exit_status_breached () =
-  let s, _ =
-    faulty_session ~plan:(Faulty.Always (Faulty.Misreport 1e6)) ~rng:(Rng.create ~seed:11 ()) ()
-  in
-  ignore (run_stream s (queries 8));
-  Alcotest.(check bool) "breached" true (Session.breached s);
-  match Session.exit_status s with
-  | Ok () -> Alcotest.fail "breached session must exit non-zero"
-  | Error why ->
-      Alcotest.(check bool) ("reason mentions breach: " ^ why) true
-        (let rec has i =
-           i + 8 <= String.length why && (String.sub why i 8 = "breached" || has (i + 1))
-         in
-         has 0)
 
 let test_tallies_are_telemetry_counters () =
   (* The session keeps NO private verdict counters: its accessors read the
@@ -434,8 +412,6 @@ let () =
         [ Alcotest.test_case "plan replay" `Quick test_fault_plan_replay ] );
       ( "telemetry",
         [
-          Alcotest.test_case "exit status clean" `Quick test_exit_status_clean;
-          Alcotest.test_case "exit status breached" `Quick test_exit_status_breached;
           Alcotest.test_case "tallies are telemetry counters" `Quick
             test_tallies_are_telemetry_counters;
           Alcotest.test_case "resume restores trace state" `Quick

@@ -75,6 +75,7 @@ let mk_shard ?journal_path ?telemetry ?(config = config ())
         Shard.g_config = config;
         g_dataset = block;
         g_oracles = oracles pool;
+        g_spend_claim = (fun () -> None);
         g_rng = Rng.create ~seed:(100 + id) ();
       })
     ~resolve ()
@@ -595,6 +596,46 @@ let test_fleet_account_equals_max_over_any_partition () =
       List.iter Shard.stop fleet)
     [ 2; 3; 4 ]
 
+(* The generation's spend claim reaches the shard's session: an oracle
+   that claims 1e6 times its allocation breaches the shard's ledger on
+   its first call, and admission then rejects every further query. *)
+let test_misreport_breaches_shard_ledger () =
+  let s =
+    Shard.create ~id:0 ~weight:1.
+      ~session:(fun ~pool ~epoch:_ ~absorbed:_ ->
+        let f =
+          Faulty.create ~plan:(Faulty.Always (Faulty.Misreport 1e6)) (Oracles.noisy_gd ~pool ())
+        in
+        {
+          Shard.g_config = config ();
+          g_dataset = dataset;
+          g_oracles = [ Faulty.oracle f; Oracles.output_perturbation ];
+          g_spend_claim = (fun () -> Faulty.claimed_spend f);
+          g_rng = Rng.create ~seed:100 ();
+        })
+      ~resolve ()
+  in
+  must_start s;
+  let replies = List.init 10 (ask s) in
+  let exhausted = Option.map Budget.exhausted (Shard.budget s) in
+  Shard.stop s;
+  Alcotest.(check (option bool)) "the ledger is drained" (Some true) exhausted;
+  let tag r = Protocol.status_tag r.Protocol.rsp_status in
+  (* admitted until the first oracle answer, rejected from then on *)
+  let rec split = function
+    | r :: rest when r.Protocol.rsp_source = Some "oracle" -> ([], rest)
+    | r :: rest ->
+        let before, after = split rest in
+        (r :: before, after)
+    | [] -> Alcotest.fail "no query reached the oracle"
+  in
+  let before, after = split replies in
+  Alcotest.(check (list string)) "answered before the breach"
+    (List.map (fun _ -> "answered") before) (List.map tag before);
+  Alcotest.(check bool) "queries left to reject" true (after <> []);
+  Alcotest.(check (list string)) "rejected after the breach"
+    (List.map (fun _ -> "rejected") after) (List.map tag after)
+
 let () =
   Alcotest.run "pmw_shard"
     [
@@ -629,6 +670,8 @@ let () =
         [
           Alcotest.test_case "timeouts answer through the fallback chain" `Quick
             test_faulty_oracle_answers_through_fallback;
+          Alcotest.test_case "a misreporting oracle breaches the ledger" `Quick
+            test_misreport_breaches_shard_ledger;
         ] );
       ( "accounting",
         [
