@@ -305,8 +305,6 @@ let answer t query =
 
 let answer_opt t query = match answer t query with Answered o -> Some o | _ -> None
 
-let answer_all t queries = List.map (answer t) queries
-
 let as_answerer t query = Option.map (fun o -> o.theta) (answer_opt t query)
 
 (* --- checkpointing --- *)

@@ -110,9 +110,6 @@ val answer_opt : t -> Cm_query.t -> outcome option
 (** Legacy shape: [Some] for [Answered] only — degraded and refused queries
     map to [None], matching the pre-verdict halting behaviour. *)
 
-val answer_all : t -> Cm_query.t list -> verdict list
-(** Convenience fold of {!answer}. *)
-
 (** {1 The solve memo}
 
     The mechanism memoizes the deterministic work behind {!answer} for its

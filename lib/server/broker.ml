@@ -83,13 +83,24 @@ type analyst_state = {
   mutable st_history : (int * string) list;  (* newest first *)
 }
 
-type pending = {
-  p_req : Protocol.request;
-  p_enqueued_at : float;
-  mutable p_reply : Protocol.response option;
+(* A posted request's claim on its reply. [tk_reply] is set under the
+   broker lock, once; [tk_on_reply] is called once it is set, off the lock. *)
+type ticket = {
+  tk_broker : t;
+  tk_id : int;  (* the posting request's id: a replayed reply is re-stamped with it *)
+  tk_on_reply : Protocol.response -> unit;
+  mutable tk_reply : Protocol.response option;
 }
 
-type t = {
+(* A queued request and the tickets waiting on it: its own, plus any
+   duplicate that coalesced onto it while it was in flight. *)
+and pending = {
+  p_req : Protocol.request;
+  p_enqueued_at : float;
+  mutable p_tickets : ticket list;
+}
+
+and t = {
   (* [session] and [journal] are written only by the serializer (epoch
      transitions swap both), read by client threads — all access is under
      the broker lock. *)
@@ -349,6 +360,39 @@ let rejected ?retry_after_s req reason =
     rsp_body = None;
   }
 
+(* Under the broker lock: give [tk] its reply, re-stamped with the
+   ticket's id. A replayed reply (a dedup hit, a coalesced duplicate) may
+   answer a retry with a fresh [req_id], and [Net.Client.call] drops a
+   response whose [rsp_id] does not match its request. Returns the
+   ticket's wake-up, which the caller runs off the lock. *)
+let land_ticket tk reply =
+  let reply = { reply with Protocol.rsp_id = tk.tk_id } in
+  tk.tk_reply <- Some reply;
+  fun () -> tk.tk_on_reply reply
+
+(* Land each slot's reply on every ticket waiting on it, take the slot
+   out of the in-flight table, wake any [wait]er, then run the wake-ups.
+   A slot's ticket list is emptied as it lands, so a slot reached twice (a
+   batch that fails after publishing) wakes no ticket twice. *)
+let settle t replies =
+  let wakes =
+    locked t (fun () ->
+        Condition.broadcast t.cond;
+        List.concat_map
+          (fun (p, reply) ->
+            Option.iter
+              (fun rid -> Hashtbl.remove t.inflight (dedup_key p.p_req.Protocol.req_analyst rid))
+              p.p_req.Protocol.req_rid;
+            let tks = p.p_tickets in
+            p.p_tickets <- [];
+            List.map (fun tk -> land_ticket tk reply) tks)
+          replies)
+  in
+  List.iter (fun wake -> wake ()) wakes
+
+let failed_reply req why = { (rejected req why) with Protocol.rsp_status = Protocol.Failed why }
+let fail_slots t slots why = settle t (List.map (fun p -> (p, failed_reply p.p_req why)) slots)
+
 (* Admission, quota and enqueue run under one lock acquisition; the ledger
    fit test itself is atomic inside Budget. A request admitted here can
    still degrade if the pot moves before its oracle call — the
@@ -360,7 +404,8 @@ let rejected ?retry_after_s req reason =
    a rid we already answered was paid for by its original admission, so
    the recorded bytes go back out unconditionally — even during drain,
    even for an analyst whose quota has since filled. *)
-let submit t req =
+let post ?(on_reply = ignore) t req =
+  let tk = { tk_broker = t; tk_id = req.Protocol.req_id; tk_on_reply = on_reply; tk_reply = None } in
   let rid_key = Option.map (dedup_key req.Protocol.req_analyst) req.Protocol.req_rid in
   let verdict =
     locked t (fun () ->
@@ -384,23 +429,24 @@ let submit t req =
             match Option.bind rid_key (Hashtbl.find_opt t.inflight) with
             | Some orig ->
                 dedup_hit ();
-                `Coalesce orig
+                orig.p_tickets <- tk :: orig.p_tickets;
+                `Queued
             | None ->
                 let enqueue () =
                   st.st_submitted <- st.st_submitted + 1;
                   let p =
-                    { p_req = req; p_enqueued_at = Unix.gettimeofday (); p_reply = None }
+                    { p_req = req; p_enqueued_at = Unix.gettimeofday (); p_tickets = [ tk ] }
                   in
                   Option.iter (fun k -> Hashtbl.replace t.inflight k p) rid_key;
                   Queue.push p t.queue;
                   Metrics.tick t.m_admitted;
                   Metrics.set_gauge t.m_queue_depth (float_of_int (Queue.length t.queue));
                   Condition.broadcast t.cond;
-                  `Enqueued p
+                  `Queued
                 in
                 let failed why =
                   st.st_rejected <- st.st_rejected + 1;
-                  `Rejected { (rejected req why) with Protocol.rsp_status = Protocol.Failed why }
+                  `Rejected (failed_reply req why)
                 in
                 if t.draining || t.stopped then begin
                   Metrics.tick t.m_rej_draining;
@@ -445,35 +491,30 @@ let submit t req =
                                  ("admission refused: " ^ why))
                         | Ok () -> enqueue ()))))
   in
-  let wait_for p =
-    locked t (fun () ->
-        while p.p_reply = None do
-          Condition.wait t.cond t.lock
-        done;
-        Option.get p.p_reply)
-  in
-  (* The recorded payload travels back verbatim, but correlation belongs
-     to THIS call: a retry may carry a fresh [req_id] (e.g. a restarted
-     client that persisted its rids but not its id counter), and
-     [Net.Client.call] drops any response whose [rsp_id] does not match
-     its request as a framing desync. So a replayed reply is re-stamped
-     with the incoming id — byte-identical when the retry reuses the
-     original [req_id], payload-identical otherwise. *)
-  let correlate reply = { reply with Protocol.rsp_id = req.Protocol.req_id } in
-  match verdict with
-  | `Rejected reply -> reply
+  (* Only this thread holds [tk] until it is returned, so an answer known
+     at once lands without the lock. *)
+  let now reply = land_ticket tk reply () in
+  (match verdict with
+  | `Queued -> ()
+  | `Rejected reply -> now reply
   | `Recorded line -> (
       match Protocol.decode_response line with
-      | Ok reply -> correlate reply
+      | Ok reply -> now reply
       | Error why ->
           (* cannot happen for lines we encoded ourselves; fail loudly
              rather than re-running the mechanism *)
-          {
-            (rejected req ("recorded answer unreadable: " ^ why)) with
-            Protocol.rsp_status = Protocol.Failed ("recorded answer unreadable: " ^ why);
-          })
-  | `Coalesce orig -> correlate (wait_for orig)
-  | `Enqueued p -> wait_for p
+          now (failed_reply req ("recorded answer unreadable: " ^ why))));
+  tk
+
+let wait tk =
+  let t = tk.tk_broker in
+  locked t (fun () ->
+      while tk.tk_reply = None do
+        Condition.wait t.cond t.lock
+      done;
+      Option.get tk.tk_reply)
+
+let submit t req = wait (post t req)
 
 let source_str = function Online.From_hypothesis -> "hypothesis" | Online.From_oracle -> "oracle"
 
@@ -699,16 +740,12 @@ let process_batch t items =
           st.st_history <-
             (reply.Protocol.rsp_seq, Protocol.status_tag reply.Protocol.rsp_status)
             :: st.st_history;
-          (match p.p_req.Protocol.req_rid with
-          | None -> ()
-          | Some rid ->
-              let key = dedup_key p.p_req.Protocol.req_analyst rid in
-              dedup_insert t key line;
-              Hashtbl.remove t.inflight key);
-          p.p_reply <- Some reply)
+          Option.iter
+            (fun rid -> dedup_insert t (dedup_key p.p_req.Protocol.req_analyst rid) line)
+            p.p_req.Protocol.req_rid)
         replies;
-      Metrics.set_gauge t.m_queue_depth (float_of_int (Queue.length t.queue));
-      Condition.broadcast t.cond);
+      Metrics.set_gauge t.m_queue_depth (float_of_int (Queue.length t.queue)));
+  settle t (List.map (fun (p, reply, _) -> (p, reply)) replies);
   (* Burn-rate feed: cumulative totals are idempotent, so reporting after
      every batch is safe across retries and restarts alike. Lifetime values
      keep the monotone-CAS ledger honest across epoch pot refreshes. *)
@@ -922,7 +959,12 @@ let run ?checkpoint t =
     | `Stop -> running := false
     | `Transition -> do_transition t ~why:"requested"
     | `Batch items ->
-        process_batch t items;
+        (* A batch that raises is a dead serializer: its requests get a
+           [Failed] reply here, since no one else will answer them. *)
+        (try process_batch t items
+         with exn ->
+           fail_slots t items ("shard serializer died: " ^ Printexc.to_string exn);
+           raise exn);
         if periodic_epoch_due t then do_transition t ~why:"periodic"
   done;
   mirror_counters t;
@@ -968,28 +1010,18 @@ let shutdown t =
    queue gets a [Failed] reply so no client thread is left blocked on a
    broker whose serializer is gone. *)
 let abort ?(reason = "shard aborted") t =
-  locked t (fun () ->
-      if not t.stopped then begin
-        t.draining <- true;
-        t.aborted <- true;
-        Queue.iter
-          (fun p ->
-            if p.p_reply = None then begin
-              p.p_reply <-
-                Some
-                  {
-                    (rejected p.p_req reason) with
-                    Protocol.rsp_status = Protocol.Failed reason;
-                  };
-              match p.p_req.Protocol.req_rid with
-              | None -> ()
-              | Some rid ->
-                  Hashtbl.remove t.inflight (dedup_key p.p_req.Protocol.req_analyst rid)
-            end)
-          t.queue;
-        Queue.clear t.queue;
-        Condition.broadcast t.cond
-      end)
+  let queued =
+    locked t (fun () ->
+        if t.stopped then []
+        else begin
+          t.draining <- true;
+          t.aborted <- true;
+          let queued = List.of_seq (Queue.to_seq t.queue) in
+          Queue.clear t.queue;
+          queued
+        end)
+  in
+  fail_slots t queued reason
 
 let aborted t = locked t (fun () -> t.aborted)
 
@@ -998,8 +1030,6 @@ let processed t = locked t (fun () -> t.seq)
 let session t = locked t (fun () -> t.session)
 let dedup_hits t = Atomic.get t.dedup_hits
 let epoch t = locked t (fun () -> t.epoch)
-let epoch_base t = locked t (fun () -> t.base)
-let pending_ingest t = locked t (fun () -> t.pending_ingest_count)
 
 (* Lifetime (ε, δ): what sealed epochs retired plus the current pot's
    spend — the number an operator compares against a lifetime budget. *)

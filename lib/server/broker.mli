@@ -1,10 +1,10 @@
 (** The query server's request broker: many concurrent analysts, one PMW
     state, one serializer.
 
-    Client threads call {!submit} (directly in-process, or via the socket
-    front end in {!Net}); requests pass admission control and land in a
-    FIFO queue. A single serializer thread — {!run}, which must execute on
-    the thread that owns the session's {!Pmw_parallel.Pool} — drains up to
+    Client threads call {!post} or {!submit} (through the fleet's
+    {!Shard}); requests pass admission control and land in a FIFO queue.
+    A single serializer thread — {!run}, which must execute on the thread
+    that owns the session's {!Pmw_parallel.Pool} — drains up to
     [max_batch] pending requests at a time, answers each with
     {!Pmw_session.Session.answer} in [seq] order, journals the drained
     batch under one [fsync], and drops the mechanism's solve memo
@@ -13,7 +13,7 @@
     processing in [seq] order, so concurrency changes throughput and
     interleaving, never answers.
 
-    {b Admission control} (inside {!submit}, atomic with the enqueue):
+    {b Admission control} (inside {!post}, atomic with the enqueue):
     requests are rejected-with-retry-after once the session cannot fund one
     more oracle attempt ({!Pmw_session.Session.admissible} — the PR 1
     exhaustion semantics), rejected permanently when the per-analyst quota
@@ -155,12 +155,26 @@ val create :
     epoch config is malformed, or the session's dataset epoch disagrees
     with [epoch_boot]. *)
 
+type ticket
+(** A posted request's claim on its reply. *)
+
+val post : ?on_reply:(Protocol.response -> unit) -> t -> Protocol.request -> ticket
+(** Thread-safe, non-blocking: admission-check and enqueue. [on_reply]
+    (default: nothing) is called exactly once with the reply {!wait}
+    returns, however it lands: at once when admission rejects the request
+    or its [rid] hits the recorded-answer table, from the serializer when
+    it publishes the batch (also for a duplicate coalesced onto an
+    in-flight original), or from {!abort} or a dying serializer with a
+    [Failed] reply. It runs on whichever thread lands the reply, outside
+    the broker lock, and must be quick and must not raise. *)
+
+val wait : ticket -> Protocol.response
+(** Block until the ticket's reply has landed. Never call it on the
+    serializer's own thread for a queued request: it would wait for
+    itself. *)
+
 val submit : t -> Protocol.request -> Protocol.response
-(** Thread-safe, blocking: admission-check, enqueue, and wait for the
-    serializer's reply. Returns a [Rejected] response without blocking when
-    admission refuses, and a recorded response without blocking on a dedup
-    hit. Callable from any thread {e except} the serializer's own (it would
-    deadlock waiting for itself). *)
+(** [wait (post t req)]. *)
 
 val run : ?checkpoint:string -> t -> unit
 (** The serializer loop. Call from the thread that created the session's
@@ -210,17 +224,9 @@ val session : t -> Pmw_session.Session.t
 val epoch : t -> int
 (** Dataset generation currently being served. *)
 
-val epoch_base : t -> float * float
-(** Lifetime [(ε, δ)] retired into sealed epochs (the journal [Epoch]
-    record's base). *)
-
 val lifetime_spent : t -> Pmw_dp.Params.t
 (** Sealed-epoch base plus the current pot's spend — the number to compare
     against a lifetime budget (and what responses stamp in [rsp_spent_*]). *)
-
-val pending_ingest : t -> int
-(** Rows accepted into the ingest buffer but not yet absorbed (they fold
-    into the dataset at the next transition). *)
 
 val request_epoch : t -> bool
 (** Ask the serializer to roll the epoch before its next batch. [false]

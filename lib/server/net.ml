@@ -1,6 +1,6 @@
-(* Unix-domain-socket front end for the broker. One reader thread per
-   connection: read a request line, Broker.submit (blocking — the broker's
-   serializer answers), write the response line. Analyst clients are
+(* Unix-domain-socket front end for the fleet. One reader thread per
+   connection: read a request line, hand it to the handler (blocking — the
+   router waits for the shards' serializers), write the response line. Analyst clients are
    closed-loop, so one in-flight request per connection is the natural
    discipline; N concurrent analysts are N connections. *)
 

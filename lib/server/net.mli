@@ -1,5 +1,5 @@
-(** Unix-domain-socket front end for a request handler — a single
-    {!Broker.submit} or a fleet {!Router.submit}: line-delimited
+(** Unix-domain-socket front end for a request handler — the fleet's
+    {!Router.submit}: line-delimited
     {!Protocol} JSON over a stream socket, one reader thread per analyst
     connection, one in-flight request per connection (analysts are
     closed-loop). Malformed lines get an [error] response with [id = -1]
@@ -48,8 +48,8 @@ val listen :
   listener
 (** Bind (replacing any stale socket file at [path]), listen, and start the
     accept thread. [handler] runs on the per-connection reader threads and
-    must be thread-safe and blocking-friendly ({!Broker.submit} and
-    {!Router.submit} both qualify). [metrics] (default: a fresh registry)
+    must be thread-safe and may block: {!Router.submit} qualifies, and
+    waits on the connection's own thread for the fleet's reply. [metrics] (default: a fresh registry)
     feeds the live metrics plane: [net_accepted] / [net_requests] /
     [net_bad_lines] rates, the [net.connections] gauge, and [net.read_s] (time to the next
     request line — client think time included, by design) and [net.write_s]

@@ -92,7 +92,6 @@ let create ?(config = default_config) ?(metrics = Metrics.create ()) ~shards () 
     marks_dropped = Atomic.make 0;
   }
 
-let shards t = t.shards
 let processed t = Atomic.get t.seq
 let metrics t = t.metrics
 
@@ -233,66 +232,59 @@ let covering t req =
 
 (* --- fan-out --- *)
 
-(* One thread per covering shard; a poller thread enforces the per-shard
-   deadline (Condition.t has no timed wait). Late answers after the deadline
-   are dropped — the shard that produced them already journalled its work,
-   and its dedup table re-serves the recorded bytes if the client retries
-   the same rid, so nothing is double-spent by abandoning a slow reply. *)
-let fanout t req ids =
-  let lock = Mutex.create () in
-  let cond = Condition.create () in
-  let remaining = ref (List.length ids) in
-  let timed_out = ref false in
-  let results = ref [] in
-  List.iter
-    (fun i ->
-      ignore
-        (Thread.create
-           (fun () ->
-             let r = try Shard.submit t.shards.(i) req with _ -> None in
-             Mutex.lock lock;
-             results := (i, r) :: !results;
-             decr remaining;
-             Condition.broadcast cond;
-             Mutex.unlock lock)
-           ()))
-    ids;
-  if t.cfg.rt_deadline_s > 0. then begin
-    let deadline_at = Unix.gettimeofday () +. t.cfg.rt_deadline_s in
-    ignore
-      (Thread.create
-         (fun () ->
-           let finished () =
-             Mutex.lock lock;
-             let d = !remaining <= 0 || !timed_out in
-             Mutex.unlock lock;
-             d
-           in
-           let rec loop () =
-             if not (finished ()) then begin
-               let left = deadline_at -. Unix.gettimeofday () in
-               if left <= 0. then begin
-                 Mutex.lock lock;
-                 timed_out := true;
-                 Condition.broadcast cond;
-                 Mutex.unlock lock
-               end
-               else begin
-                 Thread.delay (Float.min 0.02 left);
-                 loop ()
-               end
-             end
-           in
-           loop ())
-         ())
-  end;
-  Mutex.lock lock;
-  while !remaining > 0 && not !timed_out do
-    Condition.wait cond lock
-  done;
-  let snapshot = !results in
-  Mutex.unlock lock;
-  snapshot
+(* Post every leg, then wait once. Each leg, on landing, writes one byte
+   to a socket pair made for this fan-out, and the caller blocks reading
+   it with SO_RCVTIMEO as the deadline ([deadline <= 0.] waits for every
+   leg). Not a pipe under [Unix.select], which rejects fds past
+   FD_SETSIZE while a server holds one fd per connection. A leg landing
+   after the deadline is dropped: its shard journalled it, and a retry of
+   the rid re-serves the recorded bytes, so nothing is double-spent. It
+   must not write to the closed socket, whose fd number may name another
+   file by then: [live] guards the write and the close under one lock. *)
+let fanout t ~deadline legs =
+  let lock = Mutex.create () and results = ref [] and live = ref true in
+  let locked f =
+    Mutex.lock lock;
+    Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
+  in
+  let rd, wr = Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let rec poke () =
+    try ignore (Unix.single_write_substring wr "." 0 1 : int)
+    with Unix.Unix_error (Unix.EINTR, _, _) -> poke ()
+  in
+  let landed i rsp =
+    locked (fun () ->
+        if !live && not (List.mem_assoc i !results) then begin
+          results := (i, rsp) :: !results;
+          try poke () with Unix.Unix_error _ -> ()
+        end)
+  in
+  let deadline_at = Unix.gettimeofday () +. deadline and buf = Bytes.create 64 in
+  let rec await () =
+    let left = deadline_at -. Unix.gettimeofday () in
+    if locked (fun () -> List.length !results) < List.length legs && (deadline <= 0. || left > 0.)
+    then begin
+      (* a sub-microsecond timeout would round to 0, which waits forever *)
+      if deadline > 0. then Unix.setsockopt_float rd Unix.SO_RCVTIMEO (Float.max left 1e-3);
+      (try ignore (Unix.read rd buf 0 (Bytes.length buf) : int)
+       with Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ());
+      await ()
+    end
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      locked (fun () ->
+          live := false;
+          Unix.close rd;
+          Unix.close wr))
+    (fun () ->
+      List.iter
+        (fun (i, req) ->
+          try ignore (Shard.post ~on_reply:(landed i) t.shards.(i) req : Shard.ticket)
+          with _ -> landed i None)
+        legs;
+      await ();
+      locked (fun () -> !results))
 
 (* --- composition --- *)
 
@@ -314,8 +306,10 @@ let feed_fleet_ledger t ~seq =
 
 type miss = { m_id : int; m_why : string; m_retry : float option }
 
-let compose t req ~ids results =
-  let seq = Atomic.fetch_and_add t.seq 1 in
+(* Split a fan-out's covering shards [ids] into those that contributed a
+   theta and those missing from the answer (with the reason), ticking each
+   shard's outcome rate. A leg absent from [results] missed the deadline. *)
+let split_legs t ids results =
   let contributing, missing =
     List.partition_map
       (fun i ->
@@ -327,24 +321,37 @@ let compose t req ~ids results =
             | Protocol.Rejected { retry_after_s; reason = _ }, _ ->
                 Either.Right { m_id = i; m_why = "rejected"; m_retry = retry_after_s }
             | status, _ ->
-                Either.Right
-                  { m_id = i; m_why = Protocol.status_tag status; m_retry = None })
+                Either.Right { m_id = i; m_why = Protocol.status_tag status; m_retry = None })
         | Some None ->
             Either.Right
-              {
-                m_id = i;
-                m_why = Shard.state_to_string (Shard.state t.shards.(i));
-                m_retry = None;
-              }
+              { m_id = i; m_why = Shard.state_to_string (Shard.state t.shards.(i)); m_retry = None }
         | None -> Either.Right { m_id = i; m_why = "deadline"; m_retry = None })
       ids
   in
+  List.iter (fun (i, _, _) -> Metrics.tick t.m_shard_ok.(i)) contributing;
+  List.iter (fun m -> Metrics.tick t.m_shard_miss.(m.m_id)) missing;
+  (contributing, missing)
+
+let summary misses =
+  String.concat "; " (List.map (fun m -> Printf.sprintf "shard %d: %s" m.m_id m.m_why) misses)
+
+(* The oldest and newest dataset generations among the contributors. A
+   fleet answer is stamped with the oldest: it is only as fresh as its
+   stalest shard. *)
+let epoch_span contributing =
+  List.fold_left
+    (fun span (_, rsp, _) ->
+      match (rsp.Protocol.rsp_epoch, span) with
+      | None, _ -> span
+      | Some e, None -> Some (e, e)
+      | Some e, Some (lo, hi) -> Some (min lo e, max hi e))
+    None contributing
+
+let compose t req ~ids results =
+  let seq = Atomic.fetch_and_add t.seq 1 in
+  let contributing, missing = split_legs t ids results in
   let weight_of i = Shard.weight t.shards.(i) in
   let covering_w = List.fold_left (fun acc i -> acc +. weight_of i) 0. ids in
-  let summary misses =
-    String.concat "; "
-      (List.map (fun m -> Printf.sprintf "shard %d: %s" m.m_id m.m_why) misses)
-  in
   let status, theta =
     match contributing with
     | [] ->
@@ -405,38 +412,22 @@ let compose t req ~ids results =
               },
             Some acc )
   in
-  (* Epoch accounting: the composed answer is stamped with the OLDEST
-     generation that contributed (a fleet answer is only as fresh as its
-     stalest shard), and a mixed-generation blend is surfaced as degradation
-     — the weighted average then spans datasets that disagree about which
-     ingested rows exist, which the caller must be able to see. *)
-  let epochs =
-    List.filter_map (fun (_, rsp, _) -> rsp.Protocol.rsp_epoch) contributing
-  in
-  let rsp_epoch =
-    match epochs with [] -> None | e :: rest -> Some (List.fold_left min e rest)
-  in
+  (* A blend of contributors from different dataset generations mixes
+     datasets that disagree about which ingested rows exist, which the
+     caller must be able to see: it is surfaced as degradation. *)
+  let span = epoch_span contributing in
   let status =
-    match (epochs, rsp_epoch) with
-    | _ :: _ :: _, Some lo ->
-        let hi = List.fold_left max lo epochs in
-        if hi = lo then status
-        else
-          let skew = Printf.sprintf "epoch skew: shards span generations %d..%d" lo hi in
-          (match status with
-          | Protocol.Answered -> Protocol.Degraded skew
-          | Protocol.Degraded why -> Protocol.Degraded (why ^ "; " ^ skew)
-          | Protocol.Partial p -> Protocol.Partial { p with reason = p.reason ^ "; " ^ skew }
-          | s -> s)
+    match span with
+    | Some (lo, hi) when hi > lo -> (
+        let skew = Printf.sprintf "epoch skew: shards span generations %d..%d" lo hi in
+        match status with
+        | Protocol.Answered -> Protocol.Degraded skew
+        | Protocol.Degraded why -> Protocol.Degraded (why ^ "; " ^ skew)
+        | Protocol.Partial p -> Protocol.Partial { p with reason = p.reason ^ "; " ^ skew }
+        | s -> s)
     | _ -> status
   in
   count_verdict t status;
-  (* per-shard outcome mix: a covering shard either contributed to this
-     answer or was missing from it *)
-  List.iter
-    (fun m -> Metrics.tick t.m_shard_miss.(m.m_id))
-    missing;
-  List.iter (fun (i, _, _) -> Metrics.tick t.m_shard_ok.(i)) contributing;
   let queue_wait =
     List.fold_left
       (fun acc (_, rsp, _) ->
@@ -454,7 +445,7 @@ let compose t req ~ids results =
     rsp_queue_wait_s = queue_wait;
     rsp_spent_eps = Some spent.Params.eps;
     rsp_spent_delta = Some spent.Params.delta;
-    rsp_epoch;
+    rsp_epoch = Option.map fst span;
   }
 
 (* A fleet of one composes nothing: whatever its shard replies (journal
@@ -469,10 +460,7 @@ let pass_through t req =
   | Some rsp ->
       let seq = Atomic.fetch_and_add t.seq 1 in
       count_verdict t rsp.Protocol.rsp_status;
-      (match (rsp.Protocol.rsp_status, rsp.Protocol.rsp_theta) with
-      | (Protocol.Answered | Protocol.Degraded _ | Protocol.Partial _), Some _ ->
-          Metrics.tick t.m_shard_ok.(0)
-      | _ -> Metrics.tick t.m_shard_miss.(0));
+      ignore (split_legs t [ 0 ] [ (0, Some rsp) ]);
       ignore (feed_fleet_ledger t ~seq : Params.t);
       rsp
 
@@ -571,61 +559,25 @@ let ingest t req rows ~trace ~span ~t0 =
                   Option.map (fun rid -> Printf.sprintf "%s:s%d" rid i) req.Protocol.req_rid;
               }
             in
-            (* parallel legs, joined unconditionally: a down shard's submit
-               returns None immediately, a live one answers at admission
-               speed (ingest replies do not wait on solver work) *)
-            let results = Array.make n None in
-            let threads =
-              List.map
-                (fun i ->
-                  Thread.create
-                    (fun () ->
-                      results.(i) <- (try Shard.submit t.shards.(i) (sub_req i) with _ -> None))
-                    ())
-                ids
+            (* No deadline: every leg is waited for. A down shard's leg
+               lands at once; a live shard queues the rows, and its
+               serializer answers them with their batch, behind any solve
+               ahead of them. *)
+            let results =
+              fanout t ~deadline:0. (List.map (fun i -> (i, sub_req i)) ids)
             in
-            List.iter Thread.join threads;
-            let contributing, missing =
-              List.partition_map
-                (fun i ->
-                  match results.(i) with
-                  | Some ({ Protocol.rsp_status = Protocol.Answered; rsp_theta = Some th; _ } as rsp)
-                    when Array.length th = 2 ->
-                      Either.Left (i, rsp, th)
-                  | Some rsp ->
-                      Either.Right
-                        { m_id = i; m_why = Protocol.status_tag rsp.Protocol.rsp_status;
-                          m_retry = None }
-                  | None ->
-                      Either.Right
-                        {
-                          m_id = i;
-                          m_why = Shard.state_to_string (Shard.state t.shards.(i));
-                          m_retry = None;
-                        })
-                ids
-            in
-            let accepted =
-              List.fold_left (fun a (_, _, th) -> a +. th.(0)) 0. contributing
-            in
-            let pending =
-              List.fold_left (fun a (_, _, th) -> a +. th.(1)) 0. contributing
-            in
-            let epochs =
-              List.filter_map (fun (_, rsp, _) -> rsp.Protocol.rsp_epoch) contributing
-            in
-            let rsp_epoch =
-              match epochs with [] -> None | e :: r -> Some (List.fold_left min e r)
-            in
-            let summary =
-              String.concat "; "
-                (List.map (fun m -> Printf.sprintf "shard %d: %s" m.m_id m.m_why) missing)
+            let contributing, missing = split_legs t ids results in
+            let accepted, pending =
+              List.fold_left
+                (fun (a, p) (_, _, th) ->
+                  match th with [| x; y |] -> (a +. x, p +. y) | _ -> (a, p))
+                (0., 0.) contributing
             in
             let total_rows = float_of_int (List.length rows) in
             let routed_rows i = float_of_int (List.length buckets.(i)) in
             let status =
               match (contributing, missing) with
-              | [], _ -> Protocol.Failed ("no shard accepted the ingest: " ^ summary)
+              | [], _ -> Protocol.Failed ("no shard accepted the ingest: " ^ summary missing)
               | _, [] -> Protocol.Answered
               | _, _ ->
                   Protocol.Partial
@@ -637,12 +589,10 @@ let ingest t req rows ~trace ~span ~t0 =
                            /. total_rows
                          else 0.);
                       retry_after_s = Some t.cfg.rt_retry_after_s;
-                      reason = summary;
+                      reason = summary missing;
                     }
             in
             count_verdict t status;
-            List.iter (fun (i, _, _) -> Metrics.tick t.m_shard_ok.(i)) contributing;
-            List.iter (fun m -> Metrics.tick t.m_shard_miss.(m.m_id)) missing;
             let rsp =
               {
                 (base_response req ~seq:(seq ()) status) with
@@ -650,7 +600,7 @@ let ingest t req rows ~trace ~span ~t0 =
                   (if contributing = [] then None else Some [| accepted; pending |]);
                 rsp_source = Some "fleet";
                 rsp_batch = Some (List.length contributing);
-                rsp_epoch;
+                rsp_epoch = Option.map fst (epoch_span contributing);
               }
             in
             record_request t ~trace ~span ~ids ~t0 req rsp;
@@ -687,12 +637,10 @@ let submit t req =
             rsp
         | Ok ids ->
             let rsp =
-              match ids with
-              | _ when Array.length t.shards = 1 -> pass_through t req
-              | [ i ] ->
-                  (* single-shard cover: direct call, no fan-out threads *)
-                  compose t req ~ids [ (i, Shard.submit t.shards.(i) req) ]
-              | _ -> compose t req ~ids (fanout t req ids)
+              if Array.length t.shards = 1 then pass_through t req
+              else
+                compose t req ~ids
+                  (fanout t ~deadline:t.cfg.rt_deadline_s (List.map (fun i -> (i, req)) ids))
             in
             record_request t ~trace ~span ~ids ~t0 req rsp;
             rsp)

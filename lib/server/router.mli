@@ -3,9 +3,11 @@
     when part of the fleet cannot contribute.
 
     {b Covering set}: a request scoped with [req_shards] covers exactly
-    those ids; an unscoped request covers every shard. A single-shard cover
-    is served by a direct call (no fan-out threads); a multi-shard cover
-    fans out on one thread per shard with a per-shard deadline.
+    those ids; an unscoped request covers every shard. The router posts
+    the request to every covering shard ({!Shard.post}) and waits once, on
+    the calling thread, until every leg has replied or [rt_deadline_s] has
+    passed; it starts no thread. A cover of one shard in a multi-shard
+    fleet is a one-leg fan-out and takes the same deadline.
 
     {b Composition}: contributing shards are those that returned an
     [Answered] or [Degraded] theta in time. The composed theta is the
@@ -47,8 +49,9 @@
     {b Ingest}: a request carrying [req_rows] is routed by {e row content},
     not by [req_shards] — each row goes to the shard owning it under
     [rt_ingest_route] (refused [Failed] when unset), the legs run in
-    parallel and are joined without a deadline (ingest replies at admission
-    speed), and the composed answer sums the per-shard
+    parallel through the same fan-out with no deadline (a shard answers an
+    ingest with its next batch, behind any solve queued ahead of it), and
+    the composed answer sums the per-shard
     [[|accepted; pending|]] thetas. Sub-requests reuse the client's [rid]
     with a [":s<i>"] suffix, so a retry re-hits each shard's dedup entry
     independently and converges without double-buffering any row. Shards
@@ -76,8 +79,8 @@
 
 type config = {
   rt_deadline_s : float;
-      (** per-shard wait on a fan-out; answers past it count as missing
-          ([<= 0] disables the deadline) *)
+      (** how long a query fan-out waits for its legs; a leg that has not
+          replied by then counts as missing ([<= 0] waits for every leg) *)
   rt_retry_after_s : float;  (** hint stamped on [Partial]/[Refused] *)
   rt_allow_ctl : bool;  (** serve [ctl:*] queries (chaos harness only) *)
   rt_ingest_route : (int -> int) option;
@@ -109,8 +112,6 @@ val create :
 val submit : t -> Protocol.request -> Protocol.response
 (** Thread-safe, blocking; never raises on hostile input (unknown shard ids
     and malformed ctl queries map to [Failed] replies). *)
-
-val shards : t -> Shard.t array
 
 val fleet_spent : t -> Pmw_dp.Params.t
 (** The fleet-level accounted spend: coordinate-wise max over every shard's

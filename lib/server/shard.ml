@@ -18,11 +18,6 @@ type by = Block | Hash
 
 let by_to_string = function Block -> "block" | Hash -> "hash"
 
-let by_of_string = function
-  | "block" -> Some Block
-  | "hash" -> Some Hash
-  | _ -> None
-
 (* splitmix64 finalizer: full-avalanche mix so consecutive universe indices
    spread across buckets instead of striping. *)
 let mix64 z =
@@ -404,20 +399,26 @@ let start t =
                 (Option.value t.boot_error
                    ~default:(Printf.sprintf "shard %d failed to start" t.sh_id)))
 
-let submit t req =
-  let broker =
-    locked t (fun () -> match (t.st, t.broker) with Running, Some b -> Some b | _ -> None)
-  in
-  match broker with
-  | None -> None
+(* [None]: the shard was not running. *)
+type ticket = Broker.ticket option
+
+let post ?(on_reply = ignore) t req =
+  match locked t (fun () -> match (t.st, t.broker) with Running, Some b -> Some b | _ -> None) with
+  | None ->
+      on_reply None;
+      None
   | Some b ->
-      let rsp = Broker.submit b req in
-      (match (rsp.Protocol.rsp_spent_eps, rsp.Protocol.rsp_spent_delta) with
-      | Some eps, Some delta ->
-          locked t (fun () ->
-              t.last_spent <- pmax t.last_spent (Params.create ~eps ~delta))
-      | _ -> ());
-      Some rsp
+      let on_reply rsp =
+        (match (rsp.Protocol.rsp_spent_eps, rsp.Protocol.rsp_spent_delta) with
+        | Some eps, Some delta ->
+            locked t (fun () -> t.last_spent <- pmax t.last_spent (Params.create ~eps ~delta))
+        | _ -> ());
+        on_reply (Some rsp)
+      in
+      Some (Broker.post ~on_reply b req)
+
+let wait = Option.map Broker.wait
+let submit t req = wait (post t req)
 
 let kill t =
   let victim =
@@ -494,9 +495,6 @@ let epoch t =
       match (t.st, t.broker) with
       | (Running | Draining), Some b -> Some (Broker.epoch b)
       | _ -> None)
-
-let pending_ingest t =
-  locked t (fun () -> match t.broker with Some b -> Broker.pending_ingest b | None -> 0)
 
 let journal_size t =
   locked t (fun () -> Option.bind t.broker Broker.journal_size)

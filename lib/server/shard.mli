@@ -15,7 +15,7 @@
     instance are created {e inside} that domain; the shard's kernel pool
     outlives incarnations but is only ever driven by the one serializer
     domain alive at a time, so nothing but the broker's thread-safe
-    [submit] face is shared across shards. {!kill}
+    [post]/[wait] face is shared across shards. {!kill}
     simulates [kill -9] of the shard process: the broker aborts (queued
     requests fail fast, no graceful journal tail is written) and the shard's
     journal is left exactly as a real crash would leave it. {!start} on a
@@ -33,7 +33,6 @@ type by =
   | Hash  (** by hashed record value — a content partition key *)
 
 val by_to_string : by -> string
-val by_of_string : string -> by option
 
 val partition : Pmw_data.Dataset.t -> by:by -> shards:int -> Pmw_data.Dataset.t list
 (** Split the dataset into [shards] disjoint, jointly-exhaustive row blocks
@@ -161,11 +160,22 @@ val start : t -> (unit, string) result
     [Error] if the shard is already running, quarantined, or the boot
     failed (journal unreadable mid-file, session construction raised). *)
 
+type ticket
+(** A posted request's claim on this shard's reply. *)
+
+val post : ?on_reply:(Protocol.response option -> unit) -> t -> Protocol.request -> ticket
+(** Non-blocking {!Broker.post} to this shard's broker. A shard that is not
+    [Running] returns a ticket already resolved to [None] (the router
+    counts it as a missing shard). [on_reply] is called exactly once, as
+    {!Broker.post} says, after the shard has folded the reply's spend
+    stamp into {!spent}. A shard killed while the request is queued fails
+    it at once ([Failed] reply). Thread-safe; callable from any domain. *)
+
+val wait : ticket -> Protocol.response option
+(** Block until the ticket's reply has landed. *)
+
 val submit : t -> Protocol.request -> Protocol.response option
-(** Blocking submit to this shard's broker; [None] unless the shard is
-    [Running] (the router counts [None] as a missing shard). Thread-safe;
-    callable from any domain. A shard killed mid-call fails the request
-    fast ([Failed] reply) rather than blocking the caller. *)
+(** [wait (post t req)]. *)
 
 val kill : t -> bool
 (** Simulated [kill -9]: abort the broker (queued requests fail, no
@@ -211,9 +221,6 @@ val budget : t -> Pmw_core.Budget.t option
 
 val epoch : t -> int option
 (** Dataset generation currently served; [None] unless running/draining. *)
-
-val pending_ingest : t -> int
-(** Rows buffered for the next epoch transition (0 when down). *)
 
 val journal_size : t -> (int * int) option
 (** Live journal's [(bytes, records)]; [None] when down or journal-less. *)

@@ -152,7 +152,6 @@ let answer t query =
   | Online.Answered _ -> ());
   verdict
 
-let answer_all t queries = List.map (answer t) queries
 let forget_solves t = Online.forget_solves t.online
 
 (* --- admission control --- *)
@@ -174,8 +173,6 @@ let breached t = !(t.breached)
 
 let finish t =
   Telemetry.emit_ledger_finals t.telemetry
-let attempts t = List.rev !(t.attempts)
-let attempt_count t = List.length !(t.attempts)
 let hypothesis t = Online.hypothesis t.online
 
 (* --- checkpoint / restore --- *)

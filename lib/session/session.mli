@@ -75,8 +75,6 @@ val answer : t -> Pmw_core.Cm_query.t -> Pmw_core.Online_pmw.verdict
     ({!Pmw_core.Online_pmw.hypothesis_answer}, reusing the mechanism's
     memoized [θ̂]) and flagged [Degraded]. *)
 
-val answer_all : t -> Pmw_core.Cm_query.t list -> Pmw_core.Online_pmw.verdict list
-
 val forget_solves : t -> unit
 (** {!Pmw_core.Online_pmw.forget_solves} on the session's mechanism. *)
 
@@ -117,11 +115,6 @@ val finish : t -> unit
 val breached : t -> bool
 (** A misreported oracle spend exceeded the remaining budget: the ledger
     was drained to its cap and every further oracle attempt is refused. *)
-
-val attempts : t -> Checkpoint.attempt list
-(** Oracle attempts so far, oldest first, successes and failures alike. *)
-
-val attempt_count : t -> int
 
 val checkpoint : t -> Checkpoint.t
 val save : t -> path:string -> unit

@@ -22,6 +22,8 @@ module Shard = Pmw_server.Shard
 module Router = Pmw_server.Router
 module Supervisor = Pmw_server.Supervisor
 module Net = Pmw_server.Net
+module Journal = Pmw_server.Journal
+module Invariants = Pmw_server.Invariants
 module Metrics = Pmw_telemetry.Metrics
 module Rng = Pmw_rng.Rng
 
@@ -47,12 +49,13 @@ let panel =
 
 let resolve name = List.assoc_opt name panel
 
-let mk_fleet ?(shards = 3) ?scale () =
+let mk_fleet ?(shards = 3) ?scale ?(resolve_at = fun _ -> resolve) ?journal () =
   let blocks = Shard.partition dataset ~by:Shard.Block ~shards in
   Array.of_list
     (List.mapi
        (fun i block ->
          Shard.create ~id:i
+           ?journal_path:(Option.map (fun j -> Shard.journal_file j ~shards ~epochs:false i) journal)
            ~weight:(float_of_int (Dataset.size block) /. float_of_int (Dataset.size dataset))
            ~session:(fun ~pool ~epoch:_ ~absorbed:_ ->
              {
@@ -62,7 +65,7 @@ let mk_fleet ?(shards = 3) ?scale () =
                g_spend_claim = (fun () -> None);
                g_rng = Rng.create ~seed:(100 + i) ();
              })
-           ~resolve ())
+           ~resolve:(resolve_at i) ())
        blocks)
 
 let start_fleet fleet =
@@ -73,8 +76,8 @@ let start_fleet fleet =
       | Error m -> Alcotest.failf "shard %d failed to start: %s" (Shard.id s) m)
     fleet
 
-let with_fleet ?shards ?scale ?config:rcfg f =
-  let fleet = mk_fleet ?shards ?scale () in
+let with_fleet ?shards ?scale ?resolve_at ?journal ?config:rcfg f =
+  let fleet = mk_fleet ?shards ?scale ?resolve_at ?journal () in
   start_fleet fleet;
   let router = Router.create ?config:rcfg ~shards:fleet () in
   Fun.protect ~finally:(fun () -> Array.iter Shard.stop fleet) (fun () -> f fleet router)
@@ -290,6 +293,168 @@ let test_supervisor_quarantines_flapping_shard () =
           Alcotest.(check (list int)) "quarantined list" [ 2 ]
             (Supervisor.quarantined supervisor)))
 
+(* --- the fan-out deadline --- *)
+
+(* A test-held latch on one shard's serializer. [resolve] runs there, so a
+   shard whose [resolve] waits on the latch for the query "slow" holds its
+   whole batch until the latch opens. Every other shard, and every other
+   query, resolves as usual ("slow" is "sq"). *)
+type latch = { entered : bool Atomic.t; opened : bool Atomic.t }
+
+let new_latch () = { entered = Atomic.make false; opened = Atomic.make false }
+
+let latched ~shard latch i name =
+  if name <> "slow" then resolve name
+  else begin
+    if i = shard then begin
+      Atomic.set latch.entered true;
+      while not (Atomic.get latch.opened) do
+        Thread.delay 0.002
+      done
+    end;
+    resolve "sq"
+  end
+
+let test_deadline_drops_a_slow_leg () =
+  let latch = new_latch () in
+  let deadline = 0.3 in
+  let dir = Filename.temp_dir "pmw-router-deadline" "" in
+  let journal = Filename.concat dir "j.wal" in
+  Fun.protect ~finally:(fun () ->
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Sys.rmdir dir)
+  @@ fun () ->
+  with_fleet ~journal ~resolve_at:(latched ~shard:1 latch)
+    ~config:{ Router.default_config with Router.rt_deadline_s = deadline }
+    (fun fleet router ->
+      Fun.protect
+        ~finally:(fun () -> Atomic.set latch.opened true)
+        (fun () ->
+          (* a fan-out that ignored its deadline would otherwise wait on
+             the latch forever *)
+          ignore
+            (Thread.create
+               (fun () ->
+                 Thread.delay 10.;
+                 Atomic.set latch.opened true)
+               ()
+              : Thread.t);
+          let slow = req ~rid:"d-1" ~id:1 ~query:"slow" () in
+          let t0 = Unix.gettimeofday () in
+          let rsp = Router.submit router slow in
+          let elapsed = Unix.gettimeofday () -. t0 in
+          (match rsp.Protocol.rsp_status with
+          | Protocol.Partial { missing_shards; reason; _ } ->
+              Alcotest.(check (list int)) "exactly the held shard is missing" [ 1 ] missing_shards;
+              Alcotest.(check string) "missing for the deadline" "shard 1: deadline" reason
+          | st -> Alcotest.failf "expected partial, got %s" (Protocol.status_tag st));
+          Alcotest.(check bool)
+            (Printf.sprintf "returned at the %.1fs deadline (took %.2fs)" deadline elapsed)
+            true
+            (elapsed >= deadline && elapsed < deadline +. 2.);
+          (* The held batch now finishes, and its reply lands on the
+             abandoned fan-out. The shard recorded it under the rid. *)
+          Atomic.set latch.opened true;
+          let recorded =
+            match Shard.submit fleet.(1) slow with
+            | Some r -> r
+            | None -> Alcotest.fail "the held shard went down"
+          in
+          let spent = Shard.spent fleet.(1) in
+          let retried = Router.submit router slow in
+          (match retried.Protocol.rsp_status with
+          | Protocol.Answered | Protocol.Degraded _ -> ()
+          | st -> Alcotest.failf "expected a full answer on retry, got %s" (Protocol.status_tag st));
+          Alcotest.(check (option int)) "every shard contributed" (Some 3)
+            retried.Protocol.rsp_batch;
+          (match Shard.submit fleet.(1) slow with
+          | Some again ->
+              Alcotest.(check string) "the retry re-served the recorded bytes"
+                (Protocol.encode_response recorded) (Protocol.encode_response again)
+          | None -> Alcotest.fail "the held shard went down");
+          Alcotest.(check bool) "no retry spent again" true (Shard.spent fleet.(1) = spent);
+          (* shard 1's ledger holds the rid once, with the bytes re-served *)
+          let path = Shard.journal_file journal ~shards:3 ~epochs:false 1 in
+          (match Journal.replay_file ~path with
+          | Ok rv ->
+              Alcotest.(check (list string)) "one journaled answer for the rid"
+                [ Protocol.encode_response recorded ]
+                (List.filter_map
+                   (fun ((_, rid), line) -> if rid = "d-1" then Some line else None)
+                   rv.Journal.rv_answers)
+          | Error why -> Alcotest.failf "shard 1 journal: %s" why);
+          (match Invariants.check_file ~path with
+          | Ok (_, []) -> ()
+          | Ok (_, v :: _) -> Alcotest.failf "shard 1 ledger: %s" (Invariants.violation_to_string v)
+          | Error why -> Alcotest.failf "shard 1 journal: %s" why);
+          Alcotest.(check string) "the late reply left the shard running" "running"
+            (Shard.state_to_string (Shard.state fleet.(1)));
+          match (Router.submit router (req ~id:2 ~query:"huber" ())).rsp_status with
+          | Protocol.Answered | Protocol.Degraded _ -> ()
+          | st -> Alcotest.failf "the fleet after a late reply: %s" (Protocol.status_tag st)))
+
+(* A kill fails a shard's queued requests at once; a fan-out waiting on
+   such a leg wakes then, not at its deadline. *)
+let test_kill_wakes_a_queued_leg () =
+  let latch = new_latch () in
+  with_fleet ~resolve_at:(latched ~shard:1 latch)
+    ~config:{ Router.default_config with Router.rt_deadline_s = 30. }
+    (fun fleet router ->
+      (* shard 1's serializer holds this request's batch, so the router's
+         leg queues behind it *)
+      let holder =
+        Thread.create (fun () -> ignore (Shard.submit fleet.(1) (req ~id:1 ~query:"slow" ()))) ()
+      in
+      Fun.protect
+        ~finally:(fun () ->
+          Atomic.set latch.opened true;
+          Thread.join holder)
+        (fun () ->
+          wait_for "shard 1 to hold its batch" (fun () -> Atomic.get latch.entered);
+          let killer =
+            Thread.create
+              (fun () ->
+                Thread.delay 0.3;
+                ignore (Shard.kill fleet.(1)))
+              ()
+          in
+          let t0 = Unix.gettimeofday () in
+          let rsp = Router.submit router (req ~id:2 ~query:"sq" ()) in
+          let elapsed = Unix.gettimeofday () -. t0 in
+          Thread.join killer;
+          (match rsp.Protocol.rsp_status with
+          | Protocol.Partial { missing_shards; reason; _ } ->
+              Alcotest.(check (list int)) "exactly the killed shard is missing" [ 1 ]
+                missing_shards;
+              Alcotest.(check string) "its queued leg was failed" "shard 1: error" reason
+          | st -> Alcotest.failf "expected partial, got %s" (Protocol.status_tag st));
+          Alcotest.(check bool)
+            (Printf.sprintf "woken by the kill, not the 30s deadline (took %.2fs)" elapsed)
+            true (elapsed < 5.)))
+
+(* A serializer that dies mid-batch fails the batch's requests; a fan-out
+   waiting on one of them wakes then, not at its deadline. *)
+let test_dying_serializer_fails_its_batch () =
+  let resolve_at i = function
+    | "boom" -> if i = 1 then failwith "boom" else resolve "sq"
+    | name -> resolve name
+  in
+  with_fleet ~resolve_at ~config:{ Router.default_config with Router.rt_deadline_s = 30. }
+    (fun fleet router ->
+      let t0 = Unix.gettimeofday () in
+      let rsp = Router.submit router (req ~id:1 ~query:"boom" ()) in
+      let elapsed = Unix.gettimeofday () -. t0 in
+      (match rsp.Protocol.rsp_status with
+      | Protocol.Partial { missing_shards; reason; _ } ->
+          Alcotest.(check (list int)) "exactly the dead shard is missing" [ 1 ] missing_shards;
+          Alcotest.(check string) "its leg was failed" "shard 1: error" reason
+      | st -> Alcotest.failf "expected partial, got %s" (Protocol.status_tag st));
+      Alcotest.(check bool)
+        (Printf.sprintf "woken by the failure, not the 30s deadline (took %.2fs)" elapsed)
+        true (elapsed < 5.);
+      Alcotest.(check string) "the shard crashed" "crashed"
+        (Shard.state_to_string (Shard.state fleet.(1))))
+
 (* --- Net.Client fleet contracts --- *)
 
 (* A scripted server speaking raw protocol lines: replies to each request
@@ -430,6 +595,14 @@ let () =
           Alcotest.test_case "refused when all down" `Quick test_refused_when_all_down;
           Alcotest.test_case "shard-scoped queries" `Quick test_shard_scoped_queries;
           Alcotest.test_case "ctl plane gating" `Quick test_ctl_plane_gating;
+        ] );
+      ( "deadline",
+        [
+          Alcotest.test_case "a slow leg misses the deadline" `Quick
+            test_deadline_drops_a_slow_leg;
+          Alcotest.test_case "a kill wakes a queued leg" `Quick test_kill_wakes_a_queued_leg;
+          Alcotest.test_case "a dying serializer fails its batch" `Quick
+            test_dying_serializer_fails_its_batch;
         ] );
       ( "supervise",
         [
