@@ -604,7 +604,7 @@ let serve_cmd =
   let shards_arg =
     Arg.(value & opt int 1 & info [ "shards" ] ~docv:"N"
            ~doc:"Shard the record space into N disjoint blocks, each with its own session, \
-                 journal, budget and serializer domain, behind a routing tier with supervised \
+                 journal, budget and serializer thread, behind a routing tier with supervised \
                  failover")
   in
   let shard_by_arg =
@@ -658,7 +658,7 @@ let serve_cmd =
       let telemetry = make_telemetry trace in
       let metrics = Metrics.create () in
       (* Disjoint record blocks, each with its own session, journal and
-         serializer domain, behind a supervised routing tier. Parallel
+         serializer thread, behind a supervised routing tier. Parallel
          composition gives every shard the full (eps, delta) pot. *)
       let* blocks =
         try Ok (Shard.partition (sample w) ~by:shard_by ~shards)
@@ -726,7 +726,7 @@ let serve_cmd =
              (if epoch_secs > 0. then Printf.sprintf " / %.3gs" epoch_secs else ""))
         (String.concat " "
            (List.map (fun q -> q.Pmw_core.Cm_query.name) w.wl.Common.Workload.queries));
-      (* Shard serializers run on their own domains; this thread only
+      (* Shard serializers run on their own threads; this thread only
          waits for the shutdown signal. *)
       let (_ : int) = Thread.wait_signal [ Sys.sigterm; Sys.sigint ] in
       Printf.eprintf "draining fleet...\n%!";

@@ -20,10 +20,10 @@
     {!parallel_reduce} run on worker domains. They must be pure with respect
     to shared state except for writes to disjoint index ranges (allocation
     is fine; the multicore GC handles it). Pool entry points must be
-    called from one domain at a time — the creator, or a domain the pool
+    called from one thread at a time — the creator, or a thread the pool
     is handed to after the previous caller's last call has returned (a
-    serving shard hands its pool from one incarnation to the next) — and
-    never from inside a running chunk. *)
+    serving shard hands its pool from one incarnation's serializer thread
+    to the next) — and never from inside a running chunk. *)
 
 type t
 

@@ -77,7 +77,7 @@ let step_to_string = function
 exception Injected of step * string
 
 (* Hook storage is an Atomic so chaos harnesses can swap it from a thread
-   other than the shard's serializer domain without a data race. *)
+   other than the shard's serializer thread without a data race. *)
 let fault_hook : (step -> unit) option Atomic.t = Atomic.make None
 let set_fault_hook f = Atomic.set fault_hook (Some f)
 let clear_fault_hook () = Atomic.set fault_hook None

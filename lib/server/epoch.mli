@@ -55,7 +55,7 @@ exception Injected of step * string
 
 val set_fault_hook : (step -> unit) -> unit
 (** Install the process-global fault hook (chaos/tests only). The hook
-    runs on the shard's serializer domain; storage is atomic so it may be
+    runs on the shard's serializer thread; storage is atomic so it may be
     swapped from another thread. *)
 
 val clear_fault_hook : unit -> unit

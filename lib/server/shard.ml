@@ -119,7 +119,7 @@ type t = {
   cond : Condition.t;
   mutable st : state;
   mutable broker : Broker.t option;
-  mutable domain : unit Domain.t option;
+  mutable serializer : Thread.t option;
   (* The shard's kernel pool: created by the first start, shared by every
      incarnation and epoch after it, shut down by [stop]. Incarnations
      never overlap (start joins the previous one first), so the pool only
@@ -180,7 +180,7 @@ let create ~id ~weight ?journal_path ?epoch ?(config = Broker.default_config) ?(
     cond = Condition.create ();
     st = Stopped;
     broker = None;
-    domain = None;
+    serializer = None;
     pool = None;
     inc = 0;
     boot_error = None;
@@ -216,7 +216,7 @@ let build_session t ~pool ~telemetry ~epoch ~absorbed ~prior ~resume =
       | Ok s -> s
       | Error why -> failwith ("resume: " ^ why))
 
-(* The whole life of one incarnation, run on the shard's own domain:
+(* The whole life of one incarnation, run on the shard's serializer thread:
    recover the shard's files (a journal with no snapshot is epoch 0),
    build the session from scratch or from the checkpoint recovery chose,
    serve until drained or aborted, then close up. Crash recovery is
@@ -358,8 +358,8 @@ let start t =
             Error (Printf.sprintf "shard %d is already running" t.sh_id)
         | Quarantined -> Error (Printf.sprintf "shard %d is quarantined" t.sh_id)
         | Crashed | Stopped ->
-            let d = t.domain in
-            t.domain <- None;
+            let d = t.serializer in
+            t.serializer <- None;
             t.broker <- None;
             t.boot_error <- None;
             t.st <- Starting;
@@ -369,11 +369,13 @@ let start t =
   match prev with
   | Error why -> Error why
   | Ok prev ->
-      (* Join the previous incarnation before spawning the next: bounds the
-         domain count at one per shard, guarantees the journal fd is
+      (* Join the previous incarnation before starting the next: bounds the
+         serializer threads at one per shard, guarantees the journal fd is
          closed before the new life reopens the file, and hands the pool
-         over only once its last caller is gone. *)
-      Option.iter Domain.join prev;
+         over only once its last caller is gone. The serializer is a
+         systhread of the starting domain, so a fleet adds no domain of its
+         own: only the kernel pools' workers run beside the main domain. *)
+      Option.iter Thread.join prev;
       let inc, pool =
         locked t (fun () ->
             let pool =
@@ -386,9 +388,9 @@ let start t =
             in
             (t.inc, pool))
       in
-      let d = Domain.spawn (fun () -> life t ~inc ~pool) in
+      let d = Thread.create (fun () -> life t ~inc ~pool) () in
       locked t (fun () ->
-          t.domain <- Some d;
+          t.serializer <- Some d;
           while t.st = Starting do
             Condition.wait t.cond t.lock
           done;
@@ -453,11 +455,11 @@ let stop t =
   Option.iter Broker.shutdown broker;
   let d =
     locked t (fun () ->
-        let d = t.domain in
-        t.domain <- None;
+        let d = t.serializer in
+        t.serializer <- None;
         d)
   in
-  Option.iter Domain.join d;
+  Option.iter Thread.join d;
   let pool =
     locked t (fun () ->
         let p = t.pool in

@@ -1,6 +1,6 @@
 (** One shard of the serving fleet: a private block of the record space with
     its own {!Pmw_session.Session}, write-ahead {!Journal}, privacy
-    {!Pmw_core.Budget} and serializer domain.
+    {!Pmw_core.Budget} and serializer thread.
 
     The fleet design follows parallel composition of differential privacy:
     {!partition} splits the dataset into {e disjoint} row blocks, each block
@@ -11,11 +11,12 @@
     typed partial answer instead of failing the query.
 
     {b Isolation model}: each shard runs its serializer ({!Broker.run}) on
-    its own domain, spawned by {!start}. The session and its telemetry
-    instance are created {e inside} that domain; the shard's kernel pool
-    outlives incarnations but is only ever driven by the one serializer
-    domain alive at a time, so nothing but the broker's thread-safe
-    [post]/[wait] face is shared across shards. {!kill}
+    its own systhread of the domain that calls {!start}, so a fleet runs no
+    domain of its own. The session and its telemetry instance are created
+    {e inside} that thread; the shard's kernel pool outlives incarnations
+    but is only ever driven by the one serializer thread alive at a time,
+    so nothing but the broker's thread-safe [post]/[wait] face is shared
+    across shards. {!kill}
     simulates [kill -9] of the shard process: the broker aborts (queued
     requests fail fast, no graceful journal tail is written) and the shard's
     journal is left exactly as a real crash would leave it. {!start} on a
@@ -52,7 +53,7 @@ val route : by:by -> shards:int -> int -> int
     last shard). @raise Invalid_argument if [shards < 1]. *)
 
 type state =
-  | Starting  (** boot in progress on the shard domain *)
+  | Starting  (** boot in progress on the serializer thread *)
   | Running
   | Draining  (** graceful {!stop} in progress *)
   | Crashed  (** killed or died; restartable *)
@@ -88,9 +89,10 @@ type generation = {
 
 val pool_domains : shards:int -> int
 (** Kernel-pool size for each shard of a [shards]-shard process:
-    [max 1 ((PMW_DOMAINS - 1) / shards)] — the main domain plus every
-    shard's serializer and pool domains never exceed [PMW_DOMAINS] once it
-    leaves room for them, and a pool of 1 runs inline. *)
+    [max 1 ((PMW_DOMAINS - 1) / shards)]. Serializers are threads of the
+    main domain, and a pool of [k] adds [k - 1] worker domains, so the main
+    domain plus Σ (pool size − 1) never exceeds [PMW_DOMAINS]; a pool of 1
+    runs inline. *)
 
 val journal_file : string -> shards:int -> epochs:bool -> int -> string
 (** [journal_file j ~shards ~epochs i] — shard [i]'s journal for the fleet
@@ -131,8 +133,9 @@ val create :
     itself, labelled ["shard<id>"]: fresh (re-anchored on the previous
     generation's hypothesis after a roll), or resumed from the seal or
     drain checkpoint {!Epoch.recover} chose. It runs {e on the shard's
-    domain} at every (re)start, so each incarnation gets fresh state and
-    crash recovery goes through the journal, never through leaked memory.
+    serializer thread} at every (re)start, so each incarnation gets fresh
+    state and crash recovery goes through the journal, never through leaked
+    memory.
 
     [domains] (default 1; see {!pool_domains}) sizes the shard's kernel
     pool, handed to [session]. The pool is created by the first {!start},
@@ -143,15 +146,15 @@ val create :
     their traces apart. [metrics] (default: a fresh registry) is the
     fleet-shared live metrics registry, handed to every incarnation's broker with the
     ledger label ["shard<id>"] — metrics handles are concurrent, so one
-    registry serves the whole fleet across domains. [weight] is the shard's
-    share of the fleet's records (the router's coverage unit).
+    registry serves every serializer thread of the fleet. [weight] is the
+    shard's share of the fleet's records (the router's coverage unit).
     @raise Invalid_argument if [epoch] is given without [journal_path], or
     [domains < 1]. *)
 
 val start : t -> (unit, string) result
-(** Boot (or reboot after a crash): spawns the shard domain, joins any
-    previous incarnation's domain first, and blocks until the shard is
-    [Running] or its boot failed. Restart recovery is journal-driven: the
+(** Boot (or reboot after a crash): starts the shard's serializer thread,
+    joins any previous incarnation's thread first, and blocks until the
+    shard is [Running] or its boot failed. Restart recovery is journal-driven: the
     new incarnation replays the shard's own journal, quarantines
     unaccounted spend into its fresh ledger and re-seeds its dedup table.
     After a graceful {!stop} the drain checkpoint is resumed instead of a
@@ -180,15 +183,15 @@ val submit : t -> Protocol.request -> Protocol.response option
 val kill : t -> bool
 (** Simulated [kill -9]: abort the broker (queued requests fail, no
     graceful journal tail) and mark the shard [Crashed]. Returns [false]
-    if the shard was not running. The serializer domain winds down in the
-    background; {!start} joins it before re-spawning. *)
+    if the shard was not running. The serializer thread winds down in the
+    background; {!start} joins it before starting the next one. *)
 
 val stop : t -> unit
 (** Graceful drain: broker shutdown, serializer joined, journal closed with
     its ["drain"] mark followed by the drain checkpoint at
     {!Epoch.drain_path} of the journal (so the next {!start} on the same
     files resumes the learned hypothesis), kernel pool shut down, state
-    [Stopped]. Safe in any state (a crashed shard's leftover domain is
+    [Stopped]. Safe in any state (a crashed shard's leftover thread is
     joined and its state preserved as restartable history only if
     quarantined — otherwise it ends [Stopped]). *)
 

@@ -262,8 +262,13 @@ let test_supervisor_restarts_killed_shard () =
         ~finally:(fun () -> Supervisor.stop supervisor)
         (fun () ->
           Alcotest.(check bool) "killed" true (Shard.kill fleet.(1));
-          wait_for "supervised restart" (fun () -> Shard.state fleet.(1) = Shard.Running);
+          (* The shard is Running before [Shard.start] returns to the
+             supervisor, which records the restart only then: wait for the
+             record, not the state. *)
+          wait_for "supervised restart" (fun () -> Supervisor.restarts supervisor > 0);
           Alcotest.(check int) "one restart recorded" 1 (Supervisor.restarts supervisor);
+          Alcotest.(check string) "restarted shard running" "running"
+            (Shard.state_to_string (Shard.state fleet.(1)));
           (* the revived shard serves again through the router *)
           match (Router.submit router (req ~id:20 ~query:"sq" ())).rsp_status with
           | Protocol.Answered | Protocol.Degraded _ -> ()

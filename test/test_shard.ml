@@ -1,15 +1,16 @@
 (* Tests for the serving fleet's shard layer (lib/server/shard.ml):
    partition laws (disjoint, jointly exhaustive — the precondition for
    parallel composition), the shard lifecycle (start, kill, journal-driven
-   restart, quarantine, drain), drain continuity (a drained shard restarted
-   on the same files answers bit-identically to one that never stopped,
-   and a stale drain checkpoint is never resumed), upgrade safety of the
-   one-shard journal layout and its inverse [Shard.journal_files],
-   injected oracle faults served through the fallback chain, per-shard
-   journal independence (corrupting one shard's journal cannot perturb
-   another's recovery), and the qcheck property that the fleet-level
-   account [Budget.spent_parallel] is exactly the coordinate-wise max over
-   per-shard ledgers. *)
+   restart, quarantine, drain), serializer hosting (a systhread of the
+   starting domain that may drive a multi-domain pool), drain continuity
+   (a drained shard restarted on the same files answers bit-identically to
+   one that never stopped, and a stale drain checkpoint is never resumed),
+   upgrade safety of the one-shard journal layout and its inverse
+   [Shard.journal_files], injected oracle faults served through the
+   fallback chain, per-shard journal independence (corrupting one shard's
+   journal cannot perturb another's recovery), and the qcheck property that
+   the fleet-level account [Budget.spent_parallel] is exactly the
+   coordinate-wise max over per-shard ledgers. *)
 
 module Universe = Pmw_data.Universe
 module Dataset = Pmw_data.Dataset
@@ -64,13 +65,14 @@ let panel =
 
 let resolve name = List.assoc_opt name panel
 
-let mk_shard ?journal_path ?telemetry ?(config = config ())
-    ?(oracles = fun pool -> Session.default_oracles ~pool ()) ~id ~block () =
+let mk_shard ?journal_path ?telemetry ?domains ?(config = config ())
+    ?(oracles = fun pool -> Session.default_oracles ~pool ()) ?(resolve = resolve) ~id ~block
+    () =
   Shard.create ~id
     ~weight:(float_of_int (Dataset.size block) /. float_of_int (Dataset.size dataset))
-    ?journal_path ?telemetry
+    ?journal_path ?telemetry ?domains
     ~session:(fun ~pool ~epoch:_ ~absorbed:_ ->
-      (* runs on the shard domain at every boot: incarnation-private rng *)
+      (* runs on the serializer thread at every boot: incarnation-private rng *)
       {
         Shard.g_config = config;
         g_dataset = block;
@@ -250,6 +252,66 @@ let ask ?(query = fun i -> script.(i mod Array.length script)) s i =
   | None -> Alcotest.failf "shard %d refused request %d" (Shard.id s) i
 
 let ask_range s lo hi = List.init (hi - lo) (fun j -> canon (ask s (lo + j)))
+
+(* --- serializer hosting --- *)
+
+(* The serializer is a systhread of the domain that calls [start]: a fleet
+   adds no domain of its own, so a minor GC never has to stop a serializer
+   domain. [resolve] runs on the serializer, so it sees where the
+   serializer runs — before and after a kill and restart. *)
+let test_serializer_on_starting_domain () =
+  let block = List.hd (Shard.partition dataset ~by:Shard.Block ~shards:2) in
+  (* written by the serializer before it publishes the reply [ask] waits for *)
+  let seen = ref [] in
+  let resolve name =
+    seen := (Domain.self () :> int) :: !seen;
+    resolve name
+  in
+  let s = mk_shard ~resolve ~id:0 ~block () in
+  let here = (Domain.self () :> int) in
+  let serve_on_this_domain what i =
+    seen := [];
+    ignore (ask s i);
+    Alcotest.(check (list int)) what [ here ] !seen
+  in
+  must_start s;
+  serve_on_this_domain "first incarnation serves on the starting domain" 0;
+  Alcotest.(check bool) "killed" true (Shard.kill s);
+  must_start s;
+  serve_on_this_domain "restarted incarnation serves on the starting domain" 1;
+  Shard.stop s
+
+(* A serializer thread may still drive a multi-domain kernel pool: with a
+   universe past [Pool.grain] the sweeps split into chunks that the pool's
+   worker domain takes part in, and every reply must keep the bytes of an
+   inline pool's reply. *)
+let test_thread_serializer_drives_pool_bit_identically () =
+  let universe = Universe.regression_grid ~d:2 ~levels:41 ~label_levels:5 () in
+  Alcotest.(check bool) "universe spans more than one chunk" true
+    (Universe.size universe > Pool.grain);
+  let block =
+    Synth.linear_regression ~universe ~theta_star:[| 0.5; -0.2 |] ~noise:0.1 ~n:3_000
+      (Rng.create ~seed:7 ())
+  in
+  let config =
+    Config.practical ~universe ~privacy ~alpha:0.02 ~beta:0.05 ~scale:2. ~k:14 ~t_max:8
+      ~solver_iters:60 ()
+  in
+  let serve domains =
+    let s = mk_shard ~domains ~config ~id:0 ~block () in
+    must_start s;
+    let replies = List.init 12 (ask s) in
+    Shard.stop s;
+    replies
+  in
+  let inline = serve 1 and pooled = serve 2 in
+  Alcotest.(check bool) "a query reached the oracle" true
+    (List.exists (fun r -> r.Protocol.rsp_source = Some "oracle") inline);
+  (* queue wait is wall-clock time; every other byte is the mechanism's *)
+  let bytes r = Protocol.encode_response { r with Protocol.rsp_queue_wait_s = None } in
+  List.iteri
+    (fun i (e, g) -> Alcotest.(check string) (Printf.sprintf "reply %d" i) (bytes e) (bytes g))
+    (List.combine inline pooled)
 
 (* Collects the names (and "resumed" flags) of the shard.start marks every
    incarnation emits. *)
@@ -651,6 +713,13 @@ let () =
           Alcotest.test_case "start, submit, drain" `Quick test_lifecycle_start_submit_stop;
           Alcotest.test_case "kill then journal restart" `Quick test_kill_then_journal_restart;
           Alcotest.test_case "quarantine blocks start" `Quick test_quarantine_blocks_start;
+        ] );
+      ( "hosting",
+        [
+          Alcotest.test_case "serializer runs on the starting domain" `Quick
+            test_serializer_on_starting_domain;
+          Alcotest.test_case "a thread-hosted serializer drives a multi-domain pool bit-identically"
+            `Quick test_thread_serializer_drives_pool_bit_identically;
         ] );
       ( "drain",
         [
