@@ -49,16 +49,16 @@ let refusal_to_string = function
    changes an answer, only skips a redundant O(|X|) or O(n) solve; noise is
    never cached, so every sparse-vector test still draws its own.
 
-   The memo lives as long as the mechanism, unless a caller drops it with
-   [forget_solves] (the query server does, after each batch). The
-   hypothesis-dependent entries are dropped wherever the hypothesis moves
-   (an MW update, a restore); the reference minima survive both, since the
-   dataset never changes under a mechanism. Keys are query names, but each entry carries
-   the query value itself and is only reused on PHYSICAL equality — two
-   distinct queries that happen to share a name are recomputed instead of
-   silently aliasing. A table that reaches [memo_capacity] entries is
-   cleared before its next insert, so an endless stream of fresh names
-   cannot grow it without bound. *)
+   The hypothesis-dependent entries are dropped wherever the hypothesis
+   moves (an MW update, a restore) and whenever a caller asks with
+   [forget_hypothesis] (the query server does, after each batch). The
+   reference minima outlive all three and live as long as the mechanism,
+   since the dataset never changes under it. Keys are query names, but
+   each entry carries the query value itself and is only reused on
+   PHYSICAL equality — two distinct queries that happen to share a name are
+   recomputed instead of silently aliasing. A table that reaches
+   [memo_capacity] entries is cleared before its next insert, so an endless
+   stream of fresh names cannot grow it without bound. *)
 
 let memo_capacity = 256
 
@@ -143,14 +143,10 @@ let all_finite v =
   Array.iter (fun x -> if not (Float.is_finite x) then ok := false) v;
   !ok
 
-let forget_hypothesis memo =
-  memo.m_dhat <- None;
-  Hashtbl.reset memo.m_theta;
-  Hashtbl.reset memo.m_q
-
-let forget_solves t =
-  forget_hypothesis t.memo;
-  Hashtbl.reset t.memo.m_ref
+let forget_hypothesis t =
+  t.memo.m_dhat <- None;
+  Hashtbl.reset t.memo.m_theta;
+  Hashtbl.reset t.memo.m_q
 
 let memoized t table query compute =
   match Hashtbl.find_opt table query.Cm_query.name with
@@ -285,7 +281,7 @@ let answer_inner t query =
                   with
                   | Error why -> Refused (Quarantined why)
                   | Ok () ->
-                      forget_hypothesis t.memo;
+                      forget_hypothesis t;
                       Log.debug (fun m ->
                           m "query %d (%s): above threshold, oracle answered, MW update %d/%d"
                             t.answered query.Cm_query.name (updates t) t.config.Config.t_max);
@@ -339,4 +335,4 @@ let restore t s =
   t.answered <- s.snap_answered;
   (* A restore can land on the same update count with different weights,
      so the hypothesis-dependent entries go unconditionally. *)
-  forget_hypothesis t.memo
+  forget_hypothesis t

@@ -116,9 +116,9 @@ val answer_opt : t -> Cm_query.t -> outcome option
     whole lifetime: the hypothesis extraction (one softmax sweep of [D̂ᵗ]),
     the public minimizer [θ̂] and the error-query value [err_ℓ(D, D̂ᵗ)] per
     (query, hypothesis), and the reference minimum [min_θ ℓ(θ; D)] per
-    query. An MW update or a {!restore} drops everything that depends on the
-    hypothesis; the reference minima, which depend only on the query and the
-    dataset, are kept.
+    query. An MW update, a {!restore} or {!forget_hypothesis} drops what
+    depends on the hypothesis; the reference minima depend only on the
+    query and the dataset, and live as long as the mechanism.
 
     Reuse is {e sound by construction}: every cached value is a
     deterministic pure function of its key (the pool makes recomputation
@@ -134,11 +134,11 @@ val memo_capacity : int
 (** Entries each memo table holds; a full table is cleared before its next
     insert, so a stream of ever-new query names stays bounded. *)
 
-val forget_solves : t -> unit
-(** Drops every memo entry, the reference minima included; the next
-    {!answer} solves afresh. Answers are unchanged either way. The query
-    server's broker calls it after each drained batch, so served reuse
-    stays within one batch. *)
+val forget_hypothesis : t -> unit
+(** Drops the entries that depend on the hypothesis ([D̂ᵗ], [θ̂], the
+    error-query values) and keeps the reference minima. Answers are
+    unchanged either way. The query server's broker calls it after each
+    drained batch, so a served query's reference minimum outlives it. *)
 
 val hypothesis_answer : t -> Cm_query.t -> outcome option
 (** The answer from the current hypothesis alone: [θ̂ = argmin_θ ℓ(θ; D̂ᵗ)]

@@ -614,11 +614,11 @@ let journal_batch t replies =
 
 (* Serializer-side: answer one drained batch request by request, journal
    and fsync the results once, then publish all replies under the lock in
-   one broadcast. Solve reuse stays within the batch: the mechanism's memo
-   is dropped once the batch is answered. Reuse across batches speeds a
-   served fleet about a hundredfold, and at the serving benchmark's fixed
-   request count that leaves runs too short to measure; it returns with
-   the benchmark's re-sizing (ROADMAP item 1). *)
+   one broadcast. The mechanism then drops its hypothesis-dependent solves
+   but keeps the reference minima, which outlive the batch. Keeping θ̂
+   across batches too speeds a served fleet about a hundredfold, and at the
+   benchmark's fixed request count leaves runs too short to measure; it
+   returns with the benchmark's re-sizing (ROADMAP item 1). *)
 let process_batch t items =
   let served_at = Unix.gettimeofday () in
   let batch_size = List.length items in
@@ -723,7 +723,7 @@ let process_batch t items =
         (p, reply, Protocol.encode_response reply))
       items
   in
-  Session.forget_solves t.session;
+  Session.forget_hypothesis t.session;
   journal_batch t replies;
   locked t (fun () ->
       List.iter

@@ -7,9 +7,9 @@
     that owns the session's {!Pmw_parallel.Pool} — drains up to
     [max_batch] pending requests at a time, answers each with
     {!Pmw_session.Session.answer} in [seq] order, journals the drained
-    batch under one [fsync], and drops the mechanism's solve memo
-    ({!Pmw_session.Session.forget_solves}), so solves are reused only
-    within a batch. Verdicts are bit-identical to sequential
+    batch under one [fsync], and drops the mechanism's hypothesis-dependent
+    solves ({!Pmw_session.Session.forget_hypothesis}); a query's reference
+    minimum outlives the batch. Verdicts are bit-identical to sequential
     processing in [seq] order, so concurrency changes throughput and
     interleaving, never answers.
 

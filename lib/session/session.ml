@@ -152,7 +152,7 @@ let answer t query =
   | Online.Answered _ -> ());
   verdict
 
-let forget_solves t = Online.forget_solves t.online
+let forget_hypothesis t = Online.forget_hypothesis t.online
 
 (* --- admission control --- *)
 

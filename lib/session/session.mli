@@ -75,8 +75,9 @@ val answer : t -> Pmw_core.Cm_query.t -> Pmw_core.Online_pmw.verdict
     ({!Pmw_core.Online_pmw.hypothesis_answer}, reusing the mechanism's
     memoized [θ̂]) and flagged [Degraded]. *)
 
-val forget_solves : t -> unit
-(** {!Pmw_core.Online_pmw.forget_solves} on the session's mechanism. *)
+val forget_hypothesis : t -> unit
+(** {!Pmw_core.Online_pmw.forget_hypothesis} on the session's mechanism;
+    its reference minima outlive every batch a server answers with it. *)
 
 val admissible : t -> (unit, string) result
 (** Budget-aware admission check: can this session fund one more oracle

@@ -332,18 +332,18 @@ let test_memo_repeated_query_hits () =
   ignore (Online_pmw.answer m (fresh_copy squared_query));
   Alcotest.(check int) "a distinct copy re-solves" 2 (span_calls tel "solve.reference")
 
-(* [forget_solves] drops every entry, the reference minimum included, and
-   changes no answer. *)
-let test_memo_forget_solves () =
+(* [forget_hypothesis] drops θ̂ and the error value but keeps the reference
+   minimum, and changes no answer. *)
+let test_memo_forget_hypothesis () =
   let ds = small_dataset () in
   let m, tel = traced_mechanism (practical_config ()) ds in
   let first = verdict_bits (Online_pmw.answer m squared_query) in
-  Online_pmw.forget_solves m;
+  Online_pmw.forget_hypothesis m;
   let hits = memo_hits tel in
   let again = verdict_bits (Online_pmw.answer m squared_query) in
-  Alcotest.(check int) "no hit after forgetting" hits (memo_hits tel);
-  Alcotest.(check int) "the reference is solved again" 2 (span_calls tel "solve.reference");
   Alcotest.(check int) "θ̂ is solved again" 2 (span_calls tel "solve.hypothesis");
+  Alcotest.(check int) "the reference is not" 1 (span_calls tel "solve.reference");
+  Alcotest.(check int) "the kept reference is the one hit" (hits + 1) (memo_hits tel);
   let control, _ = traced_mechanism (practical_config ()) ds in
   let c1 = verdict_bits (Online_pmw.answer control squared_query) in
   let c2 = verdict_bits (Online_pmw.answer control squared_query) in
@@ -1232,7 +1232,8 @@ let () =
       ( "solve_memo",
         [
           Alcotest.test_case "repeated query hits" `Quick test_memo_repeated_query_hits;
-          Alcotest.test_case "forget_solves drops every entry" `Quick test_memo_forget_solves;
+          Alcotest.test_case "forget_hypothesis keeps the reference minimum" `Quick
+            test_memo_forget_hypothesis;
           Alcotest.test_case "top round invalidates" `Quick test_memo_top_round_invalidates;
           Alcotest.test_case "restore invalidates" `Quick test_memo_restore_invalidates;
           Alcotest.test_case "transcript = memo-free" `Quick test_memo_transcript_matches_memo_free;

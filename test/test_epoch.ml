@@ -492,6 +492,72 @@ let test_garbage_tail () =
   Alcotest.(check bool) "roll-forward dropped the tail" true boot.Epoch.bt_rolled_forward;
   close_boot boot
 
+(* --- one epoch shard on a small regression workload --- *)
+
+let universe = Universe.regression_grid ~d:2 ~levels:5 ~label_levels:5 ()
+let domain = Pmw_convex.Domain.unit_ball ~dim:2
+
+let rows =
+  Dataset.rows
+    (Pmw_data.Synth.linear_regression ~universe ~theta_star:[| 0.5; -0.2 |] ~noise:0.1 ~n:2_000
+       (Rng.create ~seed:7 ()))
+
+let config =
+  Pmw_core.Config.practical ~universe
+    ~privacy:(Pmw_dp.Params.create ~eps:1. ~delta:1e-6)
+    ~alpha:0.02 ~beta:0.05 ~scale:2. ~k:14 ~t_max:8 ~solver_iters:120 ()
+
+let queries =
+  [
+    ("sq", Cm_query.make ~name:"sq" ~loss:(Pmw_convex.Losses.squared ()) ~domain ());
+    ("abs", Cm_query.make ~name:"abs" ~loss:(Pmw_convex.Losses.absolute ()) ~domain ());
+  ]
+
+(* Generation [epoch]'s dataset: the seed rows, then the absorbed ones. *)
+let generation_dataset ~epoch absorbed = Dataset.create ~epoch universe (Array.append rows absorbed)
+
+(* Boot a shard journaling to [dir]/e.wal that rolls epochs on request
+   only; every incarnation traces to a fresh instance over [sink]. *)
+let boot_shard ~dir sink =
+  let shard =
+    Shard.create ~id:0 ~weight:1. ~journal_path:(Filename.concat dir "e.wal")
+      ~epoch:{ Shard.se_every = 0; se_row_bound = Universe.size universe }
+      ~telemetry:(fun ~incarnation:_ -> Telemetry.create ~sink ())
+      ~session:(fun ~pool ~epoch ~absorbed ->
+        {
+          Shard.g_config = config;
+          g_dataset = generation_dataset ~epoch absorbed;
+          g_oracles = Session.default_oracles ~pool ();
+          g_spend_claim = (fun () -> None);
+          g_rng = Rng.create ~seed:(11 + epoch) ();
+        })
+      ~resolve:(fun name -> List.assoc_opt name queries)
+      ()
+  in
+  (match Shard.start shard with Ok () -> () | Error m -> Alcotest.failf "boot: %s" m);
+  shard
+
+let ask ?rows shard id query =
+  let req =
+    {
+      Protocol.req_id = id;
+      req_analyst = "an";
+      req_query = query;
+      req_rid = None;
+      req_shards = None;
+      req_trace = None;
+      req_pspan = None;
+      req_rows = rows;
+    }
+  in
+  match Shard.submit shard req with
+  | Some rsp -> rsp
+  | None -> Alcotest.failf "request %d refused" id
+
+let remove_dir dir =
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Sys.rmdir dir
+
 (* --- a restarted epoch shard's trace --- *)
 
 (* After a transition, a drain and a restart on the same files, the shard
@@ -501,61 +567,7 @@ let test_garbage_tail () =
    alone accounts for every spend the shard reports. *)
 let test_restarted_trace_covers_lifetime () =
   let dir = tmp_dir () in
-  let universe = Universe.regression_grid ~d:2 ~levels:5 ~label_levels:5 () in
-  let domain = Pmw_convex.Domain.unit_ball ~dim:2 in
-  let rows =
-    Dataset.rows
-      (Pmw_data.Synth.linear_regression ~universe ~theta_star:[| 0.5; -0.2 |] ~noise:0.1 ~n:2_000
-         (Rng.create ~seed:7 ()))
-  in
-  let config =
-    Pmw_core.Config.practical ~universe
-      ~privacy:(Pmw_dp.Params.create ~eps:1. ~delta:1e-6)
-      ~alpha:0.02 ~beta:0.05 ~scale:2. ~k:14 ~t_max:8 ~solver_iters:120 ()
-  in
-  let queries =
-    [
-      ("sq", Cm_query.make ~name:"sq" ~loss:(Pmw_convex.Losses.squared ()) ~domain ());
-      ("abs", Cm_query.make ~name:"abs" ~loss:(Pmw_convex.Losses.absolute ()) ~domain ());
-    ]
-  in
-  let boot sink =
-    let shard =
-      Shard.create ~id:0 ~weight:1. ~journal_path:(Filename.concat dir "e.wal")
-        ~epoch:{ Shard.se_every = 0; se_row_bound = Universe.size universe }
-        ~telemetry:(fun ~incarnation:_ -> Telemetry.create ~sink ())
-        ~session:(fun ~pool ~epoch ~absorbed ->
-          {
-            Shard.g_config = config;
-            g_dataset = Dataset.create ~epoch universe (Array.append rows absorbed);
-            g_oracles = Session.default_oracles ~pool ();
-            g_spend_claim = (fun () -> None);
-            g_rng = Rng.create ~seed:(11 + epoch) ();
-          })
-        ~resolve:(fun name -> List.assoc_opt name queries)
-        ()
-    in
-    (match Shard.start shard with Ok () -> () | Error m -> Alcotest.failf "boot: %s" m);
-    shard
-  in
-  let ask shard id query =
-    let req =
-      {
-        Protocol.req_id = id;
-        req_analyst = "an";
-        req_query = query;
-        req_rid = None;
-        req_shards = None;
-        req_trace = None;
-        req_pspan = None;
-        req_rows = None;
-      }
-    in
-    match Shard.submit shard req with
-    | Some rsp -> rsp
-    | None -> Alcotest.failf "request %d refused" id
-  in
-  let first = boot Telemetry.Sink.null in
+  let first = boot_shard ~dir Telemetry.Sink.null in
   ignore (ask first 0 "sq");
   ignore (ask first 1 "abs");
   Alcotest.(check bool) "epoch roll accepted" true (Shard.request_epoch first);
@@ -563,7 +575,7 @@ let test_restarted_trace_covers_lifetime () =
   Alcotest.(check (option int)) "rolled to epoch 1" (Some 1) (Shard.epoch first);
   Shard.stop first;
   let sink = Telemetry.Sink.ring () in
-  let second = boot sink in
+  let second = boot_shard ~dir sink in
   let rsp = ask second 3 "abs" in
   Shard.stop second;
   Alcotest.(check (option int)) "restarted at epoch 1" (Some 1) rsp.Protocol.rsp_epoch;
@@ -576,8 +588,74 @@ let test_restarted_trace_covers_lifetime () =
   in
   covers "eps" trace_eps rsp.Protocol.rsp_spent_eps;
   covers "delta" trace_delta rsp.Protocol.rsp_spent_delta;
-  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-  Sys.rmdir dir
+  remove_dir dir
+
+(* --- reference minima across a dataset change --- *)
+
+(* A shard keeps each query's reference minimum min_θ ℓ(θ; D) across its
+   batches, which is exact only because D never changes under a session.
+   After a transition that absorbs ingested rows, the first ask of a query
+   must solve the reference again, on the new data: its error value is
+   bit-for-bit that of a fresh session built on the absorbed dataset from
+   the same prior, and differs from the value on the old data. *)
+let test_transition_resolves_reference () =
+  let dir = tmp_dir () in
+  let sink = Telemetry.Sink.ring () in
+  let shard = boot_shard ~dir sink in
+  let reference_solves () =
+    List.length
+      (List.filter
+         (fun e -> e.Telemetry.kind = Telemetry.Span_begin && e.Telemetry.name = "solve.reference")
+         (Telemetry.Sink.events sink))
+  in
+  ignore (ask shard 0 "sq");
+  ignore (ask shard 1 "sq");
+  Alcotest.(check int) "epoch 0 solves the reference once" 1 (reference_solves ());
+  (* 600 copies of one corner of the grid, far off the regression line *)
+  let ingested = List.init 600 (fun _ -> 0) in
+  (match (ask ~rows:ingested shard 2 "").Protocol.rsp_status with
+  | Protocol.Answered -> ()
+  | s -> Alcotest.failf "ingest: %s" (Protocol.status_tag s));
+  Alcotest.(check bool) "epoch roll accepted" true (Shard.request_epoch shard);
+  ignore (ask shard 3 "sq");
+  Alcotest.(check (option int)) "rolled to epoch 1" (Some 1) (Shard.epoch shard);
+  Alcotest.(check int) "the new epoch solves the reference again" 2 (reference_solves ());
+  Shard.stop shard;
+  let q_values =
+    List.filter_map
+      (fun e ->
+        match (e.Telemetry.kind, e.Telemetry.name, List.assoc_opt "value" e.Telemetry.fields) with
+        | Telemetry.Observe, "q_value", Some (Telemetry.Float v) -> Some v
+        | _ -> None)
+      (Telemetry.Sink.events sink)
+  in
+  let served = List.nth q_values (List.length q_values - 1) in
+  let snapshot =
+    match Epoch.read_snapshot ~path:(Epoch.snapshot_path (Filename.concat dir "e.wal")) with
+    | Ok (Some sn) -> sn
+    | Ok None -> Alcotest.fail "no epoch snapshot"
+    | Error why -> Alcotest.failf "epoch snapshot: %s" why
+  in
+  Alcotest.(check (list int)) "the snapshot absorbed the ingested rows" ingested
+    (Array.to_list snapshot.Epoch.sn_absorbed);
+  let fresh_q_value dataset =
+    let telemetry = Telemetry.create ~sink:(Telemetry.Sink.ring ()) () in
+    let session =
+      Session.create ~telemetry ~config ~dataset
+        ?prior:(Option.map (Pmw_data.Histogram.of_weights universe) snapshot.Epoch.sn_prior)
+        ~rng:(Rng.create ~seed:12 ()) ()
+    in
+    ignore (Session.answer session (List.assoc "sq" queries));
+    match Telemetry.observation telemetry "q_value" with
+    | Some o -> o.Telemetry.obs_last
+    | None -> Alcotest.fail "the fresh session fed no error value"
+  in
+  let absorbed = fresh_q_value (generation_dataset ~epoch:1 snapshot.Epoch.sn_absorbed) in
+  Alcotest.(check int64) "error value of a fresh session on the absorbed data"
+    (Int64.bits_of_float absorbed) (Int64.bits_of_float served);
+  let stale = fresh_q_value (generation_dataset ~epoch:0 [||]) in
+  Alcotest.(check bool) "the old data gives another value" true (stale <> served);
+  remove_dir dir
 
 let () =
   Alcotest.run "epoch"
@@ -630,5 +708,10 @@ let () =
         [
           Alcotest.test_case "restarted trace covers the lifetime spend" `Quick
             test_restarted_trace_covers_lifetime;
+        ] );
+      ( "transition",
+        [
+          Alcotest.test_case "a new epoch re-solves the reference minimum" `Quick
+            test_transition_resolves_reference;
         ] );
     ]

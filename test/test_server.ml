@@ -85,8 +85,32 @@ let fresh_query_of name =
 
 let memo_hits session = Telemetry.counter (Session.telemetry session) "solve_memo_hits"
 
-let make_session ~pool ~seed () =
-  Session.create ~pool ~config:(config ()) ~dataset ~rng:(Rng.create ~seed ()) ()
+let make_session ?telemetry ~pool ~seed () =
+  Session.create ?telemetry ~pool ~config:(config ()) ~dataset ~rng:(Rng.create ~seed ()) ()
+
+let span_calls session name =
+  match Telemetry.span_stats (Session.telemetry session) name with
+  | Some s -> s.Telemetry.span_calls
+  | None -> 0
+
+(* A traced telemetry instance, and a table it fills with the number of
+   [solve.reference] spans run inside each query's [query] span, by name. *)
+let reference_solves_by_query () =
+  let solves = Hashtbl.create 8 in
+  let current = ref "" in
+  let sink =
+    Telemetry.Sink.fn (fun e ->
+        match (e.Telemetry.kind, e.Telemetry.name) with
+        | Telemetry.Span_begin, "query" -> (
+            match List.assoc_opt "query" e.Telemetry.fields with
+            | Some (Telemetry.Str q) -> current := q
+            | _ -> ())
+        | Telemetry.Span_begin, "solve.reference" ->
+            Hashtbl.replace solves !current
+              (1 + Option.value ~default:0 (Hashtbl.find_opt solves !current))
+        | _ -> ())
+  in
+  (Telemetry.create ~sink (), solves)
 
 (* --- fingerprints: a response and a verdict must map to the same string
    when they carry the same answer, bit for bit ([%h] floats) --- *)
@@ -390,8 +414,8 @@ let submit ?rid broker ~id ~analyst ~query =
 (* Run [assignments] = (analyst, query names) pairs concurrently through a
    broker, one thread per analyst, serializer on the calling thread (which
    must own [pool]); return the transcript sorted by [seq]. *)
-let serve_concurrent ?checkpoint ~pool ~max_batch ~seed assignments =
-  let session = make_session ~pool ~seed () in
+let serve_concurrent ?checkpoint ?telemetry ~pool ~max_batch ~seed assignments =
+  let session = make_session ?telemetry ~pool ~seed () in
   let broker =
     Broker.create
       ~config:{ Broker.default_config with max_batch }
@@ -447,6 +471,18 @@ let assignments =
     ("carol", [ "q3"; "abs"; "huber"; "sq" ]);
   ]
 
+(* Replay [transcript]'s queries in [seq] order through a fresh session
+   fed physically fresh copies, which can hit no per-query memo entry:
+   every verdict must match the served one bit for bit. *)
+let check_replay ~pool transcript =
+  let replay = make_session ~pool ~seed:42 () in
+  List.iter
+    (fun (seq, name, fp) ->
+      let fp' = verdict_fp (Session.answer replay (fresh_query_of name)) in
+      Alcotest.(check string) (Printf.sprintf "seq %d (%s)" seq name) fp' fp)
+    transcript;
+  Alcotest.(check int) "replay is memo-free" 0 (memo_hits replay)
+
 (* The headline contract: for every pool size, K concurrent analysts
    served through the memoizing mechanism produce exactly the verdicts of a
    fresh session replaying the same queries sequentially in [seq] order,
@@ -456,18 +492,51 @@ let concurrent_matches_sequential_replay ~domains () =
   Fun.protect
     ~finally:(fun () -> Pool.shutdown pool)
     (fun () ->
-      let served, transcript = serve_concurrent ~pool ~max_batch:4 ~seed:42 assignments in
-      let replay = make_session ~pool ~seed:42 () in
-      List.iter
-        (fun (seq, name, fp) ->
-          let fp' = verdict_fp (Session.answer replay (fresh_query_of name)) in
-          Alcotest.(check string) (Printf.sprintf "seq %d (%s)" seq name) fp' fp)
-        transcript;
-      Alcotest.(check int) "replay is memo-free" 0 (memo_hits replay);
-      (* the broker dropped the memo after its last batch: a repeat misses *)
+      let _, transcript = serve_concurrent ~pool ~max_batch:4 ~seed:42 assignments in
+      check_replay ~pool transcript;
+      (* After its last batch the broker drops θ̂ but keeps the reference
+         minima: a repeat re-solves θ̂, not the reference, and hits the memo
+         exactly once (the kept reference). The run above spends the whole
+         update budget T, and a degraded answer never looks the reference
+         up, so the repeat follows a run too short to halt. *)
+      let served, transcript =
+        serve_concurrent
+          ~telemetry:(Telemetry.create ~sink:(Telemetry.Sink.ring ()) ())
+          ~pool ~max_batch:4 ~seed:42
+          [ ("alice", [ "sq"; "huber" ]); ("bob", [ "abs" ]) ]
+      in
+      check_replay ~pool transcript;
       let hits = memo_hits served in
-      ignore (Session.answer served (query_of "sq"));
-      Alcotest.(check int) "no memo outlives a batch" hits (memo_hits served))
+      let hypothesis = span_calls served "solve.hypothesis" in
+      let reference = span_calls served "solve.reference" in
+      (match Session.answer served (query_of "sq") with
+      | Online.Answered _ -> ()
+      | v -> Alcotest.failf "the repeat should be answered, got %s" (verdict_fp v));
+      Alcotest.(check int) "θ̂ is solved again" (hypothesis + 1)
+        (span_calls served "solve.hypothesis");
+      Alcotest.(check int) "the reference outlives the batch" reference
+        (span_calls served "solve.reference");
+      Alcotest.(check int) "one more memo hit" (hits + 1) (memo_hits served))
+
+(* Many one-request batches that cycle three queries: each query's
+   reference minimum is solved once for the whole run, and the verdicts
+   are still those of a memo-free sequential replay. Each analyst asks all
+   three queries first, so each is first asked within the first six
+   requests, before the sparse-vector test can halt (T = 8, k = 14). *)
+let reference_solved_once_across_batches ~domains () =
+  let pool = Pool.create ~domains () in
+  Fun.protect
+    ~finally:(fun () -> Pool.shutdown pool)
+    (fun () ->
+      let cycle = [ "sq"; "huber"; "abs"; "sq"; "huber"; "abs"; "sq"; "huber"; "abs" ] in
+      let cycling = [ ("alice", cycle); ("bob", List.rev cycle) ] in
+      let telemetry, solves = reference_solves_by_query () in
+      let _, transcript = serve_concurrent ~telemetry ~pool ~max_batch:1 ~seed:42 cycling in
+      check_replay ~pool transcript;
+      Alcotest.(check (list (pair string int)))
+        "one reference solve per distinct query"
+        [ ("abs", 1); ("huber", 1); ("sq", 1) ]
+        (List.sort compare (List.of_seq (Hashtbl.to_seq solves))))
 
 let pmw_domains () =
   match Sys.getenv_opt "PMW_DOMAINS" with
@@ -899,6 +968,12 @@ let () =
             (fun () ->
               with_timeout ~seconds:480. "determinism pool PMW_DOMAINS"
                 (concurrent_matches_sequential_replay ~domains:(pmw_domains ())));
+          Alcotest.test_case "one reference solve across batches (pool 1)" `Quick (fun () ->
+              with_timeout ~seconds:480. "reference reuse pool 1"
+                (reference_solved_once_across_batches ~domains:1));
+          Alcotest.test_case "one reference solve across batches (pool 2)" `Quick (fun () ->
+              with_timeout ~seconds:480. "reference reuse pool 2"
+                (reference_solved_once_across_batches ~domains:2));
         ] );
       ( "drain/resume",
         [
