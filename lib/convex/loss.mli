@@ -13,8 +13,8 @@
       oracle may serve — a routing flag only, with no effect on evaluation;
     - [residual]: the one evaluation hint, present when the loss depends on
       [θ] only through one inner product with a (possibly preprocessed)
-      record, enabling the allocation-free histogram objective of
-      {!Objective.of_histogram}.
+      record and names its penalty ψ by a {!link}, enabling the
+      allocation-free histogram objective of {!Objective.of_histogram}.
 
     Both kinds of linear-predictor loss share the hint. A regression loss is
     [ψ(⟨θ, x⟩ − y)]. A margin loss [link(⟨θ, ±y·x⟩)] (logistic, hinge) is
@@ -24,9 +24,24 @@
     Gradients may be arbitrary subgradients at kinks (hinge, absolute), as
     the paper allows. *)
 
+type link =
+  | Squared  (** [r²] *)
+  | Huber of float  (** Huber with threshold [δ > 0] *)
+  | Absolute  (** [|r|] *)
+  | Quantile of float  (** the pinball loss at level [τ ∈ (0, 1)] *)
+  | Eps_insensitive of float  (** [max(0, |r| − ε)] *)
+  | Hinge  (** [max(0, 1 − u)] of a margin [u] *)
+  | Smoothed_hinge of float  (** the hinge smoothed over a [γ]-neighborhood of the kink *)
+  | Squared_margin  (** [(1 − u)²] *)
+  | Log1p_exp  (** [log(1 + eᵘ)], the logistic link *)
+(** The scalar convex penalty ψ of a residual loss, named rather than passed
+    as a closure, so that the histogram sweeps below evaluate ψ inline. *)
+
+val psi_deriv : link -> float -> float
+(** A (sub)derivative of ψ. *)
+
 type residual = {
-  psi : float -> float;  (** ψ — the scalar convex penalty on the residual *)
-  psi_deriv : float -> float;  (** a (sub)derivative of ψ *)
+  link : link;  (** ψ *)
   coef : float;  (** the positive factor [c] in [c·ψ] *)
   prepare : Pmw_data.Point.t -> Pmw_data.Point.t;
       (** the record transform applied before the residual is taken, e.g. a
@@ -34,12 +49,13 @@ type residual = {
           [x ↦ (±y·x, label 0.)] for a margin loss *)
 }
 (** The residual hint: [ℓ(θ; x) = coef · ψ(⟨θ, p.features⟩ − p.label)] with
-    [p = prepare x].
+    [p = prepare x] and ψ given by [link].
 
     Contract: whenever [residual = Some r], [value] and [grad] compute
     exactly — bit for bit — what the kernel computes from [r]:
-    [value θ x = coef *. ψ r] and [grad θ x = [| coef *. (ψ' r *. p_j) |]],
-    where [r = Vec.dot θ p.features -. p.label]. {!of_residual} builds such a
+    [value θ x = coef *. ψ r] and
+    [grad θ x = [| coef *. (psi_deriv r.link r *. p_j) |]], where
+    [r = Vec.dot θ p.features -. p.label]. {!of_residual} builds such a
     pair; {!scale} and [Losses.preprocess] keep it. A loss whose [value] or
     [grad] is changed by any other means must set [residual = None]. *)
 
@@ -90,3 +106,32 @@ val scale_parameter : t -> Domain.t -> float
 val numeric_grad : t -> Pmw_linalg.Vec.t -> Pmw_data.Point.t -> Pmw_linalg.Vec.t
 (** Central finite differences — used by tests to validate analytic
     gradients. *)
+
+(** {2 Residual sweeps}
+
+    The per-chunk kernels of [Objective.of_histogram]'s residual path. They
+    live in this module, beside ψ, so that ψ is inlined into them and they
+    allocate nothing per point (dune's dev profile compiles each module
+    [-opaque], which rules out inlining across modules). [Log1p_exp] is the
+    exception: its ψ and ψ' are [Special]'s, in another library, and box per
+    call. *)
+
+val residual_sum : residual -> weights:float array -> res:float array -> int -> int -> float
+(** [residual_sum r ~weights ~res lo hi] is
+    [Σᵢ weights.(i) *. (coef *. ψ res.(i))] over [lo <= i < hi],
+    Kahan-compensated in [Special.kahan_range]'s recurrence. *)
+
+val residual_grad_into :
+  residual ->
+  weights:float array ->
+  res:float array ->
+  x:float array ->
+  dim:int ->
+  Pmw_linalg.Vec.t ->
+  int ->
+  int ->
+  unit
+(** [residual_grad_into r ~weights ~res ~x ~dim acc lo hi] adds
+    [weights.(i) *. (coef *. (ψ' res.(i) *. x.(i·dim + j)))] to [acc.(j)]
+    for each [i] in order, where [x] holds the prepared features row-major
+    ([dim] per point). *)

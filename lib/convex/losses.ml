@@ -1,5 +1,4 @@
 module Vec = Pmw_linalg.Vec
-module Special = Pmw_linalg.Special
 module Point = Pmw_data.Point
 
 let maybe_normalize normalize loss =
@@ -12,57 +11,50 @@ let squared ?(radius = 1.) ?(feature_norm = 1.) ?(label_bound = 1.) ?(normalize 
   maybe_normalize normalize
     (Loss.of_residual ~name:"squared"
        ~lipschitz:(2. *. residual_bound *. feature_norm)
-       { Loss.psi = (fun r -> r *. r); psi_deriv = (fun r -> 2. *. r); coef = 1.; prepare = Fun.id })
+       { Loss.link = Loss.Squared; coef = 1.; prepare = Fun.id })
 
 (* A margin loss [link(⟨θ, s·y·x⟩)] as a label-0 residual loss: the prepared
    record is [s·y·x], so the residual is the margin itself ([z -. 0. = z])
    and [value]/[grad] are the bits of [link] and [link'·(s·y·x)]. *)
-let margin_loss ~name ~lipschitz ~negate ~link ~link_deriv =
+let margin_loss ~name ~lipschitz ~negate link =
   let prepare =
     if negate then fun (x : Point.t) -> Point.make (Vec.scale (-.x.label) x.features)
     else fun (x : Point.t) -> Point.make (Vec.scale x.label x.features)
   in
   Loss.of_residual ~name ~lipschitz ~glm:true
-    { Loss.psi = link; psi_deriv = link_deriv; coef = 1.; prepare }
+    { Loss.link; coef = 1.; prepare }
 
 let squared_margin ?(radius = 1.) ?(feature_norm = 1.) ?(normalize = true) () =
   let margin_bound = 1. +. (radius *. feature_norm) in
   maybe_normalize normalize
     (margin_loss ~name:"squared_margin" ~lipschitz:(2. *. margin_bound *. feature_norm)
-       ~negate:false
-       ~link:(fun u -> (1. -. u) *. (1. -. u))
-       ~link_deriv:(fun u -> -2. *. (1. -. u)))
+       ~negate:false Loss.Squared_margin)
 
 let logistic ?(feature_norm = 1.) () =
-  margin_loss ~name:"logistic" ~lipschitz:feature_norm ~negate:true ~link:Special.log1p_exp
-    ~link_deriv:Special.logistic
+  margin_loss ~name:"logistic" ~lipschitz:feature_norm ~negate:true Loss.Log1p_exp
 
 let hinge ?(feature_norm = 1.) () =
-  margin_loss ~name:"hinge" ~lipschitz:feature_norm ~negate:false
-    ~link:(fun u -> Float.max 0. (1. -. u))
-    ~link_deriv:(fun u -> if u < 1. then -1. else 0.)
+  margin_loss ~name:"hinge" ~lipschitz:feature_norm ~negate:false Loss.Hinge
 
-let residual_loss ~name ~lipschitz ~psi ~psi_deriv =
-  Loss.of_residual ~name ~lipschitz { Loss.psi; psi_deriv; coef = 1.; prepare = Fun.id }
+let residual_loss ~name ~lipschitz link =
+  Loss.of_residual ~name ~lipschitz { Loss.link; coef = 1.; prepare = Fun.id }
 
 let huber ?(delta = 1.) ?(feature_norm = 1.) () =
-  if delta <= 0. then invalid_arg "Losses.huber: delta must be positive";
+  (* [not (delta > 0.)] also rejects NaN, for which Huber's ψ' (Special.clamp's
+     bits for every positive δ) would not be a clamp *)
+  if not (delta > 0.) then invalid_arg "Losses.huber: delta must be positive";
   residual_loss ~name:(Printf.sprintf "huber(%g)" delta) ~lipschitz:(delta *. feature_norm)
-    ~psi:(fun r ->
-      if Float.abs r <= delta then 0.5 *. r *. r else delta *. (Float.abs r -. (0.5 *. delta)))
-    ~psi_deriv:(fun r -> Special.clamp ~lo:(-.delta) ~hi:delta r)
+    (Loss.Huber delta)
 
 let absolute ?(feature_norm = 1.) () =
-  residual_loss ~name:"absolute" ~lipschitz:feature_norm ~psi:Float.abs ~psi_deriv:(fun r ->
-      if r > 0. then 1. else if r < 0. then -1. else 0.)
+  residual_loss ~name:"absolute" ~lipschitz:feature_norm Loss.Absolute
 
 let quantile ~tau ?(feature_norm = 1.) () =
   if tau <= 0. || tau >= 1. then invalid_arg "Losses.quantile: tau must lie in (0, 1)";
   residual_loss
     ~name:(Printf.sprintf "quantile(%g)" tau)
     ~lipschitz:(Float.max tau (1. -. tau) *. feature_norm)
-    ~psi:(fun r -> if r >= 0. then tau *. r else (tau -. 1.) *. r)
-    ~psi_deriv:(fun r -> if r > 0. then tau else if r < 0. then tau -. 1. else 0.)
+    (Loss.Quantile tau)
 
 let ridge ~lambda ~radius base =
   if lambda < 0. then invalid_arg "Losses.ridge: lambda must be non-negative";
@@ -114,25 +106,15 @@ let poisson ?(max_rate = 8.) ?(feature_norm = 1.) () =
 
 let smoothed_hinge ?(gamma = 0.5) ?(feature_norm = 1.) () =
   if gamma <= 0. then invalid_arg "Losses.smoothed_hinge: gamma must be positive";
-  let link u =
-    if u >= 1. then 0.
-    else if u <= 1. -. gamma then 1. -. u -. (gamma /. 2.)
-    else (1. -. u) *. (1. -. u) /. (2. *. gamma)
-  in
-  let link_deriv u =
-    if u >= 1. then 0. else if u <= 1. -. gamma then -1. else -.(1. -. u) /. gamma
-  in
   margin_loss
     ~name:(Printf.sprintf "smoothed_hinge(%g)" gamma)
-    ~lipschitz:feature_norm ~negate:false ~link ~link_deriv
+    ~lipschitz:feature_norm ~negate:false (Loss.Smoothed_hinge gamma)
 
 let epsilon_insensitive ~epsilon ?(feature_norm = 1.) () =
   if epsilon < 0. then invalid_arg "Losses.epsilon_insensitive: epsilon must be non-negative";
   residual_loss
     ~name:(Printf.sprintf "eps_insensitive(%g)" epsilon)
-    ~lipschitz:feature_norm
-    ~psi:(fun r -> Float.max 0. (Float.abs r -. epsilon))
-    ~psi_deriv:(fun r -> if r > epsilon then 1. else if r < -.epsilon then -1. else 0.)
+    ~lipschitz:feature_norm (Loss.Eps_insensitive epsilon)
 
 let preprocess ~name ~f (base : Loss.t) =
   {

@@ -12,8 +12,9 @@
     {!absolute}, {!quantile}, {!epsilon_insensitive}) and the margin GLMs
     ({!squared_margin}, {!logistic}, {!hinge}, {!smoothed_hinge}; a label-0
     residual of the record [±y·x]) are built with {!Loss.of_residual} and
-    carry the [residual] hint, which {!preprocess} (hence {!feature_mask})
-    keeps. The margin GLMs also set the [glm] routing flag. *)
+    carry the [residual] hint, which names ψ by a {!Loss.link} and which
+    {!preprocess} (hence {!feature_mask}) keeps. The margin GLMs also set
+    the [glm] routing flag. *)
 
 val squared :
   ?radius:float -> ?feature_norm:float -> ?label_bound:float -> ?normalize:bool -> unit -> Loss.t

@@ -13,12 +13,15 @@ type t = { dim : int; f : Vec.t -> float; grad : Vec.t -> Vec.t }
      [prepare] into a flat feature matrix and a label array, and the
      residuals rᵢ = ⟨θ, xᵢ⟩ − yᵢ are cached for the last θ, so [f θ] and
      [grad θ] at the same point (solvers routinely call both) pay for the
-     dot products once. [f] and [grad] are inline loops that allocate no
-     per-point vector, record or closure. They perform the generic path's
-     arithmetic in its order — [Vec.dot]'s loop, [w *. (coef *. ψ r)] in
-     [Special.kahan_range]'s recurrence, [acc_j +. w *. (coef *. (ψ' r *. x_j))]
-     — so every result is bit-identical to it (the residual contract of
-     loss.mli);
+     dot products once. Per chunk, [f] and [grad] call [Loss.residual_sum]
+     and [Loss.residual_grad_into], which evaluate ψ and ψ' inline by the
+     loss's link and allocate nothing per point (but for the logistic
+     link, whose ψ lives in [Special]); they live in loss.ml because a ψ
+     called across modules boxes its float argument and result. They
+     perform the generic path's arithmetic in its order — [Vec.dot]'s
+     loop, [w *. (coef *. ψ r)] in [Special.kahan_range]'s recurrence,
+     [acc_j +. w *. (coef *. (ψ' r *. x_j))] — so every result is
+     bit-identical to it (the residual contract of loss.mli);
 
    - generic: the support (indices of positive mass) and weights are
      extracted once, and each evaluation calls [Loss.value]/[Loss.grad] per
@@ -60,39 +63,40 @@ let residual_objective pool (r : Loss.residual) (weights, index) decode ~dim =
       Array.blit p.features 0 x (k * dim) dim;
       y.(k) <- p.label)
     index;
-  let { Loss.psi; psi_deriv; coef; prepare = _ } = r in
   let res = Array.make m 0. in
-  let cached_theta = ref None in
-  (* Structural equality: a hit requires equal coordinates, which implies
-     equal residuals — the cache can never go stale. *)
+  (* The θ the residuals were computed at, compared coordinate by
+     coordinate: a hit requires equal coordinates, which implies equal
+     residuals, so the cache can never go stale. *)
+  let cached_theta = Array.make dim 0. and cached = ref false in
+  let hit theta =
+    !cached
+    &&
+    let j = ref 0 in
+    while !j < dim && (theta.(!j) : float) = cached_theta.(!j) do
+      incr j
+    done;
+    !j = dim
+  in
   let ensure_res theta =
-    match !cached_theta with
-    | Some c when c = theta -> ()
-    | _ ->
-        if Vec.dim theta <> dim then invalid_arg "Vec.dot: dimension mismatch";
-        Pool.parallel_for pool ~n:m (fun lo hi ->
-            for i = lo to hi - 1 do
-              let row = i * dim in
-              let dot = ref 0. in
-              for j = 0 to dim - 1 do
-                dot := !dot +. (theta.(j) *. x.(row + j))
-              done;
-              res.(i) <- !dot -. y.(i)
-            done);
-        cached_theta := Some (Array.copy theta)
+    if Vec.dim theta <> dim then invalid_arg "Vec.dot: dimension mismatch";
+    if not (hit theta) then begin
+      Pool.parallel_for pool ~n:m (fun lo hi ->
+          for i = lo to hi - 1 do
+            let row = i * dim in
+            let dot = ref 0. in
+            for j = 0 to dim - 1 do
+              dot := !dot +. (theta.(j) *. x.(row + j))
+            done;
+            res.(i) <- !dot -. y.(i)
+          done);
+      Array.blit theta 0 cached_theta 0 dim;
+      cached := true
+    end
   in
   let f theta =
     ensure_res theta;
-    Pool.parallel_reduce pool ~n:m ~neutral:0. ~combine:( +. ) ~chunk:(fun lo hi ->
-        (* [Special.kahan_range], inlined so the summands stay unboxed. *)
-        let sum = ref 0. and c = ref 0. in
-        for i = lo to hi - 1 do
-          let v = (weights.(i) *. (coef *. psi res.(i))) -. !c in
-          let t = !sum +. v in
-          c := t -. !sum -. v;
-          sum := t
-        done;
-        !sum)
+    Pool.parallel_reduce pool ~n:m ~neutral:0. ~combine:( +. )
+      ~chunk:(Loss.residual_sum r ~weights ~res)
   in
   let grad theta =
     ensure_res theta;
@@ -100,13 +104,7 @@ let residual_objective pool (r : Loss.residual) (weights, index) decode ~dim =
       ~neutral:(Vec.create dim)
       ~chunk:(fun lo hi ->
         let acc = Vec.create dim in
-        for i = lo to hi - 1 do
-          let w = weights.(i) and d = psi_deriv res.(i) in
-          let row = i * dim in
-          for j = 0 to dim - 1 do
-            acc.(j) <- acc.(j) +. (w *. (coef *. (d *. x.(row + j))))
-          done
-        done;
+        Loss.residual_grad_into r ~weights ~res ~x ~dim acc lo hi;
         acc)
       ~combine:(fun a b ->
         Vec.add_inplace a b;

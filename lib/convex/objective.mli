@@ -20,8 +20,11 @@ val of_histogram : ?pool:Pmw_parallel.Pool.t -> Loss.t -> Pmw_data.Histogram.t -
     their weights are extracted {e once}. Losses with the residual hint
     ({!Loss.residual}: the regression losses and the margin GLMs) decode each
     record once through [prepare] into flat feature and label arrays, cache
-    the residuals for the last [θ], and evaluate [f] and [grad] without a
-    per-point allocation, bit-identically to the generic per-point path.
+    the residuals for the last [θ], and evaluate [f] and [grad] with ψ
+    inlined by the loss's {!Loss.link} ({!Loss.residual_sum},
+    {!Loss.residual_grad_into}): no per-point allocation for any link but
+    [Log1p_exp], whose ψ boxes two floats per call, and bit-identical
+    results to the generic per-point path.
     Other losses call [Loss.value] and [Loss.grad] per support point.
 
     @raise Invalid_argument for a residual loss whose prepared records do

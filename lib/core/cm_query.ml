@@ -46,14 +46,16 @@ let update_vector t ~theta_oracle ~theta_hyp _index x =
    hint — the gradient ∇ℓ_x(θ̂) = coef·ψ'(r)·p contracted against the
    direction without materializing it: Σⱼ dirⱼ·(coef·(ψ'(r)·pⱼ)) in
    [Vec.dot]'s order, the bits of [update_vector]. [prepare] still allocates
-   for a loss whose records it transforms (a mask, a margin loss's ±y·x). *)
+   for a loss whose records it transforms (a mask, a margin loss's ±y·x),
+   and [Loss.psi_deriv], called from this module, is out of line: it boxes
+   its argument and result. *)
 let update_fn t ~theta_oracle ~theta_hyp =
   let direction = Vec.sub theta_oracle theta_hyp in
   match t.loss.Loss.residual with
-  | Some { Loss.psi_deriv; coef; prepare; psi = _ } ->
+  | Some { Loss.link; coef; prepare } ->
       fun _index x ->
         let (p : Pmw_data.Point.t) = prepare x in
-        let d = psi_deriv (Vec.dot theta_hyp p.features -. p.label) in
+        let d = Loss.psi_deriv link (Vec.dot theta_hyp p.features -. p.label) in
         let acc = ref 0. in
         for j = 0 to Vec.dim direction - 1 do
           acc := !acc +. (direction.(j) *. (coef *. (d *. p.features.(j))))

@@ -272,6 +272,16 @@ let test_glm_structure () =
       Alcotest.(check bool) "grad = link'(z) phi" true
         (same_vec (Vec.scale (Pmw_linalg.Special.logistic z) phi) (logistic.Loss.grad theta x))
 
+(* Huber's ψ' has [Special.clamp]'s bits only for a positive δ; NaN is not
+   one. *)
+let test_huber_validation () =
+  List.iter
+    (fun delta ->
+      Alcotest.check_raises (Printf.sprintf "delta %g" delta)
+        (Invalid_argument "Losses.huber: delta must be positive") (fun () ->
+          ignore (Losses.huber ~delta ())))
+    [ 0.; -1.; nan ]
+
 let test_scale_parameter () =
   let loss = Losses.logistic () in
   let domain = Domain.unit_ball ~dim:3 in
@@ -335,7 +345,59 @@ let hinted_losses () =
     Losses.squared_margin ();
     Loss.scale 2. (Losses.logistic ());
     Losses.feature_mask mask3 (Losses.logistic ());
+    Losses.huber ();
+    Losses.quantile ~tau:0.8 ();
+    Losses.epsilon_insensitive ~epsilon:0. ();
+    Losses.smoothed_hinge ~gamma:0.2 ();
   ]
+
+(* One rank per link constructor. The match is exhaustive, so a new link
+   fails to compile until it is ranked here, and [every_link] and
+   [hinted_losses] must then cover it. *)
+let link_rank = function
+  | Loss.Squared -> 0
+  | Loss.Huber _ -> 1
+  | Loss.Absolute -> 2
+  | Loss.Quantile _ -> 3
+  | Loss.Eps_insensitive _ -> 4
+  | Loss.Hinge -> 5
+  | Loss.Smoothed_hinge _ -> 6
+  | Loss.Squared_margin -> 7
+  | Loss.Log1p_exp -> 8
+
+let links = 9
+
+let every_link =
+  Loss.
+    [
+      Squared;
+      Huber 0.5;
+      Absolute;
+      Quantile 0.25;
+      Eps_insensitive 0.1;
+      Hinge;
+      Smoothed_hinge 0.5;
+      Squared_margin;
+      Log1p_exp;
+    ]
+
+let ranks ls = List.sort_uniq compare (List.map link_rank ls)
+
+(* [residual path = generic path] pins the bits of every ψ and ψ' only if
+   each link reaches it without a mask in front. *)
+let test_hinted_losses_cover_every_link () =
+  let all = List.init links Fun.id in
+  Alcotest.(check (list int)) "every_link" all (ranks every_link);
+  let unmasked =
+    List.filter_map
+      (fun (loss : Loss.t) ->
+        let masked = String.exists (fun c -> c = '|') loss.Loss.name in
+        match loss.Loss.residual with
+        | Some r when not masked -> Some r.Loss.link
+        | _ -> None)
+      (hinted_losses ())
+  in
+  Alcotest.(check (list int)) "hinted_losses, unmasked" all (ranks unmasked)
 
 (* The hint is an evaluation strategy, not a different loss: f, grad and a
    whole solve must equal the generic per-point path bit for bit, at any
@@ -394,6 +456,50 @@ let test_residual_hint_dropped () =
   match (Loss.scale 3. (Losses.huber ())).Loss.residual with
   | Some r -> checkf 0. "coef" 3. r.Loss.coef
   | None -> Alcotest.fail "scale of an unscaled residual loss dropped the hint"
+
+(* Every link whose ψ lives in [Loss] is evaluated inline by the residual
+   sweeps, so [f θ] + [grad θ] allocates per pool chunk, never per support
+   point: the count may not grow from a 2^10-point histogram to a 2^14-point
+   one (one chunk to two). θ alternates, so every call recomputes the
+   residuals. [Log1p_exp] is exempt: its ψ is [Special]'s, in another
+   library, and boxes per call when modules are compiled [-opaque] (dune's
+   default profile, which is how the served binary is built). *)
+let test_residual_sweep_allocation () =
+  let histogram levels =
+    Histogram.uniform (Universe.regression_grid ~d:2 ~levels ~label_levels:4 ())
+  in
+  let small = histogram 16 and large = histogram 64 in
+  Alcotest.(check (pair int int)) "sizes" (1 lsl 10, 1 lsl 14)
+    (Histogram.size small, Histogram.size large);
+  let pool = Pmw_parallel.Pool.create ~domains:1 () in
+  let thetas = [| [| 0.3; -0.2 |]; [| -0.1; 0.4 |] |] in
+  let words_per_call link hist =
+    let loss = Loss.of_residual ~name:"probe" { Loss.link; coef = 0.5; prepare = Fun.id } in
+    let o = Objective.of_histogram ~pool loss hist ~dim:2 in
+    let call k =
+      ignore (o.Objective.f thetas.(k land 1));
+      ignore (o.Objective.grad thetas.(k land 1))
+    in
+    call 0;
+    call 1;
+    let calls = 20 in
+    let before = Gc.minor_words () in
+    for k = 0 to calls - 1 do
+      call k
+    done;
+    (Gc.minor_words () -. before) /. float_of_int calls
+  in
+  List.iter
+    (function
+      | Loss.Log1p_exp -> ()
+      | link ->
+          let s = words_per_call link small and l = words_per_call link large in
+          (* 15360 more points: a per-point box would add ~30k words *)
+          Alcotest.(check bool)
+            (Printf.sprintf "link %d: %.0f words per call at 2^10, %.0f at 2^14" (link_rank link) s l)
+            true (l -. s < 200.))
+    every_link;
+  Pmw_parallel.Pool.shutdown pool
 
 (* Every served regression loss must stay on the allocation-free path: the
    7 panel queries, and the three families of [pmwbench stream] (quantile τ,
@@ -594,6 +700,7 @@ let () =
           Alcotest.test_case "mean estimation" `Quick test_mean_estimation_minimizer;
           Alcotest.test_case "feature mask" `Quick test_feature_mask;
           Alcotest.test_case "glm structure" `Quick test_glm_structure;
+          Alcotest.test_case "huber validation" `Quick test_huber_validation;
           Alcotest.test_case "scale parameter" `Quick test_scale_parameter;
         ] );
       ( "objective",
@@ -603,7 +710,11 @@ let () =
           Alcotest.test_case "residual path = generic path" `Quick test_residual_path_bit_identical;
           Alcotest.test_case "residual hint dropped" `Quick test_residual_hint_dropped;
           Alcotest.test_case "served losses carry the hint" `Quick test_served_losses_carry_hint;
+          Alcotest.test_case "hinted losses cover every link" `Quick test_hinted_losses_cover_every_link;
         ] );
+      ( "allocation",
+        [ Alcotest.test_case "residual sweeps box nothing per point" `Quick test_residual_sweep_allocation ]
+      );
       ( "solve",
         [
           Alcotest.test_case "interior optimum" `Quick test_solvers_interior_optimum;
