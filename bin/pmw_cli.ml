@@ -700,7 +700,7 @@ let serve_cmd =
               rt_ingest_route =
                 (if epochs then Some (Shard.route ~by:shard_by ~shards) else None);
             }
-          ~metrics ~shards:fleet ()
+          ~metrics ~telemetry ~shards:fleet ()
       in
       (* Parallel composition: every shard holds the full (eps, delta)
          pot, and so does the composed fleet view. *)
@@ -711,7 +711,6 @@ let serve_cmd =
           ~config:{ Supervisor.default_config with su_epoch_every_s = epoch_secs }
           ~telemetry
           ~extra_counters:(fun () -> Router.counters router)
-          ~extra_marks:(fun () -> Router.trace_marks router)
           ~metrics ~shards:fleet ()
       in
       let listener = Net.listen ~metrics ~handler:(Router.submit router) ~path:socket () in
@@ -766,13 +765,6 @@ let serve_cmd =
 (* --- stats --- *)
 
 module Invariants = Pmw_server.Invariants
-
-let pp_losses summary =
-  match Trace.losses summary with
-  | [] -> ()
-  | ls ->
-      Printf.printf "\nlosses (events dropped on overflow):\n";
-      List.iter (fun (name, v) -> Printf.printf "  %-32s %8d\n" name v) ls
 
 let pp_tree t =
   let ids l = String.concat "," (List.map string_of_int l) in
@@ -914,7 +906,6 @@ let stats_cmd =
     | Ok events -> (
         let summary = Trace.summarize events in
         Format.printf "%a@." Trace.pp_summary summary;
-        pp_losses summary;
         (* Reported fleet spend: coordinate-wise max over every
            fleet.request root's stamp. *)
         let reported =

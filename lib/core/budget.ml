@@ -84,8 +84,7 @@ let request ?(mechanism = "slice") t slice =
         | Ok () -> Ok (grant_locked t ~mechanism slice)
         | Error why -> Error why)
   in
-  (* Telemetry refusal events are emitted outside the lock: the instance is
-     only ever touched from the serializer thread anyway, and keeping sink
+  (* Telemetry refusal events are emitted outside the lock: keeping sink
      I/O out of the critical section keeps the lock hold time bounded. *)
   match outcome with Ok s -> Ok s | Error why -> refuse t ~mechanism why
 

@@ -25,8 +25,9 @@
     (the query server's admission controller, a stats endpoint) can never
     double-spend: the fit check and the debit of a {!request} happen under
     one lock acquisition, and {!request_all} drains what {e actually}
-    remains at drain time. Telemetry mirroring still must come from a single
-    thread — only the ledger arithmetic is locked. *)
+    remains at drain time. Grants reach the telemetry ledger under the
+    pot's lock, so a trace lists them in grant order; the telemetry
+    instance locks itself, so any thread may request. *)
 
 type t
 

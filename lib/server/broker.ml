@@ -59,30 +59,6 @@ let empty_epoch_boot =
     eb_resume_transition = false;
   }
 
-type analyst = {
-  an_id : string;
-  an_submitted : int;
-  an_answered : int;
-  an_degraded : int;
-  an_refused : int;
-  an_rejected : int;
-  an_deduped : int;
-  an_history : (int * string) list;
-}
-
-(* Mutable twin of [analyst]; all fields are guarded by the broker lock
-   (submit bumps submitted/rejected/deduped, the serializer bumps the
-   verdict tallies when it publishes replies). *)
-type analyst_state = {
-  mutable st_submitted : int;
-  mutable st_answered : int;
-  mutable st_degraded : int;
-  mutable st_refused : int;
-  mutable st_rejected : int;
-  mutable st_deduped : int;
-  mutable st_history : (int * string) list;  (* newest first *)
-}
-
 (* A posted request's claim on its reply. [tk_reply] is set under the
    broker lock, once; [tk_on_reply] is called once it is set, off the lock. *)
 type ticket = {
@@ -122,7 +98,7 @@ and t = {
   lock : Mutex.t;
   cond : Condition.t;  (* queue became non-empty, a reply landed, or drain *)
   queue : pending Queue.t;
-  analysts : (string, analyst_state) Hashtbl.t;
+  submitted : (string, int) Hashtbl.t;  (* admitted requests per analyst, for the quota *)
   (* Idempotency state, guarded by the broker lock: [dedup] maps
      [analyst ^ "\x1f" ^ rid] to the exact encoded response line released
      for that rid (FIFO-evicted at [dedup_cap]); [inflight] maps the same
@@ -137,23 +113,8 @@ and t = {
   mutable seq : int;
   (* Journal cumulative already recorded; serializer-only. *)
   mutable last_cum : float * float;
-  (* Submit-side tallies. Telemetry emission is single-threaded by
-     contract, and submit runs on client threads — so these land in atomics
-     (plus a lock-guarded hit log for the dedup marks) and the serializer
-     mirrors them into the telemetry stream between batches. *)
-  rejected_budget : int Atomic.t;
-  rejected_quota : int Atomic.t;
-  rejected_draining : int Atomic.t;
-  dedup_hits : int Atomic.t;
-  (* Per-hit mark backlog, drained at batch boundaries. Dedup hits never
-     enqueue work, so a client replaying a recorded rid in a tight loop
-     while the queue is idle could grow this without bound — the log is
-     capped and the overflow counted instead. *)
-  mutable dedup_hit_log : (string * string) list;  (* (analyst, rid), newest first *)
-  mutable dedup_hit_log_len : int;
-  dedup_hit_marks_dropped : int Atomic.t;
-  (* Live metrics handles, cached at create (handles are concurrent —
-     unlike telemetry they may be hit from client threads directly). *)
+  (* Live metrics handles, cached at create (handles are concurrent, so
+     client threads hit them directly). *)
   m_batch : Metrics.histogram;
   m_queue_wait : Metrics.histogram;
   m_request : Metrics.histogram;
@@ -171,8 +132,6 @@ and t = {
   m_transition : Metrics.histogram;
   m_transitions : Metrics.rate;
 }
-
-let dedup_hit_log_cap = 1024
 
 let dedup_key analyst rid = analyst ^ "\x1f" ^ rid
 
@@ -241,7 +200,7 @@ let create ?(config = default_config) ?journal ?(recovery = Journal.empty_recove
       lock = Mutex.create ();
       cond = Condition.create ();
       queue = Queue.create ();
-      analysts = Hashtbl.create 16;
+      submitted = Hashtbl.create 16;
       dedup = Hashtbl.create 64;
       dedup_order = Queue.create ();
       inflight = Hashtbl.create 16;
@@ -250,13 +209,6 @@ let create ?(config = default_config) ?journal ?(recovery = Journal.empty_recove
       stopped = false;
       seq = max 0 (recovery.Journal.rv_max_seq + 1);
       last_cum = (0., 0.);
-      rejected_budget = Atomic.make 0;
-      rejected_quota = Atomic.make 0;
-      rejected_draining = Atomic.make 0;
-      dedup_hits = Atomic.make 0;
-      dedup_hit_log = [];
-      dedup_hit_log_len = 0;
-      dedup_hit_marks_dropped = Atomic.make 0;
       m_batch = Metrics.histogram metrics "server.batch_size";
       m_queue_wait = Metrics.histogram metrics "server.queue_wait_s";
       m_request = Metrics.histogram metrics "server.request_s";
@@ -326,24 +278,6 @@ let locked t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-let analyst_state t id =
-  match Hashtbl.find_opt t.analysts id with
-  | Some st -> st
-  | None ->
-      let st =
-        {
-          st_submitted = 0;
-          st_answered = 0;
-          st_degraded = 0;
-          st_refused = 0;
-          st_rejected = 0;
-          st_deduped = 0;
-          st_history = [];
-        }
-      in
-      Hashtbl.add t.analysts id st;
-      st
-
 let rejected ?retry_after_s req reason =
   {
     Protocol.rsp_id = req.Protocol.req_id;
@@ -406,34 +340,21 @@ let fail_slots t slots why = settle t (List.map (fun p -> (p, failed_reply p.p_r
    even for an analyst whose quota has since filled. *)
 let post ?(on_reply = ignore) t req =
   let tk = { tk_broker = t; tk_id = req.Protocol.req_id; tk_on_reply = on_reply; tk_reply = None } in
-  let rid_key = Option.map (dedup_key req.Protocol.req_analyst) req.Protocol.req_rid in
+  let analyst = req.Protocol.req_analyst in
+  let rid_key = Option.map (dedup_key analyst) req.Protocol.req_rid in
   let verdict =
     locked t (fun () ->
-        let st = analyst_state t req.Protocol.req_analyst in
-        let dedup_hit () =
-          Metrics.tick t.m_dedup;
-          Atomic.incr t.dedup_hits;
-          st.st_deduped <- st.st_deduped + 1;
-          if t.dedup_hit_log_len < dedup_hit_log_cap then begin
-            t.dedup_hit_log <-
-              (req.Protocol.req_analyst, Option.get req.Protocol.req_rid) :: t.dedup_hit_log;
-            t.dedup_hit_log_len <- t.dedup_hit_log_len + 1
-          end
-          else Atomic.incr t.dedup_hit_marks_dropped
-        in
         match Option.bind rid_key (Hashtbl.find_opt t.dedup) with
-        | Some line ->
-            dedup_hit ();
-            `Recorded line
+        | Some line -> `Recorded line
         | None -> (
             match Option.bind rid_key (Hashtbl.find_opt t.inflight) with
             | Some orig ->
-                dedup_hit ();
                 orig.p_tickets <- tk :: orig.p_tickets;
-                `Queued
+                `Coalesced
             | None ->
+                let submitted = Option.value ~default:0 (Hashtbl.find_opt t.submitted analyst) in
                 let enqueue () =
-                  st.st_submitted <- st.st_submitted + 1;
+                  Hashtbl.replace t.submitted analyst (submitted + 1);
                   let p =
                     { p_req = req; p_enqueued_at = Unix.gettimeofday (); p_tickets = [ tk ] }
                   in
@@ -444,16 +365,11 @@ let post ?(on_reply = ignore) t req =
                   Condition.broadcast t.cond;
                   `Queued
                 in
-                let failed why =
-                  st.st_rejected <- st.st_rejected + 1;
-                  `Rejected (failed_reply req why)
-                in
-                if t.draining || t.stopped then begin
-                  Metrics.tick t.m_rej_draining;
-                  Atomic.incr t.rejected_draining;
-                  st.st_rejected <- st.st_rejected + 1;
-                  `Rejected (rejected req "server is draining")
-                end
+                let failed why = `Rejected (failed_reply req why, None) in
+                if t.draining || t.stopped then
+                  `Rejected
+                    ( rejected req "server is draining",
+                      Some (t.m_rej_draining, "server_rejected_draining") )
                 else (
                   match req.Protocol.req_rows with
                   | Some rows -> (
@@ -472,31 +388,43 @@ let post ?(on_reply = ignore) t req =
                               (Printf.sprintf "ingest rows must lie in [0, %d)" ec.ep_row_bound)
                           else enqueue ())
                   | None ->
-                      if t.cfg.quota > 0 && st.st_submitted >= t.cfg.quota then begin
-                        Metrics.tick t.m_rej_quota;
-                        Atomic.incr t.rejected_quota;
-                        st.st_rejected <- st.st_rejected + 1;
+                      if t.cfg.quota > 0 && submitted >= t.cfg.quota then
                         `Rejected
-                          (rejected req
-                             (Printf.sprintf "analyst quota of %d queries reached" t.cfg.quota))
-                      end
+                          ( rejected req
+                              (Printf.sprintf "analyst quota of %d queries reached" t.cfg.quota),
+                            Some (t.m_rej_quota, "server_rejected_quota") )
                       else (
                         match Session.admissible t.session with
                         | Error why ->
-                            Metrics.tick t.m_rej_budget;
-                            Atomic.incr t.rejected_budget;
-                            st.st_rejected <- st.st_rejected + 1;
                             `Rejected
-                              (rejected ~retry_after_s:t.cfg.retry_after_s req
-                                 ("admission refused: " ^ why))
+                              ( rejected ~retry_after_s:t.cfg.retry_after_s req
+                                  ("admission refused: " ^ why),
+                                Some (t.m_rej_budget, "server_rejected_budget") )
                         | Ok () -> enqueue ()))))
   in
+  (* The outcome is counted, and a dedup hit marked, off the broker lock
+     but before any reply lands. *)
+  let count rate name =
+    Metrics.tick rate;
+    Telemetry.incr t.telemetry name
+  in
+  (match verdict with
+  | `Recorded _ | `Coalesced ->
+      count t.m_dedup "server_dedup_hits";
+      Telemetry.mark t.telemetry "dedup.hit"
+        ~fields:
+          [
+            ("analyst", Telemetry.Str analyst);
+            ("rid", Telemetry.Str (Option.get req.Protocol.req_rid));
+          ]
+  | `Rejected (_, Some (rate, name)) -> count rate name
+  | `Rejected (_, None) | `Queued -> ());
   (* Only this thread holds [tk] until it is returned, so an answer known
      at once lands without the lock. *)
   let now reply = land_ticket tk reply () in
   (match verdict with
-  | `Queued -> ()
-  | `Rejected reply -> now reply
+  | `Queued | `Coalesced -> ()
+  | `Rejected (reply, _) -> now reply
   | `Recorded line -> (
       match Protocol.decode_response line with
       | Ok reply -> now reply
@@ -546,28 +474,6 @@ let response_of_verdict ~id ~seq ~batch ~queue_wait_s verdict =
         (Some (source_str o.Online.source))
         (Some o.Online.update_index)
   | Online.Refused r -> base (Protocol.Refused (Online.refusal_to_string r)) None None None
-
-(* The serializer is the only caller, so each read-increment pair in
-   [Telemetry.mirror_counter] is race-free. *)
-let mirror_counters t =
-  let mirror = Telemetry.mirror_counter t.telemetry in
-  mirror "server_rejected_budget" (Atomic.get t.rejected_budget);
-  mirror "server_rejected_quota" (Atomic.get t.rejected_quota);
-  mirror "server_rejected_draining" (Atomic.get t.rejected_draining);
-  mirror "server_dedup_hits" (Atomic.get t.dedup_hits);
-  mirror "server_dedup_hit_marks_dropped" (Atomic.get t.dedup_hit_marks_dropped);
-  let hits =
-    locked t (fun () ->
-        let l = t.dedup_hit_log in
-        t.dedup_hit_log <- [];
-        t.dedup_hit_log_len <- 0;
-        List.rev l)
-  in
-  List.iter
-    (fun (analyst, rid) ->
-      Telemetry.mark t.telemetry "dedup.hit"
-        ~fields:[ ("analyst", Telemetry.Str analyst); ("rid", Telemetry.Str rid) ])
-    hits
 
 (* The durability point: journal the ledger's new cumulative plus every
    answer line of the batch, fsync once, all BEFORE any reply is published.
@@ -727,19 +633,7 @@ let process_batch t items =
   journal_batch t replies;
   locked t (fun () ->
       List.iter
-        (fun (p, reply, line) ->
-          let st = analyst_state t p.p_req.Protocol.req_analyst in
-          (match reply.Protocol.rsp_status with
-          | Protocol.Answered -> st.st_answered <- st.st_answered + 1
-          (* Partial is a fleet-level verdict (the router composes it); a
-             broker never produces one, but tally it as degraded if a
-             recorded line ever replays through here. *)
-          | Protocol.Degraded _ | Protocol.Partial _ -> st.st_degraded <- st.st_degraded + 1
-          | Protocol.Refused _ | Protocol.Failed _ -> st.st_refused <- st.st_refused + 1
-          | Protocol.Rejected _ -> st.st_rejected <- st.st_rejected + 1);
-          st.st_history <-
-            (reply.Protocol.rsp_seq, Protocol.status_tag reply.Protocol.rsp_status)
-            :: st.st_history;
+        (fun (p, _, line) ->
           Option.iter
             (fun rid -> dedup_insert t (dedup_key p.p_req.Protocol.req_analyst rid) line)
             p.p_req.Protocol.req_rid)
@@ -760,8 +654,7 @@ let process_batch t items =
       Metrics.set_gauge t.m_journal_bytes (float_of_int bytes);
       Metrics.set_gauge t.m_journal_records (float_of_int records)
   | None -> ());
-  Metrics.set_gauge t.m_compaction_age (Unix.gettimeofday () -. t.last_compaction_at);
-  mirror_counters t
+  Metrics.set_gauge t.m_compaction_age (Unix.gettimeofday () -. t.last_compaction_at)
 
 (* The current dedup table in FIFO order — what the epoch snapshot carries
    across a compaction. [dedup_order] tracks the table exactly (push on
@@ -967,7 +860,6 @@ let run ?checkpoint t =
            raise exn);
         if periodic_epoch_due t then do_transition t ~why:"periodic"
   done;
-  mirror_counters t;
   if t.aborted then begin
     (* Simulated kill -9: no drain mark, no final checkpoint — the journal
        must look exactly as a real crash would leave it, so restart goes
@@ -1028,7 +920,7 @@ let aborted t = locked t (fun () -> t.aborted)
 let drained t = locked t (fun () -> t.stopped)
 let processed t = locked t (fun () -> t.seq)
 let session t = locked t (fun () -> t.session)
-let dedup_hits t = Atomic.get t.dedup_hits
+let dedup_hits t = Telemetry.counter t.telemetry "server_dedup_hits"
 let epoch t = locked t (fun () -> t.epoch)
 
 (* Lifetime (ε, δ): what sealed epochs retired plus the current pot's
@@ -1061,21 +953,3 @@ let close_journal t =
   locked t (fun () ->
       Option.iter Journal.close t.journal;
       t.journal <- None)
-
-let analysts t =
-  locked t (fun () ->
-      Hashtbl.fold
-        (fun id st acc ->
-          {
-            an_id = id;
-            an_submitted = st.st_submitted;
-            an_answered = st.st_answered;
-            an_degraded = st.st_degraded;
-            an_refused = st.st_refused;
-            an_rejected = st.st_rejected;
-            an_deduped = st.st_deduped;
-            an_history = List.rev st.st_history;
-          }
-          :: acc)
-        t.analysts []
-      |> List.sort (fun a b -> String.compare a.an_id b.an_id))

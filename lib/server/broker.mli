@@ -45,11 +45,11 @@
 
     {b Telemetry} (the session's instance): a ["server.request"] span per
     processed request, ["server.queue_wait_s"] / ["server.batch_size"]
-    observations, ["journal.replayed"] on recovery, ["dedup.hit"] marks and
-    the [server_dedup_hits] counter, plus the [server_rejected_*] counters.
-    Submit-side events are tallied on the client threads and mirrored into
-    the stream by the serializer, preserving the telemetry single-writer
-    contract. *)
+    observations and ["journal.replayed"] on recovery, all from the
+    serializer; and from the posting thread, as {!post} returns, one
+    ["dedup.hit"] mark and one [server_dedup_hits] increment per dedup hit
+    and one [server_rejected_budget] / [server_rejected_quota] /
+    [server_rejected_draining] increment per rejection. *)
 
 type config = {
   max_batch : int;  (** most requests per serializer pass: one fsync, one memo window; >= 1 *)
@@ -60,18 +60,6 @@ type config = {
 
 val default_config : config
 (** [{ max_batch = 16; quota = 0; retry_after_s = 1.; dedup_cap = 4096 }] *)
-
-(** A per-analyst service record (immutable snapshot). *)
-type analyst = {
-  an_id : string;
-  an_submitted : int;  (** admitted requests (rejections not included) *)
-  an_answered : int;
-  an_degraded : int;
-  an_refused : int;  (** refusals and protocol errors *)
-  an_rejected : int;  (** turned away at admission *)
-  an_deduped : int;  (** served from the recorded-answer table *)
-  an_history : (int * string) list;  (** (seq, status tag), oldest first *)
-}
 
 (** Epoch (dataset-generation) lifecycle. When configured, the serializer
     rolls the shard to a new generation — absorbing ingested rows,
@@ -215,7 +203,8 @@ val processed : t -> int
 
 val dedup_hits : t -> int
 (** Requests served from the recorded-answer table (or coalesced onto an
-    in-flight duplicate) so far. *)
+    in-flight duplicate) so far: the session telemetry's
+    [server_dedup_hits] counter. *)
 
 val session : t -> Pmw_session.Session.t
 (** The {e current} epoch's session — transitions swap it, so don't cache
@@ -240,6 +229,3 @@ val close_journal : t -> unit
 (** Close the broker's {e current} journal handle (call after {!run}
     returns). Compaction swaps handles, so the one passed to {!create} may
     be long dead — owners must close through this, never their original. *)
-
-val analysts : t -> analyst list
-(** Snapshot of every analyst ever seen, sorted by id. *)

@@ -19,20 +19,12 @@ type config = {
 let default_config =
   { rt_deadline_s = 5.; rt_retry_after_s = 0.25; rt_allow_ctl = false; rt_ingest_route = None }
 
-(* Pending fleet.request trace marks are capped: a fleet under load with no
-   supervisor draining them must not grow the list without bound. Overflow
-   is counted (fleet_trace_marks_dropped) and surfaced in the losses
-   section of [pmw_cli stats]. *)
-let trace_marks_cap = 4096
-
 type t = {
   cfg : config;
   shards : Shard.t array;
   seq : int Atomic.t;
-  (* Live metrics (concurrent handles — client threads hit these directly,
-     unlike telemetry). The verdict rates are the only verdict tallies: the
-     telemetry single-writer contract means the supervisor (one thread)
-     mirrors their totals into the trace, never the router itself. *)
+  (* Live metrics. The verdict rates are the only verdict tallies; the
+     supervisor's heartbeat mirrors their totals into the fleet trace. *)
   metrics : Metrics.t;
   m_request : Metrics.histogram;
   m_fanout : Metrics.histogram;
@@ -47,19 +39,15 @@ type t = {
   m_shard_miss : Metrics.rate array;
   m_fleet_ledger : Metrics.ledger;
   (* Distributed tracing: the router stamps a trace id + its own span id on
-     every fan-out, and records one "fleet.request" mark per composed
-     request. It cannot emit telemetry itself (client threads), so marks
-     queue here until the supervisor's single thread drains them via
-     [trace_marks] into the fleet trace. *)
+     every fan-out, and the client thread that routed a request marks one
+     "fleet.request" on the fleet trace when it is composed. *)
+  telemetry : Telemetry.t;
   trace_nonce : string;
   span_seq : int Atomic.t;
-  marks_lock : Mutex.t;
-  mutable marks : (string * Telemetry.value) list list;  (* newest first *)
-  mutable marks_len : int;
-  marks_dropped : int Atomic.t;
 }
 
-let create ?(config = default_config) ?(metrics = Metrics.create ()) ~shards () =
+let create ?(config = default_config) ?(metrics = Metrics.create ())
+    ?(telemetry = Telemetry.null ()) ~shards () =
   if Array.length shards = 0 then invalid_arg "Router.create: no shards";
   {
     cfg = config;
@@ -82,35 +70,15 @@ let create ?(config = default_config) ?(metrics = Metrics.create ()) ~shards () 
       Array.init (Array.length shards) (fun i ->
           Metrics.rate metrics (Printf.sprintf "router.shard%d.missing" i));
     m_fleet_ledger = Metrics.ledger metrics "fleet";
+    telemetry;
     trace_nonce =
       Printf.sprintf "%08x"
         (Hashtbl.hash (Unix.gettimeofday (), Unix.getpid ()) land 0xFFFFFFF);
     span_seq = Atomic.make 0;
-    marks_lock = Mutex.create ();
-    marks = [];
-    marks_len = 0;
-    marks_dropped = Atomic.make 0;
   }
 
 let processed t = Atomic.get t.seq
 let metrics t = t.metrics
-
-let push_mark t fields =
-  Mutex.lock t.marks_lock;
-  if t.marks_len < trace_marks_cap then begin
-    t.marks <- fields :: t.marks;
-    t.marks_len <- t.marks_len + 1
-  end
-  else Atomic.incr t.marks_dropped;
-  Mutex.unlock t.marks_lock
-
-let trace_marks t =
-  Mutex.lock t.marks_lock;
-  let marks = t.marks in
-  t.marks <- [];
-  t.marks_len <- 0;
-  Mutex.unlock t.marks_lock;
-  List.rev_map (fun fields -> ("fleet.request", fields)) marks
 
 let fleet_spent t =
   Array.fold_left
@@ -131,7 +99,6 @@ let counters t =
     ("fleet_refused", total t.m_refused);
     ("fleet_failed", total t.m_failed);
     ("fleet_ctl", total t.m_ctl);
-    ("fleet_trace_marks_dropped", Atomic.get t.marks_dropped);
   ]
 
 let base_response req ~seq status =
@@ -467,7 +434,9 @@ let pass_through t req =
 (* One "fleet.request" trace mark per routed request — the root span of the
    request's causal tree. Shard-side "server.request" spans carry the same
    trace id (and this span id as their parent), so [pmw_cli stats --fleet]
-   can stitch the tree back together from the per-shard trace files. *)
+   can stitch the tree back together from the per-shard trace files. The
+   routing thread marks it itself, and builds the fields only for a traced
+   fleet. *)
 let record_request t ~trace ~span ~ids ~t0 req rsp =
   let dur_s = Unix.gettimeofday () -. t0 in
   Metrics.observe t.m_request dur_s;
@@ -479,29 +448,26 @@ let record_request t ~trace ~span ~ids ~t0 req rsp =
     | Protocol.Refused _ | Protocol.Rejected _ | Protocol.Failed _ -> (ids, 0.)
   in
   Metrics.observe t.m_coverage coverage;
-  let ints l = String.concat "," (List.map string_of_int l) in
-  let fields =
-    [
-      ("trace", Telemetry.Str trace);
-      ("span", Telemetry.Int span);
-      ("analyst", Telemetry.Str req.Protocol.req_analyst);
-      ("query", Telemetry.Str req.Protocol.req_query);
-      ("status", Telemetry.Str (Protocol.status_tag rsp.Protocol.rsp_status));
-      ("seq", Telemetry.Int rsp.Protocol.rsp_seq);
-      ("shards", Telemetry.Str (ints ids));
-      ("missing", Telemetry.Str (ints missing));
-      ("coverage", Telemetry.Float coverage);
-      ("dur_s", Telemetry.Float dur_s);
-    ]
-    @ (match rsp.Protocol.rsp_spent_eps with
-      | Some e -> [ ("spent_eps", Telemetry.Float e) ]
-      | None -> [])
-    @
-    match rsp.Protocol.rsp_spent_delta with
-    | Some d -> [ ("spent_delta", Telemetry.Float d) ]
-    | None -> []
-  in
-  push_mark t fields
+  if Telemetry.enabled t.telemetry then begin
+    let ints l = String.concat "," (List.map string_of_int l) in
+    let spent name = function Some v -> [ (name, Telemetry.Float v) ] | None -> [] in
+    Telemetry.mark t.telemetry "fleet.request"
+      ~fields:
+        ([
+           ("trace", Telemetry.Str trace);
+           ("span", Telemetry.Int span);
+           ("analyst", Telemetry.Str req.Protocol.req_analyst);
+           ("query", Telemetry.Str req.Protocol.req_query);
+           ("status", Telemetry.Str (Protocol.status_tag rsp.Protocol.rsp_status));
+           ("seq", Telemetry.Int rsp.Protocol.rsp_seq);
+           ("shards", Telemetry.Str (ints ids));
+           ("missing", Telemetry.Str (ints missing));
+           ("coverage", Telemetry.Float coverage);
+           ("dur_s", Telemetry.Float dur_s);
+         ]
+        @ spent "spent_eps" rsp.Protocol.rsp_spent_eps
+        @ spent "spent_delta" rsp.Protocol.rsp_spent_delta)
+  end
 
 (* --- ingest fan-out --- *)
 

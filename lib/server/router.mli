@@ -72,10 +72,10 @@
     {b Tracing}: every non-ctl request gets a trace id (adopted from
     [req_trace] when the client sent one, minted otherwise) and a
     router-side span id stamped into [req_pspan] before fan-out; shard
-    spans log both, and the router queues one ["fleet.request"] root mark
-    per request for the supervisor to drain ({!trace_marks}) into the
-    fleet trace. [pmw_cli stats --fleet] stitches the two sides into causal
-    trees. *)
+    spans log both, and the thread that routed the request marks one
+    ["fleet.request"] root on the fleet trace (the [telemetry] handed to
+    {!create}) as soon as the reply is composed. [pmw_cli stats --fleet]
+    stitches the two sides into causal trees. *)
 
 type config = {
   rt_deadline_s : float;
@@ -100,8 +100,17 @@ val default_config : config
 type t
 
 val create :
-  ?config:config -> ?metrics:Pmw_telemetry.Metrics.t -> shards:Shard.t array -> unit -> t
-(** [metrics] (default: a fresh registry) is the fleet-shared live
+  ?config:config ->
+  ?metrics:Pmw_telemetry.Metrics.t ->
+  ?telemetry:Pmw_telemetry.Telemetry.t ->
+  shards:Shard.t array ->
+  unit ->
+  t
+(** [telemetry] (default: a fresh null instance) is the fleet trace: each
+    routed request marks one ["fleet.request"] on it from the routing
+    thread, and with a null sink builds no fields at all.
+
+    [metrics] (default: a fresh registry) is the fleet-shared live
     registry: the router feeds [router.request_s] / [router.fanout_shards] /
     [router.coverage] histograms, per-verdict [fleet_*] rates, per-shard
     [router.shard<i>.contributed]/[.missing] outcome rates, and the
@@ -123,18 +132,8 @@ val processed : t -> int
 val counters : t -> (string * int) list
 (** Verdict tallies ([fleet_answered], [fleet_degraded], [fleet_partial],
     [fleet_refused], [fleet_failed]) plus [fleet_ctl] — the exact totals of
-    the same-named rates in {!metrics}, the only copy of each tally — and
-    [fleet_trace_marks_dropped] (root marks lost to the pending-queue cap —
-    a losses-section counter) — mirrored into the fleet telemetry by the
-    supervisor's heartbeat (the router itself never touches a telemetry
-    instance: submits run on many client threads, and emission is
-    single-writer by contract). *)
+    the same-named rates in {!metrics}, the only copy of each tally —
+    mirrored into the fleet telemetry by the supervisor's heartbeat. *)
 
 val metrics : t -> Pmw_telemetry.Metrics.t
-(** The registry handed to {!create} (or the disabled one). *)
-
-val trace_marks : t -> (string * (string * Pmw_telemetry.Telemetry.value) list) list
-(** Drain the pending ["fleet.request"] root marks, oldest first — called
-    from the supervisor's heartbeat (single telemetry writer), which emits
-    each as a mark on the fleet trace. The pending queue is capped; spill
-    is counted in [fleet_trace_marks_dropped]. *)
+(** The registry handed to {!create} (or the fresh default one). *)

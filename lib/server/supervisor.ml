@@ -40,7 +40,6 @@ type t = {
   cfg : config;
   telemetry : Telemetry.t;
   extra : unit -> (string * int) list;
-  extra_marks : unit -> (string * (string * Telemetry.value) list) list;
   watched : watched array;
   stop_flag : bool Atomic.t;
   m_restarts : Metrics.rate;
@@ -150,13 +149,7 @@ let heartbeat t =
   Telemetry.mark t.telemetry "fleet.heartbeat"
     ~fields:(("running", Telemetry.Int running) :: fields);
   mirror_own t;
-  List.iter (fun (name, v) -> Telemetry.mirror_counter t.telemetry name v) (t.extra ());
-  (* Drain marks queued by non-writer threads (the router's fleet.request
-     root spans): the heartbeat is the single telemetry writer, so this is
-     the only place they may be emitted. *)
-  List.iter
-    (fun (name, fields) -> Telemetry.mark t.telemetry name ~fields)
-    (t.extra_marks ())
+  List.iter (fun (name, v) -> Telemetry.mirror_counter t.telemetry name v) (t.extra ())
 
 (* Time-driven epoch rolls: ask every Running shard's serializer to
    transition. The request is asynchronous and refused harmlessly by
@@ -208,7 +201,7 @@ let monitor t =
       ]
 
 let start ?(config = default_config) ?telemetry ?(extra_counters = fun () -> [])
-    ?(extra_marks = fun () -> []) ?(metrics = Metrics.create ()) ~shards () =
+    ?(metrics = Metrics.create ()) ~shards () =
   let telemetry = match telemetry with Some t -> t | None -> Telemetry.null () in
   let now = Unix.gettimeofday () in
   let t =
@@ -216,7 +209,6 @@ let start ?(config = default_config) ?telemetry ?(extra_counters = fun () -> [])
       cfg = config;
       telemetry;
       extra = extra_counters;
-      extra_marks;
       watched =
         Array.map
           (fun s ->

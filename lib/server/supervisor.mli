@@ -10,20 +10,19 @@
     until an operator intervenes — so a poisoned shard cannot burn the
     monitor in a restart loop while the healthy fleet serves on.
 
-    {b Telemetry} (the fleet instance, owned by the monitor thread — the
-    single-writer contract is why the router hands its verdict tallies over
-    as a closure instead of emitting them itself): a ["fleet.heartbeat"]
-    mark every [heartbeat_every_s] carrying each shard's state and
-    incarnation; ["shard.crashed"] / ["shard.restarted"] /
+    {b Telemetry} (the fleet instance, which the router's client threads
+    also mark ["fleet.request"] roots on): a ["fleet.heartbeat"] mark
+    every [heartbeat_every_s] carrying each shard's state and incarnation;
+    ["shard.crashed"] / ["shard.restarted"] /
     ["shard.quarantined"] marks as they happen; counters
     [fleet_shard_restarts], [fleet_quarantined] and per-shard
     [shard<i>_restarts] / [shard<i>_quarantined] — all delta-mirrored from
     the supervisor's own authoritative tallies (incident paths and the
     heartbeat may both mirror; the delta rule keeps the combination exact,
     so these counters always equal the journal-derived restart counts);
-    plus the router's [fleet_*] counters mirrored on every heartbeat, and
-    any [extra_marks] (the router's queued ["fleet.request"] root spans)
-    drained and emitted. All of it lands in the written trace, so
+    plus the router's [fleet_*] counters mirrored on every heartbeat (the
+    router's rates are its only verdict tallies, so they reach the trace
+    through [extra_counters]). All of it lands in the written trace, so
     [pmw_cli stats] reports the fleet's restart history with no extra
     plumbing. *)
 
@@ -57,18 +56,13 @@ val start :
   ?config:config ->
   ?telemetry:Pmw_telemetry.Telemetry.t ->
   ?extra_counters:(unit -> (string * int) list) ->
-  ?extra_marks:
-    (unit -> (string * (string * Pmw_telemetry.Telemetry.value) list) list) ->
   ?metrics:Pmw_telemetry.Metrics.t ->
   shards:Shard.t array ->
   unit ->
   t
 (** Spawn the monitor thread. [extra_counters] (typically
     {!Router.counters}) is polled on each heartbeat and its deltas emitted
-    into [telemetry] under the same names. [extra_marks] (typically
-    {!Router.trace_marks}) is drained on each heartbeat (and once at stop)
-    and each [(name, fields)] emitted as a mark — how trace events produced
-    on non-writer threads reach the fleet trace. [metrics] (default: a
+    into [telemetry] under the same names. [metrics] (default: a
     fresh registry) holds the [fleet_restarts] / [fleet_quarantines] rates
     — the supervisor's only restart and quarantine tallies — and the
     [supervisor.check_s] health-pass histogram. *)

@@ -1,6 +1,6 @@
 (* Live metrics plane: the low-overhead sibling of the Telemetry trace
-   layer. Where Telemetry is a single-writer event *stream* (every event
-   preserved, owned by one thread), Metrics is a lock-free *aggregate*
+   layer. Where Telemetry is a locked event *stream* (every event
+   preserved, one writer at a time), Metrics is a lock-free *aggregate*
    (histograms, rates, gauges, ledger burn) that any thread or domain may
    update concurrently — handles are plain records of [Atomic.t] cells, so
    the hot path is a handful of unboxed atomic ops and never allocates.

@@ -1,8 +1,8 @@
 (** Live metrics plane — the low-overhead sibling of {!Telemetry}.
 
-    {!Telemetry} is a single-writer event {e stream}: every span, counter
-    bump and debit is preserved in order, and only the owning thread may
-    emit. This module is the opposite trade: a concurrent {e aggregate}.
+    {!Telemetry} is a locked event {e stream}: every span, counter bump
+    and debit is preserved in order, one writer at a time. This module is
+    the opposite trade: a lock-free concurrent {e aggregate}.
     Handles ({!histogram}, {!rate}, {!gauge}, {!ledger}) are records of
     [Atomic.t] cells that any thread or domain may update simultaneously —
     the hot path is a few unboxed atomic operations and never allocates

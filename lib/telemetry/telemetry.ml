@@ -7,7 +7,12 @@
    when the sink is [Null], so the session layer can use them as its
    authoritative tallies; spans and observations are recorded only when a
    real sink is attached, which keeps the no-op configuration within noise
-   of the uninstrumented hot paths. *)
+   of the uninstrumented hot paths.
+
+   One mutex per instance guards the tables, the clock clamp and the sink,
+   so any thread may count, mark, observe or debit. Spans and rounds belong
+   to the owning thread: the span stack and the round id are written only
+   there, and the lock is never held while a span's body runs. *)
 
 type value = Int of int | Float of float | Str of string | Bool of bool
 
@@ -96,13 +101,13 @@ let event_to_json e =
 module Sink = struct
   type t =
     | Null
-    | Ring of { capacity : int; buf : event Queue.t; mutable dropped : int }
+    | Ring of { capacity : int; buf : event Queue.t }
     | Jsonl of { oc : out_channel; owned : bool; mutable closed : bool }
     | Fn of (event -> unit)
     | Multi of t list
 
   let null = Null
-  let ring ?(capacity = 65536) () = Ring { capacity; buf = Queue.create (); dropped = 0 }
+  let ring ?(capacity = 65536) () = Ring { capacity; buf = Queue.create () }
   let jsonl oc = Jsonl { oc; owned = false; closed = false }
 
   let jsonl_file path = Jsonl { oc = open_out path; owned = true; closed = false }
@@ -114,12 +119,7 @@ module Sink = struct
     match sink with
     | Null -> ()
     | Ring r ->
-        if Queue.length r.buf >= r.capacity then begin
-          ignore (Queue.pop r.buf);
-          (* evicting the oldest event is a silent loss unless counted:
-             the losses section of [pmw_cli stats] surfaces this total *)
-          r.dropped <- r.dropped + 1
-        end;
+        if Queue.length r.buf >= r.capacity then ignore (Queue.pop r.buf);
         Queue.push e r.buf
     | Jsonl j ->
         if not j.closed then begin
@@ -133,11 +133,6 @@ module Sink = struct
     | Ring r -> List.of_seq (Queue.to_seq r.buf)
     | Multi sinks -> List.concat_map events sinks
     | Null | Jsonl _ | Fn _ -> []
-
-  let rec drops = function
-    | Ring r -> r.dropped
-    | Multi sinks -> List.fold_left (fun acc s -> acc + drops s) 0 sinks
-    | Null | Jsonl _ | Fn _ -> 0
 
   let rec close = function
     | Jsonl j ->
@@ -180,12 +175,14 @@ type t = {
   enabled : bool;
   verbose : bool;
   tag : string option;
+  lock : Mutex.t;  (* guards the four tables, [last_ts] and every sink write *)
   counters : (string, int ref) Hashtbl.t;
   observations : (string, obs_stats) Hashtbl.t;
   spans : (string, span_stats) Hashtbl.t;
   ledgers : (string, ledger_totals) Hashtbl.t;
-  mutable round : int;
   mutable last_ts : float;
+  (* written by the owning thread only *)
+  mutable round : int;
   mutable next_span_id : int;
   mutable span_stack : int list;
 }
@@ -202,12 +199,13 @@ let create ?(clock = Unix.gettimeofday) ?(sink = Sink.Null) ?verbose ?tag () =
     enabled = not (Sink.is_null sink);
     verbose;
     tag;
+    lock = Mutex.create ();
     counters = Hashtbl.create 16;
     observations = Hashtbl.create 16;
     spans = Hashtbl.create 16;
     ledgers = Hashtbl.create 4;
-    round = -1;
     last_ts = 0.;
+    round = -1;
     next_span_id = 0;
     span_stack = [];
   }
@@ -217,17 +215,20 @@ let null () = create ()
 let enabled t = t.enabled
 let verbose t = t.verbose
 let tag t = t.tag
-let close t = Sink.close t.sink
-let events t = Sink.events t.sink
-let sink_drops t = Sink.drops t.sink
+let locked t f = Mutex.protect t.lock f
+let close t = locked t (fun () -> Sink.close t.sink)
+let events t = locked t (fun () -> Sink.events t.sink)
 
-(* Timestamps are clamped non-decreasing, so the emitted stream is monotone
-   even if the wall clock steps backwards under the run. *)
-let now t =
+(* Under [t.lock]. Timestamps are clamped non-decreasing, so the emitted
+   stream is monotone even if the wall clock steps backwards under the run
+   or two threads read it out of order. *)
+let stamp t =
   let ts = t.clock () -. t.t0 in
   let ts = if ts > t.last_ts then ts else t.last_ts in
   t.last_ts <- ts;
   ts
+
+let now t = locked t (fun () -> stamp t)
 
 let set_round t r = t.round <- r
 let next_round t =
@@ -241,13 +242,15 @@ let round t = t.round
 let tag_fields t fields =
   match t.tag with None -> fields | Some tag -> ("tag", Str tag) :: fields
 
+(* Under [t.lock]. *)
 let emit t kind name fields =
-  Sink.emit t.sink { ts = now t; round = t.round; kind; name; fields = tag_fields t fields }
+  Sink.emit t.sink { ts = stamp t; round = t.round; kind; name; fields = tag_fields t fields }
 
-let mark t ?(fields = []) name = if t.enabled then emit t Mark name fields
+let mark t ?(fields = []) name = if t.enabled then locked t (fun () -> emit t Mark name fields)
 
 (* --- counters (tracked even with a Null sink) --- *)
 
+(* Under [t.lock]. *)
 let counter_ref t name =
   match Hashtbl.find_opt t.counters name with
   | Some r -> r
@@ -256,94 +259,91 @@ let counter_ref t name =
       Hashtbl.add t.counters name r;
       r
 
-let incr ?(by = 1) t name =
+(* Under [t.lock]. *)
+let bump t name by =
   let r = counter_ref t name in
   r := !r + by;
   if t.enabled then emit t Count name [ ("by", Int by); ("total", Int !r) ]
 
-let set_counter t name v =
-  let r = counter_ref t name in
-  r := v
+let incr ?(by = 1) t name = locked t (fun () -> bump t name by)
 
-let counter t name = match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0
+let set_counter t name v = locked t (fun () -> counter_ref t name := v)
+
+let counter t name =
+  locked t (fun () -> match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0)
 
 (* Mirroring must EMIT, not just overwrite: [set_counter] never produces an
    event, and stats readers rebuild counters from Count events, so a
-   set-only mirror would leave the counter invisible to written traces. *)
+   set-only mirror would leave the counter invisible to written traces. The
+   read and the raise are one critical section, so two threads mirroring
+   the same total count its delta once. *)
 let mirror_counter t name total =
-  let prev = counter t name in
-  if total > prev then incr ~by:(total - prev) t name
-
-let counters t =
-  List.sort compare (Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t.counters [])
+  locked t (fun () ->
+      let prev = !(counter_ref t name) in
+      if total > prev then bump t name (total - prev))
 
 (* --- observations (float histograms; recorded when a sink is attached) --- *)
 
 let observe t name v =
-  if t.enabled then begin
-    (match Hashtbl.find_opt t.observations name with
-    | Some s ->
-        s.o_count <- s.o_count + 1;
-        s.o_sum <- s.o_sum +. v;
-        if v < s.o_min then s.o_min <- v;
-        if v > s.o_max then s.o_max <- v;
-        s.o_last <- v
-    | None ->
-        Hashtbl.add t.observations name
-          { o_count = 1; o_sum = v; o_min = v; o_max = v; o_last = v });
-    emit t Observe name [ ("value", Float v) ]
-  end
+  if t.enabled then
+    locked t (fun () ->
+        (match Hashtbl.find_opt t.observations name with
+        | Some s ->
+            s.o_count <- s.o_count + 1;
+            s.o_sum <- s.o_sum +. v;
+            if v < s.o_min then s.o_min <- v;
+            if v > s.o_max then s.o_max <- v;
+            s.o_last <- v
+        | None ->
+            Hashtbl.add t.observations name
+              { o_count = 1; o_sum = v; o_min = v; o_max = v; o_last = v });
+        emit t Observe name [ ("value", Float v) ])
 
 type observation = { obs_count : int; obs_sum : float; obs_min : float; obs_max : float; obs_last : float }
 
 let observation t name =
-  Option.map
-    (fun s ->
-      { obs_count = s.o_count; obs_sum = s.o_sum; obs_min = s.o_min; obs_max = s.o_max; obs_last = s.o_last })
-    (Hashtbl.find_opt t.observations name)
-
-let observations t =
-  List.sort compare
-    (Hashtbl.fold
-       (fun k s acc ->
-         ( k,
-           { obs_count = s.o_count; obs_sum = s.o_sum; obs_min = s.o_min; obs_max = s.o_max; obs_last = s.o_last } )
-         :: acc)
-       t.observations [])
+  locked t (fun () ->
+      Option.map
+        (fun s ->
+          { obs_count = s.o_count; obs_sum = s.o_sum; obs_min = s.o_min; obs_max = s.o_max; obs_last = s.o_last })
+        (Hashtbl.find_opt t.observations name))
 
 (* --- privacy-ledger timeline (tracked even with a Null sink) --- *)
 
 let debit t ~ledger ~mechanism ~eps ~delta =
-  let l =
-    match Hashtbl.find_opt t.ledgers ledger with
-    | Some l -> l
-    | None ->
-        let l = { l_debits = 0; l_eps = 0.; l_delta = 0. } in
-        Hashtbl.add t.ledgers ledger l;
-        l
-  in
-  l.l_debits <- l.l_debits + 1;
-  l.l_eps <- l.l_eps +. eps;
-  l.l_delta <- l.l_delta +. delta;
-  if t.enabled then
-    emit t Debit ledger
-      [
-        ("mechanism", Str mechanism);
-        ("eps", Float eps);
-        ("delta", Float delta);
-        ("eps_total", Float l.l_eps);
-        ("delta_total", Float l.l_delta);
-        ("debits", Int l.l_debits);
-      ]
+  locked t (fun () ->
+      let l =
+        match Hashtbl.find_opt t.ledgers ledger with
+        | Some l -> l
+        | None ->
+            let l = { l_debits = 0; l_eps = 0.; l_delta = 0. } in
+            Hashtbl.add t.ledgers ledger l;
+            l
+      in
+      l.l_debits <- l.l_debits + 1;
+      l.l_eps <- l.l_eps +. eps;
+      l.l_delta <- l.l_delta +. delta;
+      if t.enabled then
+        emit t Debit ledger
+          [
+            ("mechanism", Str mechanism);
+            ("eps", Float eps);
+            ("delta", Float delta);
+            ("eps_total", Float l.l_eps);
+            ("delta_total", Float l.l_delta);
+            ("debits", Int l.l_debits);
+          ])
 
 let ledger_total t ledger =
-  match Hashtbl.find_opt t.ledgers ledger with
-  | Some l -> (l.l_eps, l.l_delta)
-  | None -> (0., 0.)
+  locked t (fun () ->
+      match Hashtbl.find_opt t.ledgers ledger with
+      | Some l -> (l.l_eps, l.l_delta)
+      | None -> (0., 0.))
 
 let ledgers t =
-  List.sort compare
-    (Hashtbl.fold (fun k l acc -> (k, (l.l_eps, l.l_delta, l.l_debits)) :: acc) t.ledgers [])
+  locked t (fun () ->
+      List.sort compare
+        (Hashtbl.fold (fun k l acc -> (k, (l.l_eps, l.l_delta, l.l_debits)) :: acc) t.ledgers []))
 
 let emit_ledger_finals t =
   List.iter
@@ -355,6 +355,7 @@ let emit_ledger_finals t =
 
 (* --- spans --- *)
 
+(* Under [t.lock]. *)
 let span_stats_ref t name =
   match Hashtbl.find_opt t.spans name with
   | Some s -> s
@@ -363,6 +364,8 @@ let span_stats_ref t name =
       Hashtbl.add t.spans name s;
       s
 
+(* The span stack and ids are the owning thread's; the lock is taken once
+   for the begin event and once for the end, never across [f ()]. *)
 let span t ?(fields = []) name f =
   if not t.enabled then f ()
   else begin
@@ -370,33 +373,38 @@ let span t ?(fields = []) name f =
     t.next_span_id <- id + 1;
     let parent = match t.span_stack with [] -> -1 | p :: _ -> p in
     t.span_stack <- id :: t.span_stack;
-    let start = now t in
-    Sink.emit t.sink
-      {
-        ts = start;
-        round = t.round;
-        kind = Span_begin;
-        name;
-        fields = tag_fields t (("id", Int id) :: ("parent", Int parent) :: fields);
-      };
+    let start =
+      locked t (fun () ->
+          let start = stamp t in
+          Sink.emit t.sink
+            {
+              ts = start;
+              round = t.round;
+              kind = Span_begin;
+              name;
+              fields = tag_fields t (("id", Int id) :: ("parent", Int parent) :: fields);
+            };
+          start)
+    in
     let finish ok =
-      let stop = now t in
-      let dur = stop -. start in
-      let s = span_stats_ref t name in
-      s.s_calls <- s.s_calls + 1;
-      s.s_total <- s.s_total +. dur;
-      if dur > s.s_max then s.s_max <- dur;
       (match t.span_stack with top :: rest when top = id -> t.span_stack <- rest | _ -> ());
-      Sink.emit t.sink
-        {
-          ts = stop;
-          round = t.round;
-          kind = Span_end;
-          name;
-          fields =
-            tag_fields t
-              [ ("id", Int id); ("parent", Int parent); ("dur_s", Float dur); ("ok", Bool ok) ];
-        }
+      locked t (fun () ->
+          let stop = stamp t in
+          let dur = stop -. start in
+          let s = span_stats_ref t name in
+          s.s_calls <- s.s_calls + 1;
+          s.s_total <- s.s_total +. dur;
+          if dur > s.s_max then s.s_max <- dur;
+          Sink.emit t.sink
+            {
+              ts = stop;
+              round = t.round;
+              kind = Span_end;
+              name;
+              fields =
+                tag_fields t
+                  [ ("id", Int id); ("parent", Int parent); ("dur_s", Float dur); ("ok", Bool ok) ];
+            })
     in
     match f () with
     | v ->
@@ -410,52 +418,7 @@ let span t ?(fields = []) name f =
 type span_summary = { span_calls : int; span_total_s : float; span_max_s : float }
 
 let span_stats t name =
-  Option.map
-    (fun s -> { span_calls = s.s_calls; span_total_s = s.s_total; span_max_s = s.s_max })
-    (Hashtbl.find_opt t.spans name)
-
-let spans t =
-  List.sort compare
-    (Hashtbl.fold
-       (fun k s acc ->
-         (k, { span_calls = s.s_calls; span_total_s = s.s_total; span_max_s = s.s_max }) :: acc)
-       t.spans [])
-
-(* --- human-readable summary --- *)
-
-let pp_summary fmt t =
-  let open Format in
-  fprintf fmt "@[<v>";
-  (match counters t with
-  | [] -> ()
-  | cs ->
-      fprintf fmt "counters:@,";
-      List.iter (fun (k, v) -> fprintf fmt "  %-28s %d@," k v) cs);
-  (match spans t with
-  | [] -> ()
-  | ss ->
-      fprintf fmt "spans (calls, total s, mean ms, max ms):@,";
-      List.iter
-        (fun (k, s) ->
-          fprintf fmt "  %-28s %6d %10.3f %10.3f %10.3f@," k s.span_calls s.span_total_s
-            (if s.span_calls = 0 then 0. else 1e3 *. s.span_total_s /. float_of_int s.span_calls)
-            (1e3 *. s.span_max_s))
-        ss);
-  (match observations t with
-  | [] -> ()
-  | os ->
-      fprintf fmt "observations (count, mean, min, max, last):@,";
-      List.iter
-        (fun (k, o) ->
-          fprintf fmt "  %-28s %6d %10.4g %10.4g %10.4g %10.4g@," k o.obs_count
-            (if o.obs_count = 0 then 0. else o.obs_sum /. float_of_int o.obs_count)
-            o.obs_min o.obs_max o.obs_last)
-        os);
-  (match ledgers t with
-  | [] -> ()
-  | ls ->
-      fprintf fmt "privacy ledgers (debits, eps total, delta total):@,";
-      List.iter
-        (fun (k, (eps, delta, debits)) -> fprintf fmt "  %-28s %6d %12.6g %12.3e@," k debits eps delta)
-        ls);
-  fprintf fmt "@]"
+  locked t (fun () ->
+      Option.map
+        (fun s -> { span_calls = s.s_calls; span_total_s = s.s_total; span_max_s = s.s_max })
+        (Hashtbl.find_opt t.spans name))

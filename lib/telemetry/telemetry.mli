@@ -6,9 +6,10 @@
     oracles, MW loop, session, pool) emits {!event}s into it, and the
     instance routes them to a {!Sink.t}. Three guarantees shape the design:
 
-    - {b No-op is free}: with the default {!Sink.null} sink, spans read no
-      clock and emit nothing; only plain counter increments and ledger sums
-      (a handful of adds per query) remain, so instrumented hot paths stay
+    - {b No-op is free}: with the default {!Sink.null} sink, marks,
+      observations and spans take no lock, read no clock and emit nothing;
+      only counter increments and ledger sums (a handful of adds per query,
+      each under an uncontended lock) remain, so instrumented hot paths stay
       within noise of the uninstrumented code.
     - {b Counters and ledgers are authoritative}: they are tracked in the
       instance even when no sink is attached, so the session layer can use
@@ -17,9 +18,16 @@
       non-decreasing relative to instance creation, so a trace always
       replays in order even if the wall clock steps.
 
-    Threading contract: all emission entry points must be called from the
-    domain that owns the instrumented mechanism (worker domains never emit;
-    the pool aggregates per-chunk timings and emits them from the caller).
+    Threading contract: one mutex per instance guards its counters,
+    ledgers, aggregates, timestamp clamp and sink writes, so {!mark},
+    {!incr}, {!observe}, {!debit}, {!mirror_counter} and the readers may be
+    called from any thread or domain, and each thread records its events
+    where they happen. {!span}, {!set_round} and {!next_round} belong to
+    the thread that owns the instrumented mechanism: the span stack and the
+    round id are its own, and the lock is never held while a span's body
+    runs. Kernel pool workers never emit; the pool aggregates per-chunk
+    timings and emits them from the caller. A {!Sink.fn} callback runs
+    under the lock and must not call back into the same instance.
 
     Traces record {e unprotected} intermediate values (per-round true
     errors, noisy thresholds' outcomes, per-call budget debits). They are a
@@ -56,7 +64,7 @@ module Sink : sig
 
   val ring : ?capacity:int -> unit -> t
   (** Keep the last [capacity] (default 65536) events in memory — the test
-      and in-process-inspection sink. *)
+      and in-process-inspection sink; older events are evicted. *)
 
   val jsonl : out_channel -> t
   (** Write one JSON object per line to a caller-owned channel (the caller
@@ -74,11 +82,6 @@ module Sink : sig
 
   val events : t -> event list
   (** Buffered events, oldest first (ring sinks only; [[]] otherwise). *)
-
-  val drops : t -> int
-  (** Events evicted by ring sinks to make room for newer ones (summed over
-      [multi]) — the silent-truncation tally surfaced by the losses section
-      of [pmw_cli stats]. *)
 end
 
 type t
@@ -111,20 +114,20 @@ val close : t -> unit
 val events : t -> event list
 (** Events buffered by ring sinks of this instance, oldest first. *)
 
-val sink_drops : t -> int
-(** {!Sink.drops} of the attached sink — ring-evicted events. *)
-
 val now : t -> float
-(** Seconds since instance creation, clamped non-decreasing. *)
+(** Seconds since instance creation, clamped non-decreasing across every
+    thread that stamps events on this instance. *)
 
 (** {1 Rounds} *)
 
 val set_round : t -> int -> unit
 (** Force the round id subsequent events are stamped with — used on
-    checkpoint resume so a resumed trace continues the numbering. *)
+    checkpoint resume so a resumed trace continues the numbering. Owning
+    thread only. *)
 
 val next_round : t -> int
-(** Advance to the next round (first call yields 1) and return it. *)
+(** Advance to the next round (first call yields 1) and return it. Owning
+    thread only; events from other threads carry the current round. *)
 
 val round : t -> int
 
@@ -145,13 +148,11 @@ val counter : t -> string -> int
 
 val mirror_counter : t -> string -> int -> unit
 (** [mirror_counter t name total] raises counter [name] to the
-    authoritative [total] through {!incr}, so the one [Count] event carries
-    only the delta. It does nothing when [total] has not grown, and never
-    lowers a counter. Unlike {!set_counter} it emits: stats readers
-    rebuild counters from [Count] events. *)
-
-val counters : t -> (string * int) list
-(** All counters, sorted by name. *)
+    authoritative [total] as {!incr} would, so the one [Count] event
+    carries only the delta. It does nothing when [total] has not grown, and
+    never lowers a counter; the read and the raise are atomic. Unlike
+    {!set_counter} it emits: stats readers rebuild counters from [Count]
+    events. *)
 
 val observe : t -> string -> float -> unit
 (** Record a float sample (streaming count/sum/min/max kept per name) and
@@ -166,7 +167,6 @@ type observation = {
 }
 
 val observation : t -> string -> observation option
-val observations : t -> (string * observation) list
 
 val debit : t -> ledger:string -> mechanism:string -> eps:float -> delta:float -> unit
 (** Record one privacy-ledger debit under the named ledger with its
@@ -191,13 +191,9 @@ val span : t -> ?fields:(string * value) list -> string -> (unit -> 'a) -> 'a
 (** [span t name f] times [f ()] between a [Span_begin]/[Span_end] pair with
     a fresh id and the enclosing span's id as parent; the end event carries
     [dur_s] and [ok] (false when [f] raised — the exception is re-raised).
-    Without a sink this is exactly [f ()]: no clock read, no allocation. *)
+    Without a sink this is exactly [f ()]: no clock read, no allocation.
+    Owning thread only; the lock is released while [f] runs. *)
 
 type span_summary = { span_calls : int; span_total_s : float; span_max_s : float }
 
 val span_stats : t -> string -> span_summary option
-val spans : t -> (string * span_summary) list
-
-val pp_summary : Format.formatter -> t -> unit
-(** Human-readable dump of the aggregated counters, span timings,
-    observations and ledger totals. *)

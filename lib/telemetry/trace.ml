@@ -625,18 +625,6 @@ let summarize events =
     marks = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) marks []);
   }
 
-(* Every overflow/drop counter, whatever layer coined it, ends in _dropped
-   or _drops by convention — one predicate keeps the losses section honest
-   as new counters appear. *)
-let losses s =
-  let ends_with suffix name =
-    let ls = String.length suffix and ln = String.length name in
-    ln >= ls && String.sub name (ln - ls) ls = suffix
-  in
-  List.filter
-    (fun (name, v) -> v > 0 && (ends_with "_dropped" name || ends_with "_drops" name))
-    s.counter_rows
-
 let pp_summary fmt s =
   let open Format in
   fprintf fmt "@[<v>";

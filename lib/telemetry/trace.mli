@@ -56,12 +56,6 @@ type summary = {
 
 val summarize : Telemetry.event list -> summary
 
-val losses : summary -> (string * int) list
-(** Counters recording silent truncation — every counter whose name ends in
-    [_dropped] or [_drops] with a non-zero total (ring-sink evictions,
-    dedup-hit mark drops, router trace-mark spills). The CLI's [stats]
-    prints these in one "losses" section so nothing overflows invisibly. *)
-
 val pp_summary : Format.formatter -> summary -> unit
 (** The per-phase table the CLI's [stats] subcommand prints. *)
 

@@ -25,6 +25,7 @@ module Net = Pmw_server.Net
 module Journal = Pmw_server.Journal
 module Invariants = Pmw_server.Invariants
 module Metrics = Pmw_telemetry.Metrics
+module Telemetry = Pmw_telemetry.Telemetry
 module Rng = Pmw_rng.Rng
 
 (* --- fixture --- *)
@@ -76,10 +77,10 @@ let start_fleet fleet =
       | Error m -> Alcotest.failf "shard %d failed to start: %s" (Shard.id s) m)
     fleet
 
-let with_fleet ?shards ?scale ?resolve_at ?journal ?config:rcfg f =
+let with_fleet ?shards ?scale ?resolve_at ?journal ?config:rcfg ?telemetry f =
   let fleet = mk_fleet ?shards ?scale ?resolve_at ?journal () in
   start_fleet fleet;
-  let router = Router.create ?config:rcfg ~shards:fleet () in
+  let router = Router.create ?config:rcfg ?telemetry ~shards:fleet () in
   Fun.protect ~finally:(fun () -> Array.iter Shard.stop fleet) (fun () -> f fleet router)
 
 let req ?rid ?shards ~id ~query () =
@@ -245,6 +246,29 @@ let test_ctl_plane_gating () =
       match Router.submit router (req ~id:11 ~query:"ctl:kill:9" ()) with
       | { Protocol.rsp_status = Protocol.Failed _; _ } -> ()
       | _ -> Alcotest.fail "ctl:kill out of range must fail")
+
+(* Each routing thread marks its own request's root on the fleet trace:
+   concurrent submits with no supervisor running leave exactly one
+   "fleet.request" mark per request, each with its own span id. *)
+let test_concurrent_requests_mark_their_roots () =
+  let telemetry = Telemetry.create ~sink:(Telemetry.Sink.ring ()) () in
+  let clients = 4 and per_client = 3 in
+  with_fleet ~telemetry (fun _fleet router ->
+      let client c () =
+        for i = 0 to per_client - 1 do
+          let query = if i mod 2 = 0 then "sq" else "huber" in
+          ignore (Router.submit router (req ~id:((c * per_client) + i) ~query ()))
+        done
+      in
+      List.iter Thread.join (List.init clients (fun c -> Thread.create (client c) ()));
+      let roots =
+        List.filter (fun e -> e.Telemetry.name = "fleet.request") (Telemetry.events telemetry)
+      in
+      Alcotest.(check int) "one root per request" (clients * per_client) (List.length roots);
+      let spans =
+        List.sort_uniq compare (List.map (fun e -> List.assoc_opt "span" e.Telemetry.fields) roots)
+      in
+      Alcotest.(check int) "one span id per root" (clients * per_client) (List.length spans))
 
 (* --- supervisor: crash detection, restart, quarantine --- *)
 
@@ -600,6 +624,8 @@ let () =
           Alcotest.test_case "refused when all down" `Quick test_refused_when_all_down;
           Alcotest.test_case "shard-scoped queries" `Quick test_shard_scoped_queries;
           Alcotest.test_case "ctl plane gating" `Quick test_ctl_plane_gating;
+          Alcotest.test_case "concurrent requests mark their roots" `Quick
+            test_concurrent_requests_mark_their_roots;
         ] );
       ( "deadline",
         [

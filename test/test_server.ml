@@ -25,6 +25,7 @@ module Invariants = Pmw_server.Invariants
 module Net = Pmw_server.Net
 module Rng = Pmw_rng.Rng
 module Telemetry = Pmw_telemetry.Telemetry
+module Metrics = Pmw_telemetry.Metrics
 
 (* Concurrency cases run inside a worker thread watched by a deadline, so
    a deadlocked broker (the failure mode these tests exist for) fails the
@@ -554,7 +555,8 @@ let test_backpressure_on_exhausted_budget () =
       let session = make_session ~pool ~seed:13 () in
       ignore (Budget.request_all (Session.budget session));
       let spent_before = (Budget.spent (Session.budget session)).Params.eps in
-      let broker = Broker.create ~session ~resolve () in
+      let metrics = Metrics.create () in
+      let broker = Broker.create ~metrics ~session ~resolve () in
       let rsp = submit broker ~id:7 ~analyst:"alice" ~query:"sq" in
       (match rsp.Protocol.rsp_status with
       | Protocol.Rejected { retry_after_s = Some retry; reason } ->
@@ -567,12 +569,10 @@ let test_backpressure_on_exhausted_budget () =
       Alcotest.(check int) "nothing processed" 0 (Broker.processed broker);
       Alcotest.(check (float 0.)) "ledger untouched by the rejection" spent_before
         (Budget.spent (Session.budget session)).Params.eps;
-      match Broker.analysts broker with
-      | [ a ] ->
-          Alcotest.(check string) "analyst recorded" "alice" a.Broker.an_id;
-          Alcotest.(check int) "rejection tallied" 1 a.Broker.an_rejected;
-          Alcotest.(check int) "not counted as submitted" 0 a.Broker.an_submitted
-      | l -> Alcotest.failf "expected one analyst record, got %d" (List.length l))
+      Alcotest.(check int) "rejection tallied" 1
+        (Telemetry.counter (Session.telemetry session) "server_rejected_budget");
+      Alcotest.(check int) "not counted as admitted" 0
+        (Metrics.rate_snapshot (Metrics.rate metrics "server_admitted")).Metrics.rs_total)
 
 (* Quotas, unknown queries, drain: one closed-loop client walks through
    every non-budget admission outcome. *)
@@ -680,6 +680,45 @@ let test_drain_then_resume_bit_identity () =
           Alcotest.(check (float 1e-9)) "resumed eps spend matches control" a.eps b.eps;
           Alcotest.(check (float 1e-15)) "resumed delta spend matches control" a.delta b.delta))
 
+(* A broker keeps nothing per reply once it is published: 10 000
+   unknown-query replies through one broker leave the live heap within
+   half a word per reply of where it started. *)
+let test_replies_are_not_retained () =
+  let pool = Pool.create ~domains:1 () in
+  Fun.protect
+    ~finally:(fun () -> Pool.shutdown pool)
+    (fun () ->
+      let session = make_session ~pool ~seed:24 () in
+      let broker = Broker.create ~session ~resolve () in
+      let replies = 10_000 in
+      let serve n =
+        for i = 1 to n do
+          ignore (submit broker ~id:i ~analyst:"a" ~query:"no-such-query" : Protocol.response)
+        done
+      in
+      let live_words () =
+        Gc.full_major ();
+        (Gc.stat ()).Gc.live_words
+      in
+      let growth = ref 0 in
+      let client =
+        Thread.create
+          (fun () ->
+            (* warm-up: tables and histograms reach their working size *)
+            serve 1_000;
+            let before = live_words () in
+            serve replies;
+            growth := live_words () - before;
+            Broker.shutdown broker)
+          ()
+      in
+      Broker.run broker;
+      Thread.join client;
+      let per_reply = float_of_int !growth /. float_of_int replies in
+      Alcotest.(check bool)
+        (Printf.sprintf "%.3f live words per reply (at most 0.5)" per_reply)
+        true (per_reply <= 0.5))
+
 (* --- idempotent retries: the dedup layer --- *)
 
 (* A retried [rid] must get the recorded bytes back: no new seq slot, no
@@ -750,6 +789,41 @@ let test_dedup_fresh_req_id () =
             (Protocol.encode_response r2);
           Alcotest.(check int) "dedup hit tallied" 1 (Broker.dedup_hits broker);
           Alcotest.(check int) "retry consumed no batch slot" 1 (Broker.processed broker))
+
+(* A dedup hit is marked by the thread that posts it: the "dedup.hit" mark
+   is in the trace as soon as [post] returns, before the serializer has
+   run any batch. Here the hit is a duplicate coalescing onto its queued
+   original. *)
+let test_dedup_hit_marked_at_post () =
+  let pool = Pool.create ~domains:1 () in
+  Fun.protect
+    ~finally:(fun () -> Pool.shutdown pool)
+    (fun () ->
+      let telemetry = Telemetry.create ~sink:(Telemetry.Sink.ring ()) () in
+      let session = make_session ~telemetry ~pool ~seed:23 () in
+      let broker = Broker.create ~session ~resolve () in
+      let post id =
+        ignore
+          (Broker.post broker
+             { Protocol.req_id = id; req_analyst = "a"; req_query = "sq"; req_rid = Some "r-0";
+               req_shards = None; req_trace = None; req_pspan = None; req_rows = None }
+            : Broker.ticket)
+      in
+      post 0;
+      post 1;
+      let hits =
+        List.filter (fun e -> e.Telemetry.name = "dedup.hit") (Telemetry.events telemetry)
+      in
+      Alcotest.(check int) "no batch has run" 0 (Broker.processed broker);
+      Alcotest.(check int) "hit counted" 1 (Broker.dedup_hits broker);
+      (match hits with
+      | [ e ] ->
+          Alcotest.(check (option string)) "rid of the hit" (Some "r-0")
+            (match List.assoc_opt "rid" e.Telemetry.fields with
+            | Some (Telemetry.Str r) -> Some r
+            | _ -> None)
+      | l -> Alcotest.failf "expected one dedup.hit mark, found %d" (List.length l));
+      Broker.abort broker)
 
 (* The same contract across a crash: incarnation 2 replays the journal,
    quarantines the recorded spend, and serves the recorded bytes for a
@@ -955,6 +1029,8 @@ let () =
               with_timeout ~seconds:120. "backpressure" test_backpressure_on_exhausted_budget);
           Alcotest.test_case "quota, unknown query, drain" `Quick (fun () ->
               with_timeout ~seconds:240. "quota scenario" test_quota_unknown_and_drain);
+          Alcotest.test_case "replies are not retained" `Quick (fun () ->
+              with_timeout ~seconds:240. "retention" test_replies_are_not_retained);
         ] );
       ( "determinism",
         [
@@ -990,6 +1066,8 @@ let () =
               with_timeout ~seconds:240. "dedup fresh req_id" test_dedup_fresh_req_id);
           Alcotest.test_case "dedup survives a journal restart" `Quick (fun () ->
               with_timeout ~seconds:240. "dedup restart" test_dedup_survives_restart);
+          Alcotest.test_case "dedup hit marked as post returns" `Quick (fun () ->
+              with_timeout ~seconds:60. "dedup mark" test_dedup_hit_marked_at_post);
         ] );
       ( "client deadlines",
         [

@@ -120,6 +120,44 @@ let test_span_nesting_and_exn () =
   | None -> Alcotest.fail "no outer stats"
   | Some s -> Alcotest.(check int) "outer calls" 1 s.Telemetry.span_calls
 
+(* Any thread may count and mark: 8 systhreads each run 2 000 [incr] and
+   2 000 [mark] calls into one ring-sink instance. No increment is lost,
+   every Count event carries a distinct running total, and the stamped
+   timestamps never go backwards. *)
+let test_threads_share_an_instance () =
+  let threads = 8 and calls = 2_000 in
+  let t = Telemetry.create ~sink:(Telemetry.Sink.ring ()) () in
+  let worker k () =
+    for i = 1 to calls do
+      Telemetry.incr t "shared";
+      Telemetry.incr t (Printf.sprintf "own%d" k);
+      Telemetry.mark t "tick" ~fields:[ ("thread", Telemetry.Int k); ("i", Telemetry.Int i) ];
+      if i mod 100 = 0 then Thread.yield ()
+    done
+  in
+  List.iter Thread.join (List.init threads (fun k -> Thread.create (worker k) ()));
+  Alcotest.(check int) "shared total" (threads * calls) (Telemetry.counter t "shared");
+  for k = 0 to threads - 1 do
+    Alcotest.(check int) (Printf.sprintf "own%d total" k) calls
+      (Telemetry.counter t (Printf.sprintf "own%d" k))
+  done;
+  let evs = Telemetry.events t in
+  let totals =
+    List.filter_map
+      (fun e ->
+        if e.Telemetry.kind = Telemetry.Count && e.Telemetry.name = "shared" then
+          Some (int_of_float (float_field e "total"))
+        else None)
+      evs
+  in
+  Alcotest.(check (list int)) "distinct Count totals, in order"
+    (List.init (threads * calls) (fun i -> i + 1))
+    totals;
+  Alcotest.(check int) "every mark recorded" (threads * calls)
+    (List.length (List.filter (fun e -> e.Telemetry.kind = Telemetry.Mark) evs));
+  let ts = List.map (fun e -> e.Telemetry.ts) evs in
+  Alcotest.(check bool) "non-decreasing ts" true (List.sort compare ts = ts)
+
 let test_observations () =
   let t = ring_instance () in
   List.iter (Telemetry.observe t "err") [ 1.; 2.; 3.; 4. ];
@@ -440,6 +478,7 @@ let () =
           Alcotest.test_case "instances independent" `Quick test_independent_instances;
           Alcotest.test_case "ring events" `Quick test_ring_events;
           Alcotest.test_case "mirror_counter emits the delta" `Quick test_mirror_counter;
+          Alcotest.test_case "threads share an instance" `Quick test_threads_share_an_instance;
           Alcotest.test_case "span nesting + exceptions" `Quick test_span_nesting_and_exn;
           Alcotest.test_case "observations" `Quick test_observations;
         ] );
