@@ -139,6 +139,10 @@ let workload_term ~k_default ~k_doc =
 let shard_telemetry path i =
   Telemetry.create ~sink:(Telemetry.Sink.jsonl_file path) ~tag:(Printf.sprintf "shard%d" i) ()
 
+(* Where a [shards]-shard process runs its serializers and kernel pools:
+   within PMW_DOMAINS domains in all. *)
+let serve_plan ~shards = Shard.plan ~domains:(Pmw_parallel.Pool.default_domains ()) ~shards
+
 (* Shard [i] of the workload, serving [block] of its dataset: serve builds
    one per block of its fleet, run one over the whole dataset. Generation
    e is a pure function of (e, absorbed): the boot block plus every row
@@ -154,7 +158,7 @@ let workload_shard { wl; config; n; seed } ~shards ?journal ?epoch ~broker ~tele
     ~weight:(float_of_int (Pmw_data.Dataset.size block) /. float_of_int n)
     ?journal_path:
       (Option.map (fun p -> Shard.journal_file p ~shards ~epochs:(epoch <> None) i) journal)
-    ?epoch ~config:broker ~domains:(Shard.pool_domains ~shards) ~telemetry ?metrics
+    ?epoch ~config:broker ~plan:(serve_plan ~shards) ~telemetry ?metrics
     ~session:(fun ~pool ~epoch ~absorbed ->
       let g_oracles, g_spend_claim = oracles ~pool in
       {
@@ -714,10 +718,15 @@ let serve_cmd =
           ~metrics ~shards:fleet ()
       in
       let listener = Net.listen ~metrics ~handler:(Router.submit router) ~path:socket () in
-      Printf.printf "serving %s (|X|=%d, n=%d, k=%d) on %s; %d %s shard%s%s%s; queries: %s\n%!"
+      let plan = serve_plan ~shards in
+      let plural n = if n = 1 then "" else "s" in
+      Printf.printf
+        "serving %s (|X|=%d, n=%d, k=%d) on %s; %d %s shard%s (serializers on %d domain%s, a \
+         kernel pool of %d domain%s per shard)%s%s; queries: %s\n%!"
         (Pmw_data.Universe.name universe) (Pmw_data.Universe.size universe)
-        w.n w.config.Pmw_core.Config.k socket shards (Shard.by_to_string shard_by)
-        (if shards = 1 then "" else "s")
+        w.n w.config.Pmw_core.Config.k socket shards (Shard.by_to_string shard_by) (plural shards)
+        plan.Shard.serializer_domains (plural plan.Shard.serializer_domains)
+        plan.Shard.pool_domains (plural plan.Shard.pool_domains)
         (if chaos_ctl then ", ctl enabled" else "")
         (if not epochs then ""
          else

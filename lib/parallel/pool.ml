@@ -84,15 +84,22 @@ let create ?domains () =
   end;
   pool
 
-let default_pool = ref None
+(* Any domain may reach [default] first, and two that race must not each
+   build (and spawn workers for) a pool of their own. *)
+let default_pool = Atomic.make None
+let default_lock = Mutex.create ()
 
 let default () =
-  match !default_pool with
+  match Atomic.get default_pool with
   | Some p -> p
   | None ->
-      let p = create () in
-      default_pool := Some p;
-      p
+      Mutex.protect default_lock (fun () ->
+          match Atomic.get default_pool with
+          | Some p -> p
+          | None ->
+              let p = create () in
+              Atomic.set default_pool (Some p);
+              p)
 
 let chunk_bounds n c =
   let lo = c * grain in

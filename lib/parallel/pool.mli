@@ -46,7 +46,8 @@ val default : unit -> t
     by [PMW_DOMAINS] (default 1). Every kernel that is not handed an
     explicit pool uses this one, so [PMW_DOMAINS=8 ./prog] parallelizes the
     whole mechanism without code changes — and without changing a single
-    output bit. *)
+    output bit. Domain-safe: domains that race on the first call all get
+    the same pool. *)
 
 val shutdown : t -> unit
 (** Join the worker domains. Idempotent; the pool cannot be used after.

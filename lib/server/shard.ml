@@ -104,6 +104,73 @@ type generation = {
   g_rng : Pmw_rng.Rng.t;
 }
 
+(* --- domain plan --- *)
+
+type plan = { serializer_domains : int; pool_domains : int }
+
+let plan ~domains ~shards =
+  if domains < 1 || shards < 1 then invalid_arg "Shard.plan: domains and shards must be >= 1";
+  let h = Int.min shards domains in
+  { serializer_domains = h; pool_domains = max 1 ((domains - h) / shards) }
+
+(* A domain that hosts serializer threads. OCaml creates a systhread only
+   from its own domain, so domain k > 0 of a plan runs this loop: it creates
+   each thread it is handed, then sleeps until the next. Hosts are
+   process-wide, spawned on first use and never stopped (exit does not wait
+   for them); domain 0 is whichever domain calls [start]. *)
+type host = { h_lock : Mutex.t; h_wake : Condition.t; h_jobs : (unit -> unit) Queue.t }
+
+(* Every domain has a minor heap of its own, 256 k words (2 MB) by default,
+   and on OCaml 5.1 [Gc.set] resizes only the calling domain's. So a host
+   trims its own as it starts. A panel solve allocates ~27 k minor words,
+   so 32 k words still hold one. Measured with perfbench's 4-shard [fleet]
+   on a 2-vCPU VM: peak RSS 13.7 MB on one domain, 14.8 MB on two with this
+   heap, 16.4 MB with the default one, and a 128 k-word heap served no
+   faster. *)
+let host_minor_heap_words = 32_768
+
+let hosts : (int, host) Hashtbl.t = Hashtbl.create 4
+let hosts_lock = Mutex.create ()
+
+let host_loop h () =
+  Gc.set { (Gc.get ()) with minor_heap_size = host_minor_heap_words };
+  Mutex.lock h.h_lock;
+  while true do
+    while Queue.is_empty h.h_jobs do
+      Condition.wait h.h_wake h.h_lock
+    done;
+    (Queue.pop h.h_jobs) ();
+    Condition.broadcast h.h_wake
+  done
+
+let host k =
+  Mutex.protect hosts_lock (fun () ->
+      match Hashtbl.find_opt hosts k with
+      | Some h -> h
+      | None ->
+          let h =
+            { h_lock = Mutex.create (); h_wake = Condition.create (); h_jobs = Queue.create () }
+          in
+          ignore (Domain.spawn (host_loop h) : unit Domain.t);
+          Hashtbl.replace hosts k h;
+          h)
+
+(* [f] on a new systhread of the plan's domain [k]; 0 is the calling one. *)
+let spawn_on k f =
+  if k = 0 then Thread.create f ()
+  else begin
+    let h = host k in
+    let made = ref None in
+    Mutex.lock h.h_lock;
+    Queue.push (fun () -> made := Some (try Ok (Thread.create f ()) with e -> Error e)) h.h_jobs;
+    Condition.broadcast h.h_wake;
+    while Option.is_none !made do
+      Condition.wait h.h_wake h.h_lock
+    done;
+    Mutex.unlock h.h_lock;
+    match Option.get !made with Ok th -> th | Error e -> raise e
+  end
+
 type t = {
   sh_id : int;
   sh_weight : float;
@@ -111,7 +178,8 @@ type t = {
   sh_epoch : epoch option;
   sh_cfg : Broker.config;
   sh_session : pool:Pool.t -> epoch:int -> absorbed:int array -> generation;
-  sh_domains : int;
+  sh_pool_domains : int;
+  sh_host : int;  (* the plan's domain that runs this shard's serializer *)
   sh_resolve : string -> Cm_query.t option;
   sh_telemetry : incarnation:int -> Telemetry.t;
   sh_metrics : Metrics.t;
@@ -133,8 +201,6 @@ type t = {
   mutable last_spent : Params.t;
 }
 
-let pool_domains ~shards = max 1 ((Pool.default_domains () - 1) / shards)
-
 let journal_file path ~shards ~epochs i =
   if shards = 1 && not epochs then path else Printf.sprintf "%s.shard%d" path i
 
@@ -155,8 +221,8 @@ let journal_files path =
   | files -> files
   | exception Sys_error _ -> []
 
-let create ~id ~weight ?journal_path ?epoch ?(config = Broker.default_config) ?(domains = 1)
-    ?(telemetry = fun ~incarnation:_ -> Telemetry.null ())
+let create ~id ~weight ?journal_path ?epoch ?(config = Broker.default_config)
+    ?(plan = plan ~domains:1 ~shards:1) ?(telemetry = fun ~incarnation:_ -> Telemetry.null ())
     ?(metrics = Metrics.create ()) ~session ~resolve () =
   (match (epoch, journal_path) with
   | Some _, None ->
@@ -164,7 +230,8 @@ let create ~id ~weight ?journal_path ?epoch ?(config = Broker.default_config) ?(
          journal; a snapshot with no journal cannot recover ingest or spend *)
       invalid_arg "Shard.create: epoch mode requires a journal_path"
   | _ -> ());
-  if domains < 1 then invalid_arg "Shard.create: domains must be >= 1";
+  if plan.serializer_domains < 1 || plan.pool_domains < 1 then
+    invalid_arg "Shard.create: a plan needs >= 1 domain of each kind";
   {
     sh_id = id;
     sh_weight = weight;
@@ -172,7 +239,8 @@ let create ~id ~weight ?journal_path ?epoch ?(config = Broker.default_config) ?(
     sh_epoch = epoch;
     sh_cfg = config;
     sh_session = session;
-    sh_domains = domains;
+    sh_pool_domains = plan.pool_domains;
+    sh_host = id mod plan.serializer_domains;
     sh_resolve = resolve;
     sh_telemetry = telemetry;
     sh_metrics = metrics;
@@ -373,8 +441,8 @@ let start t =
          serializer threads at one per shard, guarantees the journal fd is
          closed before the new life reopens the file, and hands the pool
          over only once its last caller is gone. The serializer is a
-         systhread of the starting domain, so a fleet adds no domain of its
-         own: only the kernel pools' workers run beside the main domain. *)
+         systhread of the shard's domain in the plan, the same one for
+         every incarnation. *)
       Option.iter Thread.join prev;
       let inc, pool =
         locked t (fun () ->
@@ -382,13 +450,13 @@ let start t =
               match t.pool with
               | Some p -> p
               | None ->
-                  let p = Pool.create ~domains:t.sh_domains () in
+                  let p = Pool.create ~domains:t.sh_pool_domains () in
                   t.pool <- Some p;
                   p
             in
             (t.inc, pool))
       in
-      let d = Thread.create (fun () -> life t ~inc ~pool) () in
+      let d = spawn_on t.sh_host (fun () -> life t ~inc ~pool) in
       locked t (fun () ->
           t.serializer <- Some d;
           while t.st = Starting do

@@ -11,12 +11,13 @@
     typed partial answer instead of failing the query.
 
     {b Isolation model}: each shard runs its serializer ({!Broker.run}) on
-    its own systhread of the domain that calls {!start}, so a fleet runs no
-    domain of its own. The session and its telemetry instance are created
-    {e inside} that thread; the shard's kernel pool outlives incarnations
-    but is only ever driven by the one serializer thread alive at a time,
-    so nothing but the broker's thread-safe [post]/[wait] face is shared
-    across shards. {!kill}
+    its own systhread, of the domain its {!plan} gives it: shard [i] of a
+    plan with [H] serializer domains runs on domain [i mod H], where domain
+    0 is the one that calls {!start} and the others are spawned on first
+    use. The session and its telemetry instance are created {e inside} that
+    thread; the shard's kernel pool outlives incarnations but is only ever
+    driven by the one serializer thread alive at a time, so nothing but the
+    broker's thread-safe [post]/[wait] face is shared across shards. {!kill}
     simulates [kill -9] of the shard process: the broker aborts (queued
     requests fail fast, no graceful journal tail is written) and the shard's
     journal is left exactly as a real crash would leave it. {!start} on a
@@ -87,12 +88,25 @@ type generation = {
   g_rng : Pmw_rng.Rng.t;
 }
 
-val pool_domains : shards:int -> int
-(** Kernel-pool size for each shard of a [shards]-shard process:
-    [max 1 ((PMW_DOMAINS - 1) / shards)]. Serializers are threads of the
-    main domain, and a pool of [k] adds [k - 1] worker domains, so the main
-    domain plus Σ (pool size − 1) never exceeds [PMW_DOMAINS]; a pool of 1
-    runs inline. *)
+(** Where a fleet's shards run: on how many domains their serializers
+    share, and how large each shard's kernel pool is. *)
+type plan = {
+  serializer_domains : int;
+      (** [H]: shard [i]'s serializer is a systhread of domain [i mod H];
+          domain 0 is the one that calls {!start}, so [H = 1] adds no
+          domain *)
+  pool_domains : int;  (** each shard's kernel-pool size; 1 runs inline *)
+}
+
+val plan : domains:int -> shards:int -> plan
+(** The plan for a [shards]-shard process allowed [domains] domains (the
+    server passes [PMW_DOMAINS]): [H = min shards domains] serializer
+    domains and pools of [max 1 ((domains - H) / shards)]. A pool of [k]
+    adds [k - 1] worker domains, so [H] plus every pool's workers never
+    exceeds [domains]. One shard keeps its serializer on the calling domain
+    with a pool of [max 1 (domains - 1)]; [domains = 1] puts everything on
+    the calling domain.
+    @raise Invalid_argument if [domains < 1] or [shards < 1]. *)
 
 val journal_file : string -> shards:int -> epochs:bool -> int -> string
 (** [journal_file j ~shards ~epochs i] — shard [i]'s journal for the fleet
@@ -115,7 +129,7 @@ val create :
   ?journal_path:string ->
   ?epoch:epoch ->
   ?config:Broker.config ->
-  ?domains:int ->
+  ?plan:plan ->
   ?telemetry:(incarnation:int -> Pmw_telemetry.Telemetry.t) ->
   ?metrics:Pmw_telemetry.Metrics.t ->
   session:(pool:Pmw_parallel.Pool.t -> epoch:int -> absorbed:int array -> generation) ->
@@ -137,9 +151,12 @@ val create :
     state and crash recovery goes through the journal, never through leaked
     memory.
 
-    [domains] (default 1; see {!pool_domains}) sizes the shard's kernel
-    pool, handed to [session]. The pool is created by the first {!start},
-    shared by every later incarnation and epoch, and shut down by {!stop}.
+    [plan] (default [plan ~domains:1 ~shards:1]: everything on the calling
+    domain) places the serializer on domain
+    [id mod plan.serializer_domains], for every incarnation, and sizes the
+    shard's kernel pool, handed to [session]. The pool is created by the
+    first {!start}, shared by every later incarnation and epoch, and shut
+    down by {!stop}.
 
     [telemetry] builds the per-incarnation telemetry instance (default:
     fresh null instances); give incarnations distinct sinks or tags to keep
@@ -149,14 +166,15 @@ val create :
     registry serves every serializer thread of the fleet. [weight] is the
     shard's share of the fleet's records (the router's coverage unit).
     @raise Invalid_argument if [epoch] is given without [journal_path], or
-    [domains < 1]. *)
+    a [plan] field is below 1. *)
 
 val start : t -> (unit, string) result
-(** Boot (or reboot after a crash): starts the shard's serializer thread,
-    joins any previous incarnation's thread first, and blocks until the
-    shard is [Running] or its boot failed. Restart recovery is journal-driven: the
-    new incarnation replays the shard's own journal, quarantines
-    unaccounted spend into its fresh ledger and re-seeds its dedup table.
+(** Boot (or reboot after a crash): starts the shard's serializer thread
+    on its plan's domain, joins any previous incarnation's thread first,
+    and blocks until the shard is [Running] or its boot failed. Restart
+    recovery is journal-driven: the new incarnation replays the shard's own
+    journal, quarantines unaccounted spend into its fresh ledger and
+    re-seeds its dedup table.
     After a graceful {!stop} the drain checkpoint is resumed instead of a
     fresh session, so the next answers continue the drained run exactly;
     it is deleted once the new incarnation has journaled its start.

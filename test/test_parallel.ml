@@ -207,11 +207,34 @@ let test_chunking_pure_function_of_n () =
       Alcotest.(check int) (Printf.sprintf "num_chunks %d" n) expected (Pool.num_chunks n))
     [ 0; 1; Pool.grain; Pool.grain + 1; (7 * Pool.grain) + 3 ]
 
+(* Four domains released together race on the first [Pool.default]: each
+   gets the one pool, none builds its own. Runs first, before any other
+   test has created the default pool; a size of 2 makes the creation spawn
+   a worker domain, which widens the window a racer could slip into. *)
+let test_default_pool_race () =
+  Unix.putenv "PMW_DOMAINS" "2";
+  let racers = 4 in
+  let arrived = Atomic.make 0 in
+  let race () =
+    Atomic.incr arrived;
+    while Atomic.get arrived < racers do
+      Domain.cpu_relax ()
+    done;
+    Pool.default ()
+  in
+  let pools = List.map Domain.join (List.init racers (fun _ -> Domain.spawn race)) in
+  List.iteri
+    (fun i p -> Alcotest.(check bool) (Printf.sprintf "racer %d" i) true (p == Pool.default ()))
+    pools
+
 let qtest = QCheck_alcotest.to_alcotest
 
 let () =
   Alcotest.run "pmw_parallel"
     [
+      ( "default pool",
+        [ Alcotest.test_case "racing domains share one default pool" `Quick test_default_pool_race ]
+      );
       ( "determinism",
         [
           qtest qcheck_reduce_invariant;

@@ -50,7 +50,9 @@ let panel =
 
 let resolve name = List.assoc_opt name panel
 
-let mk_fleet ?(shards = 3) ?scale ?(resolve_at = fun _ -> resolve) ?journal () =
+(* [domains]: how many domains the fleet's serializers share (shard i runs
+   on domain i mod domains, 0 being this one), with inline kernel pools. *)
+let mk_fleet ?(shards = 3) ?(domains = 1) ?scale ?(resolve_at = fun _ -> resolve) ?journal () =
   let blocks = Shard.partition dataset ~by:Shard.Block ~shards in
   Array.of_list
     (List.mapi
@@ -58,6 +60,7 @@ let mk_fleet ?(shards = 3) ?scale ?(resolve_at = fun _ -> resolve) ?journal () =
          Shard.create ~id:i
            ?journal_path:(Option.map (fun j -> Shard.journal_file j ~shards ~epochs:false i) journal)
            ~weight:(float_of_int (Dataset.size block) /. float_of_int (Dataset.size dataset))
+           ~plan:{ Shard.serializer_domains = domains; pool_domains = 1 }
            ~session:(fun ~pool ~epoch:_ ~absorbed:_ ->
              {
                Shard.g_config = config ?scale ();
@@ -77,8 +80,8 @@ let start_fleet fleet =
       | Error m -> Alcotest.failf "shard %d failed to start: %s" (Shard.id s) m)
     fleet
 
-let with_fleet ?shards ?scale ?resolve_at ?journal ?config:rcfg ?telemetry f =
-  let fleet = mk_fleet ?shards ?scale ?resolve_at ?journal () in
+let with_fleet ?shards ?domains ?scale ?resolve_at ?journal ?config:rcfg ?telemetry f =
+  let fleet = mk_fleet ?shards ?domains ?scale ?resolve_at ?journal () in
   start_fleet fleet;
   let router = Router.create ?config:rcfg ?telemetry ~shards:fleet () in
   Fun.protect ~finally:(fun () -> Array.iter Shard.stop fleet) (fun () -> f fleet router)
@@ -279,8 +282,8 @@ let wait_for ?(seconds = 5.) what pred =
   done;
   if not (pred ()) then Alcotest.failf "timed out waiting for %s" what
 
-let test_supervisor_restarts_killed_shard () =
-  with_fleet (fun fleet router ->
+let test_supervisor_restarts_killed_shard ~domains () =
+  with_fleet ~domains (fun fleet router ->
       let supervisor = Supervisor.start ~shards:fleet () in
       Fun.protect
         ~finally:(fun () -> Supervisor.stop supervisor)
@@ -298,8 +301,8 @@ let test_supervisor_restarts_killed_shard () =
           | Protocol.Answered | Protocol.Degraded _ -> ()
           | st -> Alcotest.failf "restarted fleet still degraded: %s" (Protocol.status_tag st)))
 
-let test_supervisor_quarantines_flapping_shard () =
-  with_fleet (fun fleet _router ->
+let test_supervisor_quarantines_flapping_shard ~domains () =
+  with_fleet ~domains (fun fleet _router ->
       let cfg =
         {
           Supervisor.default_config with
@@ -315,11 +318,11 @@ let test_supervisor_quarantines_flapping_shard () =
           (* kill it every time it comes back: strikes accumulate inside the
              flap window until the supervisor gives up *)
           wait_for "quarantine verdict" ~seconds:10. (fun () ->
-              (if Shard.state fleet.(2) = Shard.Running then ignore (Shard.kill fleet.(2)));
-              Shard.state fleet.(2) = Shard.Quarantined);
+              (if Shard.state fleet.(1) = Shard.Running then ignore (Shard.kill fleet.(1)));
+              Shard.state fleet.(1) = Shard.Quarantined);
           Alcotest.(check bool) "quarantine counted" true
             (Supervisor.quarantines supervisor >= 1);
-          Alcotest.(check (list int)) "quarantined list" [ 2 ]
+          Alcotest.(check (list int)) "quarantined list" [ 1 ]
             (Supervisor.quarantined supervisor)))
 
 (* --- the fan-out deadline --- *)
@@ -344,7 +347,7 @@ let latched ~shard latch i name =
     resolve "sq"
   end
 
-let test_deadline_drops_a_slow_leg () =
+let test_deadline_drops_a_slow_leg ~domains () =
   let latch = new_latch () in
   let deadline = 0.3 in
   let dir = Filename.temp_dir "pmw-router-deadline" "" in
@@ -353,7 +356,7 @@ let test_deadline_drops_a_slow_leg () =
       Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
       Sys.rmdir dir)
   @@ fun () ->
-  with_fleet ~journal ~resolve_at:(latched ~shard:1 latch)
+  with_fleet ~domains ~journal ~resolve_at:(latched ~shard:1 latch)
     ~config:{ Router.default_config with Router.rt_deadline_s = deadline }
     (fun fleet router ->
       Fun.protect
@@ -424,9 +427,9 @@ let test_deadline_drops_a_slow_leg () =
 
 (* A kill fails a shard's queued requests at once; a fan-out waiting on
    such a leg wakes then, not at its deadline. *)
-let test_kill_wakes_a_queued_leg () =
+let test_kill_wakes_a_queued_leg ~domains () =
   let latch = new_latch () in
-  with_fleet ~resolve_at:(latched ~shard:1 latch)
+  with_fleet ~domains ~resolve_at:(latched ~shard:1 latch)
     ~config:{ Router.default_config with Router.rt_deadline_s = 30. }
     (fun fleet router ->
       (* shard 1's serializer holds this request's batch, so the router's
@@ -463,12 +466,13 @@ let test_kill_wakes_a_queued_leg () =
 
 (* A serializer that dies mid-batch fails the batch's requests; a fan-out
    waiting on one of them wakes then, not at its deadline. *)
-let test_dying_serializer_fails_its_batch () =
+let test_dying_serializer_fails_its_batch ~domains () =
   let resolve_at i = function
     | "boom" -> if i = 1 then failwith "boom" else resolve "sq"
     | name -> resolve name
   in
-  with_fleet ~resolve_at ~config:{ Router.default_config with Router.rt_deadline_s = 30. }
+  with_fleet ~domains ~resolve_at
+    ~config:{ Router.default_config with Router.rt_deadline_s = 30. }
     (fun fleet router ->
       let t0 = Unix.gettimeofday () in
       let rsp = Router.submit router (req ~id:1 ~query:"boom" ()) in
@@ -483,6 +487,38 @@ let test_dying_serializer_fails_its_batch () =
         true (elapsed < 5.);
       Alcotest.(check string) "the shard crashed" "crashed"
         (Shard.state_to_string (Shard.state fleet.(1))))
+
+(* --- serializer placement --- *)
+
+(* Shards share no state, so where their serializers run cannot change a
+   bit of what the fleet answers: the same sequential script through a
+   4-shard fleet on one domain and on two gets the same replies, but for
+   the wall-clock queue wait, and leaves the same per-shard spend. *)
+let test_answers_do_not_depend_on_placement () =
+  let script = [ "sq"; "huber"; "sq"; "sq"; "huber"; "huber"; "sq"; "huber"; "sq"; "sq" ] in
+  let serve domains =
+    with_fleet ~shards:4 ~domains (fun fleet router ->
+        let replies =
+          List.mapi
+            (fun i query ->
+              Router.submit router (req ~rid:(Printf.sprintf "p-%d" i) ~id:i ~query ()))
+            script
+        in
+        (replies, Array.map Shard.spent fleet))
+  in
+  let one, spent_one = serve 1 and two, spent_two = serve 2 in
+  Alcotest.(check bool) "every shard answered" true
+    (List.for_all (fun r -> r.Protocol.rsp_batch = Some 4) one);
+  let bytes r = Protocol.encode_response { r with Protocol.rsp_queue_wait_s = None } in
+  List.iteri
+    (fun i (a, b) -> Alcotest.(check string) (Printf.sprintf "reply %d" i) (bytes a) (bytes b))
+    (List.combine one two);
+  Array.iteri
+    (fun i (a, b) ->
+      Alcotest.(check (pair (float 0.) (float 0.)))
+        (Printf.sprintf "shard %d spend" i)
+        (a.Params.eps, a.Params.delta) (b.Params.eps, b.Params.delta))
+    (Array.combine spent_one spent_two)
 
 (* --- Net.Client fleet contracts --- *)
 
@@ -607,6 +643,26 @@ let test_client_retry_deadline_caps_wall_clock () =
       Net.Client.close client;
       ignore srv)
 
+(* The failure tests, with the fleet's serializers on [domains] domains:
+   shard 1, the one they hold, kill or fail, runs on an added domain when
+   there are two. *)
+let deadline_tests ~domains =
+  [
+    Alcotest.test_case "a slow leg misses the deadline" `Quick
+      (test_deadline_drops_a_slow_leg ~domains);
+    Alcotest.test_case "a kill wakes a queued leg" `Quick (test_kill_wakes_a_queued_leg ~domains);
+    Alcotest.test_case "a dying serializer fails its batch" `Quick
+      (test_dying_serializer_fails_its_batch ~domains);
+  ]
+
+let supervise_tests ~domains =
+  [
+    Alcotest.test_case "restarts a killed shard" `Quick
+      (test_supervisor_restarts_killed_shard ~domains);
+    Alcotest.test_case "quarantines a flapping shard" `Quick
+      (test_supervisor_quarantines_flapping_shard ~domains);
+  ]
+
 let () =
   Alcotest.run "pmw_router"
     [
@@ -627,20 +683,15 @@ let () =
           Alcotest.test_case "concurrent requests mark their roots" `Quick
             test_concurrent_requests_mark_their_roots;
         ] );
-      ( "deadline",
+      ("deadline", deadline_tests ~domains:1);
+      ("supervise", supervise_tests ~domains:1);
+      (* suite names stay short: Alcotest pads every line to the longest one
+         and cuts test names that no longer fit *)
+      ("2 domains", deadline_tests ~domains:2 @ supervise_tests ~domains:2);
+      ( "placement",
         [
-          Alcotest.test_case "a slow leg misses the deadline" `Quick
-            test_deadline_drops_a_slow_leg;
-          Alcotest.test_case "a kill wakes a queued leg" `Quick test_kill_wakes_a_queued_leg;
-          Alcotest.test_case "a dying serializer fails its batch" `Quick
-            test_dying_serializer_fails_its_batch;
-        ] );
-      ( "supervise",
-        [
-          Alcotest.test_case "restarts a killed shard" `Quick
-            test_supervisor_restarts_killed_shard;
-          Alcotest.test_case "quarantines a flapping shard" `Quick
-            test_supervisor_quarantines_flapping_shard;
+          Alcotest.test_case "answers do not depend on it" `Quick
+            test_answers_do_not_depend_on_placement;
         ] );
       ( "client",
         [

@@ -2,7 +2,8 @@
    partition laws (disjoint, jointly exhaustive — the precondition for
    parallel composition), the shard lifecycle (start, kill, journal-driven
    restart, quarantine, drain), serializer hosting (a systhread of the
-   starting domain that may drive a multi-domain pool), drain continuity
+   domain its plan names, which may drive a multi-domain pool, and plans
+   that stay within their domains), drain continuity
    (a drained shard restarted on the same files answers bit-identically to
    one that never stopped, and a stale drain checkpoint is never resumed),
    upgrade safety of the one-shard journal layout and its inverse
@@ -65,12 +66,12 @@ let panel =
 
 let resolve name = List.assoc_opt name panel
 
-let mk_shard ?journal_path ?telemetry ?domains ?(config = config ())
+let mk_shard ?journal_path ?telemetry ?plan ?(config = config ())
     ?(oracles = fun pool -> Session.default_oracles ~pool ()) ?(resolve = resolve) ~id ~block
     () =
   Shard.create ~id
     ~weight:(float_of_int (Dataset.size block) /. float_of_int (Dataset.size dataset))
-    ?journal_path ?telemetry ?domains
+    ?journal_path ?telemetry ?plan
     ~session:(fun ~pool ~epoch:_ ~absorbed:_ ->
       (* runs on the serializer thread at every boot: incarnation-private rng *)
       {
@@ -255,10 +256,10 @@ let ask_range s lo hi = List.init (hi - lo) (fun j -> canon (ask s (lo + j)))
 
 (* --- serializer hosting --- *)
 
-(* The serializer is a systhread of the domain that calls [start]: a fleet
-   adds no domain of its own, so a minor GC never has to stop a serializer
-   domain. [resolve] runs on the serializer, so it sees where the
-   serializer runs — before and after a kill and restart. *)
+(* Under the default plan the serializer is a systhread of the domain that
+   calls [start]: the shard adds no domain of its own. [resolve] runs on
+   the serializer, so it sees where the serializer runs — before and after
+   a kill and restart. *)
 let test_serializer_on_starting_domain () =
   let block = List.hd (Shard.partition dataset ~by:Shard.Block ~shards:2) in
   (* written by the serializer before it publishes the reply [ask] waits for *)
@@ -281,6 +282,66 @@ let test_serializer_on_starting_domain () =
   serve_on_this_domain "restarted incarnation serves on the starting domain" 1;
   Shard.stop s
 
+(* Under a plan with two serializer domains, shard i runs on domain
+   i mod 2: an even id stays on the starting domain, an odd one runs on an
+   added domain, and a restart after a kill goes back to that domain. *)
+let test_serializer_placed_by_plan () =
+  let block = List.hd (Shard.partition dataset ~by:Shard.Block ~shards:2) in
+  (* written by the serializer before it publishes the reply [ask] waits
+     for; the reply's lock orders the write before the read *)
+  let seen = ref [] in
+  let resolve name =
+    seen := (Domain.self () :> int) :: !seen;
+    resolve name
+  in
+  let plan = { Shard.serializer_domains = 2; pool_domains = 1 } in
+  let even = mk_shard ~plan ~resolve ~id:2 ~block () in
+  let odd = mk_shard ~plan ~resolve ~id:1 ~block () in
+  let serving_domain s i =
+    seen := [];
+    ignore (ask s i);
+    match !seen with
+    | [ d ] -> d
+    | ds -> Alcotest.failf "expected one resolve, saw %d" (List.length ds)
+  in
+  let here = (Domain.self () :> int) in
+  must_start even;
+  must_start odd;
+  Fun.protect
+    ~finally:(fun () ->
+      Shard.stop odd;
+      Shard.stop even)
+    (fun () ->
+      Alcotest.(check int) "an even id serves on the starting domain" here (serving_domain even 0);
+      let added = serving_domain odd 0 in
+      Alcotest.(check bool) "an odd id serves on an added domain" true (added <> here);
+      Alcotest.(check bool) "killed" true (Shard.kill odd);
+      must_start odd;
+      Alcotest.(check int) "the restart serves on the same domain" added (serving_domain odd 1))
+
+(* The domain plan: the serializer domains plus every pool's worker
+   domains stay within the budget, and one shard keeps the plan it had
+   when serializers always ran on the calling domain. *)
+let test_plan_stays_within_domains () =
+  List.iter
+    (fun domains ->
+      List.iter
+        (fun shards ->
+          let p = Shard.plan ~domains ~shards in
+          let used = p.Shard.serializer_domains + (shards * (p.Shard.pool_domains - 1)) in
+          let what = Printf.sprintf "D=%d, %d shards" domains shards in
+          Alcotest.(check bool) (what ^ ": within D") true (used <= domains);
+          Alcotest.(check bool) (what ^ ": one serializer domain per shard at most") true
+            (p.Shard.serializer_domains >= 1 && p.Shard.serializer_domains <= shards);
+          if shards = 1 then
+            Alcotest.(check (pair int int)) (what ^ ": the one-shard plan")
+              (1, max 1 (domains - 1))
+              (p.Shard.serializer_domains, p.Shard.pool_domains))
+        [ 1; 2; 4; 7 ])
+    [ 1; 2; 4; 8 ];
+  Alcotest.(check bool) "PMW_DOMAINS=1 keeps everything on one domain" true
+    (Shard.plan ~domains:1 ~shards:4 = { Shard.serializer_domains = 1; pool_domains = 1 })
+
 (* A serializer thread may still drive a multi-domain kernel pool: with a
    universe past [Pool.grain] the sweeps split into chunks that the pool's
    worker domain takes part in, and every reply must keep the bytes of an
@@ -298,7 +359,10 @@ let test_thread_serializer_drives_pool_bit_identically () =
       ~solver_iters:60 ()
   in
   let serve domains =
-    let s = mk_shard ~domains ~config ~id:0 ~block () in
+    let s =
+      mk_shard ~plan:{ Shard.serializer_domains = 1; pool_domains = domains } ~config ~id:0 ~block
+        ()
+    in
     must_start s;
     let replies = List.init 12 (ask s) in
     Shard.stop s;
@@ -718,6 +782,10 @@ let () =
         [
           Alcotest.test_case "serializer runs on the starting domain" `Quick
             test_serializer_on_starting_domain;
+          Alcotest.test_case "a plan places the serializer by id" `Quick
+            test_serializer_placed_by_plan;
+          Alcotest.test_case "a plan stays within its domains" `Quick
+            test_plan_stays_within_domains;
           Alcotest.test_case "a thread-hosted serializer drives a multi-domain pool bit-identically"
             `Quick test_thread_serializer_drives_pool_bit_identically;
         ] );
