@@ -1,6 +1,6 @@
 module Vec = Pmw_linalg.Vec
 
-type report = { theta : Vec.t; value : float; iterations : int }
+type report = { theta : Vec.t; value : float; iterations : int; certificate : float option }
 
 let check_start domain = function
   | Some theta0 ->
@@ -42,7 +42,7 @@ let descend ~theta0 ~iters ~step domain (obj : Objective.t) =
       best_v := v
     end
   end;
-  { theta = !best; value = !best_v; iterations = iters }
+  { theta = !best; value = !best_v; iterations = iters; certificate = None }
 
 let projected_subgradient ?theta0 ~iters ~lipschitz domain obj =
   if iters <= 0 then invalid_arg "Solve.projected_subgradient: iters must be positive";
@@ -91,7 +91,7 @@ let gradient_descent_armijo ?theta0 ~iters domain (obj : Objective.t) =
            step := Float.min (s *. 2.) 1e6
      done
    with Exit -> ());
-  { theta = !theta; value = !v; iterations = !grads }
+  { theta = !theta; value = !v; iterations = !grads; certificate = None }
 
 let accelerated_gradient ?theta0 ~iters ~smoothness domain (obj : Objective.t) =
   if iters <= 0 then invalid_arg "Solve.accelerated_gradient: iters must be positive";
@@ -115,7 +115,7 @@ let accelerated_gradient ?theta0 ~iters ~smoothness domain (obj : Objective.t) =
       best_v := v
     end
   done;
-  { theta = !best; value = !best_v; iterations = iters }
+  { theta = !best; value = !best_v; iterations = iters; certificate = None }
 
 let frank_wolfe ~iters ~radius (obj : Objective.t) =
   if iters <= 0 then invalid_arg "Solve.frank_wolfe: iters must be positive";
@@ -129,7 +129,7 @@ let frank_wolfe ~iters ~radius (obj : Objective.t) =
     let gamma = 2. /. float_of_int (t + 2) in
     theta := Vec.lerp !theta s gamma
   done;
-  { theta = !theta; value = obj.f !theta; iterations = iters }
+  { theta = !theta; value = obj.f !theta; iterations = iters; certificate = None }
 
 let ternary_search ?(iters = 200) ~lo ~hi f =
   if hi < lo then invalid_arg "Solve.ternary_search: hi < lo";
@@ -141,25 +141,52 @@ let ternary_search ?(iters = 200) ~lo ~hi f =
   done;
   0.5 *. (!lo +. !hi)
 
-let minimize ?(iters = 400) ?theta0 ?(lipschitz = 1.) ?(strong_convexity = 0.) domain
+(* min over s ∈ Θ of ⟨g, s⟩: the linear minimization oracle of each domain
+   kind, in closed form. *)
+let linear_min domain g =
+  match Domain.kind domain with
+  | Domain.L2_ball r -> -.r *. Vec.norm2 g
+  | Domain.Box { lo; hi } ->
+      let acc = ref 0. in
+      Array.iter (fun gj -> acc := !acc +. if gj > 0. then gj *. lo else gj *. hi) g;
+      !acc
+  | Domain.Simplex -> Array.fold_left Float.min Float.infinity g
+
+let duality_gap domain (obj : Objective.t) theta =
+  let g = obj.grad theta in
+  Vec.dot g theta -. linear_min domain g
+
+let minimize ?(iters = 400) ?theta0 ?gap ?(lipschitz = 1.) ?(strong_convexity = 0.) domain
     (obj : Objective.t) =
+  (match gap with
+  | Some gamma when not (gamma >= 0.) -> invalid_arg "Solve.minimize: gap must be non-negative"
+  | _ -> ());
   match Domain.kind domain with
   | Domain.Box { lo; hi } when Domain.dim domain = 1 ->
       let theta = ternary_search ~iters:100 ~lo ~hi (fun x -> obj.f [| x |]) in
-      { theta = [| theta |]; value = obj.f [| theta |]; iterations = 0 }
+      { theta = [| theta |]; value = obj.f [| theta |]; iterations = 0; certificate = None }
   | Domain.L2_ball _ | Domain.Box _ | Domain.Simplex ->
       let arm1 = gradient_descent_armijo ?theta0 ~iters domain obj in
-      let arm2 =
-        if strong_convexity > 0. then
-          strongly_convex_subgradient ?theta0 ~iters ~sigma:strong_convexity domain obj
-        else projected_subgradient ?theta0 ~iters ~lipschitz domain obj
+      let arm1, certified =
+        match gap with
+        | None -> (arm1, false)
+        | Some gamma ->
+            let c = duality_gap domain obj arm1.theta in
+            ({ arm1 with iterations = arm1.iterations + 1; certificate = Some c }, c <= gamma)
       in
-      let best = if arm1.value <= arm2.value then arm1 else arm2 in
-      { best with iterations = arm1.iterations + arm2.iterations }
+      if certified then arm1
+      else
+        let arm2 =
+          if strong_convexity > 0. then
+            strongly_convex_subgradient ?theta0 ~iters ~sigma:strong_convexity domain obj
+          else projected_subgradient ?theta0 ~iters ~lipschitz domain obj
+        in
+        let best = if arm1.value <= arm2.value then arm1 else arm2 in
+        { best with iterations = arm1.iterations + arm2.iterations; certificate = arm1.certificate }
 
-let minimize_loss_on_histogram ?pool ?iters (loss : Loss.t) domain hist =
+let minimize_loss_on_histogram ?pool ?iters ?gap (loss : Loss.t) domain hist =
   let obj = Objective.of_histogram ?pool loss hist ~dim:(Domain.dim domain) in
-  minimize ?iters ~lipschitz:(Float.max loss.Loss.lipschitz 1e-9)
+  minimize ?iters ?gap ~lipschitz:(Float.max loss.Loss.lipschitz 1e-9)
     ~strong_convexity:loss.Loss.strong_convexity domain obj
 
 let minimize_loss_on_dataset ?pool ?iters (loss : Loss.t) domain ds =

@@ -17,8 +17,12 @@ type report = {
       (** gradient evaluations spent: one per step of the subgradient,
           accelerated and Frank–Wolfe loops, one per Armijo step (its
           backtracking evaluates only [f]), the sum of both arms in
-          {!minimize}, and [0] for the 1-d ternary search, which uses no
-          gradient *)
+          {!minimize} plus one for its certificate when it computes one,
+          and [0] for the 1-d ternary search, which uses no gradient *)
+  certificate : float option;
+      (** the duality gap {!minimize} certified at its Armijo point when
+          called with [?gap] ([None] otherwise, for every other solver, and
+          for the 1-d ternary search) *)
 }
 
 val projected_subgradient :
@@ -69,9 +73,19 @@ val ternary_search : ?iters:int -> lo:float -> hi:float -> (float -> float) -> f
 (** Exact minimization of a unimodal scalar function; used for 1-dimensional
     box domains where it beats any first-order schedule. *)
 
+val duality_gap : Domain.t -> Objective.t -> Pmw_linalg.Vec.t -> float
+(** [duality_gap domain obj θ] is the first-order certificate
+    [⟨g, θ⟩ − min_{s∈Θ} ⟨g, s⟩ = max_{s∈Θ} ⟨g, θ − s⟩] with [g = obj.grad θ]
+    (one gradient evaluation). For [θ ∈ Θ] and a convex objective it bounds
+    [f(θ) − min_Θ f] from above, for a subgradient as well as a gradient.
+    The linear minimum has a closed form per domain kind: [−r‖g‖] on the
+    ball of radius [r], [Σⱼ (gⱼ > 0 ? gⱼ·lo : gⱼ·hi)] on the box, and
+    [minⱼ gⱼ] on the simplex. *)
+
 val minimize :
   ?iters:int ->
   ?theta0:Pmw_linalg.Vec.t ->
+  ?gap:float ->
   ?lipschitz:float ->
   ?strong_convexity:float ->
   Domain.t ->
@@ -79,13 +93,30 @@ val minimize :
   report
 (** Robust dispatch (default [iters = 400] per arm): 1-d boxes use ternary
     search; otherwise runs Armijo descent and the (strongly-)convex
-    subgradient schedule and returns whichever found the lower value. *)
+    subgradient schedule and returns whichever found the lower value.
+
+    With [~gap:γ], the {!duality_gap} [c] at Armijo's point is computed
+    before the second arm runs. If [c <= γ], that point is already within
+    [γ] of the minimum and Armijo's report is returned as is, with one
+    more [iterations] for the certificate's gradient and [certificate =
+    Some c]; the subgradient arm never runs. Otherwise (a non-smooth loss
+    whose certificate does not shrink, or a non-finite gradient) both arms
+    run exactly as without [?gap], and the report carries arm 1's [c].
+    Without [?gap] nothing changes: no certificate is computed.
+    @raise Invalid_argument if [γ] is negative or NaN. *)
 
 val minimize_loss_on_histogram :
-  ?pool:Pmw_parallel.Pool.t -> ?iters:int -> Loss.t -> Domain.t -> Pmw_data.Histogram.t -> report
+  ?pool:Pmw_parallel.Pool.t ->
+  ?iters:int ->
+  ?gap:float ->
+  Loss.t ->
+  Domain.t ->
+  Pmw_data.Histogram.t ->
+  report
 (** [argmin_θ ℓ(θ; D̂)] — the public minimization of Figure 3. The per-
     iteration O(|X|) objective/gradient sweeps run on [pool] (default: the
-    shared pool) through the memoized {!Objective.of_histogram}. *)
+    shared pool) through the memoized {!Objective.of_histogram}. [gap] is
+    {!minimize}'s certificate threshold. *)
 
 val minimize_loss_on_dataset :
   ?pool:Pmw_parallel.Pool.t -> ?iters:int -> Loss.t -> Domain.t -> Pmw_data.Dataset.t -> report

@@ -17,8 +17,8 @@ let error_sensitivity t ~n =
   if n <= 0 then invalid_arg "Cm_query.error_sensitivity: n must be positive";
   3. *. scale t /. float_of_int n
 
-let minimize_on_histogram ?pool ?iters t hist =
-  Solve.minimize_loss_on_histogram ?pool ?iters t.loss t.domain hist
+let minimize_on_histogram ?pool ?iters ?gap t hist =
+  Solve.minimize_loss_on_histogram ?pool ?iters ?gap t.loss t.domain hist
 
 let minimize_on_dataset ?pool ?iters t ds =
   Solve.minimize_loss_on_dataset ?pool ?iters t.loss t.domain ds

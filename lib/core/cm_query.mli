@@ -20,10 +20,17 @@ val error_sensitivity : t -> n:int -> float
     the [3S/n] bound proved in Section 3.4.2. *)
 
 val minimize_on_histogram :
-  ?pool:Pmw_parallel.Pool.t -> ?iters:int -> t -> Pmw_data.Histogram.t -> Pmw_convex.Solve.report
+  ?pool:Pmw_parallel.Pool.t ->
+  ?iters:int ->
+  ?gap:float ->
+  t ->
+  Pmw_data.Histogram.t ->
+  Pmw_convex.Solve.report
 (** [argmin_θ ℓ(θ; D̂)] by the non-private solver (default 400 iterations).
     The O(|X|) objective sweeps run chunked on [pool] (default: the shared
-    pool); results are bit-identical for any pool size. *)
+    pool); results are bit-identical for any pool size. [gap] lets the
+    solver stop after its first arm once a duality-gap certificate shows
+    it within [gap] of the minimum ({!Pmw_convex.Solve.minimize}). *)
 
 val minimize_on_dataset :
   ?pool:Pmw_parallel.Pool.t -> ?iters:int -> t -> Pmw_data.Dataset.t -> Pmw_convex.Solve.report

@@ -6,7 +6,10 @@
     [q_j(D) = err_{ℓ_j}(D, D̂ᵗ)] (each [3S/n]-sensitive, Section 3.4.2), and a
     single-query oracle [A']. Each incoming query [ℓ_j] is processed as:
 
-    + compute the public minimizer [θ̂ = argmin_θ ℓ_j(θ; D̂ᵗ)];
+    + compute the public minimizer [θ̂ = argmin_θ ℓ_j(θ; D̂ᵗ)] — to within a
+      duality-gap certificate of [γ = α/256] when the solver's first arm
+      certifies one ({!Pmw_convex.Solve.minimize}'s [?gap]; solving [θ̂] is
+      post-processing of public state, so this costs no privacy);
     + feed [err_{ℓ_j}(D, D̂ᵗ)] to sparse vector;
     + on ⊥: answer [θ̂] (the hypothesis was already accurate);
     + on ⊤: call [A'(D, ℓ_j)] at [(ε₀, δ₀)] to get [θᵗ], answer [θᵗ], and
@@ -82,8 +85,10 @@ val create :
     [telemetry] (default: a no-op instance) receives the mechanism's whole
     event stream: a ["query"] span per {!answer} call (with
     ["solve.hypothesis"], ["solve.reference"], ["oracle.call"] and
-    ["mw.update"] sub-spans), the [mw_updates] /
-    [answered_from_hypothesis] / [answered_from_oracle] counters, a
+    ["mw.update"] sub-spans; each ["solve.hypothesis"] end event carries
+    [certified] and, when a certificate was computed, [gap]), the
+    [mw_updates] / [answered_from_hypothesis] / [answered_from_oracle] /
+    [solve_certified] counters, a
     [q_value] observation per live round, the SV instance's events, and a
     privacy debit per oracle call under the ["oracle"] ledger. Round
     numbering advances once per {!answer} call.
@@ -146,11 +151,6 @@ val hypothesis_answer : t -> Cm_query.t -> outcome option
     {!answer} uses. Pure post-processing of the public hypothesis: no
     privacy cost, no sparse-vector slot, no round. [None] when [θ̂] is not
     finite. *)
-
-val as_answerer : t -> Cm_query.t -> Pmw_linalg.Vec.t option
-(** The mechanism as a bare answering function — the shape
-    {!Analyst.run}'s [answer] callback expects. [None] once degraded or
-    refused (legacy halting semantics). *)
 
 val hypothesis : t -> Pmw_data.Histogram.t
 (** The current public hypothesis [D̂ᵗ] — safe to release (it is a

@@ -40,24 +40,6 @@ type step =
   | Compact_dirsync  (** before fsyncing the journal's directory *)
   | Seal_cleanup  (** before removing the now-superseded seal checkpoint *)
 
-let all_steps =
-  [
-    Seal_checkpoint;
-    Seal_mark;
-    Snap_write;
-    Snap_write_mid;
-    Snap_fsync;
-    Snap_rename;
-    Snap_dirsync;
-    New_session;
-    Compact_write;
-    Compact_write_mid;
-    Compact_fsync;
-    Compact_rename;
-    Compact_dirsync;
-    Seal_cleanup;
-  ]
-
 let step_to_string = function
   | Seal_checkpoint -> "seal_checkpoint"
   | Seal_mark -> "seal_mark"

@@ -45,9 +45,6 @@ type step =
   | Compact_dirsync  (** before fsyncing the journal's directory *)
   | Seal_cleanup  (** before removing the now-superseded seal checkpoint *)
 
-val all_steps : step list
-(** Protocol order — what the chaos soak iterates over. *)
-
 val step_to_string : step -> string
 
 exception Injected of step * string

@@ -366,7 +366,7 @@ let span_stats_ref t name =
 
 (* The span stack and ids are the owning thread's; the lock is taken once
    for the begin event and once for the end, never across [f ()]. *)
-let span t ?(fields = []) name f =
+let span t ?(fields = []) ?end_fields name f =
   if not t.enabled then f ()
   else begin
     let id = t.next_span_id in
@@ -386,7 +386,7 @@ let span t ?(fields = []) name f =
             };
           start)
     in
-    let finish ok =
+    let finish ok extra =
       (match t.span_stack with top :: rest when top = id -> t.span_stack <- rest | _ -> ());
       locked t (fun () ->
           let stop = stamp t in
@@ -403,15 +403,16 @@ let span t ?(fields = []) name f =
               name;
               fields =
                 tag_fields t
-                  [ ("id", Int id); ("parent", Int parent); ("dur_s", Float dur); ("ok", Bool ok) ];
+                  (("id", Int id) :: ("parent", Int parent) :: ("dur_s", Float dur)
+                  :: ("ok", Bool ok) :: extra);
             })
     in
     match f () with
     | v ->
-        finish true;
+        finish true (match end_fields with Some g -> g v | None -> []);
         v
     | exception e ->
-        finish false;
+        finish false [];
         raise e
   end
 

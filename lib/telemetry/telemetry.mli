@@ -187,10 +187,18 @@ val emit_ledger_finals : t -> unit
     trace's debits against. Call once, at the end of a run, before
     {!close}. *)
 
-val span : t -> ?fields:(string * value) list -> string -> (unit -> 'a) -> 'a
+val span :
+  t ->
+  ?fields:(string * value) list ->
+  ?end_fields:('a -> (string * value) list) ->
+  string ->
+  (unit -> 'a) ->
+  'a
 (** [span t name f] times [f ()] between a [Span_begin]/[Span_end] pair with
     a fresh id and the enclosing span's id as parent; the end event carries
-    [dur_s] and [ok] (false when [f] raised — the exception is re-raised).
+    [dur_s] and [ok] (false when [f] raised — the exception is re-raised),
+    then [end_fields v] for [f]'s result [v] (what is known only once the
+    body has run, e.g. whether a solve certified its gap).
     Without a sink this is exactly [f ()]: no clock read, no allocation.
     Owning thread only; the lock is released while [f] runs. *)
 

@@ -632,6 +632,7 @@ let test_iterations_count_gradients () =
       ("accelerated", fun obj -> Solve.accelerated_gradient ~iters:30 ~smoothness:2. ball obj);
       ("frank-wolfe", fun obj -> Solve.frank_wolfe ~iters:30 ~radius:1. obj);
       ("minimize", fun obj -> Solve.minimize ~iters:30 ~lipschitz:4. ball obj);
+      ("minimize ~gap", fun obj -> Solve.minimize ~iters:30 ~gap:1e-3 ~lipschitz:4. ball obj);
     ]
   in
   List.iter
@@ -646,6 +647,76 @@ let test_iterations_count_gradients () =
   Alcotest.(check int) "ternary search: no gradient" 0 !grads;
   Alcotest.(check int) "ternary search: iterations" 0 r.Solve.iterations
 
+(* The certificate bounds f(θ) − f* from above at every feasible θ, on each
+   domain kind. f = ‖θ − c‖² has its minimum over Θ at the projection of c,
+   and c lies outside every domain here, so the minimum sits on the
+   boundary, where a wrong linear minimum cannot hide. *)
+let test_certificate_bounds_gap () =
+  let c = [| 1.3; -0.8; 0.45 |] in
+  let obj = quadratic c in
+  List.iter
+    (fun domain ->
+      let name = Format.asprintf "%a" Domain.pp domain in
+      let theta_star = Domain.project domain c in
+      let f_star = obj.Objective.f theta_star in
+      checkf 1e-9 (name ^ ": zero at the minimizer") 0. (Solve.duality_gap domain obj theta_star);
+      for _ = 1 to 200 do
+        let theta = Domain.random_point domain rng in
+        let gap = obj.Objective.f theta -. f_star in
+        let cert = Solve.duality_gap domain obj theta in
+        if not (cert >= gap -. 1e-12) then
+          Alcotest.failf "%s: certificate %g below the gap %g" name cert gap
+      done)
+    [
+      Domain.unit_ball ~dim:3;
+      Domain.l2_ball ~dim:3 ~radius:0.5;
+      Domain.box ~dim:3 ~lo:(-0.5) ~hi:0.25;
+      Domain.simplex ~dim:3;
+    ]
+
+(* A smooth objective certifies after Armijo's arm: [minimize ~gap] returns
+   that arm's report bit for bit, plus the certificate's gradient. *)
+let test_gap_returns_armijo_report () =
+  List.iter
+    (fun (domain, c) ->
+      let name = Format.asprintf "%a" Domain.pp domain in
+      let obj = quadratic c in
+      let arm1 = Solve.gradient_descent_armijo ~iters:50 domain obj in
+      let r = Solve.minimize ~iters:50 ~gap:1e-6 ~lipschitz:4. domain obj in
+      (match r.Solve.certificate with
+      | Some cert when cert <= 1e-6 -> ()
+      | _ -> Alcotest.failf "%s: Armijo's point should certify" name);
+      Alcotest.(check bool) (name ^ ": theta") true (same_vec arm1.Solve.theta r.Solve.theta);
+      Alcotest.(check bool) (name ^ ": value") true (same_bits arm1.Solve.value r.Solve.value);
+      Alcotest.(check int) (name ^ ": iterations") (arm1.Solve.iterations + 1) r.Solve.iterations)
+    [
+      (Domain.unit_ball ~dim:2, [| 0.3; -0.2 |]);
+      (Domain.box ~dim:2 ~lo:0. ~hi:1. , [| 1.5; 0.4 |]);
+      (Domain.simplex ~dim:3, [| 0.9; 0.3; -0.4 |]);
+    ]
+
+(* A non-smooth loss whose certificate stays above the threshold runs both
+   arms exactly as [minimize] without [~gap] does. *)
+let test_gap_falls_back () =
+  let h = multi_chunk_histogram () in
+  let domain = Domain.unit_ball ~dim:3 in
+  let gap = 1e-4 in
+  List.iter
+    (fun (loss : Loss.t) ->
+      let name = loss.Loss.name in
+      let plain = Solve.minimize_loss_on_histogram ~iters:60 loss domain h in
+      let r = Solve.minimize_loss_on_histogram ~iters:60 ~gap loss domain h in
+      (match r.Solve.certificate with
+      | Some cert when cert > gap -> ()
+      | Some cert -> Alcotest.failf "%s: certified at %g, no fallback to check" name cert
+      | None -> Alcotest.failf "%s: no certificate" name);
+      Alcotest.(check bool) (name ^ ": theta") true (same_vec plain.Solve.theta r.Solve.theta);
+      Alcotest.(check bool) (name ^ ": value") true (same_bits plain.Solve.value r.Solve.value);
+      Alcotest.(check int) (name ^ ": iterations") (plain.Solve.iterations + 1) r.Solve.iterations;
+      Alcotest.(check bool) (name ^ ": no certificate without ~gap") true
+        (plain.Solve.certificate = None))
+    [ Losses.absolute (); Losses.quantile ~tau:0.75 () ]
+
 let test_ternary_search () =
   let m = Solve.ternary_search ~lo:(-10.) ~hi:10. (fun x -> ((x -. 3.) *. (x -. 3.)) +. 1.) in
   checkf 1e-6 "unimodal minimum" 3. m
@@ -654,7 +725,9 @@ let test_solver_validation () =
   let obj = quadratic [| 0. |] in
   Alcotest.check_raises "iters" (Invalid_argument "Solve.projected_subgradient: iters must be positive")
     (fun () ->
-      ignore (Solve.projected_subgradient ~iters:0 ~lipschitz:1. (Domain.unit_ball ~dim:1) obj))
+      ignore (Solve.projected_subgradient ~iters:0 ~lipschitz:1. (Domain.unit_ball ~dim:1) obj));
+  Alcotest.check_raises "gap" (Invalid_argument "Solve.minimize: gap must be non-negative")
+    (fun () -> ignore (Solve.minimize ~gap:(-1e-3) (Domain.unit_ball ~dim:1) obj))
 
 (* --- qcheck --- *)
 
@@ -724,6 +797,9 @@ let () =
           Alcotest.test_case "nonsmooth" `Quick test_minimize_nonsmooth;
           Alcotest.test_case "ternary search" `Quick test_ternary_search;
           Alcotest.test_case "iterations count gradients" `Quick test_iterations_count_gradients;
+          Alcotest.test_case "certificate bounds the gap" `Quick test_certificate_bounds_gap;
+          Alcotest.test_case "gap keeps Armijo's report" `Quick test_gap_returns_armijo_report;
+          Alcotest.test_case "gap falls back to two arms" `Quick test_gap_falls_back;
           Alcotest.test_case "validation" `Quick test_solver_validation;
         ] );
       ( "properties",

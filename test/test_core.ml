@@ -607,6 +607,100 @@ let test_linear_pmw_repeated_query_stops_updating () =
   done;
   Alcotest.(check bool) "few updates for one repeated query" true (Linear_pmw.updates mech <= 2)
 
+(* --- Certified hypothesis solves --- *)
+
+module Solve = Pmw_convex.Solve
+
+(* The served panel (the d = 2 regression workload's 7 queries), solved on
+   60 random full-support histograms: half random weights, half mixtures of
+   a dataset's histogram with uniform, as MW hypotheses are. Wherever
+   Armijo's arm certifies, its value is within γ = α/256 of the two-arm
+   solve's, and the solves give the same bits at pool sizes 1 and 2. *)
+let test_certified_panel_within_gap () =
+  let w = Pmw_experiments.Common.Workload.regression ~d:2 () in
+  let u = w.Pmw_experiments.Common.Workload.universe in
+  let queries = w.Pmw_experiments.Common.Workload.queries in
+  Alcotest.(check int) "the panel has 7 queries" 7 (List.length queries);
+  let r = Rng.create ~seed:17 () in
+  let data = Dataset.histogram (w.Pmw_experiments.Common.Workload.sample ~n:20_000 r) in
+  let hists =
+    List.init 60 (fun i ->
+        if i mod 2 = 0 then
+          Histogram.of_weights u
+            (Array.init (Universe.size u) (fun _ -> 0.01 +. (Rng.uniform r ~lo:0. ~hi:1. ** 3.)))
+        else Histogram.mix (Histogram.uniform u) data (Rng.uniform r ~lo:0. ~hi:0.99))
+  in
+  let gap = 0.1 /. 256. in
+  let solve pool =
+    List.concat_map
+      (fun h ->
+        List.map
+          (fun q ->
+            let full = Cm_query.minimize_on_histogram ~pool q h in
+            let cut = Cm_query.minimize_on_histogram ~pool ~gap q h in
+            (q.Cm_query.name, full, cut))
+          queries)
+      hists
+  in
+  let with_pool domains =
+    let pool = Pmw_parallel.Pool.create ~domains () in
+    Fun.protect ~finally:(fun () -> Pmw_parallel.Pool.shutdown pool) (fun () -> solve pool)
+  in
+  let one = with_pool 1 and two = with_pool 2 in
+  let certified = ref 0 in
+  List.iter2
+    (fun (name, full, cut) (_, full2, cut2) ->
+      if cut.Solve.value > full.Solve.value +. gap then
+        Alcotest.failf "%s: certified value %.17g above two-arm %.17g + γ" name cut.Solve.value
+          full.Solve.value;
+      (match cut.Solve.certificate with Some c when c <= gap -> incr certified | _ -> ());
+      Alcotest.(check string) (name ^ ": pool 1 = pool 2") (theta_bits cut.Solve.theta)
+        (theta_bits cut2.Solve.theta);
+      Alcotest.(check string) (name ^ ": two arms, pool 1 = pool 2") (theta_bits full.Solve.theta)
+        (theta_bits full2.Solve.theta))
+    one two;
+  Alcotest.(check bool) "some solves certify" true (!certified > 0)
+
+(* Each [solve.hypothesis] span ends with [certified] and [gap], and the
+   [solve_certified] counter counts the certified ones. *)
+let test_certified_solves_traced () =
+  (* its own generator: later tests read the shared [rng]'s state *)
+  let ds =
+    Synth.linear_regression ~universe ~theta_star:[| 0.5; -0.2 |] ~noise:0.1 ~n:3_000
+      (Rng.create ~seed:19 ())
+  in
+  let alpha = 0.05 in
+  let m, tel = traced_mechanism (practical_config ~alpha ()) ds in
+  let queries =
+    [
+      squared_query;
+      Cm_query.make ~name:"abs" ~loss:(Losses.absolute ()) ~domain ();
+      Cm_query.make ~name:"huber" ~loss:(Losses.huber ~delta:0.5 ()) ~domain ();
+    ]
+  in
+  List.iter (fun q -> ignore (Online_pmw.answer m q)) queries;
+  let ends =
+    List.filter
+      (fun e -> e.Telemetry.kind = Telemetry.Span_end && e.Telemetry.name = "solve.hypothesis")
+      (Telemetry.events tel)
+  in
+  Alcotest.(check int) "one span per solve" (span_calls tel "solve.hypothesis") (List.length ends);
+  let certified =
+    List.filter
+      (fun e ->
+        match
+          (List.assoc_opt "certified" e.Telemetry.fields, List.assoc_opt "gap" e.Telemetry.fields)
+        with
+        | Some (Telemetry.Bool b), Some (Telemetry.Float g) ->
+            Alcotest.(check bool) "certified iff gap <= α/256" (g <= alpha /. 256.) b;
+            b
+        | _ -> Alcotest.fail "solve.hypothesis span lacks certified/gap")
+      ends
+  in
+  Alcotest.(check bool) "some solve certifies" true (certified <> []);
+  Alcotest.(check int) "solve_certified counts them" (List.length certified)
+    (Telemetry.counter tel "solve_certified")
+
 (* --- Workloads --- *)
 
 module Workloads = Pmw_core.Workloads
@@ -1238,6 +1332,8 @@ let () =
           Alcotest.test_case "restore invalidates" `Quick test_memo_restore_invalidates;
           Alcotest.test_case "transcript = memo-free" `Quick test_memo_transcript_matches_memo_free;
           Alcotest.test_case "capacity bound" `Quick test_memo_capacity_bound;
+          Alcotest.test_case "panel: certified within gap" `Quick test_certified_panel_within_gap;
+          Alcotest.test_case "certified solves traced" `Quick test_certified_solves_traced;
         ] );
       ( "offline_pmw",
         [
