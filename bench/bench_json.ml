@@ -4,30 +4,30 @@
    own module because dune links every non-main module of this directory
    into each executable. *)
 
-module Protocol = Pmw_server.Protocol
+module Json = Pmw_telemetry.Json
 
 (* Pretty printer for the merged document: objects multi-line down to the
    section level, arrays of objects one element per line, leaves compact —
    one kernel row or section leaf per line, so two reports diff sanely. *)
 let rec pretty ~depth buf j =
   let indent n = String.make (2 * n) ' ' in
-  let compact j = Buffer.add_string buf (Protocol.json_to_string j) in
+  let compact j = Buffer.add_string buf (Json.to_string j) in
   match j with
-  | Protocol.Obj fields when depth < 2 && fields <> [] ->
+  | Json.Obj fields when depth < 2 && fields <> [] ->
       Buffer.add_string buf "{\n";
       List.iteri
         (fun i (k, v) ->
           if i > 0 then Buffer.add_string buf ",\n";
           Buffer.add_string buf (indent (depth + 1));
-          Buffer.add_string buf (Protocol.json_to_string (Protocol.Str k));
+          Json.add_string buf k;
           Buffer.add_string buf ": ";
           pretty ~depth:(depth + 1) buf v)
         fields;
       Buffer.add_string buf "\n";
       Buffer.add_string buf (indent depth);
       Buffer.add_string buf "}"
-  | Protocol.Arr items
-    when items <> [] && List.for_all (function Protocol.Obj _ -> true | _ -> false) items ->
+  | Json.Arr items
+    when items <> [] && List.for_all (function Json.Obj _ -> true | _ -> false) items ->
       Buffer.add_string buf "[\n";
       List.iteri
         (fun i item ->
@@ -55,8 +55,8 @@ let iso8601_utc () =
    the writers emit the current shapes. *)
 let merge ~path keys =
   let existing =
-    match Result.bind (Pmw_session.Checkpoint.read_file path) Protocol.json_of_string with
-    | Ok (Protocol.Obj fields) -> List.remove_assoc "schema" fields
+    match Result.bind (Pmw_session.Checkpoint.read_file path) Json.of_string with
+    | Ok (Json.Obj fields) -> List.remove_assoc "schema" fields
     | _ -> []
   in
   let kept =
@@ -64,7 +64,7 @@ let merge ~path keys =
   in
   let added = List.filter (fun (k, _) -> not (List.mem_assoc k existing)) keys in
   let buf = Buffer.create 4096 in
-  pretty ~depth:0 buf (Protocol.Obj ((("schema", Protocol.Str schema) :: kept) @ added));
+  pretty ~depth:0 buf (Json.Obj ((("schema", Json.Str schema) :: kept) @ added));
   Buffer.add_char buf '\n';
   let oc = open_out path in
   Buffer.output_buffer oc buf;

@@ -30,6 +30,7 @@ module Flaky = Pmw_server.Flaky
 module Journal = Pmw_server.Journal
 module Invariants = Pmw_server.Invariants
 module Trace = Pmw_telemetry.Trace
+module Json = Pmw_telemetry.Json
 module Splitmix64 = Pmw_rng.Splitmix64
 
 type analyst_stats = {
@@ -265,8 +266,8 @@ let mean_max = function
   | ts ->
       (List.fold_left ( +. ) 0. ts /. float_of_int (List.length ts), List.fold_left Float.max 0. ts)
 
-let num v = Protocol.Num v
-let int v = Protocol.Num (float_of_int v)
+let num v = Json.Num v
+let int v = Json.Num (float_of_int v)
 
 (* The per-journal rules through the shared checker, plus what only this
    soak knows: the journal was drained gracefully (no torn tail), and the
@@ -432,10 +433,10 @@ let fleet_soak ~bin ~dir ~seed ~eps ~n ~k ~shards ~analysts ~cycles ~kill_min ~k
   Printf.printf "%s\n%!" (if checks_ok then "ALL INVARIANTS HELD" else "INVARIANTS VIOLATED");
   if json then begin
     let section =
-      Protocol.Obj
+      Json.Obj
         [
-          ("generator", Protocol.Str "bench/chaos.exe -- --kill-shard --json");
-          ("timestamp", Protocol.Str (Bench_json.iso8601_utc ()));
+          ("generator", Json.Str "bench/chaos.exe -- --kill-shard --json");
+          ("timestamp", Json.Str (Bench_json.iso8601_utc ()));
           ("shards", int shards);
           ("cycles", int cycles);
           ("analysts", int analysts);
@@ -449,8 +450,8 @@ let fleet_soak ~bin ~dir ~seed ~eps ~n ~k ~shards ~analysts ~cycles ~kill_min ~k
           ("shard_recovery_max_ms", num (recovery_max *. 1e3));
           ("fleet_max_reported_eps", num (fst reported));
           ( "shard_journal_cum_eps",
-            Protocol.Arr (List.map (fun (_, a) -> num (fst a.Invariants.ac_cum)) shard_journals) );
-          ("invariants_held", Protocol.Bool checks_ok);
+            Json.Arr (List.map (fun (_, a) -> num (fst a.Invariants.ac_cum)) shard_journals) );
+          ("invariants_held", Json.Bool checks_ok);
         ]
     in
     Bench_json.merge ~path:"BENCH_pmw.json" [ ("chaos_fleet", section) ]
@@ -814,10 +815,10 @@ let epoch_soak ~dir ~cycles ~json () =
     (if checks_ok then "ALL INVARIANTS HELD" else "INVARIANTS VIOLATED");
   if json then begin
     let section =
-      Protocol.Obj
+      Json.Obj
         [
-          ("generator", Protocol.Str "bench/chaos.exe -- --kill-epoch --json");
-          ("timestamp", Protocol.Str (Bench_json.iso8601_utc ()));
+          ("generator", Json.Str "bench/chaos.exe -- --kill-epoch --json");
+          ("timestamp", Json.Str (Bench_json.iso8601_utc ()));
           ("cycles", int cycles);
           ("fault_combos", int plan_len);
           ("wall_s", num wall_s);
@@ -829,7 +830,7 @@ let epoch_soak ~dir ~cycles ~json () =
           ("journal_records_final", int chaos_records);
           ("journal_records_max_post_transition", int !max_post_records);
           ("max_reported_eps", num (fst !reported));
-          ("invariants_held", Protocol.Bool checks_ok);
+          ("invariants_held", Json.Bool checks_ok);
         ]
     in
     Bench_json.merge ~path:"BENCH_pmw.json" [ ("epochs", section) ]
@@ -1008,10 +1009,10 @@ let () =
     (if checks_ok then "ALL INVARIANTS HELD" else "INVARIANTS VIOLATED");
   if !json then begin
     let section =
-      Protocol.Obj
+      Json.Obj
         [
-          ("generator", Protocol.Str "bench/chaos.exe -- --json");
-          ("timestamp", Protocol.Str (Bench_json.iso8601_utc ()));
+          ("generator", Json.Str "bench/chaos.exe -- --json");
+          ("timestamp", Json.Str (Bench_json.iso8601_utc ()));
           ("cycles", int !cycles);
           ("analysts", int !analysts);
           ("wall_s", num wall_s);
@@ -1027,8 +1028,8 @@ let () =
           ("journal_cum_delta", num cum_delta);
           ("max_reported_eps", num (fst reported));
           ( "proxy_faults",
-            Protocol.Obj (List.map (fun (k, v) -> (k, int v)) (Flaky.stats proxy)) );
-          ("invariants_held", Protocol.Bool checks_ok);
+            Json.Obj (List.map (fun (k, v) -> (k, int v)) (Flaky.stats proxy)) );
+          ("invariants_held", Json.Bool checks_ok);
         ]
     in
     Bench_json.merge ~path:"BENCH_pmw.json" [ ("chaos", section) ]

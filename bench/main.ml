@@ -26,7 +26,7 @@ module Registry = Pmw_experiments.Registry
 module Universe = Pmw_data.Universe
 module Histogram = Pmw_data.Histogram
 module Rng = Pmw_rng.Rng
-module Protocol = Pmw_server.Protocol
+module Json = Pmw_telemetry.Json
 
 (* --- bechamel micro-benchmarks: the kernels behind each experiment --- *)
 
@@ -58,10 +58,11 @@ let micro_tests () =
     (* T1.lipschitz & friends: one public argmin over the hypothesis *)
     Test.make ~name:"t1-lipschitz/public-argmin"
       (Staged.stage (fun () -> Pmw_core.Cm_query.minimize_on_histogram ~iters:50 query dhat));
-    (* Figure 3's served solve: one panel-query argmin (Huber, the stock
-       |X| = 245 universe, 200 iterations per arm, one domain) over the
-       histogram of a 37 500-row sample — one shard's reference minimum in
-       the `fleet` benchmark workload *)
+    (* Figure 3's reference solve: one panel-query argmin (Huber, the stock
+       |X| = 245 universe, 200 iterations per arm, both arms, no [?gap],
+       one domain) over the histogram of a 37 500-row sample — one shard's
+       reference minimum in the `fleet` benchmark workload, not the served
+       θ̂ solve, which stops after Armijo's arm when certified *)
     Test.make ~name:"convex/panel-solve"
       (Staged.stage
          (let panel = Common.Workload.regression () in
@@ -376,31 +377,31 @@ let write_json ~path ~quick rows =
     | None -> "unknown"
   in
   let pmw_domains = try Sys.getenv "PMW_DOMAINS" with Not_found -> "" in
-  let num f = Protocol.Num f and int i = Protocol.Num (float_of_int i) in
+  let num f = Json.Num f and int i = Json.Num (float_of_int i) in
   let command = "bench/main.exe -- micro --json" ^ if quick then " --quick" else "" in
   Bench_json.merge ~path
     [
-      ("command", Protocol.Str command);
+      ("command", Json.Str command);
       (* Trajectory metadata: enough to line up two BENCH_pmw.json files
          from different commits/machines before comparing their numbers. *)
       ( "meta",
-        Protocol.Obj
+        Json.Obj
           [
-            ("git", Protocol.Str git);
-            ("timestamp", Protocol.Str (Bench_json.iso8601_utc ()));
-            ("ocaml", Protocol.Str Sys.ocaml_version);
-            ("pmw_domains_env", Protocol.Str pmw_domains);
-            ("quick", Protocol.Bool quick);
+            ("git", Json.Str git);
+            ("timestamp", Json.Str (Bench_json.iso8601_utc ()));
+            ("ocaml", Json.Str Sys.ocaml_version);
+            ("pmw_domains_env", Json.Str pmw_domains);
+            ("quick", Json.Bool quick);
           ] );
       ("domains", int par_domains);
       ("grain", int Pool.grain);
       ( "kernels",
-        Protocol.Arr
+        Json.Arr
           (List.map
              (fun r ->
-               Protocol.Obj
+               Json.Obj
                  [
-                   ("name", Protocol.Str r.kr_name);
+                   ("name", Json.Str r.kr_name);
                    ("universe_bits", int r.kr_bits);
                    ("baseline_ns", num r.kr_baseline);
                    ("seq_ns", num r.kr_seq);

@@ -4,6 +4,7 @@
 
 module Budget = Pmw_core.Budget
 module Params = Pmw_dp.Params
+module Json = Pmw_telemetry.Json
 
 type record =
   | Debit of {
@@ -53,110 +54,92 @@ let empty_recovery =
 (* --- record <-> JSON payload --- *)
 
 let payload_of_record r =
-  let num v = Protocol.Num v in
-  let int v = Protocol.Num (float_of_int v) in
+  let num v = Json.Num v in
+  let int v = Json.Num (float_of_int v) in
   match r with
   | Debit d ->
-      Protocol.Obj
+      Json.Obj
         [
-          ("k", Protocol.Str "debit");
-          ("mech", Protocol.Str d.jd_mechanism);
+          ("k", Json.Str "debit");
+          ("mech", Json.Str d.jd_mechanism);
           ("eps", num d.jd_eps);
           ("delta", num d.jd_delta);
           ("cum_eps", num d.jd_cum_eps);
           ("cum_delta", num d.jd_cum_delta);
         ]
   | Answer a ->
-      Protocol.Obj
-        (("k", Protocol.Str "answer")
+      Json.Obj
+        (("k", Json.Str "answer")
         :: ("seq", int a.ja_seq)
-        :: ("analyst", Protocol.Str a.ja_analyst)
-        :: ((match a.ja_rid with None -> [] | Some rid -> [ ("rid", Protocol.Str rid) ])
-           @ [ ("rsp", Protocol.Str a.ja_line) ]))
-  | Mark name -> Protocol.Obj [ ("k", Protocol.Str "mark"); ("name", Protocol.Str name) ]
+        :: ("analyst", Json.Str a.ja_analyst)
+        :: ((match a.ja_rid with None -> [] | Some rid -> [ ("rid", Json.Str rid) ])
+           @ [ ("rsp", Json.Str a.ja_line) ]))
+  | Mark name -> Json.Obj [ ("k", Json.Str "mark"); ("name", Json.Str name) ]
   | Epoch e ->
-      Protocol.Obj
+      Json.Obj
         [
-          ("k", Protocol.Str "epoch");
+          ("k", Json.Str "epoch");
           ("epoch", int e.je_epoch);
           ("base_eps", num e.je_base_eps);
           ("base_delta", num e.je_base_delta);
           ("seq", int e.je_seq);
         ]
   | Ingest i ->
-      Protocol.Obj
+      Json.Obj
         [
-          ("k", Protocol.Str "ingest");
-          ("rows", Protocol.Arr (Array.to_list (Array.map (fun v -> int v) i.ji_rows)));
+          ("k", Json.Str "ingest");
+          ("rows", Json.Arr (Array.to_list (Array.map (fun v -> int v) i.ji_rows)));
         ]
-
-let field fields name = List.assoc_opt name fields
-let as_str = function Protocol.Str s -> Some s | _ -> None
-
-let as_num = function
-  | Protocol.Num v -> Some v
-  | Protocol.Str "nan" -> Some Float.nan
-  | Protocol.Str "inf" -> Some Float.infinity
-  | Protocol.Str "-inf" -> Some Float.neg_infinity
-  | _ -> None
-
-let as_int j =
-  match as_num j with Some v when Float.is_integer v -> Some (int_of_float v) | _ -> None
 
 let record_of_payload j =
   match j with
-  | Protocol.Obj fields -> (
-      match Option.bind (field fields "k") as_str with
+  | Json.Obj fields -> (
+      match Json.field fields "k" Json.to_str with
       | Some "debit" -> (
           match
-            ( Option.bind (field fields "mech") as_str,
-              Option.bind (field fields "eps") as_num,
-              Option.bind (field fields "delta") as_num,
-              Option.bind (field fields "cum_eps") as_num,
-              Option.bind (field fields "cum_delta") as_num )
+            ( Json.field fields "mech" Json.to_str,
+              Json.field fields "eps" Json.to_float,
+              Json.field fields "delta" Json.to_float,
+              Json.field fields "cum_eps" Json.to_float,
+              Json.field fields "cum_delta" Json.to_float )
           with
           | Some jd_mechanism, Some jd_eps, Some jd_delta, Some jd_cum_eps, Some jd_cum_delta ->
               Ok (Debit { jd_mechanism; jd_eps; jd_delta; jd_cum_eps; jd_cum_delta })
           | _ -> Error "journal: malformed debit record")
       | Some "answer" -> (
           match
-            ( Option.bind (field fields "seq") as_int,
-              Option.bind (field fields "analyst") as_str,
-              Option.bind (field fields "rsp") as_str )
+            ( Json.field fields "seq" Json.to_int,
+              Json.field fields "analyst" Json.to_str,
+              Json.field fields "rsp" Json.to_str )
           with
           | Some ja_seq, Some ja_analyst, Some ja_line ->
-              Ok
-                (Answer
-                   { ja_seq; ja_analyst; ja_rid = Option.bind (field fields "rid") as_str; ja_line })
+              let ja_rid = Json.field fields "rid" Json.to_str in
+              Ok (Answer { ja_seq; ja_analyst; ja_rid; ja_line })
           | _ -> Error "journal: malformed answer record")
       | Some "mark" -> (
-          match Option.bind (field fields "name") as_str with
+          match Json.field fields "name" Json.to_str with
           | Some name -> Ok (Mark name)
           | None -> Error "journal: malformed mark record")
       | Some "epoch" -> (
           match
-            ( Option.bind (field fields "epoch") as_int,
-              Option.bind (field fields "base_eps") as_num,
-              Option.bind (field fields "base_delta") as_num,
-              Option.bind (field fields "seq") as_int )
+            ( Json.field fields "epoch" Json.to_int,
+              Json.field fields "base_eps" Json.to_float,
+              Json.field fields "base_delta" Json.to_float,
+              Json.field fields "seq" Json.to_int )
           with
           | Some je_epoch, Some je_base_eps, Some je_base_delta, Some je_seq ->
               Ok (Epoch { je_epoch; je_base_eps; je_base_delta; je_seq })
           | _ -> Error "journal: malformed epoch record")
       | Some "ingest" -> (
-          match field fields "rows" with
-          | Some (Protocol.Arr items) ->
-              let vals = List.map as_int items in
-              if List.for_all Option.is_some vals then
-                Ok (Ingest { ji_rows = Array.of_list (List.map Option.get vals) })
-              else Error "journal: malformed ingest record"
-          | _ -> Error "journal: malformed ingest record")
+          match Json.field fields "rows" (Json.to_list Json.to_int) with
+          | Some rows -> Ok (Ingest { ji_rows = Array.of_list rows })
+          | None -> Error "journal: malformed ingest record")
       | Some other -> Error (Printf.sprintf "journal: unknown record kind %S" other)
       | None -> Error "journal: record has no kind")
   | _ -> Error "journal: record is not a JSON object"
 
 let record_to_string r =
-  let payload = Protocol.json_to_string (payload_of_record r) in
+  let payload = Json.to_string (payload_of_record r) in
   Printf.sprintf "%Lx %s" (Pmw_session.Checkpoint.fnv1a64 payload) payload
 
 let record_of_line line =
@@ -170,7 +153,7 @@ let record_of_line line =
       | Some expected ->
           if not (Int64.equal expected (Pmw_session.Checkpoint.fnv1a64 payload)) then
             Error "journal: checksum mismatch"
-          else Result.bind (Protocol.json_of_string payload) record_of_payload)
+          else Result.bind (Json.of_string payload) record_of_payload)
 
 (* --- replay --- *)
 
@@ -224,8 +207,8 @@ let tail_kind fragment =
   | None -> None
   | Some i -> (
       let payload = String.sub fragment (i + 1) (String.length fragment - i - 1) in
-      match Protocol.json_of_string payload with
-      | Ok (Protocol.Obj fields) -> Option.bind (field fields "k") as_str
+      match Json.of_string payload with
+      | Ok (Json.Obj fields) -> Json.field fields "k" Json.to_str
       | Ok _ | Error _ -> None)
 
 (* A crash can only tear the tail: a record is one write(2) of a full line,

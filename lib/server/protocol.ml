@@ -1,12 +1,10 @@
-(* Line-delimited JSON wire protocol for the query server. The JSON layer is
-   hand-rolled because the repo deliberately carries no JSON dependency: the
-   telemetry trace reader only parses flat objects, and the protocol needs
-   nested values (theta arrays), so this module owns a small full parser.
-   Floats follow the telemetry convention — %.17g for finite values (which
-   round-trips every double), and the strings "nan" / "inf" / "-inf" for the
-   values JSON cannot spell. *)
+(* Line-delimited JSON wire protocol for the query server. The JSON codec
+   (value type, printer, parser, float and integer rules) is
+   [Pmw_telemetry.Json]; this module owns the request/response schema. *)
 
-type json =
+module Json = Pmw_telemetry.Json
+
+type json = Json.t =
   | Null
   | Bool of bool
   | Num of float
@@ -14,252 +12,7 @@ type json =
   | Arr of json list
   | Obj of (string * json) list
 
-(* --- printing --- *)
-
-let escape_into b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
-
-let num_to_string v =
-  if Float.is_finite v then Printf.sprintf "%.17g" v
-  else if Float.is_nan v then "\"nan\""
-  else if v > 0. then "\"inf\""
-  else "\"-inf\""
-
-let rec print_into b = function
-  | Null -> Buffer.add_string b "null"
-  | Bool v -> Buffer.add_string b (if v then "true" else "false")
-  | Num v -> Buffer.add_string b (num_to_string v)
-  | Str s ->
-      Buffer.add_char b '"';
-      escape_into b s;
-      Buffer.add_char b '"'
-  | Arr items ->
-      Buffer.add_char b '[';
-      List.iteri
-        (fun i item ->
-          if i > 0 then Buffer.add_char b ',';
-          print_into b item)
-        items;
-      Buffer.add_char b ']'
-  | Obj fields ->
-      Buffer.add_char b '{';
-      List.iteri
-        (fun i (k, v) ->
-          if i > 0 then Buffer.add_char b ',';
-          Buffer.add_char b '"';
-          escape_into b k;
-          Buffer.add_string b "\":";
-          print_into b v)
-        fields;
-      Buffer.add_char b '}'
-
-let json_to_string j =
-  let b = Buffer.create 256 in
-  print_into b j;
-  Buffer.contents b
-
-(* --- parsing: recursive descent over the line --- *)
-
-exception Bad of string
-
-type cursor = { text : string; mutable pos : int }
-
-let peek c = if c.pos < String.length c.text then Some c.text.[c.pos] else None
-
-let skip_ws c =
-  while
-    c.pos < String.length c.text
-    && match c.text.[c.pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false
-  do
-    c.pos <- c.pos + 1
-  done
-
-let expect c ch =
-  match peek c with
-  | Some x when x = ch -> c.pos <- c.pos + 1
-  | Some x -> raise (Bad (Printf.sprintf "expected '%c' at byte %d, found '%c'" ch c.pos x))
-  | None -> raise (Bad (Printf.sprintf "expected '%c' at byte %d, found end of input" ch c.pos))
-
-let literal c word value =
-  let n = String.length word in
-  if c.pos + n <= String.length c.text && String.sub c.text c.pos n = word then begin
-    c.pos <- c.pos + n;
-    value
-  end
-  else raise (Bad (Printf.sprintf "bad literal at byte %d" c.pos))
-
-(* Validates digits explicitly: int_of_string would raise Failure on a
-   malformed escape like \uZZZZ, and the parser's no-raise contract (any
-   byte garbage maps to Error, never an exception) is what the fuzz corpus
-   in test_server.ml pins down. *)
-let parse_hex4 c =
-  if c.pos + 4 > String.length c.text then raise (Bad "truncated \\u escape");
-  let digit ch =
-    match ch with
-    | '0' .. '9' -> Char.code ch - Char.code '0'
-    | 'a' .. 'f' -> Char.code ch - Char.code 'a' + 10
-    | 'A' .. 'F' -> Char.code ch - Char.code 'A' + 10
-    | _ -> raise (Bad (Printf.sprintf "bad hex digit '%c' in \\u escape" ch))
-  in
-  let v = ref 0 in
-  for i = c.pos to c.pos + 3 do
-    v := (!v lsl 4) lor digit c.text.[i]
-  done;
-  c.pos <- c.pos + 4;
-  !v
-
-(* Decodes \uXXXX escapes to UTF-8 (surrogate pairs included) so a string
-   round-trips even when the peer escapes non-ASCII. *)
-let add_utf8 b cp =
-  if cp < 0x80 then Buffer.add_char b (Char.chr cp)
-  else if cp < 0x800 then begin
-    Buffer.add_char b (Char.chr (0xC0 lor (cp lsr 6)));
-    Buffer.add_char b (Char.chr (0x80 lor (cp land 0x3F)))
-  end
-  else if cp < 0x10000 then begin
-    Buffer.add_char b (Char.chr (0xE0 lor (cp lsr 12)));
-    Buffer.add_char b (Char.chr (0x80 lor ((cp lsr 6) land 0x3F)));
-    Buffer.add_char b (Char.chr (0x80 lor (cp land 0x3F)))
-  end
-  else begin
-    Buffer.add_char b (Char.chr (0xF0 lor (cp lsr 18)));
-    Buffer.add_char b (Char.chr (0x80 lor ((cp lsr 12) land 0x3F)));
-    Buffer.add_char b (Char.chr (0x80 lor ((cp lsr 6) land 0x3F)));
-    Buffer.add_char b (Char.chr (0x80 lor (cp land 0x3F)))
-  end
-
-let parse_string c =
-  expect c '"';
-  let b = Buffer.create 16 in
-  let rec go () =
-    match peek c with
-    | None -> raise (Bad "unterminated string")
-    | Some '"' -> c.pos <- c.pos + 1
-    | Some '\\' -> (
-        c.pos <- c.pos + 1;
-        match peek c with
-        | None -> raise (Bad "unterminated escape")
-        | Some e ->
-            c.pos <- c.pos + 1;
-            (match e with
-            | '"' -> Buffer.add_char b '"'
-            | '\\' -> Buffer.add_char b '\\'
-            | '/' -> Buffer.add_char b '/'
-            | 'b' -> Buffer.add_char b '\b'
-            | 'f' -> Buffer.add_char b '\012'
-            | 'n' -> Buffer.add_char b '\n'
-            | 'r' -> Buffer.add_char b '\r'
-            | 't' -> Buffer.add_char b '\t'
-            | 'u' ->
-                let hi = parse_hex4 c in
-                if hi >= 0xD800 && hi <= 0xDBFF then begin
-                  expect c '\\';
-                  expect c 'u';
-                  let lo = parse_hex4 c in
-                  if lo < 0xDC00 || lo > 0xDFFF then raise (Bad "bad surrogate pair");
-                  add_utf8 b (0x10000 + ((hi - 0xD800) lsl 10) + (lo - 0xDC00))
-                end
-                else add_utf8 b hi
-            | _ -> raise (Bad (Printf.sprintf "bad escape '\\%c'" e)));
-            go ())
-    | Some ch ->
-        c.pos <- c.pos + 1;
-        Buffer.add_char b ch;
-        go ()
-  in
-  go ();
-  Buffer.contents b
-
-let parse_number c =
-  let start = c.pos in
-  let numeric ch =
-    match ch with '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false
-  in
-  while c.pos < String.length c.text && numeric c.text.[c.pos] do
-    c.pos <- c.pos + 1
-  done;
-  match float_of_string_opt (String.sub c.text start (c.pos - start)) with
-  | Some v -> v
-  | None -> raise (Bad (Printf.sprintf "bad number at byte %d" start))
-
-let rec parse_value c =
-  skip_ws c;
-  match peek c with
-  | None -> raise (Bad "unexpected end of input")
-  | Some '"' -> Str (parse_string c)
-  | Some 't' -> literal c "true" (Bool true)
-  | Some 'f' -> literal c "false" (Bool false)
-  | Some 'n' -> literal c "null" Null
-  | Some '[' ->
-      c.pos <- c.pos + 1;
-      skip_ws c;
-      if peek c = Some ']' then begin
-        c.pos <- c.pos + 1;
-        Arr []
-      end
-      else begin
-        let items = ref [ parse_value c ] in
-        skip_ws c;
-        while peek c = Some ',' do
-          c.pos <- c.pos + 1;
-          items := parse_value c :: !items;
-          skip_ws c
-        done;
-        expect c ']';
-        Arr (List.rev !items)
-      end
-  | Some '{' ->
-      c.pos <- c.pos + 1;
-      skip_ws c;
-      if peek c = Some '}' then begin
-        c.pos <- c.pos + 1;
-        Obj []
-      end
-      else begin
-        let field () =
-          skip_ws c;
-          let k = parse_string c in
-          skip_ws c;
-          expect c ':';
-          let v = parse_value c in
-          (k, v)
-        in
-        let fields = ref [ field () ] in
-        skip_ws c;
-        while peek c = Some ',' do
-          c.pos <- c.pos + 1;
-          fields := field () :: !fields;
-          skip_ws c
-        done;
-        expect c '}';
-        Obj (List.rev !fields)
-      end
-  | Some _ -> Num (parse_number c)
-
-let json_of_string s =
-  let c = { text = s; pos = 0 } in
-  match parse_value c with
-  | v ->
-      skip_ws c;
-      if c.pos <> String.length s then
-        Error (Printf.sprintf "trailing bytes after JSON value at byte %d" c.pos)
-      else Ok v
-  | exception Bad why -> Error why
-  (* Belt and braces for the no-raise contract: any stray library exception
-     from a hostile input becomes a decode error, never a crashed reader
-     thread. *)
-  | exception Failure why -> Error ("malformed JSON: " ^ why)
-  | exception Invalid_argument why -> Error ("malformed JSON: " ^ why)
+let json_to_string = Json.to_string
 
 (* --- schema --- *)
 
@@ -318,24 +71,18 @@ type response = {
   rsp_body : string option;
 }
 
-let field fields name = List.assoc_opt name fields
-
-let as_num = function
-  | Num v -> Some v
-  | Str "nan" -> Some Float.nan
-  | Str "inf" -> Some Float.infinity
-  | Str "-inf" -> Some Float.neg_infinity
-  | _ -> None
-
-let as_int j =
-  match as_num j with
-  | Some v when Float.is_integer v -> Some (int_of_float v)
-  | _ -> None
-
-let as_str = function Str s -> Some s | _ -> None
+(* An optional field holding an array of integers: absent is [Ok None],
+   anything but such an array is an error naming the field. *)
+let int_list ~what fields name =
+  match List.assoc_opt name fields with
+  | None -> Ok None
+  | Some j -> (
+      match Json.to_list Json.to_int j with
+      | Some ids -> Ok (Some ids)
+      | None -> Error (Printf.sprintf "%s field %S must be an array of integers" what name))
 
 let check_version fields =
-  match Option.bind (field fields "v") as_int with
+  match Json.field fields "v" Json.to_int with
   | None -> Error "missing schema version field \"v\""
   | Some v when v <> version -> Error (Printf.sprintf "unsupported schema version %d (speaking %d)" v version)
   | Some _ -> Ok ()
@@ -360,39 +107,19 @@ let encode_request r =
 
 let decode_request line =
   Result.bind (frame_check "request" line) (fun () ->
-      Result.bind (json_of_string line) (function
+      Result.bind (Json.of_string line) (function
         | Obj fields -> (
             Result.bind (check_version fields) (fun () ->
                 match
-                  ( Option.bind (field fields "id") as_int,
-                    Option.bind (field fields "analyst") as_str,
-                    Option.bind (field fields "query") as_str )
+                  ( Json.field fields "id" Json.to_int,
+                    Json.field fields "analyst" Json.to_str,
+                    Json.field fields "query" Json.to_str )
                 with
                 | Some id, Some analyst, Some query -> (
-                    let shards =
-                      match field fields "shards" with
-                      | None -> Ok None
-                      | Some (Arr items) ->
-                          let vals = List.map as_int items in
-                          if List.for_all Option.is_some vals then
-                            Ok (Some (List.map Option.get vals))
-                          else
-                            Error
-                              "request field \"shards\" must be an array of integers"
-                      | Some _ ->
-                          Error "request field \"shards\" must be an array of integers"
-                    in
-                    let rows =
-                      match field fields "rows" with
-                      | None -> Ok None
-                      | Some (Arr items) ->
-                          let vals = List.map as_int items in
-                          if List.for_all Option.is_some vals then
-                            Ok (Some (List.map Option.get vals))
-                          else Error "request field \"rows\" must be an array of integers"
-                      | Some _ -> Error "request field \"rows\" must be an array of integers"
-                    in
-                    match (shards, rows) with
+                    match
+                      ( int_list ~what:"request" fields "shards",
+                        int_list ~what:"request" fields "rows" )
+                    with
                     | Error why, _ | _, Error why -> Error why
                     | Ok shards, Ok rows ->
                         Ok
@@ -400,10 +127,10 @@ let decode_request line =
                             req_id = id;
                             req_analyst = analyst;
                             req_query = query;
-                            req_rid = Option.bind (field fields "rid") as_str;
+                            req_rid = Json.field fields "rid" Json.to_str;
                             req_shards = shards;
-                            req_trace = Option.bind (field fields "trace") as_str;
-                            req_pspan = Option.bind (field fields "pspan") as_int;
+                            req_trace = Json.field fields "trace" Json.to_str;
+                            req_pspan = Json.field fields "pspan" Json.to_int;
                             req_rows = rows;
                           })
                 | None, _, _ -> Error "request is missing integer field \"id\""
@@ -456,88 +183,58 @@ let encode_response r =
 
 let decode_response line =
   Result.bind (frame_check "response" line) (fun () ->
-  Result.bind (json_of_string line) (function
+  Result.bind (Json.of_string line) (function
     | Obj fields -> (
         Result.bind (check_version fields) (fun () ->
-            let reason () =
-              Option.value ~default:"" (Option.bind (field fields "reason") as_str)
-            in
+            let reason () = Option.value ~default:"" (Json.field fields "reason" Json.to_str) in
+            let retry_after_s () = Json.field fields "retry_after_s" Json.to_float in
             let status =
-              match Option.bind (field fields "status") as_str with
+              match Json.field fields "status" Json.to_str with
               | Some "answered" -> Ok Answered
               | Some "degraded" -> Ok (Degraded (reason ()))
               | Some "refused" -> Ok (Refused (reason ()))
               | Some "rejected" ->
-                  Ok
-                    (Rejected
-                       {
-                         retry_after_s = Option.bind (field fields "retry_after_s") as_num;
-                         reason = reason ();
-                       })
+                  Ok (Rejected { retry_after_s = retry_after_s (); reason = reason () })
               | Some "error" -> Ok (Failed (reason ()))
               | Some "partial" -> (
-                  let missing =
-                    match field fields "missing_shards" with
-                    | Some (Arr items) ->
-                        let vals = List.map as_int items in
-                        if List.for_all Option.is_some vals then
-                          Ok (List.map Option.get vals)
-                        else
-                          Error
-                            "partial response field \"missing_shards\" must be an \
-                             array of integers"
-                    | Some _ ->
-                        Error
-                          "partial response field \"missing_shards\" must be an \
-                           array of integers"
-                    | None -> Error "partial response is missing \"missing_shards\""
-                  in
                   match
-                    (missing, Option.bind (field fields "coverage") as_num)
+                    ( int_list ~what:"partial response" fields "missing_shards",
+                      Json.field fields "coverage" Json.to_float )
                   with
                   | Error why, _ -> Error why
+                  | Ok None, _ -> Error "partial response is missing \"missing_shards\""
                   | _, None -> Error "partial response is missing number \"coverage\""
-                  | Ok missing_shards, Some coverage ->
+                  | Ok (Some missing_shards), Some coverage ->
                       Ok
                         (Partial
                            {
                              missing_shards;
                              coverage;
-                             retry_after_s =
-                               Option.bind (field fields "retry_after_s") as_num;
+                             retry_after_s = retry_after_s ();
                              reason = reason ();
                            }))
               | Some other -> Error (Printf.sprintf "unknown status %S" other)
               | None -> Error "response is missing string field \"status\""
             in
             Result.bind status (fun status ->
-                let theta =
-                  match field fields "theta" with
-                  | Some (Arr items) ->
-                      let vals = List.map as_num items in
-                      if List.for_all Option.is_some vals then
-                        Some (Array.of_list (List.map Option.get vals))
-                      else None
-                  | _ -> None
-                in
-                match
-                  (Option.bind (field fields "id") as_int, Option.bind (field fields "seq") as_int)
-                with
+                match (Json.field fields "id" Json.to_int, Json.field fields "seq" Json.to_int) with
                 | Some id, Some seq ->
                     Ok
                       {
                         rsp_id = id;
                         rsp_seq = seq;
                         rsp_status = status;
-                        rsp_theta = theta;
-                        rsp_source = Option.bind (field fields "source") as_str;
-                        rsp_update_index = Option.bind (field fields "update_index") as_int;
-                        rsp_batch = Option.bind (field fields "batch") as_int;
-                        rsp_queue_wait_s = Option.bind (field fields "queue_wait_s") as_num;
-                        rsp_spent_eps = Option.bind (field fields "spent_eps") as_num;
-                        rsp_spent_delta = Option.bind (field fields "spent_delta") as_num;
-                        rsp_epoch = Option.bind (field fields "epoch") as_int;
-                        rsp_body = Option.bind (field fields "body") as_str;
+                        rsp_theta =
+                          Option.map Array.of_list
+                            (Json.field fields "theta" (Json.to_list Json.to_float));
+                        rsp_source = Json.field fields "source" Json.to_str;
+                        rsp_update_index = Json.field fields "update_index" Json.to_int;
+                        rsp_batch = Json.field fields "batch" Json.to_int;
+                        rsp_queue_wait_s = Json.field fields "queue_wait_s" Json.to_float;
+                        rsp_spent_eps = Json.field fields "spent_eps" Json.to_float;
+                        rsp_spent_delta = Json.field fields "spent_delta" Json.to_float;
+                        rsp_epoch = Json.field fields "epoch" Json.to_int;
+                        rsp_body = Json.field fields "body" Json.to_str;
                       }
                 | None, _ -> Error "response is missing integer field \"id\""
                 | _, None -> Error "response is missing integer field \"seq\"")))

@@ -28,10 +28,11 @@
     cumulative totals when the answer was released, which lets an external
     auditor check the journal covers everything any client ever saw.
 
-    Floats use the telemetry convention: finite values as [%.17g] (which
-    round-trips every double), NaN/±∞ as the strings ["nan"], ["inf"],
-    ["-inf"]. Unknown fields are ignored (forward compatibility); a missing
-    or different ["v"] is an error (versioning contract).
+    Lines are printed and parsed by {!Pmw_telemetry.Json}, whose float rule
+    ([%.17g], NaN/±∞ as the strings ["nan"], ["inf"], ["-inf"]) and
+    integer rule (integral and within [±2^53]) every field follows.
+    Unknown fields are ignored (forward compatibility); a missing or
+    different ["v"] is an error (versioning contract).
 
     {b Framing limits}: both decoders reject (with a structured [Error],
     never an exception) any line longer than {!max_line_bytes} or containing
@@ -39,10 +40,10 @@
 
 (** {1 JSON values}
 
-    The full nested JSON layer (the telemetry trace reader only parses flat
-    objects, a response's [theta] needs arrays). *)
+    The codec's value type, re-exported so callers can build documents
+    with [Protocol]'s constructors. *)
 
-type json =
+type json = Pmw_telemetry.Json.t =
   | Null
   | Bool of bool
   | Num of float
@@ -51,12 +52,7 @@ type json =
   | Obj of (string * json) list
 
 val json_to_string : json -> string
-(** Compact, single-line. *)
-
-val json_of_string : string -> (json, string) result
-(** Whole-string parse: trailing non-whitespace bytes are an error. String
-    escapes (including [\uXXXX] with surrogate pairs, decoded to UTF-8) are
-    handled. *)
+(** {!Pmw_telemetry.Json.to_string}: compact, single-line. *)
 
 (** {1 Schema} *)
 
@@ -94,7 +90,7 @@ type request = {
 }
 (** Integers travel as JSON numbers — IEEE doubles — so ids must fit the
     exactly representable range [±2^53]; larger values are silently rounded
-    by any standards-conforming JSON peer. *)
+    by any standards-conforming JSON peer, and the decoders reject them. *)
 
 type status =
   | Answered

@@ -346,75 +346,49 @@ let snapshot_lists t =
 
 (* --- renderers --- *)
 
-(* Same float convention as the trace layer: %.17g for finite values,
-   quoted "nan"/"inf"/"-inf" otherwise (JSON has no literals for them). *)
-let json_float v =
-  if Float.is_finite v then Printf.sprintf "%.17g" v
-  else if Float.is_nan v then "\"nan\""
-  else if v > 0. then "\"inf\""
-  else "\"-inf\""
-
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_obj b entries render =
-  Buffer.add_char b '{';
-  List.iteri
-    (fun i (name, v) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_char b '"';
-      Buffer.add_string b (json_escape name);
-      Buffer.add_string b "\":";
-      render v)
-    entries;
-  Buffer.add_char b '}'
-
+(* The float and escape rules are [Json]'s: the snapshot is one compact
+   JSON object, NaN/±∞ as the strings "nan"/"inf"/"-inf". *)
 let to_json t =
   let hs, rs, gs, ls = snapshot_lists t in
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\"histograms\":";
-  json_obj b
-    (List.map (fun h -> (h.h_name, hist_snapshot h)) hs)
-    (fun s ->
-      Buffer.add_string b
-        (Printf.sprintf "{\"count\":%d,\"sum\":%s,\"max\":%s,\"p50\":%s,\"p90\":%s,\"p99\":%s}"
-           s.hs_count (json_float s.hs_sum) (json_float s.hs_max) (json_float s.hs_p50)
-           (json_float s.hs_p90) (json_float s.hs_p99)));
-  Buffer.add_string b ",\"rates\":";
-  json_obj b
-    (List.map (fun r -> (r.r_name, rate_snapshot r)) rs)
-    (fun s ->
-      Buffer.add_string b
-        (Printf.sprintf "{\"total\":%d,\"per_s\":%s}" s.rs_total (json_float s.rs_per_s)));
-  Buffer.add_string b ",\"gauges\":";
-  json_obj b
-    (List.map (fun g -> (g.g_name, gauge_value g)) gs)
-    (fun v -> Buffer.add_string b (json_float v));
-  Buffer.add_string b ",\"ledgers\":";
-  json_obj b
-    (List.map (fun l -> (l.l_name, ledger_snapshot l)) ls)
-    (fun s ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"eps\":%s,\"delta\":%s,\"debits\":%d,\"eps_budget\":%s,\"delta_budget\":%s,\"burn_eps_per_s\":%s,\"rounds_left\":%s,\"seconds_left\":%s}"
-           (json_float s.ls_eps) (json_float s.ls_delta) s.ls_debits
-           (json_float s.ls_eps_budget) (json_float s.ls_delta_budget)
-           (json_float s.ls_burn_eps_per_s) (json_float s.ls_rounds_left)
-           (json_float s.ls_seconds_left)));
-  Buffer.add_char b '}';
-  Buffer.contents b
+  let num v = Json.Num v and int i = Json.Num (float_of_int i) in
+  let section items entry = Json.Obj (List.map entry items) in
+  Json.to_string
+    (Json.Obj
+       [
+         ( "histograms",
+           section hs (fun h ->
+               let s = hist_snapshot h in
+               ( h.h_name,
+                 Json.Obj
+                   [
+                     ("count", int s.hs_count);
+                     ("sum", num s.hs_sum);
+                     ("max", num s.hs_max);
+                     ("p50", num s.hs_p50);
+                     ("p90", num s.hs_p90);
+                     ("p99", num s.hs_p99);
+                   ] )) );
+         ( "rates",
+           section rs (fun r ->
+               let s = rate_snapshot r in
+               (r.r_name, Json.Obj [ ("total", int s.rs_total); ("per_s", num s.rs_per_s) ])) );
+         ("gauges", section gs (fun g -> (g.g_name, num (gauge_value g))));
+         ( "ledgers",
+           section ls (fun l ->
+               let s = ledger_snapshot l in
+               ( l.l_name,
+                 Json.Obj
+                   [
+                     ("eps", num s.ls_eps);
+                     ("delta", num s.ls_delta);
+                     ("debits", int s.ls_debits);
+                     ("eps_budget", num s.ls_eps_budget);
+                     ("delta_budget", num s.ls_delta_budget);
+                     ("burn_eps_per_s", num s.ls_burn_eps_per_s);
+                     ("rounds_left", num s.ls_rounds_left);
+                     ("seconds_left", num s.ls_seconds_left);
+                   ] )) );
+       ])
 
 (* Prometheus metric names: [a-zA-Z_:][a-zA-Z0-9_:]*; everything else
    becomes '_'. Values may be +Inf/NaN (the exposition format allows them,
@@ -482,7 +456,13 @@ let to_prometheus t =
     List.iter
       (fun l ->
         let s = ledger_snapshot l in
-        let lbl = Printf.sprintf "{ledger=\"%s\"}" (json_escape l.l_name) in
+        let lbl =
+          let b = Buffer.create 32 in
+          Buffer.add_string b "{ledger=\"";
+          Json.escape_into b l.l_name;
+          Buffer.add_string b "\"}";
+          Buffer.contents b
+        in
         Buffer.add_string b (Printf.sprintf "pmw_ledger_eps%s %s\n" lbl (prom_float s.ls_eps));
         Buffer.add_string b
           (Printf.sprintf "pmw_ledger_delta%s %s\n" lbl (prom_float s.ls_delta));

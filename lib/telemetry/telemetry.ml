@@ -4,12 +4,14 @@
    way [?pool] is: every instrumented module emits events into it, and the
    instance routes them to a sink (ring buffer, JSONL file, callback, or
    nothing). Counters and ledger totals are tracked in the instance even
-   when the sink is [Null], so the session layer can use them as its
-   authoritative tallies; spans and observations are recorded only when a
-   real sink is attached, which keeps the no-op configuration within noise
-   of the uninstrumented hot paths.
+   when the sink is [Null]: the session layer reads the counters as its
+   authoritative tallies, and the [Count] and [Debit] events carry the
+   running totals. Spans and observations keep no state in the instance;
+   they only emit, and only when a real sink is attached, which keeps the
+   no-op configuration within noise of the uninstrumented hot paths. Their
+   aggregates are [Trace.summarize]'s, over the emitted events.
 
-   One mutex per instance guards the tables, the clock clamp and the sink,
+   One mutex per instance guards the two tables, the clock clamp and the sink,
    so any thread may count, mark, observe or debit. Spans and rounds belong
    to the owning thread: the span stack and the round id are written only
    there, and the lock is never held while a span's body runs. *)
@@ -43,55 +45,31 @@ type event = {
   fields : (string * value) list;
 }
 
-(* --- JSON encoding (JSONL sink) --- *)
+(* --- JSON encoding (JSONL sink) ---
 
-let json_escape b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
-
-(* %.17g round-trips every finite double; non-finite values have no JSON
-   literal, so they are stringified (the trace reader maps them back). *)
-let json_float v =
-  if Float.is_finite v then Printf.sprintf "%.17g" v
-  else if Float.is_nan v then "\"nan\""
-  else if v > 0. then "\"inf\""
-  else "\"-inf\""
-
-let json_value b = function
-  | Int i -> Buffer.add_string b (string_of_int i)
-  | Float v -> Buffer.add_string b (json_float v)
-  | Bool v -> Buffer.add_string b (string_of_bool v)
-  | Str s ->
-      Buffer.add_char b '"';
-      json_escape b s;
-      Buffer.add_char b '"'
+   Streams one event straight into a buffer, with no [Json.t] tree per
+   event; the escape and float rules are [Json]'s. *)
 
 let event_to_json e =
   let b = Buffer.create 160 in
   Buffer.add_string b "{\"ts\":";
-  Buffer.add_string b (json_float e.ts);
+  Buffer.add_string b (Json.num_to_string e.ts);
   Buffer.add_string b ",\"round\":";
   Buffer.add_string b (string_of_int e.round);
   Buffer.add_string b ",\"kind\":\"";
   Buffer.add_string b (kind_to_string e.kind);
-  Buffer.add_string b "\",\"name\":\"";
-  json_escape b e.name;
-  Buffer.add_char b '"';
+  Buffer.add_string b "\",\"name\":";
+  Json.add_string b e.name;
   List.iter
     (fun (k, v) ->
-      Buffer.add_string b ",\"";
-      json_escape b k;
-      Buffer.add_string b "\":";
-      json_value b v)
+      Buffer.add_char b ',';
+      Json.add_string b k;
+      Buffer.add_char b ':';
+      match v with
+      | Int i -> Buffer.add_string b (string_of_int i)
+      | Float v -> Buffer.add_string b (Json.num_to_string v)
+      | Bool v -> Buffer.add_string b (string_of_bool v)
+      | Str s -> Json.add_string b s)
     e.fields;
   Buffer.add_char b '}';
   Buffer.contents b
@@ -150,17 +128,7 @@ module Sink = struct
     | Ring _ | Jsonl _ | Fn _ -> false
 end
 
-(* --- aggregate state kept in the instance --- *)
-
-type obs_stats = {
-  mutable o_count : int;
-  mutable o_sum : float;
-  mutable o_min : float;
-  mutable o_max : float;
-  mutable o_last : float;
-}
-
-type span_stats = { mutable s_calls : int; mutable s_total : float; mutable s_max : float }
+(* --- the running totals the emitted events carry --- *)
 
 type ledger_totals = {
   mutable l_debits : int;
@@ -175,10 +143,8 @@ type t = {
   enabled : bool;
   verbose : bool;
   tag : string option;
-  lock : Mutex.t;  (* guards the four tables, [last_ts] and every sink write *)
+  lock : Mutex.t;  (* guards the two tables, [last_ts] and every sink write *)
   counters : (string, int ref) Hashtbl.t;
-  observations : (string, obs_stats) Hashtbl.t;
-  spans : (string, span_stats) Hashtbl.t;
   ledgers : (string, ledger_totals) Hashtbl.t;
   mutable last_ts : float;
   (* written by the owning thread only *)
@@ -201,8 +167,6 @@ let create ?(clock = Unix.gettimeofday) ?(sink = Sink.Null) ?verbose ?tag () =
     tag;
     lock = Mutex.create ();
     counters = Hashtbl.create 16;
-    observations = Hashtbl.create 16;
-    spans = Hashtbl.create 16;
     ledgers = Hashtbl.create 4;
     last_ts = 0.;
     round = -1;
@@ -282,31 +246,10 @@ let mirror_counter t name total =
       let prev = !(counter_ref t name) in
       if total > prev then bump t name (total - prev))
 
-(* --- observations (float histograms; recorded when a sink is attached) --- *)
+(* --- observations (emitted when a sink is attached) --- *)
 
 let observe t name v =
-  if t.enabled then
-    locked t (fun () ->
-        (match Hashtbl.find_opt t.observations name with
-        | Some s ->
-            s.o_count <- s.o_count + 1;
-            s.o_sum <- s.o_sum +. v;
-            if v < s.o_min then s.o_min <- v;
-            if v > s.o_max then s.o_max <- v;
-            s.o_last <- v
-        | None ->
-            Hashtbl.add t.observations name
-              { o_count = 1; o_sum = v; o_min = v; o_max = v; o_last = v });
-        emit t Observe name [ ("value", Float v) ])
-
-type observation = { obs_count : int; obs_sum : float; obs_min : float; obs_max : float; obs_last : float }
-
-let observation t name =
-  locked t (fun () ->
-      Option.map
-        (fun s ->
-          { obs_count = s.o_count; obs_sum = s.o_sum; obs_min = s.o_min; obs_max = s.o_max; obs_last = s.o_last })
-        (Hashtbl.find_opt t.observations name))
+  if t.enabled then locked t (fun () -> emit t Observe name [ ("value", Float v) ])
 
 (* --- privacy-ledger timeline (tracked even with a Null sink) --- *)
 
@@ -334,35 +277,20 @@ let debit t ~ledger ~mechanism ~eps ~delta =
             ("debits", Int l.l_debits);
           ])
 
-let ledger_total t ledger =
-  locked t (fun () ->
-      match Hashtbl.find_opt t.ledgers ledger with
-      | Some l -> (l.l_eps, l.l_delta)
-      | None -> (0., 0.))
-
-let ledgers t =
-  locked t (fun () ->
-      List.sort compare
-        (Hashtbl.fold (fun k l acc -> (k, (l.l_eps, l.l_delta, l.l_debits)) :: acc) t.ledgers []))
-
 let emit_ledger_finals t =
+  let finals =
+    locked t (fun () ->
+        List.sort compare
+          (Hashtbl.fold (fun k l acc -> (k, (l.l_eps, l.l_delta, l.l_debits)) :: acc) t.ledgers []))
+  in
   List.iter
     (fun (name, (eps, delta, debits)) ->
       mark t "ledger.final"
         ~fields:
           [ ("ledger", Str name); ("eps", Float eps); ("delta", Float delta); ("debits", Int debits) ])
-    (ledgers t)
+    finals
 
 (* --- spans --- *)
-
-(* Under [t.lock]. *)
-let span_stats_ref t name =
-  match Hashtbl.find_opt t.spans name with
-  | Some s -> s
-  | None ->
-      let s = { s_calls = 0; s_total = 0.; s_max = 0. } in
-      Hashtbl.add t.spans name s;
-      s
 
 (* The span stack and ids are the owning thread's; the lock is taken once
    for the begin event and once for the end, never across [f ()]. *)
@@ -391,10 +319,6 @@ let span t ?(fields = []) ?end_fields name f =
       locked t (fun () ->
           let stop = stamp t in
           let dur = stop -. start in
-          let s = span_stats_ref t name in
-          s.s_calls <- s.s_calls + 1;
-          s.s_total <- s.s_total +. dur;
-          if dur > s.s_max then s.s_max <- dur;
           Sink.emit t.sink
             {
               ts = stop;
@@ -415,11 +339,3 @@ let span t ?(fields = []) ?end_fields name f =
         finish false [];
         raise e
   end
-
-type span_summary = { span_calls : int; span_total_s : float; span_max_s : float }
-
-let span_stats t name =
-  locked t (fun () ->
-      Option.map
-        (fun s -> { span_calls = s.s_calls; span_total_s = s.s_total; span_max_s = s.s_max })
-        (Hashtbl.find_opt t.spans name))

@@ -11,15 +11,18 @@
       only counter increments and ledger sums (a handful of adds per query,
       each under an uncontended lock) remain, so instrumented hot paths stay
       within noise of the uninstrumented code.
-    - {b Counters and ledgers are authoritative}: they are tracked in the
-      instance even when no sink is attached, so the session layer can use
-      them as its only verdict/budget tallies (no duplicated bookkeeping).
+    - {b Counters are authoritative}: counters and ledger totals are
+      tracked in the instance even when no sink is attached, so the
+      session layer can use the counters as its only verdict tallies (no
+      duplicated bookkeeping), and every [Count] and [Debit] event carries
+      the running total. Spans and observations keep no aggregate in the
+      instance: {!Trace.summarize} computes their tables from the events.
     - {b Timestamps are monotone}: event timestamps are clamped
       non-decreasing relative to instance creation, so a trace always
       replays in order even if the wall clock steps.
 
     Threading contract: one mutex per instance guards its counters,
-    ledgers, aggregates, timestamp clamp and sink writes, so {!mark},
+    ledgers, timestamp clamp and sink writes, so {!mark},
     {!incr}, {!observe}, {!debit}, {!mirror_counter} and the readers may be
     called from any thread or domain, and each thread records its events
     where they happen. {!span}, {!set_round} and {!next_round} belong to
@@ -50,12 +53,13 @@ type event = {
 }
 
 val event_to_json : event -> string
-(** One-line JSON object: [{"ts":..,"round":..,"kind":..,"name":..,<fields>}].
-    Finite floats round-trip exactly ([%.17g]); non-finite floats are encoded
-    as the strings ["nan"], ["inf"], ["-inf"]. *)
+(** One-line JSON object: [{"ts":..,"round":..,"kind":..,"name":..,<fields>}],
+    written straight into one buffer with {!Json}'s float and escape rules:
+    finite floats round-trip exactly ([%.17g]); non-finite floats are
+    encoded as the strings ["nan"], ["inf"], ["-inf"]. *)
 
-(** Event destinations. A sink only stores/forwards; all aggregation lives in
-    the instance. *)
+(** Event destinations. A sink only stores/forwards; the instance keeps only
+    counter and ledger totals, and {!Trace.summarize} aggregates the rest. *)
 module Sink : sig
   type t
 
@@ -155,18 +159,8 @@ val mirror_counter : t -> string -> int -> unit
     events. *)
 
 val observe : t -> string -> float -> unit
-(** Record a float sample (streaming count/sum/min/max kept per name) and
-    emit an [Observe] event. No-op without a sink. *)
-
-type observation = {
-  obs_count : int;
-  obs_sum : float;
-  obs_min : float;
-  obs_max : float;
-  obs_last : float;
-}
-
-val observation : t -> string -> observation option
+(** Emit an [Observe] event carrying the float sample. No-op without a
+    sink; {!Trace.summarize} aggregates the samples per name. *)
 
 val debit : t -> ledger:string -> mechanism:string -> eps:float -> delta:float -> unit
 (** Record one privacy-ledger debit under the named ledger with its
@@ -174,12 +168,6 @@ val debit : t -> ledger:string -> mechanism:string -> eps:float -> delta:float -
     with one, the emitted [Debit] event carries both the per-event cost and
     the cumulative totals, so the whole curve can be replayed from the trace
     alone. *)
-
-val ledger_total : t -> string -> float * float
-(** Cumulative [(ε, δ)] sums debited under a ledger. *)
-
-val ledgers : t -> (string * (float * float * int)) list
-(** All ledgers, sorted: [(name, (eps_total, delta_total, debits))]. *)
 
 val emit_ledger_finals : t -> unit
 (** Emit one ["ledger.final"] mark per ledger carrying its cumulative
@@ -201,7 +189,3 @@ val span :
     body has run, e.g. whether a solve certified its gap).
     Without a sink this is exactly [f ()]: no clock read, no allocation.
     Owning thread only; the lock is released while [f] runs. *)
-
-type span_summary = { span_calls : int; span_total_s : float; span_max_s : float }
-
-val span_stats : t -> string -> span_summary option

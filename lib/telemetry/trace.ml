@@ -1,186 +1,68 @@
 (* Offline side of the telemetry layer: read a JSONL trace back into events,
    check its structural invariants, and aggregate it into the per-phase
-   tables the CLI's [stats] subcommand prints.
-
-   The parser handles exactly the flat-object subset [Telemetry.event_to_json]
-   emits: one object per line, string/number/bool/null values, no nesting.
-   Keeping it in-tree (~100 lines) is what lets the library stay
-   dependency-free. *)
+   tables the CLI's [stats] subcommand prints. Lines parse through [Json],
+   the same codec the wire and the journal use. *)
 
 let ( let* ) = Result.bind
 
-(* --- a minimal flat-JSON-object parser --- *)
-
-type scalar = J_int of int | J_float of float | J_bool of bool | J_str of string | J_null
+(* --- one line -> event --- *)
 
 let parse_error line what = Error (Printf.sprintf "line %d: %s" line what)
 
-let parse_object ~line s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let skip_ws () =
-    while !pos < n && (s.[!pos] = ' ' || s.[!pos] = '\t') do
-      advance ()
-    done
-  in
-  let expect c =
-    skip_ws ();
-    if peek () = Some c then begin
-      advance ();
-      Ok ()
-    end
-    else parse_error line (Printf.sprintf "expected %C at byte %d" c !pos)
-  in
-  let parse_string () =
-    let* () = expect '"' in
-    let b = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then parse_error line "unterminated string"
-      else
-        match s.[!pos] with
-        | '"' ->
-            advance ();
-            Ok (Buffer.contents b)
-        | '\\' ->
-            advance ();
-            if !pos >= n then parse_error line "unterminated escape"
-            else begin
-              (match s.[!pos] with
-              | 'n' -> Buffer.add_char b '\n'
-              | 'r' -> Buffer.add_char b '\r'
-              | 't' -> Buffer.add_char b '\t'
-              | 'u' ->
-                  if !pos + 4 < n then begin
-                    let code = int_of_string ("0x" ^ String.sub s (!pos + 1) 4) in
-                    if code < 0x80 then Buffer.add_char b (Char.chr code)
-                    else Buffer.add_string b (Printf.sprintf "\\u%04x" code);
-                    pos := !pos + 4
-                  end
-              | c -> Buffer.add_char b c);
-              advance ();
-              go ()
-            end
-        | c ->
-            Buffer.add_char b c;
-            advance ();
-            go ()
-    in
-    go ()
-  in
-  let parse_scalar () =
-    skip_ws ();
-    match peek () with
-    | Some '"' -> Result.map (fun v -> J_str v) (parse_string ())
-    | Some 't' when !pos + 4 <= n && String.sub s !pos 4 = "true" ->
-        pos := !pos + 4;
-        Ok (J_bool true)
-    | Some 'f' when !pos + 5 <= n && String.sub s !pos 5 = "false" ->
-        pos := !pos + 5;
-        Ok (J_bool false)
-    | Some 'n' when !pos + 4 <= n && String.sub s !pos 4 = "null" ->
-        pos := !pos + 4;
-        Ok J_null
-    | Some _ ->
-        let start = !pos in
-        while
-          !pos < n
-          &&
-          match s.[!pos] with
-          | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-          | _ -> false
-        do
-          advance ()
-        done;
-        let tok = String.sub s start (!pos - start) in
-        if tok = "" then parse_error line (Printf.sprintf "bad value at byte %d" start)
-        else begin
-          match int_of_string_opt tok with
-          | Some i -> Ok (J_int i)
-          | None -> (
-              match float_of_string_opt tok with
-              | Some v -> Ok (J_float v)
-              | None -> parse_error line (Printf.sprintf "bad number %S" tok))
-        end
-    | None -> parse_error line "unexpected end of line"
-  in
-  let* () = expect '{' in
-  let rec members acc =
-    skip_ws ();
-    match peek () with
-    | Some '}' ->
-        advance ();
-        Ok (List.rev acc)
-    | _ ->
-        let* key = parse_string () in
-        let* () = expect ':' in
-        let* v = parse_scalar () in
-        skip_ws ();
-        let acc = (key, v) :: acc in
-        if peek () = Some ',' then begin
-          advance ();
-          members acc
-        end
-        else
-          let* () = expect '}' in
-          Ok (List.rev acc)
-  in
-  let* obj = members [] in
-  skip_ws ();
-  if !pos <> n then parse_error line "trailing garbage after object" else Ok obj
-
-(* --- object -> event --- *)
-
-let to_value = function
-  | J_int i -> Telemetry.Int i
-  | J_float v -> Telemetry.Float v
-  | J_bool v -> Telemetry.Bool v
-  | J_str "nan" -> Telemetry.Float Float.nan
-  | J_str "inf" -> Telemetry.Float Float.infinity
-  | J_str "-inf" -> Telemetry.Float Float.neg_infinity
-  | J_str s -> Telemetry.Str s
-  | J_null -> Telemetry.Str "null"
-
-let number what ~line = function
-  | J_int i -> Ok (float_of_int i)
-  | J_float v -> Ok v
-  | _ -> parse_error line (Printf.sprintf "field %S is not a number" what)
+(* A field value: a number is an [Int] when it is integral and within
+   ±2^53 ([Json.to_int]), a [Float] otherwise; "nan"/"inf"/"-inf" are
+   floats; [null] reads as the string "null"; nested values have no
+   event field to become. *)
+let to_value j =
+  match (j, Json.to_int j, Json.to_float j) with
+  | _, Some i, _ -> Some (Telemetry.Int i)
+  | _, None, Some v -> Some (Telemetry.Float v)
+  | Json.Str s, _, _ -> Some (Telemetry.Str s)
+  | Json.Bool v, _, _ -> Some (Telemetry.Bool v)
+  | Json.Null, _, _ -> Some (Telemetry.Str "null")
+  | (Json.Num _ | Json.Arr _ | Json.Obj _), _, _ -> None
 
 let event_of_line ~line s =
-  let* obj = parse_object ~line s in
-  let field k = List.assoc_opt k obj in
+  let* obj =
+    match Json.of_string s with
+    | Ok (Json.Obj obj) -> Ok obj
+    | Ok _ -> parse_error line "not a JSON object"
+    | Error why -> parse_error line why
+  in
   let* ts =
-    match field "ts" with
-    | Some v -> number "ts" ~line v
+    match List.assoc_opt "ts" obj with
+    | Some (Json.Num v) -> Ok v
+    | Some _ -> parse_error line "field \"ts\" is not a number"
     | None -> parse_error line "missing \"ts\""
   in
   let* round =
-    match field "round" with
-    | Some (J_int i) -> Ok i
-    | Some _ -> parse_error line "\"round\" is not an int"
+    match Option.map Json.to_int (List.assoc_opt "round" obj) with
+    | Some (Some i) -> Ok i
+    | Some None -> parse_error line "\"round\" is not an int"
     | None -> parse_error line "missing \"round\""
   in
   let* kind =
-    match field "kind" with
-    | Some (J_str k) -> (
+    match Json.field obj "kind" Json.to_str with
+    | Some k -> (
         match Telemetry.kind_of_string k with
         | Some kind -> Ok kind
         | None -> parse_error line (Printf.sprintf "unknown kind %S" k))
-    | Some _ | None -> parse_error line "missing or malformed \"kind\""
+    | None -> parse_error line "missing or malformed \"kind\""
   in
   let* name =
-    match field "name" with
-    | Some (J_str n) -> Ok n
-    | Some _ | None -> parse_error line "missing or malformed \"name\""
+    match Json.field obj "name" Json.to_str with
+    | Some n -> Ok n
+    | None -> parse_error line "missing or malformed \"name\""
   in
-  let fields =
-    List.filter_map
-      (fun (k, v) ->
-        match k with
-        | "ts" | "round" | "kind" | "name" -> None
-        | k -> Some (k, to_value v))
-      obj
+  let* fields =
+    List.fold_right
+      (fun (k, j) acc ->
+        let* acc = acc in
+        match (k, to_value j) with
+        | ("ts" | "round" | "kind" | "name"), _ -> Ok acc
+        | _, Some v -> Ok ((k, v) :: acc)
+        | _, None -> parse_error line (Printf.sprintf "field %S is a nested value" k))
+      obj (Ok [])
   in
   Ok { Telemetry.ts; round; kind; name; fields }
 

@@ -1,13 +1,17 @@
 (** Offline trace analysis: read a JSONL trace back into {!Telemetry.event}s,
     check its structural invariants, and aggregate it into per-phase tables.
 
-    The reader accepts exactly the flat-object JSON subset
-    {!Telemetry.event_to_json} produces (one object per line; string, number
-    and bool values; no nesting), which keeps the library dependency-free. *)
+    Each line parses through {!Json}, the codec every other JSON reader in
+    the repo uses, and must be one object whose values are scalars. *)
 
 val load : path:string -> (Telemetry.event list, string) result
 (** Parse a JSONL trace file, oldest event first. Blank lines are skipped;
-    the first malformed line aborts with its line number. *)
+    the first malformed line aborts with an [Error] naming its line number
+    (never an exception, whatever the bytes). A field's number becomes
+    [Int] when it is integral and within [±2^53] ({!Json.to_int}) and
+    [Float] otherwise; the strings ["nan"], ["inf"], ["-inf"] become
+    floats, [null] becomes [Str "null"], and an array or object value is an
+    error. *)
 
 val validate : Telemetry.event list -> (unit, string) result
 (** Structural invariants every well-formed trace satisfies:

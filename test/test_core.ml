@@ -275,6 +275,7 @@ let test_online_accurate_with_exact_oracle () =
 (* --- the solve memo --- *)
 
 module Telemetry = Pmw_telemetry.Telemetry
+module Trace = Pmw_telemetry.Trace
 
 let traced_mechanism ?(seed = 5) config ds =
   let telemetry = Telemetry.create ~sink:(Telemetry.Sink.ring ()) () in
@@ -284,17 +285,38 @@ let traced_mechanism ?(seed = 5) config ds =
   in
   (m, telemetry)
 
+(* The ring sink's events, all of them: a ring that filled up may have
+   evicted some, and the counts below read the whole trace. *)
+let traced_events telemetry =
+  let events = Telemetry.events telemetry in
+  if List.length events >= 65536 then Alcotest.fail "the ring sink is full";
+  events
+
 let span_calls telemetry name =
-  match Telemetry.span_stats telemetry name with Some s -> s.Telemetry.span_calls | None -> 0
+  match
+    List.find_opt
+      (fun r -> r.Trace.sr_name = name)
+      (Trace.summarize (traced_events telemetry)).Trace.span_rows
+  with
+  | Some r -> r.Trace.sr_calls
+  | None -> 0
 
 let memo_hits telemetry = Telemetry.counter telemetry "solve_memo_hits"
 
 (* How many error-query values were fed to sparse vector, and the bits of
    the latest one. *)
 let last_q_value telemetry =
-  match Telemetry.observation telemetry "q_value" with
-  | Some o -> (o.Telemetry.obs_count, Int64.bits_of_float o.Telemetry.obs_last)
-  | None -> (0, 0L)
+  let values =
+    List.filter_map
+      (fun e ->
+        match (e.Telemetry.kind, e.Telemetry.name, List.assoc_opt "value" e.Telemetry.fields) with
+        | Telemetry.Observe, "q_value", Some (Telemetry.Float v) -> Some v
+        | _ -> None)
+      (traced_events telemetry)
+  in
+  match List.rev values with
+  | last :: _ -> (List.length values, Int64.bits_of_float last)
+  | [] -> (0, 0L)
 
 (* A copy that is name-equal but physically distinct: it shares no
    per-query memo entry with the original, so feeding copies is a memo-free

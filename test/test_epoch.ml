@@ -621,15 +621,16 @@ let test_transition_resolves_reference () =
   Alcotest.(check (option int)) "rolled to epoch 1" (Some 1) (Shard.epoch shard);
   Alcotest.(check int) "the new epoch solves the reference again" 2 (reference_solves ());
   Shard.stop shard;
-  let q_values =
+  let q_values events =
     List.filter_map
       (fun e ->
         match (e.Telemetry.kind, e.Telemetry.name, List.assoc_opt "value" e.Telemetry.fields) with
         | Telemetry.Observe, "q_value", Some (Telemetry.Float v) -> Some v
         | _ -> None)
-      (Telemetry.Sink.events sink)
+      events
   in
-  let served = List.nth q_values (List.length q_values - 1) in
+  let last values = List.nth values (List.length values - 1) in
+  let served = last (q_values (Telemetry.Sink.events sink)) in
   let snapshot =
     match Epoch.read_snapshot ~path:(Epoch.snapshot_path (Filename.concat dir "e.wal")) with
     | Ok (Some sn) -> sn
@@ -646,9 +647,9 @@ let test_transition_resolves_reference () =
         ~rng:(Rng.create ~seed:12 ()) ()
     in
     ignore (Session.answer session (List.assoc "sq" queries));
-    match Telemetry.observation telemetry "q_value" with
-    | Some o -> o.Telemetry.obs_last
-    | None -> Alcotest.fail "the fresh session fed no error value"
+    match q_values (Telemetry.events telemetry) with
+    | [] -> Alcotest.fail "the fresh session fed no error value"
+    | values -> last values
   in
   let absorbed = fresh_q_value (generation_dataset ~epoch:1 snapshot.Epoch.sn_absorbed) in
   Alcotest.(check int64) "error value of a fresh session on the absorbed data"

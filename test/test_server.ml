@@ -25,6 +25,7 @@ module Invariants = Pmw_server.Invariants
 module Net = Pmw_server.Net
 module Rng = Pmw_rng.Rng
 module Telemetry = Pmw_telemetry.Telemetry
+module Trace = Pmw_telemetry.Trace
 module Metrics = Pmw_telemetry.Metrics
 
 (* Concurrency cases run inside a worker thread watched by a deadline, so
@@ -89,9 +90,15 @@ let memo_hits session = Telemetry.counter (Session.telemetry session) "solve_mem
 let make_session ?telemetry ~pool ~seed () =
   Session.create ?telemetry ~pool ~config:(config ()) ~dataset ~rng:(Rng.create ~seed ()) ()
 
+(* Span calls read from the session's ring sink, which must not have
+   filled up (and so evicted events). *)
 let span_calls session name =
-  match Telemetry.span_stats (Session.telemetry session) name with
-  | Some s -> s.Telemetry.span_calls
+  let events = Telemetry.events (Session.telemetry session) in
+  if List.length events >= 65536 then Alcotest.fail "the ring sink is full";
+  match
+    List.find_opt (fun r -> r.Trace.sr_name = name) (Trace.summarize events).Trace.span_rows
+  with
+  | Some r -> r.Trace.sr_calls
   | None -> 0
 
 (* A traced telemetry instance, and a table it fills with the number of
@@ -189,84 +196,9 @@ let response_eq a b =
   && opt_eq float_eq a.Protocol.rsp_spent_eps b.Protocol.rsp_spent_eps
   && opt_eq float_eq a.Protocol.rsp_spent_delta b.Protocol.rsp_spent_delta
 
-(* Every finite double must survive the %.17g wire format; NaN/±∞ ride as
-   strings. [special_float] mixes all of them in. *)
-let special_float =
-  QCheck.Gen.(
-    frequency
-      [
-        (6, float);
-        (1, return Float.nan);
-        (1, return Float.infinity);
-        (1, return Float.neg_infinity);
-        (1, return 0.);
-        (1, return (-0.));
-        (1, return Float.min_float);
-        (1, return Float.max_float);
-      ])
-
-(* Integers travel as JSON numbers (doubles): only [±2^53] round-trips,
-   which is the documented wire contract for ids. *)
-let wire_int = QCheck.Gen.int_range (-0x20_0000_0000_0000) 0x20_0000_0000_0000
-
-let gen_request =
-  QCheck.Gen.(
-    let* id = wire_int in
-    let* analyst = string_size (int_bound 24) and* query = string_size (int_bound 24) in
-    let* rid = option (string_size (int_bound 24)) in
-    let* shards = option (list_size (int_bound 5) (int_bound 64)) in
-    return
-      { Protocol.req_id = id; req_analyst = analyst; req_query = query; req_rid = rid;
-        req_shards = shards; req_trace = None; req_pspan = None; req_rows = None })
-
-let gen_status =
-  QCheck.Gen.(
-    let reason = string_size (int_bound 40) in
-    frequency
-      [
-        (3, return Protocol.Answered);
-        (2, map (fun s -> Protocol.Degraded s) reason);
-        (2, map (fun s -> Protocol.Refused s) reason);
-        ( 2,
-          map2
-            (fun retry s -> Protocol.Rejected { retry_after_s = retry; reason = s })
-            (option special_float) reason );
-        ( 2,
-          let* missing_shards = list_size (int_bound 4) (int_bound 64) in
-          let* coverage = special_float and* retry_after_s = option special_float in
-          map
-            (fun s -> Protocol.Partial { missing_shards; coverage; retry_after_s; reason = s })
-            reason );
-        (1, map (fun s -> Protocol.Failed s) reason);
-      ])
-
-let gen_response =
-  QCheck.Gen.(
-    let* id = wire_int and* seq = wire_int and* status = gen_status in
-    let* theta = option (array_size (int_bound 6) special_float) in
-    let* source = option (oneofl [ "hypothesis"; "oracle" ]) in
-    let* update_index = option small_nat and* batch = option small_nat in
-    let* queue_wait = option special_float in
-    let* spent_eps = option special_float and* spent_delta = option special_float in
-    return
-      {
-        Protocol.rsp_id = id;
-        rsp_seq = seq;
-        rsp_status = status;
-        rsp_theta = theta;
-        rsp_source = source;
-        rsp_update_index = update_index;
-        rsp_batch = batch;
-        rsp_queue_wait_s = queue_wait;
-        rsp_spent_eps = spent_eps;
-        rsp_spent_delta = spent_delta;
-        rsp_epoch = None;
-        rsp_body = None;
-      })
-
 let qcheck_request_roundtrip =
   QCheck.Test.make ~name:"request wire round-trip" ~count:300
-    (QCheck.make ~print:Protocol.encode_request gen_request)
+    (QCheck.make ~print:Protocol.encode_request Wire_gen.gen_request)
     (fun req ->
       match Protocol.decode_request (Protocol.encode_request req) with
       | Ok req' -> req = req'
@@ -274,7 +206,7 @@ let qcheck_request_roundtrip =
 
 let qcheck_response_roundtrip =
   QCheck.Test.make ~name:"response wire round-trip" ~count:300
-    (QCheck.make ~print:Protocol.encode_response gen_response)
+    (QCheck.make ~print:Protocol.encode_response Wire_gen.gen_response)
     (fun rsp ->
       match Protocol.decode_response (Protocol.encode_response rsp) with
       | Ok rsp' -> response_eq rsp rsp'
@@ -294,32 +226,17 @@ let decodes_gracefully line =
 
 let qcheck_truncated_prefix =
   QCheck.Test.make ~name:"decode of every truncated prefix never raises" ~count:200
-    (QCheck.make
-       ~print:(fun (rsp, cut) ->
-         Printf.sprintf "cut=%d of %s" cut (Protocol.encode_response rsp))
+    (QCheck.make ~print:(Printf.sprintf "%S")
        QCheck.Gen.(
-         let* rsp = gen_response in
-         let* cut = int_bound (String.length (Protocol.encode_response rsp)) in
-         return (rsp, cut)))
-    (fun (rsp, cut) ->
-      let line = Protocol.encode_response rsp in
-      decodes_gracefully (String.sub line 0 (min cut (String.length line))))
+         Wire_gen.gen_response >>= fun rsp -> Wire_gen.truncated (Protocol.encode_response rsp)))
+    decodes_gracefully
 
 let qcheck_byte_flip =
   QCheck.Test.make ~name:"decode of any byte-flipped line never raises" ~count:300
-    (QCheck.make
-       ~print:(fun (req, pos, bits) ->
-         Printf.sprintf "flip byte %d with %02x in %s" pos bits (Protocol.encode_request req))
+    (QCheck.make ~print:(Printf.sprintf "%S")
        QCheck.Gen.(
-         let* req = gen_request in
-         let n = String.length (Protocol.encode_request req) in
-         let* pos = int_bound (max 0 (n - 1)) and* bits = int_range 1 255 in
-         return (req, pos, bits)))
-    (fun (req, pos, bits) ->
-      let line = Bytes.of_string (Protocol.encode_request req) in
-      let pos = min pos (Bytes.length line - 1) in
-      Bytes.set line pos (Char.chr (Char.code (Bytes.get line pos) lxor bits land 0xff));
-      decodes_gracefully (Bytes.to_string line))
+         Wire_gen.gen_request >>= fun req -> Wire_gen.byte_flipped (Protocol.encode_request req)))
+    decodes_gracefully
 
 let test_frame_limits () =
   let nul = "{\"v\":1,\"id\":1,\"analyst\":\"a\x00b\",\"query\":\"sq\"}" in
@@ -362,9 +279,14 @@ let test_protocol_versioning () =
   (match Protocol.decode_request no_version with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "missing version must be refused");
-  match Protocol.decode_request (ok ^ " trailing") with
+  (match Protocol.decode_request (ok ^ " trailing") with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "trailing bytes after the object must be an error"
+  | Ok _ -> Alcotest.fail "trailing bytes after the object must be an error");
+  (* ids travel as doubles, exact only within ±2^53: an id beyond that
+     is refused rather than rounded *)
+  match Protocol.decode_request {|{"v":1,"id":1e20,"analyst":"a","query":"sq"}|} with
+  | Error _ -> ()
+  | Ok r -> Alcotest.failf "id 1e20 decoded as %d" r.Protocol.req_id
 
 (* --- the ledger race regression ---
 

@@ -1,11 +1,13 @@
 (* Tests for the telemetry layer: counter/ledger bookkeeping with and
    without a sink, span pairing and exception safety, the JSONL round-trip
-   through the Trace parser, the trace validator's defect detection, and
+   through the Trace parser (escapes, the integer rule, and no exception on
+   any bytes), the trace validator's defect detection, and
    the acceptance property — the privacy ledger replayed from a trace alone
    equals the live Accountant/Budget totals to 1e-12. *)
 
 module Telemetry = Pmw_telemetry.Telemetry
 module Trace = Pmw_telemetry.Trace
+module Json = Pmw_telemetry.Json
 module Params = Pmw_dp.Params
 module Universe = Pmw_data.Universe
 module Rng = Pmw_rng.Rng
@@ -43,14 +45,27 @@ let test_null_instance_tracks () =
   Alcotest.(check int) "unknown counter" 0 (Telemetry.counter t "nope");
   Telemetry.set_counter t "queries" 10;
   Alcotest.(check int) "set_counter" 10 (Telemetry.counter t "queries");
-  Telemetry.debit t ~ledger:"sv" ~mechanism:"sv-epoch" ~eps:0.25 ~delta:1e-7;
-  Telemetry.debit t ~ledger:"sv" ~mechanism:"sv-epoch" ~eps:0.25 ~delta:1e-7;
-  let eps, delta = Telemetry.ledger_total t "sv" in
-  Alcotest.(check (float 1e-15)) "ledger eps" 0.5 eps;
-  Alcotest.(check (float 1e-20)) "ledger delta" 2e-7 delta;
   (* spans are free no-ops when disabled: passthrough, no events *)
   Alcotest.(check int) "span passthrough" 41 (Telemetry.span t "s" (fun () -> 41));
-  Alcotest.(check (list pass)) "no events buffered" [] (Telemetry.events t)
+  Alcotest.(check (list pass)) "no events buffered" [] (Telemetry.events t);
+  (* ledger totals are read back from the events that carry them: the
+     same debits into a ring instance replay to the running totals *)
+  let debits t =
+    Telemetry.debit t ~ledger:"sv" ~mechanism:"sv-epoch" ~eps:0.25 ~delta:1e-7;
+    Telemetry.debit t ~ledger:"sv" ~mechanism:"sv-epoch" ~eps:0.25 ~delta:1e-7
+  in
+  debits t;
+  Alcotest.(check (list pass)) "debits emit nothing without a sink" [] (Telemetry.events t);
+  let traced = Telemetry.create ~sink:(Telemetry.Sink.ring ()) () in
+  debits traced;
+  Telemetry.emit_ledger_finals traced;
+  let events = Telemetry.events traced in
+  let eps, delta = List.assoc "sv" (Trace.ledger_totals events) in
+  Alcotest.(check (float 1e-15)) "ledger eps" 0.5 eps;
+  Alcotest.(check (float 1e-20)) "ledger delta" 2e-7 delta;
+  let final = List.find (fun e -> e.Telemetry.name = "ledger.final") events in
+  Alcotest.(check (float 1e-15)) "running eps total" 0.5 (float_field final "eps");
+  Alcotest.(check (float 1e-20)) "running delta total" 2e-7 (float_field final "delta")
 
 let test_independent_instances () =
   let a = Telemetry.null () and b = Telemetry.null () in
@@ -115,10 +130,14 @@ let test_span_nesting_and_exn () =
   | Some (Telemetry.Bool false) -> ()
   | _ -> Alcotest.fail "failed span must end with ok=false");
   Alcotest.(check bool) "duration recorded" true (float_field boom "dur_s" > 0.);
-  (* span aggregation survives in the instance *)
-  match Telemetry.span_stats t "outer" with
+  (* the trace aggregates the spans *)
+  match
+    List.find_opt
+      (fun r -> r.Trace.sr_name = "outer")
+      (Trace.summarize evs).Trace.span_rows
+  with
   | None -> Alcotest.fail "no outer stats"
-  | Some s -> Alcotest.(check int) "outer calls" 1 s.Telemetry.span_calls
+  | Some r -> Alcotest.(check int) "outer calls" 1 r.Trace.sr_calls
 
 (* Any thread may count and mark: 8 systhreads each run 2 000 [incr] and
    2 000 [mark] calls into one ring-sink instance. No increment is lost,
@@ -161,12 +180,13 @@ let test_threads_share_an_instance () =
 let test_observations () =
   let t = ring_instance () in
   List.iter (Telemetry.observe t "err") [ 1.; 2.; 3.; 4. ];
-  match Telemetry.observation t "err" with
-  | None -> Alcotest.fail "no stats"
-  | Some o ->
-      Alcotest.(check int) "count" 4 o.Telemetry.obs_count;
-      Alcotest.(check (float 1e-12)) "mean" 2.5 (o.Telemetry.obs_sum /. 4.);
-      Alcotest.(check (float 1e-12)) "max" 4. o.Telemetry.obs_max
+  match (Trace.summarize (Telemetry.events t)).Trace.obs_rows with
+  | [ o ] ->
+      Alcotest.(check string) "name" "err" o.Trace.or_name;
+      Alcotest.(check int) "count" 4 o.Trace.or_count;
+      Alcotest.(check (float 1e-12)) "mean" 2.5 o.Trace.or_mean;
+      Alcotest.(check (float 1e-12)) "max" 4. o.Trace.or_max
+  | rows -> Alcotest.failf "expected one observation row, got %d" (List.length rows)
 
 (* --- JSONL round-trip through the Trace parser --- *)
 
@@ -226,6 +246,121 @@ let test_load_reports_bad_line () =
             scan 0
           in
           Alcotest.(check bool) "line number in error" true has_line2)
+
+(* --- the trace reader speaks the wire's JSON --- *)
+
+let load_lines lines =
+  with_temp_trace (fun path ->
+      Out_channel.with_open_bin path (fun oc ->
+          List.iter (fun l -> output_string oc (l ^ "\n")) lines);
+      Trace.load ~path)
+
+let mark_line ~extra = "{\"ts\":0,\"round\":-1,\"kind\":\"mark\",\"name\":\"x\"" ^ extra ^ "}"
+
+(* A malformed \u escape is a decode error on the line that carries it, not
+   an exception out of [load]. *)
+let test_load_bad_unicode_escape () =
+  match load_lines [ mark_line ~extra:""; mark_line ~extra:",\"s\":\"\\uZZZZ\"" ] with
+  | Ok _ -> Alcotest.fail "accepted \\uZZZZ"
+  | Error m ->
+      Alcotest.(check bool) (Printf.sprintf "error %S names line 2" m) true
+        (String.starts_with ~prefix:"line 2:" m)
+  | exception e -> Alcotest.failf "load raised %s" (Printexc.to_string e)
+
+(* \b, \f, \/ and \u00e9 read as the wire decoder reads them. *)
+let test_load_escapes_as_wire () =
+  let escaped = "\"a\\b\\f\\/\\u00e9\"" in
+  let wire =
+    match Json.of_string escaped with
+    | Ok (Json.Str s) -> s
+    | _ -> Alcotest.fail "the wire decoder rejected the escapes"
+  in
+  Alcotest.(check string) "wire bytes" "a\b\012/\xc3\xa9" wire;
+  match load_lines [ mark_line ~extra:(",\"s\":" ^ escaped) ] with
+  | Ok [ e ] -> Alcotest.(check string) "trace bytes" wire (str_field e "s")
+  | Ok evs -> Alcotest.failf "expected 1 event, got %d" (List.length evs)
+  | Error m -> Alcotest.fail m
+
+let test_load_rejects_unknown_escape () =
+  match load_lines [ mark_line ~extra:",\"s\":\"\\q\"" ] with
+  | Ok _ -> Alcotest.fail "accepted \\q"
+  | Error m ->
+      Alcotest.(check bool) (Printf.sprintf "error %S names line 1" m) true
+        (String.starts_with ~prefix:"line 1:" m)
+
+(* A number reads back as [Int] when it is integral and within ±2^53, the
+   range a JSON number holds exactly, and as [Float] otherwise. *)
+let test_load_int_rule () =
+  let fields =
+    [
+      ("small", "-7", Telemetry.Int (-7));
+      ("exp", "1e3", Telemetry.Int 1000);
+      ("edge", "9007199254740992", Telemetry.Int (1 lsl 53));
+      ("past", "9007199254740994", Telemetry.Float 9007199254740994.);
+      ("half", "2.5", Telemetry.Float 2.5);
+      ("inf", "\"inf\"", Telemetry.Float Float.infinity);
+      ("null", "null", Telemetry.Str "null");
+    ]
+  in
+  let extra = String.concat "" (List.map (fun (k, v, _) -> Printf.sprintf ",%S:%s" k v) fields) in
+  (match load_lines [ mark_line ~extra ] with
+  | Ok [ e ] ->
+      List.iter
+        (fun (k, _, want) -> Alcotest.(check bool) k true (field e k = Some want))
+        fields
+  | Ok evs -> Alcotest.failf "expected 1 event, got %d" (List.length evs)
+  | Error m -> Alcotest.fail m);
+  match load_lines [ mark_line ~extra:",\"a\":[1]" ] with
+  | Ok _ -> Alcotest.fail "accepted a nested value"
+  | Error m ->
+      Alcotest.(check bool) (Printf.sprintf "error %S names line 1" m) true
+        (String.starts_with ~prefix:"line 1:" m)
+
+(* [load] returns [Ok] or [Error] whatever the bytes of each line: event
+   lines cut or byte-flipped as the wire fuzzers do, wire responses,
+   string fields with random escape bodies, and arbitrary bytes. *)
+let gen_event =
+  QCheck.Gen.(
+    let str = string_size (int_bound 12) in
+    let value =
+      frequency
+        [
+          (1, map (fun i -> Telemetry.Int i) Wire_gen.wire_int);
+          (2, map (fun v -> Telemetry.Float v) Wire_gen.special_float);
+          (2, map (fun s -> Telemetry.Str s) str);
+          (1, map (fun b -> Telemetry.Bool b) bool);
+        ]
+    in
+    let* ts = Wire_gen.special_float and* round = int_range (-1) 100 in
+    let* kind =
+      oneofl
+        Telemetry.[ Span_begin; Span_end; Count; Observe; Debit; Mark ]
+    in
+    let* name = str and* fields = list_size (int_bound 4) (pair str value) in
+    return { Telemetry.ts; round; kind; name; fields })
+
+let gen_line =
+  QCheck.Gen.(
+    let event_line = map Telemetry.event_to_json gen_event in
+    frequency
+      [
+        (1, event_line);
+        (2, event_line >>= Wire_gen.truncated);
+        (2, event_line >>= Wire_gen.byte_flipped);
+        (1, map Pmw_server.Protocol.encode_response Wire_gen.gen_response);
+        ( 2,
+          map
+            (fun body -> mark_line ~extra:(",\"s\":\"\\" ^ body ^ "\""))
+            (string_size ~gen:printable (int_bound 6)) );
+        (2, string_size ~gen:char (int_bound 40));
+      ])
+
+let qcheck_load_never_raises =
+  QCheck.Test.make ~name:"load never raises on corrupt lines" ~count:300
+    (QCheck.make
+       ~print:QCheck.Print.(list (Printf.sprintf "%S"))
+       QCheck.Gen.(list_size (int_range 1 4) gen_line))
+    (fun lines -> match load_lines lines with Ok _ | Error _ -> true)
 
 (* --- validator defect detection --- *)
 
@@ -369,9 +504,20 @@ let test_linear_run_trace () =
       let sv_failures = Telemetry.counter t "sv_failures" in
       let updates = Telemetry.counter t "mw_updates" in
       Alcotest.(check int) "every top updated MW" sv_failures updates;
-      (* the trace replay must equal the live instance's ledger sums *)
+      (* the trace replay must equal the live instance's ledger sums, which
+         its ledger.final marks carry *)
+      let finals =
+        List.filter_map
+          (fun e ->
+            if e.Telemetry.kind = Telemetry.Mark && e.Telemetry.name = "ledger.final" then
+              Some (str_field e "ledger", (float_field e "eps", float_field e "delta"))
+            else None)
+          events
+      in
+      Alcotest.(check (list string)) "one final per ledger" (List.map fst totals)
+        (List.map fst finals);
       List.iter
-        (fun (name, (live_eps, live_delta, _debits)) ->
+        (fun (name, (live_eps, live_delta)) ->
           match List.assoc_opt name totals with
           | None -> Alcotest.failf "ledger %S missing from trace" name
           | Some (eps, delta) ->
@@ -383,7 +529,7 @@ let test_linear_run_trace () =
                 (Printf.sprintf "%s delta replay" name)
                 true
                 (Float.abs (delta -. live_delta) <= 1e-15))
-        (Telemetry.ledgers t);
+        finals;
       (if updates > 0 && not (List.mem_assoc "linear" totals) then
          Alcotest.fail "tops happened but no linear ledger");
       (* rounds advanced once per answered query *)
@@ -486,6 +632,12 @@ let () =
         [
           Alcotest.test_case "jsonl round-trip" `Quick test_jsonl_roundtrip;
           Alcotest.test_case "bad line reported" `Quick test_load_reports_bad_line;
+          Alcotest.test_case "bad \\u escape names its line" `Quick test_load_bad_unicode_escape;
+          Alcotest.test_case "escapes decode as on the wire" `Quick test_load_escapes_as_wire;
+          Alcotest.test_case "unknown escape rejected" `Quick test_load_rejects_unknown_escape;
+          Alcotest.test_case "integers within 2^53 read as Int" `Quick test_load_int_rule;
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x7ace |])
+            qcheck_load_never_raises;
           Alcotest.test_case "validator catches defects" `Quick test_validate_catches_defects;
           Alcotest.test_case "shard_files inverts shard_file" `Quick test_shard_files;
         ] );
