@@ -9,7 +9,9 @@
 
    Two layers plus a kernel regression harness: the before/after kernel
    suite times the pooled O(|X|) kernels against the pre-pool (seed)
-   algorithms, replicated verbatim below, at |X| = 2^10 / 2^14 / 2^18.
+   algorithms, replicated verbatim below, at |X| = 2^10 / 2^14 / 2^18, and
+   record snapping ([Universe.nearest]) against the linear scan it replaced
+   on the served panel's and the stream's universes (|X| = 245 / 6655).
 
    Usage:
      dune exec bench/main.exe                       # micro + kernels + experiments
@@ -193,6 +195,18 @@ let seed_expect universe w f =
   let values = Array.mapi (fun i wi -> wi *. f i (Universe.get universe i)) w in
   Pmw_linalg.Vec.kahan_sum values
 
+let seed_nearest universe p =
+  let best = ref 0 and best_d = ref infinity in
+  Array.iteri
+    (fun i q ->
+      let d = Pmw_data.Point.dist p q in
+      if d < !best_d then begin
+        best := i;
+        best_d := d
+      end)
+    (Universe.points universe);
+  !best
+
 (* Median of three timed batches, each batch running for ~0.15 s wall clock;
    returns ns per call. *)
 let time_ns f =
@@ -215,7 +229,7 @@ let time_ns f =
 
 type kernel_row = {
   kr_name : string;
-  kr_bits : int;
+  kr_size : int;  (** |X| *)
   kr_baseline : float;  (** seed algorithm, ns/call *)
   kr_seq : float;  (** pooled kernel, 1 domain, ns/call *)
   kr_par : float;  (** pooled kernel, [par_domains] domains, ns/call *)
@@ -247,7 +261,7 @@ let bench_kernels_at ~pool1 ~pool4 bits =
     walled (fun () ->
         {
           kr_name = "f2-f5/mw-update";
-          kr_bits = bits;
+          kr_size = n;
           kr_baseline = time_ns (fun () -> seed_mw_update log_w ~eta ~loss);
           kr_seq = time_ns (fun () -> Pmw_mw.Mw.update mw1 ~loss);
           kr_par = time_ns (fun () -> Pmw_mw.Mw.update mw4 ~loss);
@@ -267,7 +281,7 @@ let bench_kernels_at ~pool1 ~pool4 bits =
     walled (fun () ->
         {
           kr_name = "f3/distribution";
-          kr_bits = bits;
+          kr_size = n;
           kr_baseline = time_ns (fun () -> ignore (seed_distribution universe log_w));
           kr_seq = time_ns (fun () -> ignore (Pmw_mw.Mw.distribution mw1));
           kr_par = time_ns (fun () -> ignore (Pmw_mw.Mw.distribution mw4));
@@ -280,7 +294,7 @@ let bench_kernels_at ~pool1 ~pool4 bits =
     walled (fun () ->
         {
           kr_name = "linalg/log-sum-exp";
-          kr_bits = bits;
+          kr_size = n;
           kr_baseline = time_ns (fun () -> ignore (seed_log_sum_exp a));
           kr_seq = time_ns (fun () -> ignore (Pmw_linalg.Special.log_sum_exp ~pool:pool1 a));
           kr_par = time_ns (fun () -> ignore (Pmw_linalg.Special.log_sum_exp ~pool:pool4 a));
@@ -295,7 +309,7 @@ let bench_kernels_at ~pool1 ~pool4 bits =
     walled (fun () ->
         {
           kr_name = "hist/expect";
-          kr_bits = bits;
+          kr_size = n;
           kr_baseline = time_ns (fun () -> ignore (seed_expect universe w f));
           kr_seq = time_ns (fun () -> ignore (Histogram.expect ~pool:pool1 hist f));
           kr_par = time_ns (fun () -> ignore (Histogram.expect ~pool:pool4 hist f));
@@ -326,7 +340,7 @@ let bench_kernels_at ~pool1 ~pool4 bits =
     walled (fun () ->
         {
           kr_name = name;
-          kr_bits = bits;
+          kr_size = Universe.size universe;
           kr_baseline = time_ns (step generic pool1);
           kr_seq = time_ns (step loss pool1);
           kr_par = time_ns (step loss pool4);
@@ -343,7 +357,46 @@ let bench_kernels_at ~pool1 ~pool4 bits =
       (Universe.labeled_hypercube ~d:(bits - 1) ~labels:[| -1.; 1. |] ());
   ]
 
+(* nearest: snapping one record to the universe, as loading a dataset does
+   per row, on the served panel's universe and the stream's. Queries are
+   grid feature vectors with uniform labels in [-1.2, 1.2], mostly between
+   label levels as the regression sampler draws them. Baseline: the linear
+   scan. *)
+let bench_nearest () =
+  List.map
+    (fun (d, levels) ->
+      let universe = (Common.Workload.regression ~d ~levels ()).Common.Workload.universe in
+      let rng = Rng.create ~seed:1 () in
+      let queries =
+        Array.init 256 (fun _ ->
+            let base = Universe.get universe (Rng.int rng (Universe.size universe)) in
+            Pmw_data.Point.make ~label:(Rng.uniform rng ~lo:(-1.2) ~hi:1.2)
+              base.Pmw_data.Point.features)
+      in
+      let cycle near =
+        let k = ref 0 in
+        fun () ->
+          incr k;
+          ignore (near universe queries.(!k land 255))
+      in
+      walled (fun () ->
+          {
+            kr_name = "data/nearest";
+            kr_size = Universe.size universe;
+            kr_baseline = time_ns (cycle seed_nearest);
+            kr_seq = time_ns (cycle Universe.nearest);
+            kr_par = time_ns (cycle Universe.nearest);
+            kr_wall_s = 0.;
+          }))
+    [ (2, 7); (3, 11) ]
+
 let speedup r = r.kr_baseline /. r.kr_par
+
+(* log2 |X| when |X| is a power of two *)
+let bits_of_size n =
+  let rec go b = if 1 lsl b >= n then b else go (b + 1) in
+  let b = go 0 in
+  if 1 lsl b = n then Some b else None
 
 let print_kernel_rows rows =
   Printf.printf
@@ -354,7 +407,9 @@ let print_kernel_rows rows =
   List.iter
     (fun r ->
       Printf.printf "%-22s %6s %14.0f %14.0f %14.0f %8.2fx\n" r.kr_name
-        (Printf.sprintf "2^%d" r.kr_bits)
+        (match bits_of_size r.kr_size with
+        | Some b -> Printf.sprintf "2^%d" b
+        | None -> string_of_int r.kr_size)
         r.kr_baseline r.kr_seq r.kr_par (speedup r))
     rows;
   Printf.printf "%!"
@@ -400,15 +455,17 @@ let write_json ~path ~quick rows =
           (List.map
              (fun r ->
                Json.Obj
-                 [
-                   ("name", Json.Str r.kr_name);
-                   ("universe_bits", int r.kr_bits);
+                 ([ ("name", Json.Str r.kr_name); ("universe_size", int r.kr_size) ]
+                 @ (match bits_of_size r.kr_size with
+                   | Some b -> [ ("universe_bits", int b) ]
+                   | None -> [])
+                 @ [
                    ("baseline_ns", num r.kr_baseline);
                    ("seq_ns", num r.kr_seq);
                    ("par_ns", num r.kr_par);
                    ("speedup", num (speedup r));
                    ("wall_s", num r.kr_wall_s);
-                 ])
+                 ]))
              rows) );
     ]
 
@@ -416,7 +473,7 @@ let run_kernels ~json ~quick () =
   let sizes = if quick then [ 10 ] else [ 10; 14; 18 ] in
   let pool1 = Pool.create ~domains:1 () in
   let pool4 = Pool.create ~domains:par_domains () in
-  let rows = List.concat_map (bench_kernels_at ~pool1 ~pool4) sizes in
+  let rows = List.concat_map (bench_kernels_at ~pool1 ~pool4) sizes @ bench_nearest () in
   print_kernel_rows rows;
   if json then write_json ~path:"BENCH_pmw.json" ~quick rows;
   Pool.shutdown pool4;

@@ -38,7 +38,10 @@ val ingest :
   ?labels:float array ->
   unit ->
   Universe.t * Dataset.t
-(** Build the universe via {!plan} and snap every record. Features are
-    clipped to the unit ball and labels to [\[-1, 1\]] first (outliers must
-    not blow up sensitivities). @raise Invalid_argument on empty input or
+(** Build the universe via {!plan} and snap every record to its nearest
+    element ({!Universe.nearest}: the lowest index on a tie, through the
+    universe's k-d index, so [n] records cost one [O(|X| log |X|)] build plus
+    a few leaves each rather than [n·|X|] distances). Features are clipped
+    to the unit ball and labels to [\[-1, 1\]] first (outliers must not
+    blow up sensitivities). @raise Invalid_argument on empty input or
     mismatched lengths. *)

@@ -2,9 +2,12 @@
 
     The paper has no datasets (it is a theory paper); these generators create
     the populations the experiment harness draws from. Continuous samples are
-    snapped to the finite universe by nearest-neighbor rounding, implementing
-    the Section 1.1 remark that data can be rounded to a finite universe at
-    the cost of a constant factor in error. *)
+    snapped to the finite universe by nearest-neighbor rounding
+    ({!Universe.nearest}: a k-d index lookup, the lowest index on a tie),
+    implementing the Section 1.1 remark that data can be rounded to a finite
+    universe at the cost of a constant factor in error. Drawing [n] rows
+    costs [O(|X| log |X|)] once for the index plus a few leaves per row, not
+    [O(n |X|)]. *)
 
 val linear_regression :
   universe:Universe.t ->

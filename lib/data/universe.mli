@@ -29,15 +29,29 @@ val log_size : t -> float
 (** [log |X|] — the quantity every bound in the paper depends on. *)
 
 val points : t -> Point.t array
-(** The underlying array (not a copy — do not mutate). *)
+(** The underlying array (not a copy — do not mutate: {!nearest}'s index
+    reads it). *)
 
 val fold : t -> init:'a -> f:('a -> int -> Point.t -> 'a) -> 'a
 val iter : t -> f:(int -> Point.t -> unit) -> unit
 
 val nearest : t -> Point.t -> int
 (** Index of the universe element closest (in {!Point.dist}) to the given
-    point; ties go to the lowest index. Linear scan — universes are small by
-    design. *)
+    point; ties go to the lowest index, and a point with no finite distance
+    to any element (a NaN or overflowing coordinate) gets index 0. The result
+    is exactly a linear scan's, bit for bit: distances are computed in
+    {!Point.dist}'s operation order, and a subtree is pruned only when a
+    lower bound on every distance in it, slack for rounding and underflow
+    included, exceeds the best found so far.
+
+    The search runs over a k-d index on (features, label): a balanced tree
+    split at the median of each node's widest coordinate, with leaves of at
+    most 8 elements. The first call builds it, in [O(|X| (d+1) log |X|)]
+    time and [O(|X|)] words, and later calls reuse it (domains racing on the
+    first call build equal copies; a universe never queried builds none).
+    A query typically visits a few leaves near the point instead of all
+    [|X|] elements, and allocates nothing.
+    @raise Invalid_argument when the point's dimension is not {!dim}. *)
 
 val max_feature_norm : t -> float
 (** [max_x ||x||₂] over the universe — used to bound Lipschitz constants. *)

@@ -95,9 +95,153 @@ let test_nearest () =
   let idx0 = Universe.nearest u (Point.make [| 0.1 |]) in
   checkf 1e-12 "snaps to 0" 0. (Universe.get u idx0).Point.features.(0)
 
+(* The reference [nearest]: a scan for the lowest index among the smallest
+   [Point.dist] (index 0 when no distance is finite). The library's k-d index
+   must return exactly this index. *)
+let scan_nearest u p =
+  let best = ref 0 and best_d = ref infinity in
+  Universe.iter u ~f:(fun i q ->
+      let d = Point.dist p q in
+      if d < !best_d then begin
+        best := i;
+        best_d := d
+      end);
+  !best
+
+let with_coord (p : Point.t) c v =
+  let f = Array.copy p.Point.features in
+  if c < Array.length f then begin
+    f.(c) <- v;
+    Point.make ~label:p.Point.label f
+  end
+  else Point.make ~label:v f
+
+let map_point g (p : Point.t) = Point.make ~label:(g p.Point.label) (Array.map g p.Point.features)
+
+let midpoint (a : Point.t) (b : Point.t) =
+  Point.make
+    ~label:((a.Point.label +. b.Point.label) /. 2.)
+    (Array.map2 (fun x y -> (x +. y) /. 2.) a.Point.features b.Point.features)
+
+(* Every constructor, plus hand-made universes: duplicates at scattered
+   indices, a single point, and a split one subnormal step from the points
+   on its near side (squares there underflow to zero, so the tie is real). *)
+let exact_index_universes =
+  let dups =
+    let base = Universe.points (Universe.regression_grid ~d:2 ~levels:3 ~label_levels:3 ()) in
+    Universe.of_points ~name:"duplicates"
+      (Array.concat [ base; Array.of_list (List.rev (Array.to_list base)); base ])
+  in
+  let subnormal =
+    Universe.of_points ~name:"subnormal"
+      (Array.append [| Point.make [| 1e-170 |] |]
+         (Array.init 19 (fun i -> Point.make [| float_of_int (i - 9) |])))
+  in
+  [
+    Universe.hypercube ~d:5 ();
+    Universe.labeled_hypercube ~d:4 ~labels:[| -1.; 1. |] ();
+    Universe.grid_ball ~d:1 ~levels:3 ();
+    Universe.grid_ball ~d:3 ~levels:4 ();
+    Universe.ball_cover ~d:2 ~levels:9 ();
+    Universe.ball_cover_labeled ~d:2 ~levels:5 ~label_levels:3 ();
+    Universe.regression_grid ~d:2 ~levels:7 ~label_levels:5 ();
+    Universe.regression_grid ~d:3 ~levels:11 ~label_levels:5 ();
+    dups;
+    subnormal;
+    Universe.of_points ~name:"single" [| Point.make ~label:0.5 [| 0.1; -0.2 |] |];
+  ]
+
+let check_exact u p =
+  let got = Universe.nearest u p and want = scan_nearest u p in
+  if got <> want then
+    Alcotest.failf "%s: nearest %a = %d, scan = %d" (Universe.name u) Point.pp p got want
+
+let test_nearest_exact_index () =
+  List.iter
+    (fun u ->
+      let pts = Universe.points u and n = Universe.size u in
+      let rng = Rng.create ~seed:42 () in
+      (* all points of the small universes, 300 of the stream's 6655 *)
+      let sample = if n <= 300 then pts else Array.init 300 (fun _ -> pts.(Rng.int rng n)) in
+      Array.iter
+        (fun p ->
+          check_exact u p;
+          (* far outside the hull, and past overflow (every distance inf) *)
+          List.iter (fun s -> check_exact u (map_point (fun x -> s *. x) p)) [ 1e3; -50.; 1e200 ];
+          check_exact u (map_point (fun x -> x +. 1e-170) p);
+          for c = 0 to Universe.dim u do
+            List.iter (fun v -> check_exact u (with_coord p c v)) [ infinity; neg_infinity; nan ]
+          done)
+        sample;
+      (* midpoints: exact fp ties between grid neighbours (e.g. label 0.25
+         between levels 0 and 0.5) *)
+      if n <= 300 then
+        for i = 0 to n - 1 do
+          for j = i + 1 to n - 1 do
+            check_exact u (midpoint pts.(i) pts.(j))
+          done
+        done
+      else
+        for _ = 1 to 3000 do
+          check_exact u (midpoint pts.(Rng.int rng n) pts.(Rng.int rng n))
+        done)
+    exact_index_universes;
+  let u = Universe.regression_grid ~d:2 ~levels:7 ~label_levels:5 () in
+  Alcotest.check_raises "dimension mismatch"
+    (Invalid_argument "Universe.nearest: dimension mismatch") (fun () ->
+      ignore (Universe.nearest u (Point.make [| 0.; 0.; 0. |])))
+
+(* 150 000 rows of the served panel's sampler, replayed draw by draw: each
+   row is a grid feature vector relabelled with <theta*, x> + N(0, 0.15^2),
+   so labels land between label levels, on ties among them too. *)
+let test_nearest_sampler_rows () =
+  let module Workload = Pmw_experiments.Common.Workload in
+  let w = Workload.regression () in
+  let u = w.Workload.universe and n = 150_000 and seed = 43 in
+  let ds = w.Workload.sample ~n (Rng.create ~seed ()) in
+  let d = Universe.dim u and m = Universe.size u in
+  let theta_star =
+    Array.init d (fun i -> (if i mod 2 = 0 then 0.6 else -0.4) /. sqrt (float_of_int d) *. 1.5)
+  in
+  let rng = Rng.create ~seed () in
+  for r = 0 to n - 1 do
+    let base = Universe.get u (Rng.int rng m) in
+    let y = Vec.dot theta_star base.Point.features +. Pmw_rng.Dist.gaussian ~sigma:0.15 rng in
+    let p = Point.make ~label:y base.Point.features in
+    let want = scan_nearest u p in
+    if Universe.nearest u p <> want then
+      Alcotest.failf "row %d: nearest %d, scan %d" r (Universe.nearest u p) want;
+    if Dataset.row ds r <> want then
+      Alcotest.failf "row %d: the sampler's index %d is not the scan's %d (replay out of step?)" r
+        (Dataset.row ds r) want
+  done
+
 let test_max_feature_norm () =
   let u = Universe.hypercube ~d:5 ~scale:2. () in
   checkf 1e-9 "scaled norm" 2. (Universe.max_feature_norm u)
+
+(* --- Allocation --- *)
+
+(* Once the index is built, a nearest call allocates nothing: the dev
+   profile compiles -opaque, so this holds without cross-module inlining. *)
+let test_nearest_allocation () =
+  let u = Universe.regression_grid ~d:3 ~levels:11 ~label_levels:5 () in
+  let rng = Rng.create ~seed:44 () in
+  let queries =
+    Array.init 64 (fun _ ->
+        Point.make ~label:(Rng.uniform rng ~lo:(-1.2) ~hi:1.2)
+          (Array.init 3 (fun _ -> Rng.uniform rng ~lo:(-1.) ~hi:1.)))
+  in
+  ignore (Universe.nearest u queries.(0));
+  let calls = 10_000 in
+  let before = Gc.minor_words () in
+  for k = 0 to calls - 1 do
+    ignore (Sys.opaque_identity (Universe.nearest u queries.(k land 63)))
+  done;
+  let words = Gc.minor_words () -. before in
+  (* a single boxed float per call would add 20 000 words *)
+  Alcotest.(check bool) (Printf.sprintf "%.0f minor words over %d calls" words calls) true
+    (words < 64.)
 
 (* --- Histogram --- *)
 
@@ -418,6 +562,29 @@ let qcheck_nearest_is_argmin =
       let di = Point.dist p (Universe.get u i) in
       Universe.fold u ~init:true ~f:(fun acc _ q -> acc && di <= Point.dist p q +. 1e-12))
 
+(* Random queries against every universe of the exact-index test: pair
+   midpoints, axis shifts, non-finite coordinates and box points. *)
+let qcheck_nearest_exact_index =
+  let count = List.length exact_index_universes in
+  QCheck.Test.make ~name:"nearest = reference scan, index for index" ~count:2000
+    QCheck.(
+      quad (int_bound (count - 1)) (pair small_nat small_nat) (int_bound 4)
+        (pair small_nat (float_range (-3.) 3.)))
+    (fun (ui, (i, j), kind, (c, t)) ->
+      let u = List.nth exact_index_universes ui in
+      let n = Universe.size u in
+      let a = Universe.get u (i * 997 mod n) and b = Universe.get u (j * 991 mod n) in
+      let c = c mod (Universe.dim u + 1) in
+      let p =
+        match kind with
+        | 0 -> midpoint a b
+        | 1 -> with_coord a c t
+        | 2 -> with_coord (midpoint a b) c [| infinity; neg_infinity; nan |].(i mod 3)
+        | 3 -> map_point (fun x -> x +. (t *. 1e-3)) a
+        | _ -> map_point (fun x -> t *. x) (midpoint a b)
+      in
+      Universe.nearest u p = scan_nearest u p)
+
 let () =
   Alcotest.run "pmw_data"
     [
@@ -432,8 +599,11 @@ let () =
           Alcotest.test_case "regression grid" `Quick test_regression_grid;
           Alcotest.test_case "validation" `Quick test_universe_validation;
           Alcotest.test_case "nearest" `Quick test_nearest;
+          Alcotest.test_case "nearest = reference scan" `Quick test_nearest_exact_index;
+          Alcotest.test_case "nearest on sampled panel rows" `Quick test_nearest_sampler_rows;
           Alcotest.test_case "max feature norm" `Quick test_max_feature_norm;
         ] );
+      ("allocation", [ Alcotest.test_case "nearest allocates nothing" `Quick test_nearest_allocation ]);
       ( "histogram",
         [
           Alcotest.test_case "uniform" `Quick test_histogram_uniform;
@@ -477,5 +647,10 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ qcheck_of_weights_sums_to_one; qcheck_kl_nonneg; qcheck_nearest_is_argmin ] );
+          [
+            qcheck_of_weights_sums_to_one;
+            qcheck_kl_nonneg;
+            qcheck_nearest_is_argmin;
+            qcheck_nearest_exact_index;
+          ] );
     ]
